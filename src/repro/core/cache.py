@@ -77,12 +77,21 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: doc-only-edit opt-in: pin it to the previous salt to keep old entries).
 CACHE_SALT_ENV = "REPRO_CACHE_SALT"
 
-#: Hot-path modules/packages whose source feeds the code-version salt.
-#: ``analysis`` and ``__main__`` are deliberately absent: plotting and CLI
-#: wiring cannot change a simulation record.
+#: Modules/packages whose source feeds the code-version salt: everything a
+#: driver imports on its way to a record (tests/test_result_cache.py runs
+#: one open-loop, one batch and one analytical point and fails if a
+#: ``repro`` module they pulled in is missing here).  ``analysis`` is salted
+#: whole — ``analysis.stats`` computes record fields, ``analysis.io`` the
+#: canonical JSON behind every key, and the package ``__init__`` puts the
+#: rest on every driver's import path.  ``__main__`` and ``service`` are
+#: absent: CLI wiring and transport cannot change a simulation record.
 _HOT_PATHS = (
+    "__init__.py",
+    "classes.py",
     "config.py",
     "rng.py",
+    "analysis",
+    "analytical",
     "core",
     "network",
     "routing",

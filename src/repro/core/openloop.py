@@ -114,6 +114,11 @@ class _TrafficInjector:
         self.gen = gen
         self.sink = sink
         self.traffic_class = traffic_class
+        # Destinations of one cycle may be drawn in a single call only if
+        # nothing else consumes the generator between them.
+        self._batch_dests = hasattr(pattern, "dests") and not getattr(
+            sizes, "uses_rng", True
+        )
         self._drawn_until = 0  # arrivals consumed for every cycle < this
         self._cached_cycle = -1
         self._cached_arrivals = None
@@ -136,17 +141,24 @@ class _TrafficInjector:
         in_window = engine.in_measure
         pattern = self.pattern
         sizes = self.sizes
-        sink = self.sink
         cls = self.traffic_class
-        for src in arrivals:
-            src = int(src)
-            dst = pattern.dest(src, gen)
-            pkt = net.make_packet(
+        count = len(arrivals)
+        srcs = arrivals.tolist()
+        if count > 1 and self._batch_dests:
+            # One vector draw replaces ``count`` scalar ones: same values,
+            # same generator state afterwards (pinned by
+            # tests/test_traffic.py::TestBatchedDrawPremise).
+            dsts = pattern.dests(arrivals, count, gen).tolist()
+        else:
+            # Lazy, so each destination draw directly precedes its packet's
+            # size draw in the stream.
+            dsts = (pattern.dest(src, gen) for src in srcs)
+        for src, dst in zip(srcs, dsts):
+            net.offer(net.make_packet(
                 src, dst, sizes.draw(gen), measured=in_window, traffic_class=cls
-            )
-            if in_window:
-                sink.outstanding += 1
-            net.offer(pkt)
+            ))
+        if in_window:
+            self.sink.outstanding += count
 
     def done(self, engine: SimulationEngine) -> bool:
         # The source never exhausts; the run may end once the window closed.

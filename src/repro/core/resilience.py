@@ -762,7 +762,7 @@ class InvariantChecker:
             return
         injected = int(net.flit_injections.sum())
         buffered = net.buffered_flits()
-        on_links = net._arrivals.pending
+        on_links = sum(len(bucket) for bucket in net._arrivals.values())
         if injected != ejected + buffered + on_links:
             raise InvariantViolation(
                 f"cycle {net.now}: flit conservation broken — injected "
@@ -778,13 +778,15 @@ class InvariantChecker:
         # Flits in flight per (dst, in_port, vc) and credits in flight per
         # (upstream router id, out_port, vc).
         arrivals: dict[tuple[int, int, int], int] = {}
-        for node, in_port, vc, _pkt, _fidx in net._arrivals.events():
-            key = (node, in_port, vc)
-            arrivals[key] = arrivals.get(key, 0) + 1
+        for bucket in net._arrivals.values():
+            for ivc, _pkt, _fidx in bucket:
+                key = (ivc.router.node, ivc.in_port, ivc.vc)
+                arrivals[key] = arrivals.get(key, 0) + 1
         credits_in_flight: dict[tuple[int, int, int], int] = {}
-        for router, op, vc in net._credits.events():
-            key = (id(router), op, vc)
-            credits_in_flight[key] = credits_in_flight.get(key, 0) + 1
+        for bucket in net._credits.values():
+            for router, op, vc in bucket:
+                key = (id(router), op, vc)
+                credits_in_flight[key] = credits_in_flight.get(key, 0) + 1
         for ch in net.topology.channels():
             upstream = routers[ch.src]
             downstream = routers[ch.dst]

@@ -28,36 +28,10 @@ from .network import Network
 __all__ = [
     "build_network",
     "NETWORK_BACKENDS",
-    "FAST_PROFILES",
-    "is_fast_profile",
     "vectorized_supports",
 ]
 
 NETWORK_BACKENDS = ("object", "vectorized")
-
-#: Configurations where the vectorized backend is a *fast profile* — close
-#: but not bit-exact — each entry a dict of NetworkConfig fields that marks
-#: the profile (a config matches when every listed field compares equal).
-#: The differential harness checks members statistically (latency and
-#: throughput within tolerance, per-node correlation r >= 0.97) instead of
-#: exactly, mirroring the paper's fast-vs-accurate methodology.
-#:
-#: Currently EMPTY by construction: every configuration the vectorized
-#: backend accepts — including adaptive (MA) and oblivious (VAL/ROMM)
-#: routing, whose tie-breaks replay the object backend's enumeration order
-#: — is bit-exact, and unsupported configs (fault plans, credit_delay=0)
-#: are rejected at construction rather than approximated.  The registry and
-#: the statistical checker stay wired so a future profile only needs an
-#: entry here.
-FAST_PROFILES: tuple[dict, ...] = ()
-
-
-def is_fast_profile(config: NetworkConfig) -> bool:
-    """True when ``config`` matches a registered fast profile (see above)."""
-    return any(
-        all(getattr(config, field, None) == value for field, value in profile.items())
-        for profile in FAST_PROFILES
-    )
 
 
 def vectorized_supports(config: NetworkConfig) -> bool:

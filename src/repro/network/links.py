@@ -1,9 +1,11 @@
-"""Time-bucketed event delivery for links and credits.
+"""Time-bucketed event delivery.
 
-Link traversal and credit return are the only delayed events in the
-simulator, and their delays are tiny constants (1-2 cycles), so a dict of
-per-cycle buckets beats a priority queue: scheduling is an append, and each
-cycle pops at most one bucket per event kind.
+Delayed events in the simulator — the ideal fabric's fixed-latency
+deliveries, reply service times in the batch and CMP drivers — have small
+constant delays, so a dict of per-cycle buckets beats a priority queue:
+scheduling is an append, and each cycle pops at most one bucket.  (The
+cycle-level network keeps its link and credit buckets as plain dicts of
+the same shape, appended to from inside the switch-traversal loop.)
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ class TimeBuckets:
             self.pending -= len(bucket)
         return bucket
 
-    def clear(self) -> None:
-        self._buckets.clear()
-        self.pending = 0
-
     def next_time(self) -> Optional[int]:
         """Earliest cycle with an undelivered event (None when empty).
 
@@ -56,15 +54,6 @@ class TimeBuckets:
         if not self._buckets:
             return None
         return min(self._buckets)
-
-    def events(self):
-        """Iterate over every undelivered event (order unspecified).
-
-        Used by the invariant checker to count in-flight flits/credits;
-        never called from the hot loop.
-        """
-        for bucket in self._buckets.values():
-            yield from bucket
 
     def __bool__(self) -> bool:
         return self.pending > 0

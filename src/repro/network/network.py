@@ -10,6 +10,11 @@ execution-driven CMP — interact through three calls:
   ejected this cycle,
 * :meth:`is_idle` — True when no packet is queued or in flight (drain done).
 
+Flits on links and credits returning upstream sit in per-delivery-cycle
+buckets (``_arrivals[cycle]``, ``_credits[cycle]``) that routers append to
+during switch traversal; a flit enters the downstream FIFO only when
+:meth:`step` unpacks its cycle's bucket.
+
 Injection bandwidth is one flit per node per cycle: each node streams its
 current packet into the injection-port VC with the most free space, whole
 packets at a time, and stalls on backpressure — which is exactly the
@@ -35,10 +40,9 @@ from ..classes import inject_order
 from ..config import NetworkConfig
 from ..routing.base import RoutingAlgorithm
 from ..routing.registry import build_routing
-from ..topology.base import Channel, Topology
+from ..topology.base import Topology
 from ..topology.registry import build_topology
 from .base import BaseNetwork
-from .links import TimeBuckets
 from .packet import Packet
 from .router import Router
 
@@ -85,30 +89,38 @@ class Network(BaseNetwork):
             )
             self.faults = FaultState(resolved, self)
             self.routing = FaultAwareRouting(self.routing, self.faults)
+        num_vcs = config.num_vcs
         self.routers = [
             Router(
                 node,
                 self,
                 self.routing,
-                num_vcs=config.num_vcs,
+                num_vcs=num_vcs,
                 buf_size=config.vc_buffer_size,
-                router_delay=config.router_delay,
                 arbitration=config.arbitration,
                 classes=config.classes,
             )
             for node in range(n)
         ]
-        # Reverse channel map: [downstream node][in_port] -> (upstream
-        # router, its out_port), used to return credits.  Indexed lists beat
-        # a dict in the per-flit hot path; the local (injection) port entry
-        # stays None — its buffer is checked directly by the source.
-        ports = self.topology.ports_per_router
-        self._upstream: list[list] = [[None] * ports for _ in range(n)]
+        # Wire each channel once: the upstream router learns the input VCs
+        # its flits land in, and each of those learns the credit event it
+        # returns.  Injection-port VCs keep ``upstream = None`` — their
+        # buffer is checked directly by the source.
         for ch in self.topology.channels():
-            self._upstream[ch.dst][ch.in_port] = (self.routers[ch.src], ch.out_port)
-        self._arrivals = TimeBuckets()
-        self._credits = TimeBuckets()
+            upstream = self.routers[ch.src]
+            base = ch.in_port * num_vcs
+            landing = self.routers[ch.dst].ivcs[base : base + num_vcs]
+            upstream.down[ch.out_port] = landing
+            for vc, ivc in enumerate(landing):
+                ivc.upstream = (upstream, ch.out_port, vc)
+        #: delivery cycle -> [(input VC, packet, flit index)] / [credit event]
+        self._arrivals: dict[int, list] = {}
+        self._credits: dict[int, list] = {}
+        #: credits returned during the current cycle (None: credit_delay is
+        #: 0 and routers apply them on the spot)
+        self._credit_out: Optional[list] = None
         self._credit_delay = config.credit_delay
+        self._router_delay = config.router_delay
         self._num_classes = len(config.classes)
         self._inject_order = inject_order(config.classes)
         self.src_queues: list[list[deque]] = [
@@ -117,10 +129,10 @@ class Network(BaseNetwork):
         self._inj_state: list[Optional[list]] = [None] * n
         self._active_sources: set[int] = set()
         # Active-set scheduling: only routers holding buffered flits are
-        # stepped each cycle.  A router enters the set when a flit is
-        # buffered into one of its input VCs (Router.enqueue) and leaves
-        # when its last buffer drains; on a near-idle fabric the per-cycle
-        # router work collapses from O(num_nodes) to O(|active|).
+        # candidates for a step.  A router enters the set when a flit is
+        # buffered into an empty input VC and leaves when its last buffer
+        # drains; among those, only routers whose ``wake`` cycle has come
+        # are stepped (see DESIGN.md 5e).
         self._active_routers: set[int] = set()
         if self.faults is not None:
             # Faults starting at cycle 0 take effect before the first step.
@@ -142,40 +154,53 @@ class Network(BaseNetwork):
         now = self.now
         delivered = self._delivered = []
         routers = self.routers
+        active = self._active_routers
         # 0. Fault activations/deactivations scheduled for this cycle.
         fs = self.faults
         if fs is not None and fs.has_events:
             fs.apply(now)
         # 1. Credits land (usable this cycle).
-        bucket = self._credits.pop(now)
+        bucket = self._credits.pop(now, None)
         if bucket is not None:
             for router, op, vc in bucket:
                 router.credits[op][vc] += 1
         # 2. Link arrivals buffer into downstream input VCs.
-        bucket = self._arrivals.pop(now)
+        bucket = self._arrivals.pop(now, None)
         if bucket is not None:
-            for node, in_port, vc, pkt, fidx in bucket:
-                routers[node].enqueue(in_port, vc, pkt, fidx, now)
+            ready = now + self._router_delay
+            for ivc, pkt, fidx in bucket:
+                fifo = ivc.fifo
+                if not fifo:
+                    router = ivc.router
+                    router.busy.add(ivc.index)
+                    active.add(router.node)
+                    if ready < router.wake:
+                        router.wake = ready
+                fifo.append((pkt, fidx, ready))
         # 3. Sources stream flits into injection ports (1 flit/node/cycle).
         if self._active_sources:
             self._inject_all(now)
-        # 4. Routers allocate and traverse.  Only routers with buffered
-        #    flits can do work; ascending node order is load-bearing when
-        #    credit_delay == 0 (same-cycle credit returns are visible to
-        #    higher-numbered routers), so the active set is sorted.
-        active = self._active_routers
+        # 4. Routers allocate and traverse.  Only routers holding a head
+        #    flit that has cleared its pipeline can do work; ascending node
+        #    order is load-bearing when credit_delay == 0 (same-cycle credit
+        #    returns are visible to higher-numbered routers), so the active
+        #    set is sorted.
         if active:
-            retired: Optional[list[int]] = None
+            if self._credit_delay:
+                credit_out = self._credit_out = []
+            else:
+                credit_out = None
             for node in sorted(active):
                 router = routers[node]
-                router.step(now)
-                if not router.busy:
-                    if retired is None:
-                        retired = [node]
-                    else:
-                        retired.append(node)
-            if retired is not None:
-                active.difference_update(retired)
+                if router.wake <= now:
+                    router.step(now)
+                    if not router.busy:
+                        active.discard(node)
+            if credit_out:
+                self._credits[now + self._credit_delay] = credit_out
+            if delivered:
+                self.total_packets_delivered += len(delivered)
+                self._inflight -= len(delivered)
         self.now = now + 1
         return delivered
 
@@ -191,8 +216,8 @@ class Network(BaseNetwork):
         scheduled fault activation, and skipping either would corrupt
         buffer accounting or the fault timeline.
         """
-        nxt = self._credits.next_time()
-        t = self._arrivals.next_time()
+        nxt = min(self._credits, default=None)
+        t = min(self._arrivals, default=None)
         if t is not None and (nxt is None or t < nxt):
             nxt = t
         fs = self.faults
@@ -228,12 +253,17 @@ class Network(BaseNetwork):
     def _inject_all(self, now: int) -> None:
         buf_size = self.config.vc_buffer_size
         num_vcs = self.config.num_vcs
+        ready = now + self._router_delay
+        routers = self.routers
+        inj_state = self._inj_state
+        src_queues = self.src_queues
+        flit_injections = self.flit_injections
         done: list[int] = []
         for node in self._active_sources:
-            st = self._inj_state[node]
-            router = self.routers[node]
+            st = inj_state[node]
+            router = routers[node]
             if st is None:
-                queues = self.src_queues[node]
+                queues = src_queues[node]
                 pkt = None
                 cls = 0
                 for cls in self._inject_order:
@@ -246,66 +276,42 @@ class Network(BaseNetwork):
                 # Choose the injection VC with most free space that is not
                 # mid-packet; whole packets stream into a single VC.
                 base = router.local_port * num_vcs
-                best_vc = -1
+                best = None
                 best_free = 0
-                for vc in range(num_vcs):
-                    ivc = router.ivcs[base + vc]
-                    if ivc.fifo and ivc.fifo[-1][1] != ivc.fifo[-1][0].size - 1:
+                for ivc in router.ivcs[base : base + num_vcs]:
+                    fifo = ivc.fifo
+                    if fifo and fifo[-1][1] != fifo[-1][0].size - 1:
                         continue  # a packet is still streaming into this VC
-                    free = buf_size - len(ivc.fifo)
+                    free = buf_size - len(fifo)
                     if free > best_free:
                         best_free = free
-                        best_vc = vc
-                if best_vc < 0:
+                        best = ivc
+                if best is None:
                     self.injection_stalls += 1
                     continue  # all VCs full or busy: injection backpressure
-                st = self._inj_state[node] = [pkt, 0, best_vc, cls]
-            pkt, fidx, vc, cls = st
-            if router.free_space(router.local_port, vc, buf_size) <= 0:
+                st = inj_state[node] = [pkt, 0, best, cls]
+            pkt, fidx, ivc, cls = st
+            fifo = ivc.fifo
+            if len(fifo) >= buf_size:
                 self.injection_stalls += 1
                 continue
             if fidx == 0:
                 pkt.inject_time = now
-            router.enqueue(router.local_port, vc, pkt, fidx, now)
-            self.flit_injections[node] += 1
+            if not fifo:
+                router.busy.add(ivc.index)
+                self._active_routers.add(node)
+                if ready < router.wake:
+                    router.wake = ready
+            fifo.append((pkt, fidx, ready))
+            flit_injections[node] += 1
             fidx += 1
             if fidx == pkt.size:
-                self.src_queues[node][cls].popleft()
-                self._inj_state[node] = None
-                if not any(self.src_queues[node]):
+                src_queues[node][cls].popleft()
+                inj_state[node] = None
+                if not any(src_queues[node]):
                     done.append(node)
             else:
                 st[1] = fidx
         for node in done:
-            if not any(self.src_queues[node]) and self._inj_state[node] is None:
+            if not any(src_queues[node]) and inj_state[node] is None:
                 self._active_sources.discard(node)
-
-    def send_flit(self, ch: Channel, vc: int, pkt: Packet, fidx: int, now: int) -> None:
-        """Schedule a flit's arrival at the downstream router."""
-        self._arrivals.schedule(now + ch.delay, (ch.dst, ch.in_port, vc, pkt, fidx))
-        self.total_flit_traversals += 1
-        hook = self._flit_hook
-        if hook is not None:
-            hook(ch, vc, pkt, fidx, now)
-
-    def send_credit(self, node: int, in_port: int, vc: int, now: int) -> None:
-        """Return a credit to the router feeding (node, in_port)."""
-        upstream = self._upstream[node][in_port]
-        if upstream is None:
-            return  # injection buffers are checked directly by the source
-        router, op = upstream
-        if self._credit_delay == 0:
-            router.credits[op][vc] += 1
-        else:
-            self._credits.schedule(now + self._credit_delay, (router, op, vc))
-
-    def count_ejection(self, node: int) -> None:
-        """One flit left the network at ``node`` (called per ejected flit)."""
-        self.flit_ejections[node] += 1
-        self.total_flits_delivered += 1
-
-    def on_delivered(self, pkt: Packet) -> None:
-        """Tail flit ejected: complete the packet."""
-        self.total_packets_delivered += 1
-        self._inflight -= 1
-        self._delivered.append(pkt)

@@ -8,7 +8,10 @@ raising tr from 1 to 2/4 scales zero-load latency by exactly 1.5×/2.5× on a
 
 Per cycle, for each input VC whose head flit has cleared the pipeline:
 
-1. **RC** — head flits compute their route candidates once per hop.
+1. **RC** — head flits compute their route candidates once per hop: one
+   index into the node's static route row where the routing algorithm
+   offers one (see :class:`~repro.routing.base.RoutingAlgorithm`), a
+   ``route()`` call otherwise.
 2. **VA** — the head flit claims a downstream VC: among candidate
    (port, VC-class) options it takes the free VC with the most credits
    (this is what makes MA adaptive); escape candidates are tried only if no
@@ -21,16 +24,23 @@ Per cycle, for each input VC whose head flit has cleared the pipeline:
    the packet's ``traffic_class`` rides through the VC buffers to here)
    picks winners, under one-flit-per-input-port and
    one-flit-per-output-port crossbar constraints.
-4. **ST** — winners traverse: credits decrement, the freed input-buffer slot
-   returns a credit upstream, tail flits release the VC.
+4. **ST** — winners traverse, inside the grant loop: credits decrement, the
+   freed input-buffer slot returns a credit upstream, tail flits release
+   the VC, and the flit is filed against the downstream input VC in the
+   network's delivery-cycle bucket.
 
-All state mutation goes through the owning :class:`Network`'s event buckets,
-so routers never observe partially-updated same-cycle state.
+Flits and credits in flight live in the owning :class:`Network`'s per-cycle
+buckets, so routers never observe partially-updated same-cycle state.
+``wake`` is the earliest cycle at which a head flit of this router can be
+ready — ``now + 1`` whenever a ready head was blocked or lost arbitration,
+so whatever unblocks it finds the router awake; the network skips the
+router on earlier cycles (DESIGN.md 5e).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import sys
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..routing.base import RoutingAlgorithm
 from .arbiters import build_arbiter
@@ -41,6 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Router"]
 
+#: ``wake`` of a router holding no flits: later than any cycle
+_IDLE = sys.maxsize
+
 
 class Router:
     """One router of the network; owned and stepped by :class:`Network`."""
@@ -49,18 +62,21 @@ class Router:
         "node",
         "network",
         "routing",
-        "tr",
+        "row",
         "num_vcs",
         "local_port",
         "num_ports",
         "ivcs",
         "busy",
+        "wake",
         "credits",
         "vc_owner",
         "out_channels",
+        "down",
         "arbiters",
         "fault_mask",
         "_reqs",
+        "_sparse",
         "_notify_grant",
     )
 
@@ -72,7 +88,6 @@ class Router:
         *,
         num_vcs: int,
         buf_size: int,
-        router_delay: int,
         arbitration: str,
         classes: "tuple | None" = None,
     ):
@@ -80,17 +95,21 @@ class Router:
         self.node = node
         self.network = network
         self.routing = routing
-        self.tr = router_delay
+        #: static route row, fetched at the first RC if the routing offers one
+        self.row: Optional[list] = None
         self.num_vcs = num_vcs
         self.local_port = topo.local_port
         self.num_ports = topo.ports_per_router
         nivcs = self.num_ports * num_vcs
         self.ivcs = [
-            InputVC(i, i // num_vcs, i % num_vcs) for i in range(nivcs)
+            InputVC(i, i // num_vcs, i % num_vcs, self) for i in range(nivcs)
         ]
+        #: indices of input VCs with a non-empty FIFO
         self.busy: set[int] = set()
+        self.wake = _IDLE
         # Per output port: channel (None for missing ports and the ejection
-        # port), downstream credits, downstream-VC ownership, arbiter.
+        # port), downstream credits, downstream-VC ownership, the
+        # downstream router's input VCs (wired by the network), arbiter.
         self.out_channels = [
             topo.channel(node, p) if p != self.local_port else None
             for p in range(self.num_ports)
@@ -103,6 +122,7 @@ class Router:
             [None] * num_vcs if self.out_channels[p] is not None else None
             for p in range(self.num_ports)
         ]
+        self.down: list = [None] * self.num_ports
         self.arbiters = [
             build_arbiter(arbitration, nivcs, classes) for _ in range(self.num_ports)
         ]
@@ -113,52 +133,27 @@ class Router:
         #: network's FaultState; 0 on a healthy router)
         self.fault_mask = 0
         self._reqs: list[list] = [[] for _ in range(self.num_ports)]
-
-    # -- buffer plumbing (called by Network) --------------------------------
-    def enqueue(self, in_port: int, vc: int, packet, fidx: int, arrive: int) -> None:
-        """Buffer a flit arriving at ``arrive`` on (in_port, vc)."""
-        idx = in_port * self.num_vcs + vc
-        self.ivcs[idx].fifo.append((packet, fidx, arrive + self.tr))
-        self.busy.add(idx)
-        self.network._active_routers.add(self.node)
-
-    def free_space(self, in_port: int, vc: int, buf_size: int) -> int:
-        """Free flit slots in the (in_port, vc) buffer (injection-side check)."""
-        return buf_size - len(self.ivcs[in_port * self.num_vcs + vc].fifo)
+        # At or below this many occupied input VCs, sorting the busy set
+        # is cheaper than scanning every VC for a non-empty FIFO.
+        self._sparse = nivcs // 4
 
     # -- VC allocation -------------------------------------------------------
     def _try_alloc(self, ivc: InputVC) -> bool:
-        """Attempt VC allocation for the routed head flit in ``ivc``."""
+        """Attempt VC allocation for the routed head flit in ``ivc``: the
+        free VC with the most credits among the adaptive candidates, among
+        the escape candidates only when no adaptive VC is free."""
         local = self.local_port
         fm = self.fault_mask
-        best_port = -1
-        best_vc = -1
-        best_credit = -1
-        for cand in ivc.candidates:
-            op = cand.out_port
-            if op == local:
-                ivc.out_port = local
-                ivc.out_vc = -1
-                ivc.candidates = None
-                return True
-            if cand.escape:
-                continue  # escape paths tried only in the fallback pass
-            if fm and fm >> op & 1:
-                continue  # faulted channel: never claim its VCs
-            owners = self.vc_owner[op]
-            creds = self.credits[op]
-            for vc in cand.vcs:
-                if owners[vc] is None and creds[vc] > best_credit:
-                    best_credit = creds[vc]
-                    best_port = op
-                    best_vc = vc
-        if best_port < 0:
+        best_port = best_vc = best_credit = -1
+        for escape in (False, True):
             for cand in ivc.candidates:
-                if not cand.escape:
-                    continue
                 op = cand.out_port
-                if fm and fm >> op & 1:
-                    continue
+                if op == local:
+                    ivc.out_port = local
+                    ivc.candidates = None
+                    return True
+                if cand.escape != escape or (fm and fm >> op & 1):
+                    continue  # the other pass's / a faulted channel: never claim its VCs
                 owners = self.vc_owner[op]
                 creds = self.credits[op]
                 for vc in cand.vcs:
@@ -166,101 +161,167 @@ class Router:
                         best_credit = creds[vc]
                         best_port = op
                         best_vc = vc
-        if best_port < 0:
-            return False
-        ivc.out_port = best_port
-        ivc.out_vc = best_vc
-        ivc.candidates = None
-        self.vc_owner[best_port][best_vc] = ivc
-        return True
+            if best_port >= 0:
+                ivc.out_port = best_port
+                ivc.out_vc = best_vc
+                ivc.candidates = None
+                self.vc_owner[best_port][best_vc] = ivc
+                return True
+        return False
 
     # -- main per-cycle work --------------------------------------------------
     def step(self, now: int) -> None:
-        """RC + VA + SA + ST for this router at cycle ``now``."""
+        """RC + VA + SA + ST for this router at cycle ``now``; sets ``wake``."""
         ivcs = self.ivcs
+        busy = self.busy
         reqs = self._reqs
         local = self.local_port
         fm = self.fault_mask
-        fv = self.network._fault_version
+        credits = self.credits
+        net = self.network
+        fv = net._fault_version
+        nxt = now + 1
+        wake = _IDLE
         active_ports = []
-        # RC / VA / SA-request gathering.  Scanning all input VCs in index
-        # order visits exactly the members of ``self.busy`` ascending (the
-        # set tracks non-empty FIFOs) without the per-cycle sort/allocation.
-        for idx, ivc in enumerate(ivcs):
-            if not ivc.fifo:
+        # RC / VA / SA-request gathering over the occupied input VCs in
+        # ascending index order, which is the order every arbiter sees its
+        # requests in.
+        scan: Iterable[InputVC] = (
+            map(ivcs.__getitem__, sorted(busy)) if len(busy) <= self._sparse else ivcs
+        )
+        for ivc in scan:
+            fifo = ivc.fifo
+            if not fifo:
                 continue
-            head = ivc.fifo[0]
-            if head[2] > now:
+            head = fifo[0]
+            ready = head[2]
+            if ready > now:
+                if ready < wake:
+                    wake = ready
                 continue
-            if ivc.out_port < 0:
-                if ivc.candidates is None or ivc.route_version != fv:
+            op = ivc.out_port
+            if op < 0:
+                cands = ivc.candidates
+                if cands is None or ivc.route_version != fv:
                     # RC: head flits compute their candidates once per hop,
                     # again whenever the fault set changed under them.
-                    ivc.candidates = self.routing.route(self.node, head[0])
+                    row = self.row
+                    if row is None and self.routing.static_rows:
+                        row = self.row = self.routing.static_row(self.node)
+                    if row is not None:
+                        cands = row[head[0].dst]
+                    else:
+                        cands = self.routing.route(self.node, head[0])
+                    ivc.candidates = cands
                     ivc.route_version = fv
-                if not self._try_alloc(ivc):
-                    continue
-            op = ivc.out_port
+                if fm or len(cands) != 1:
+                    if not self._try_alloc(ivc):
+                        wake = nxt
+                        continue
+                    op = ivc.out_port
+                else:
+                    # VA with one candidate on a healthy router — every
+                    # deterministic hop — is _try_alloc's first pass alone.
+                    cand = cands[0]
+                    op = cand.out_port
+                    if op != local:
+                        owners = self.vc_owner[op]
+                        creds = credits[op]
+                        best_vc = best_credit = -1
+                        for vc in cand.vcs:
+                            if owners[vc] is None and creds[vc] > best_credit:
+                                best_credit = creds[vc]
+                                best_vc = vc
+                        if best_vc < 0:
+                            wake = nxt
+                            continue
+                        owners[best_vc] = ivc
+                        ivc.out_vc = best_vc
+                    ivc.out_port = op
+                    ivc.candidates = None
             if op != local and (
-                self.credits[op][ivc.out_vc] <= 0 or (fm and fm >> op & 1)
+                credits[op][ivc.out_vc] <= 0 or (fm and fm >> op & 1)
             ):
+                wake = nxt
                 continue
-            if not reqs[op]:
+            requests = reqs[op]
+            if not requests:
                 active_ports.append(op)
-            reqs[op].append((idx, head[0]))
+            requests.append((ivc.index, head[0]))
         if not active_ports:
+            self.wake = wake
             return
-        # SA arbitration + ST, one winner per output port, one grant per
-        # input port per cycle.
+        # SA arbitration with ST fused into the grant: one winner per
+        # output port, one grant per input port per cycle.
         used_inputs = 0  # bitmask over input ports
-        num_vcs = self.num_vcs
+        sent = 0
+        arbiters = self.arbiters
         notify = self._notify_grant
+        arrivals = net._arrivals
+        credit_out = net._credit_out
+        hook = net._flit_hook
         for op in active_ports:
             requests = reqs[op]
+            if len(requests) > 1:
+                wake = nxt  # all but one of them wait
             while requests:
-                winner = (
-                    requests[0] if len(requests) == 1 else self.arbiters[op].pick(requests)
-                )
-                in_port_bit = 1 << (winner[0] // num_vcs)
+                winner = requests[0] if len(requests) == 1 else arbiters[op].pick(requests)
+                ivc = ivcs[winner[0]]
+                in_port_bit = 1 << ivc.in_port
                 if used_inputs & in_port_bit:
                     requests.remove(winner)
+                    wake = nxt
                     continue
                 used_inputs |= in_port_bit
-                self._traverse(winner[0], now)
+                fifo = ivc.fifo
+                pkt, fidx, _ = fifo.popleft()
+                if fifo:
+                    ready = fifo[0][2]
+                    if ready < wake:
+                        wake = ready
+                else:
+                    busy.discard(winner[0])
+                credit = ivc.upstream
+                if credit is not None:
+                    # The freed buffer slot returns one credit upstream.
+                    if credit_out is None:
+                        upstream, up_port, vc = credit
+                        upstream.credits[up_port][vc] += 1
+                    else:
+                        credit_out.append(credit)
+                is_tail = fidx == pkt.size - 1
+                if op == local:
+                    net.flit_ejections[self.node] += 1
+                    net.total_flits_delivered += 1
+                    if is_tail:
+                        pkt.deliver_time = now
+                        ivc.out_port = -1
+                        net._delivered.append(pkt)
+                else:
+                    ovc = ivc.out_vc
+                    credits[op][ovc] -= 1
+                    if fidx == 0:
+                        pkt.hops += 1
+                    ch = self.out_channels[op]
+                    due = now + ch.delay
+                    bucket = arrivals.get(due)
+                    if bucket is None:
+                        arrivals[due] = [(self.down[op][ovc], pkt, fidx)]
+                    else:
+                        bucket.append((self.down[op][ovc], pkt, fidx))
+                    sent += 1
+                    if hook is not None:
+                        hook(ch, ovc, pkt, fidx, now)
+                    if is_tail:
+                        self.vc_owner[op][ovc] = None
+                        ivc.out_port = ivc.out_vc = -1
                 if notify:
-                    self.arbiters[op].granted(winner[1])
+                    arbiters[op].granted(pkt)
                 break
-            reqs[op].clear()
-
-    def _traverse(self, idx: int, now: int) -> None:
-        """ST: move the head-of-VC flit of input VC ``idx`` out of the router."""
-        ivc = self.ivcs[idx]
-        pkt, fidx, _ = ivc.fifo.popleft()
-        if not ivc.fifo:
-            self.busy.discard(idx)
-        net = self.network
-        in_port = ivc.in_port
-        if in_port != self.local_port:
-            # The freed buffer slot returns one credit upstream.
-            net.send_credit(self.node, in_port, ivc.vc, now)
-        op = ivc.out_port
-        is_tail = fidx == pkt.size - 1
-        if op == self.local_port:
-            net.count_ejection(self.node)
-            if is_tail:
-                pkt.deliver_time = now
-                ivc.reset_route()
-                net.on_delivered(pkt)
-        else:
-            ovc = ivc.out_vc
-            self.credits[op][ovc] -= 1
-            ch = self.out_channels[op]
-            if fidx == 0:
-                pkt.hops += 1
-            net.send_flit(ch, ovc, pkt, fidx, now)
-            if is_tail:
-                self.vc_owner[op][ovc] = None
-                ivc.reset_route()
+            requests.clear()
+        if sent:
+            net.total_flit_traversals += sent
+        self.wake = wake if wake > nxt else nxt
 
     # -- introspection ---------------------------------------------------------
     def buffered_flits(self) -> int:

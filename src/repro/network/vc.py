@@ -15,6 +15,12 @@ The VC's routing state machine is encoded compactly:
   allocation downstream (retried every cycle),
 * ``out_port >= 0``                             — allocated; ``out_vc`` is
   the downstream VC, or ``-1`` when the output is the ejection port.
+
+``router`` and ``upstream`` are wiring, fixed at network build: the owning
+router (a link arrival is filed against the input VC itself, so delivery
+needs no lookup), and the prebuilt credit event ``(upstream router,
+its out_port, vc)`` this buffer returns each time a flit leaves it —
+``None`` on the injection port, whose buffer the source checks directly.
 """
 
 from __future__ import annotations
@@ -37,9 +43,11 @@ class InputVC:
         "out_vc",
         "candidates",
         "route_version",
+        "router",
+        "upstream",
     )
 
-    def __init__(self, index: int, in_port: int, vc: int):
+    def __init__(self, index: int, in_port: int, vc: int, router=None):
         self.index = index
         self.in_port = in_port
         self.vc = vc
@@ -50,12 +58,8 @@ class InputVC:
         #: network fault version the candidates were computed under; a head
         #: flit still awaiting VC allocation re-routes when this goes stale.
         self.route_version: int = 0
-
-    def reset_route(self) -> None:
-        """Clear routing state after the tail flit departs."""
-        self.out_port = -1
-        self.out_vc = -1
-        self.candidates = None
+        self.router = router
+        self.upstream: Optional[tuple] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

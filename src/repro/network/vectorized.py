@@ -36,8 +36,7 @@ order and switch-arbiter state — are reproduced exactly:
 
 Configurations the backend cannot reproduce exactly are rejected at
 construction: ``credit_delay == 0`` (couples routers within a cycle) and
-fault plans (the fault layer hooks per-object router internals).  Those are
-the *fast profiles* of DESIGN.md — currently an empty set, so every
+fault plans (the fault layer hooks per-object router internals), so every
 supported config is exact and there is nothing to check statistically.
 """
 

@@ -56,9 +56,24 @@ class RouteCandidate:
 
 
 class RoutingAlgorithm(ABC):
-    """Base class; subclasses are stateless apart from their RNG."""
+    """Base class; subclasses are stateless apart from their RNG.
+
+    **Static route rows.**  An algorithm whose :meth:`route` is a pure
+    function of ``(node, packet.dst)`` — it reads no other packet field and
+    mutates none — may set ``static_rows = True`` and implement
+    :meth:`static_row`.  The router then replaces route computation by one
+    list index, ``row[packet.dst]``, and never calls :meth:`route` for that
+    node again, so every entry must *be* (``is``) the candidate list
+    ``route`` returns for that destination.  Rows are built on first use,
+    one node at a time, and are immutable once built.  DOR on a mesh
+    qualifies; anything that consults packet state (dateline classes on a
+    torus, VAL/ROMM phases), allocates per call (MA) or depends on the
+    fault set (:class:`~repro.routing.fault.FaultAwareRouting`) does not.
+    """
 
     name: str = "abstract"
+    #: True when :meth:`static_row` may stand in for :meth:`route`
+    static_rows: bool = False
 
     def __init__(self, topology: Topology, num_vcs: int):
         self.topology = topology
@@ -83,6 +98,10 @@ class RoutingAlgorithm(ABC):
         routing state (phase advance, dateline class).  A candidate whose
         ``out_port`` equals the topology's local port means *eject here*.
         """
+
+    def static_row(self, node: int) -> list[list[RouteCandidate]]:
+        """``row[dst] is route(node, packet)``; called only if ``static_rows``."""
+        raise NotImplementedError(f"{self.name} routing has no static route rows")
 
     # -- shared helpers -----------------------------------------------------
     def _eject(self) -> list[RouteCandidate]:

@@ -17,11 +17,27 @@ open too, and there are no class-1 → class-0 edges to weave a mixed cycle.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..network.packet import Packet
 from ..topology.mesh import KAryNCube
 from .base import RouteCandidate, RoutingAlgorithm, vc_range
 
 __all__ = ["DOR", "dor_port"]
+
+#: Largest mesh that gets static route rows: a full table is num_nodes**2
+#: references, so 1024 nodes cap it at 8 MiB per shape.
+_STATIC_ROW_MAX_NODES = 1024
+
+
+@lru_cache(maxsize=16)
+def _mesh_tables(topo_type: type, k: int, n: int, num_vcs: int, local_port: int):
+    """Candidate lists and route rows shared by every mesh DOR of one shape
+    (both are immutable and depend on the shape alone, so sweeps rebuilding
+    a network reuse them); ``rows[node]`` is None until first needed."""
+    all_vcs = tuple(range(num_vcs))
+    cands = [[RouteCandidate(port, all_vcs)] for port in range(2 * n)]
+    return cands, [RouteCandidate(local_port, all_vcs)], [None] * k**n
 
 
 def dor_port(topo: KAryNCube, node: int, target: int) -> int:
@@ -83,9 +99,23 @@ class DOR(RoutingAlgorithm):
                 for port in range(ports)
             ]
         else:
-            self._cands = [
-                [RouteCandidate(port, self.all_vcs)] for port in range(ports)
-            ]
+            self._cands, self._eject_candidates, self._rows = _mesh_tables(
+                type(topology), topology.k, topology.n, num_vcs, topology.local_port
+            )
+            self.static_rows = topology.num_nodes <= _STATIC_ROW_MAX_NODES
+
+    def static_row(self, node: int) -> list[list[RouteCandidate]]:
+        if not self.static_rows:
+            return super().static_row(node)  # wrapped or oversized: raises
+        row = self._rows[node]
+        if row is None:
+            probe = Packet(-1, node, node, 1, 0)
+            row = []
+            for dst in range(self.topology.num_nodes):
+                probe.dst = dst
+                row.append(self.route(node, probe))
+            self._rows[node] = row
+        return row
 
     def route(self, node: int, packet: Packet) -> list[RouteCandidate]:
         topo: KAryNCube = self.topology  # type: ignore[assignment]

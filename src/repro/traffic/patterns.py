@@ -59,8 +59,10 @@ class UniformRandom(TrafficPattern):
         d = int(rng.integers(0, self.num_nodes - 1))
         return d if d < src else d + 1
 
-    def dests(self, src: int, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized draw of ``count`` destinations for ``src``."""
+    def dests(self, src, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Vectorized draw of ``count`` destinations, equal to ``count``
+        calls of :meth:`dest` in order; ``src`` is one source for all of
+        them or an array of ``count`` sources."""
         d = rng.integers(0, self.num_nodes - 1, size=count)
         return np.where(d < src, d, d + 1)
 

@@ -17,6 +17,9 @@ class SizeDistribution(ABC):
     """Draws packet sizes in flits."""
 
     name: str = "abstract"
+    #: False when :meth:`draw` never touches the generator, which lets an
+    #: injector batch the draws around it (destinations) into one call
+    uses_rng: bool = True
 
     @abstractmethod
     def draw(self, rng: np.random.Generator) -> int:
@@ -32,6 +35,7 @@ class SingleFlit(SizeDistribution):
     """Every packet is one flit (the paper's default)."""
 
     name = "single"
+    uses_rng = False
 
     def draw(self, rng: np.random.Generator) -> int:
         return 1
@@ -45,6 +49,7 @@ class FixedSize(SizeDistribution):
     """Every packet is exactly ``size`` flits."""
 
     name = "fixed"
+    uses_rng = False
 
     def __init__(self, size: int):
         if size < 1:

@@ -11,13 +11,6 @@ each, and the full record — every per-packet latency and class id included
 — compared for equality.  The generator is seeded, so a failure is reproducible; on
 mismatch the harness greedily shrinks the config toward the simplest one
 that still fails and reports it, which is what you paste into a repro.
-
-Configurations registered as *fast profiles* (``repro.network.factory.
-FAST_PROFILES`` — currently empty by construction) are instead checked
-statistically: latency/throughput within tolerance and per-node latency
-correlation r >= 0.97, mirroring the paper's fast-vs-accurate methodology.
-The statistical checker itself is exercised here so a future profile entry
-lands on tested machinery.
 """
 
 from __future__ import annotations
@@ -25,18 +18,12 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
 import pytest
 
 from repro.config import NetworkConfig
 from repro.core.closedloop import BatchSimulator
 from repro.core.openloop import OpenLoopSimulator
-from repro.network.factory import (
-    FAST_PROFILES,
-    NETWORK_BACKENDS,
-    build_network,
-    is_fast_profile,
-)
+from repro.network.factory import NETWORK_BACKENDS, build_network
 
 # ---------------------------------------------------------------------------
 # record extraction
@@ -165,10 +152,7 @@ def run_differential(master_seed: int, count: int) -> None:
     rng = random.Random(master_seed)
     for i in range(count):
         kw, rate = draw_config(rng)
-        cfg_o = NetworkConfig(backend="object", **kw)
-        if is_fast_profile(cfg_o):
-            continue  # checked statistically in TestFastProfiles
-        obj = openloop_record(cfg_o, rate)
+        obj = openloop_record(NetworkConfig(backend="object", **kw), rate)
         vec = openloop_record(NetworkConfig(backend="vectorized", **kw), rate)
         if obj != vec:
             minimal = shrink(dict(kw), rate)
@@ -305,55 +289,3 @@ class TestBackendSelection:
     def test_vectorized_rejects_overrides(self):
         with pytest.raises(TypeError, match="overrides"):
             build_network(NetworkConfig(backend="vectorized"), topology=object())
-
-
-# ---------------------------------------------------------------------------
-# fast profiles: the statistical fallback path
-# ---------------------------------------------------------------------------
-
-
-def stats_close(
-    a: dict, b: dict, *, tolerance: float = 0.05, min_r: float = 0.97
-) -> tuple[bool, str]:
-    """Tolerance check for fast-profile configs: scalar figures within
-    ``tolerance`` (relative) and per-node latency correlation >= ``min_r``."""
-    for name in ("avg_latency", "throughput"):
-        x, y = a[name], b[name]
-        if x != y and abs(x - y) > tolerance * max(abs(x), abs(y)):
-            return False, f"{name}: {x} vs {y} beyond {tolerance:.0%}"
-    pa = np.array([x for x in a["per_node"]], dtype=float)
-    pb = np.array([x for x in b["per_node"]], dtype=float)
-    ok = ~(np.isnan(pa) | np.isnan(pb))
-    if ok.sum() >= 3 and np.std(pa[ok]) > 0 and np.std(pb[ok]) > 0:
-        r = float(np.corrcoef(pa[ok], pb[ok])[0, 1])
-        if r < min_r:
-            return False, f"per-node latency correlation {r:.3f} < {min_r}"
-    return True, ""
-
-
-class TestFastProfiles:
-    def test_registry_is_empty_by_construction(self):
-        """Every accepted config is exact today; this pins that claim so a
-        new profile entry is a deliberate, reviewed decision."""
-        assert FAST_PROFILES == ()
-        assert not is_fast_profile(NetworkConfig(routing="ma", num_vcs=4))
-
-    def test_registered_profiles_statistically_close(self):
-        """When profiles exist, they must pass the statistical check."""
-        if not FAST_PROFILES:
-            pytest.skip("no fast profiles registered (all configs are exact)")
-        for profile in FAST_PROFILES:
-            kw = dict(profile)
-            obj = openloop_record(NetworkConfig(backend="object", **kw), 0.15)
-            vec = openloop_record(NetworkConfig(backend="vectorized", **kw), 0.15)
-            ok, why = stats_close(obj, vec)
-            assert ok, f"profile {profile}: {why}"
-
-    def test_checker_accepts_identical_and_rejects_different(self):
-        cfg = NetworkConfig(k=4, n=2, seed=7)
-        rec = openloop_record(cfg, 0.15)
-        ok, _ = stats_close(rec, rec)
-        assert ok
-        far = openloop_record(NetworkConfig(topology="ring", k=4, n=2, seed=7), 0.15)
-        ok, why = stats_close(rec, far)
-        assert not ok and why

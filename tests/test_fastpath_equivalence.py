@@ -2,13 +2,15 @@
 
 Two independent accelerations share one correctness bar:
 
-* **active-set router scheduling** — the network steps only routers with
-  buffered flits instead of iterating all of them every cycle, and
+* **ready-cycle router gating** — the network steps only routers holding a
+  head flit that has cleared its pipeline (``Router.wake``) instead of
+  iterating all of them every cycle, and
 * **idle-cycle fast-forward** — the engine jumps the clock across cycles
   during which the (idle) network provably does nothing.
 
 Both are exercised by default; setting ``REPRO_DISABLE_FAST_FORWARD=1``
-forces the dense engine loop through unmodified drivers.  Every test here
+forces the dense engine loop through unmodified drivers, and zeroing every
+router's ``wake`` before each cycle forces every occupied router to step.  Every test here
 runs a driver both ways and asserts *exact* equality of every observable —
 latency arrays, per-node distributions, runtimes, probe records, packet
 counts — across randomized configurations and with the full instrumentation
@@ -368,3 +370,94 @@ class TestActiveSetScheduling:
         sim = OpenLoopSimulator(cfg, warmup=100, measure=200, drain_limit=3000)
         res = sim.run(0.1)
         assert res.num_measured > 0
+
+
+def _drive(cfg: NetworkConfig, *, force_awake: bool) -> dict:
+    """Seeded traffic for 120 cycles, then drain; every observable counter.
+
+    With ``force_awake`` each router's ``wake`` is zeroed before every
+    cycle, so the gate never skips one — after asserting that any router
+    the gate was about to skip indeed holds no ready head flit.
+    """
+    net = Network(cfg)
+    gen = np.random.default_rng(cfg.seed)
+    n = net.num_nodes
+    num_classes = len(cfg.classes)
+    packets = []
+    for cycle in range(1500):
+        if cycle < 120:
+            for src in np.flatnonzero(gen.random(n) < 0.25).tolist():
+                dst = (src + 1 + int(gen.integers(0, n - 1))) % n
+                pkt = net.make_packet(
+                    src,
+                    dst,
+                    int(gen.integers(1, 5)),
+                    traffic_class=int(gen.integers(0, num_classes)),
+                )
+                packets.append(pkt)
+                net.offer(pkt)
+        elif net.is_idle():
+            break
+        if force_awake:
+            now = net.now
+            for router in net.routers:
+                if router.wake > now:
+                    assert not any(
+                        ivc.fifo and ivc.fifo[0][2] <= now for ivc in router.ivcs
+                    ), f"cycle {now}: gate would skip router {router.node}"
+                router.wake = 0
+        net.step()
+    assert net.is_idle()
+    return {
+        "cycles": net.now,
+        "packets": [(p.inject_time, p.deliver_time, p.hops, p.misroutes) for p in packets],
+        "flit_hops": net.total_flit_traversals,
+        "flits_delivered": net.total_flits_delivered,
+        "packets_delivered": net.total_packets_delivered,
+        "injection_stalls": net.injection_stalls,
+        "ejections": net.flit_ejections.tolist(),
+        "injections": net.flit_injections.tolist(),
+    }
+
+
+class TestReadyCycleGating:
+    """Skipping routers with ``wake > now`` must not change a single event."""
+
+    @pytest.mark.parametrize("arbitration", ["round_robin", "age", "priority", "weighted"])
+    @pytest.mark.parametrize("faults", [None, "link:5>6@40-90"])
+    def test_forced_awake_runs_are_identical(self, arbitration, faults):
+        classes = "user+os:priority=1:weight=3" if arbitration in ("priority", "weighted") else None
+        for router_delay in (1, 2, 4):
+            for credit_delay in (0, 1, 2):
+                for num_vcs in (2, 8):
+                    kw = dict(classes=classes) if classes else {}
+                    cfg = NetworkConfig(
+                        k=4,
+                        n=2,
+                        seed=11 * router_delay + credit_delay,
+                        router_delay=router_delay,
+                        credit_delay=credit_delay,
+                        num_vcs=num_vcs,
+                        vc_buffer_size=2,
+                        arbitration=arbitration,
+                        faults=faults,
+                        **kw,
+                    )
+                    gated = _drive(cfg, force_awake=False)
+                    forced = _drive(cfg, force_awake=True)
+                    assert gated == forced, (router_delay, credit_delay, num_vcs)
+
+    def test_gate_skips_routers_behind_a_deep_pipeline(self, monkeypatch):
+        """At tr=4 a lone flit keeps its router asleep three cycles a hop."""
+        from repro.network.router import Router
+
+        stepped = []
+        step = Router.step
+        monkeypatch.setattr(
+            Router, "step", lambda self, now: (stepped.append(self.node), step(self, now))
+        )
+        net = Network(NetworkConfig(k=4, n=2, router_delay=4))
+        net.offer(net.make_packet(0, 3, 1))
+        while not net.is_idle():
+            net.step()
+        assert stepped == [0, 1, 2, 3]  # one RC/VA/SA/ST pass per hop

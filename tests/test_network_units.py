@@ -46,12 +46,6 @@ class TestInputVC:
         assert vc.candidates is None
         assert not vc.fifo
 
-    def test_reset_route(self):
-        vc = InputVC(0, 0, 0)
-        vc.out_port, vc.out_vc, vc.candidates = 2, 1, []
-        vc.reset_route()
-        assert vc.out_port == -1 and vc.out_vc == -1 and vc.candidates is None
-
 
 def reqs(*pairs):
     return [(i, Packet(pid, 0, 1, 1, t)) for i, pid, t in pairs]
@@ -116,9 +110,3 @@ class TestTimeBuckets:
         assert not tb
         tb.schedule(1, object())
         assert tb
-
-    def test_clear(self):
-        tb = TimeBuckets()
-        tb.schedule(1, "x")
-        tb.clear()
-        assert tb.pending == 0 and tb.pop(1) is None

@@ -103,3 +103,23 @@ class TestSweeps:
         h = 2.5  # 4x4 uniform average minimal hops
         ratio = s2.analytic_zero_load_latency() / s1.analytic_zero_load_latency()
         assert ratio == pytest.approx((3 * h + 2) / (2 * h + 1), abs=0.02)
+
+
+class TestBatchedDestinationDraws:
+    def test_one_call_per_cycle_equals_one_call_per_packet(self, mesh4):
+        """A size distribution that claims the generator forces the
+        per-packet loop; the batched path must reproduce it exactly."""
+        from repro.traffic import FixedSize
+
+        class ClaimsRng(FixedSize):
+            uses_rng = True
+
+        runs = []
+        for sizes in (FixedSize(2), ClaimsRng(2)):
+            sim = OpenLoopSimulator(
+                mesh4.with_(seed=4), sizes=sizes, warmup=50, measure=150, drain_limit=1500
+            )
+            res = sim.run(0.6)
+            runs.append((res.latencies.tolist(), res.throughput, res.avg_hops))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) > 100

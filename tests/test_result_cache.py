@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -57,9 +61,54 @@ class TestFingerprints:
         assert "rng.py" in digests
         assert "core/engine.py" in digests
         assert "network/router.py" in digests
-        # plotting/CLI wiring cannot change a record: deliberately unsalted
-        assert not any(p.startswith("analysis/") for p in digests)
+        # modules that compute or shape record fields outside the simulator
+        assert "classes.py" in digests
+        assert "analysis/stats.py" in digests
+        assert "analytical/model.py" in digests
+        # CLI wiring and transport cannot change a record: deliberately unsalted
         assert "__main__.py" not in digests
+        assert not any(p.startswith("service/") for p in digests)
+
+    def test_salt_covers_every_module_a_driver_imports(self):
+        """An edit to any module on the way to a record must change the salt.
+
+        A fresh interpreter runs one open-loop point, one batch point and
+        one analytical estimate, then reports every ``repro`` module it
+        ended up importing that ``code_fingerprint`` does not digest.
+        """
+        script = textwrap.dedent(
+            """
+            import pathlib, sys
+            from repro.analytical import estimate
+            from repro.config import NetworkConfig
+            from repro.core.cache import code_fingerprint
+            from repro.core.closedloop import BatchSimulator
+            from repro.core.openloop import OpenLoopSimulator
+
+            cfg = NetworkConfig(k=4, n=2, seed=1)
+            OpenLoopSimulator(cfg, warmup=20, measure=40, drain_limit=400).run(0.1)
+            BatchSimulator(cfg, batch_size=5, max_outstanding=2).run()
+            estimate(cfg, 0.1)
+            import repro
+            root = pathlib.Path(repro.__file__).resolve().parent
+            salted = code_fingerprint()
+            for name, mod in sorted(sys.modules.items()):
+                path = getattr(mod, "__file__", None)
+                if path and (name == "repro" or name.startswith("repro.")):
+                    rel = pathlib.Path(path).resolve().relative_to(root).as_posix()
+                    if rel not in salted:
+                        print(rel)
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == []
 
     def test_salt_is_stable_and_env_pinnable(self, monkeypatch):
         assert cache_salt() == cache_salt()

@@ -276,3 +276,62 @@ class TestRegistry:
         a.on_inject(pa)
         b.on_inject(pb)
         assert pa.intermediate == pb.intermediate
+
+
+class TestStaticRouteRows:
+    """The static-row contract of RoutingAlgorithm (DOR on a mesh)."""
+
+    @pytest.mark.parametrize("k,n", [(4, 2), (8, 2), (3, 3)])
+    def test_row_entry_is_what_route_returns(self, k, n):
+        mesh = Mesh(k, n)
+        r = DOR(mesh, 2)
+        assert r.static_rows
+        for node in range(mesh.num_nodes):
+            row = r.static_row(node)
+            assert len(row) == mesh.num_nodes
+            for dst in range(mesh.num_nodes):
+                assert row[dst] is r.route(node, mkpkt(0, dst))
+
+    def test_rows_are_shared_across_builds_of_one_shape(self):
+        a, b = DOR(Mesh(4, 2), 2), DOR(Mesh(4, 2), 2)
+        assert a.static_row(5) is b.static_row(5)
+        assert a.static_row(5) is not DOR(Mesh(4, 2), 4).static_row(5)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(topology="torus", num_vcs=4),
+            dict(routing="val", num_vcs=4),
+            dict(routing="romm", num_vcs=4),
+            dict(routing="ma", num_vcs=4),
+            dict(faults="links:2"),
+        ],
+        ids=lambda kw: "-".join(map(str, kw.values())),
+    )
+    def test_non_static_routing_gets_no_row(self, kw):
+        from repro.network import Network
+
+        net = Network(NetworkConfig(k=4, n=2, seed=3, **kw))
+        assert not net.routing.static_rows
+        with pytest.raises(NotImplementedError):
+            net.routing.static_row(0)
+        for i in range(16):
+            net.offer(net.make_packet(i, 15 - i, 2))
+        net.run(200)
+        assert net.is_idle()
+        assert all(router.row is None for router in net.routers)
+
+    def test_mesh_dor_routers_fetch_their_row_on_first_use(self):
+        from repro.network import Network
+
+        net = Network(NetworkConfig(k=4, n=2, seed=3))
+        assert all(router.row is None for router in net.routers)
+        net.offer(net.make_packet(0, 3, 1))
+        net.run(50)
+        assert net.is_idle()
+        on_path = {0, 1, 2, 3}
+        for router in net.routers:
+            if router.node in on_path:
+                assert router.row is net.routing.static_row(router.node)
+            else:
+                assert router.row is None

@@ -54,8 +54,33 @@ class TestUniformRandom:
         assert (d != 5).all()
         assert d.min() >= 0 and d.max() < 16
 
+    def test_vectorized_accepts_one_source_per_draw(self):
+        p = UniformRandom(16)
+        srcs = np.arange(16).repeat(50)
+        a = p.dests(srcs, len(srcs), rng_mod.make_generator(2, "t"))
+        gen = rng_mod.make_generator(2, "t")
+        assert a.tolist() == [p.dest(int(src), gen) for src in srcs]
+
     def test_not_permutation(self):
         assert not UniformRandom(8).is_permutation()
+
+
+class TestBatchedDrawPremise:
+    """What the open-loop injector's one-call-per-cycle destination draw
+    rests on: NumPy's bounded integers consume the bit stream identically
+    whether drawn one at a time or in chunks of any size."""
+
+    @pytest.mark.parametrize("n", [15, 63, 255, 4095])
+    def test_chunked_integers_equal_scalar_draws(self, n):
+        scalar = rng_mod.make_generator(9, "premise")
+        chunked = rng_mod.make_generator(9, "premise")
+        chunks = [1, 3, 1, 64, 2, 17, 1, 1, 200, 5]
+        want = [int(scalar.integers(0, n)) for _ in range(sum(chunks))]
+        got = []
+        for m in chunks:
+            got.extend(chunked.integers(0, n, size=m).tolist())
+        assert got == want
+        assert chunked.bit_generator.state == scalar.bit_generator.state
 
 
 class TestTranspose:
