@@ -345,10 +345,6 @@ def _cmd_sweep(args) -> int:
 def _steered_sweep_cli(args, cfg, axes, rates, runner, cache) -> int:
     from .core.steering import steered_sweep
 
-    if args.resume or args.remote:
-        print("--steer does not support --resume or --remote (the simulated "
-              "window is recomputed per run; run it locally)", file=sys.stderr)
-        return 2
     if cfg.backend == "analytical":
         print("--steer simulates its knee window cycle-accurately; pick "
               "--backend object|vectorized (the model half is implied)",
@@ -363,13 +359,19 @@ def _steered_sweep_cli(args, cfg, axes, rates, runner, cache) -> int:
             sim_fraction=args.steer_fraction,
             n_workers=args.workers,
             journal=args.journal,
+            resume=args.resume,
+            resume_force=args.force_resume,
             progress=_print_progress if args.progress else None,
             point_timeout=args.point_timeout,
             max_retries=args.max_retries,
             cache=cache,
+            remote=args.remote,
         )
     except ValueError as exc:
         print(f"sweep error: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, RuntimeError) as exc:  # remote mode: refused/error reply
+        print(f"service error: {exc}", file=sys.stderr)
         return 2
     columns = list(axes) + ["rate", "latency", "throughput", "saturated", "source"]
     if any(r.get("failed") for r in records):

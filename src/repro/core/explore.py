@@ -20,12 +20,12 @@ Pareto front over three minimized objectives:
     crossbar term (ports² per router) at 5% weight — crossbars are small
     next to buffers at these radices but grow quadratically with degree.
 
-Candidate evaluation routes through :func:`repro.core.parallel.run_sweep`
-(or :func:`repro.service.client.run_remote_sweep` with ``remote=``): each
-generation's un-archived genomes become one sweep over the extra axes
-``genome`` × ``rate``, inheriting the content-addressed result cache
-(duplicate genomes across runs are free), self-healing retries, and
-distributed execution.  Genomes are canonical tuples of ``(field, value)``
+Candidate evaluation routes through :func:`repro.core.parallel.run_ledger`
+(local, or the sweep service with ``remote=``): each generation's
+un-archived genomes become one sweep over the extra axes ``genome`` ×
+``rate``, inheriting the content-addressed result cache (duplicate
+genomes across runs are free), self-healing retries, and distributed
+execution.  Genomes are canonical tuples of ``(field, value)``
 pairs sorted by field name, so per-point seeds from
 :func:`repro.rng.sweep_seed` and cache keys are stable regardless of how a
 genome was produced.
@@ -59,22 +59,28 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..analysis.io import canonical_json
+from ..analysis.io import append_jsonl, canonical_json
 from ..analysis.pareto import dominates, pareto_front
 from ..config import FIELD_CHOICES, NetworkConfig
 from ..rng import make_generator
 from ..topology import build_topology
 from . import cache as result_cache
 from .openloop import OpenLoopSimulator
-from .parallel import SweepHealth, check_journal_fingerprint, run_sweep
+from .parallel import (
+    SweepHealth,
+    SweepLedger,
+    check_journal_fingerprint,
+    enumerate_points,
+    rewrite_journal,
+    run_ledger,
+)
 
 __all__ = [
     "DesignSpace",
@@ -603,25 +609,6 @@ def _journal_header(spec: ExploreSpec, base: NetworkConfig) -> dict[str, Any]:
     }
 
 
-def _load_archive(journal: Path) -> list[dict[str, Any]]:
-    """Archive entries from a journal, tolerating a truncated tail line."""
-    entries: list[dict[str, Any]] = []
-    with journal.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                break  # interrupted mid-write: drop the tail
-            if "sweep" in obj:
-                continue
-            if "key" in obj and "objectives" in obj:
-                entries.append(obj)
-    return entries
-
-
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
@@ -636,27 +623,6 @@ def _classify_failure(error: str) -> str:
         if error.startswith(("ValueError:", "BackendUnsupported:"))
         else "error"
     )
-
-
-_HEALTH_FIELDS = (
-    "total",
-    "ok",
-    "failed",
-    "retried",
-    "timed_out",
-    "stalled",
-    "worker_deaths",
-    "cache_hits",
-    "cache_misses",
-    "quarantined",
-    "stale_results",
-)
-
-
-def _fold_health(total: SweepHealth, part: SweepHealth) -> None:
-    for name in _HEALTH_FIELDS:
-        setattr(total, name, getattr(total, name) + getattr(part, name))
-    total.interrupted = total.interrupted or part.interrupted
 
 
 def _surrogate_metrics(
@@ -702,7 +668,7 @@ def explore(
     (``resume_force`` overrides a fingerprint mismatch).  ``remote`` is a
     ``host:port`` sweep-service address; otherwise evaluation runs locally
     with ``n_workers`` / ``cache`` / ``point_timeout`` passed through to
-    :func:`run_sweep`.  ``log`` receives one progress line per generation.
+    :func:`run_ledger`.  ``log`` receives one progress line per generation.
     """
     say = log or (lambda msg: None)
     space = spec.space
@@ -714,31 +680,22 @@ def explore(
     order: list[str] = []
     result = ExploreResult(front=[], archive=[], populations=[], health=SweepHealth())
 
-    if journal_path is not None and resume and journal_path.exists():
-        check_journal_fingerprint(
+    if resume:
+        for entry in check_journal_fingerprint(
             journal_path, spec.fingerprint(base), force=resume_force
-        )
-        for entry in _load_archive(journal_path):
-            if entry["key"] not in archive:
+        ):
+            if "key" in entry and "objectives" in entry and entry["key"] not in archive:
                 archive[entry["key"]] = entry
                 order.append(entry["key"])
         result.resumed = len(archive)
         say(f"resumed {result.resumed} archived genomes from {journal_path}")
 
     # (Re)write the journal: header plus whatever survived the resume load,
-    # dropping any truncated tail — the same rewrite run_sweep performs.
+    # dropping any truncated tail — the same atomic rewrite a sweep performs.
     if journal_path is not None:
-        with journal_path.open("w", encoding="utf-8") as fh:
-            fh.write(canonical_json(_journal_header(spec, base)) + "\n")
-            for key in order:
-                fh.write(canonical_json(archive[key]) + "\n")
-
-    def append_entries(entries: Sequence[Mapping[str, Any]]) -> None:
-        if journal_path is None or not entries:
-            return
-        with journal_path.open("a", encoding="utf-8") as fh:
-            for entry in entries:
-                fh.write(canonical_json(entry) + "\n")
+        rewrite_journal(
+            journal_path, _journal_header(spec, base), (archive[key] for key in order)
+        )
 
     def finish_entry(
         key: str,
@@ -832,27 +789,21 @@ def explore(
 
         if simulate:
             genome_axis = tuple(genome_pairs(space, g) for g in simulate)
-            sweep_kwargs: dict[str, Any] = dict(
-                extra_axes={"genome": genome_axis, "rate": tuple(spec.rates)},
-                max_retries=max_retries,
+            points = enumerate_points(
+                base, {}, {"genome": genome_axis, "rate": tuple(spec.rates)}
             )
-            runner = _bound_runner(spec)
-            if remote is not None:
-                from ..service.client import run_remote_sweep
-
-                records = run_remote_sweep(
-                    remote, base, {}, runner, label=f"explore-gen{generation}",
-                    **sweep_kwargs,
-                )
-            else:
-                records = run_sweep(
-                    base, {}, runner,
-                    n_workers=n_workers,
-                    cache=cache,
-                    point_timeout=point_timeout,
-                    **sweep_kwargs,
-                )
-            _fold_health(result.health, records.health)
+            records = run_ledger(
+                SweepLedger(points),
+                base,
+                _bound_runner(spec),
+                n_workers=n_workers,
+                cache=cache,
+                point_timeout=point_timeout,
+                max_retries=max_retries,
+                remote=remote,
+                label=f"explore-gen{generation}",
+            )
+            result.health.merge(records.health)
             # Canonical enumeration order: genome-major, rate-minor.
             for i, genome in enumerate(simulate):
                 pairs = genome_pairs(space, genome)
@@ -885,7 +836,8 @@ def explore(
                 new_entries.append(
                     finish_entry(key, pairs, generation, "simulated", True, metrics)
                 )
-        append_entries(new_entries)
+        if journal_path is not None:
+            append_jsonl(new_entries, journal_path)
 
     # ---- the generational loop -------------------------------------------
     gen = make_generator(spec.seed, "explore")

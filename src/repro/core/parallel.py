@@ -41,6 +41,12 @@ of sweep axes through a :class:`~concurrent.futures.ProcessPoolExecutor`:
 lambdas and closures keep working for quick interactive sweeps; with
 ``n_workers > 1`` the runner and its outputs must be picklable (a
 module-level function, or :func:`functools.partial` over one).
+
+Structure: the *accounting* of a sweep is one object, :class:`SweepLedger`;
+*dispatch* is a transport that feeds ``ledger.emit`` — :func:`_run_inline`,
+:func:`_run_pool`, or the service's submit/poll loop
+(:func:`repro.service.client._run_remote`).  :func:`run_ledger` joins the
+two, and every sweep path in the repo is a ledger plus one transport.
 """
 
 from __future__ import annotations
@@ -48,12 +54,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import pathlib
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
-from typing import Any, Callable, Mapping, Optional, Sequence
+from dataclasses import InitVar, asdict, dataclass, field, fields
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .. import rng
 from ..analysis.io import append_jsonl, canonical_json, read_jsonl
@@ -66,7 +73,9 @@ __all__ = [
     "SweepProgress",
     "SweepHealth",
     "SweepRecords",
+    "SweepLedger",
     "enumerate_points",
+    "run_ledger",
     "run_sweep",
     "sweep_fingerprint",
     "check_journal_fingerprint",
@@ -74,12 +83,6 @@ __all__ = [
 
 #: Seconds between pool polls; bounds timeout-detection latency.
 _POLL_SECONDS = 0.05
-
-#: Upper bound on a single retry backoff sleep (seconds).
-_MAX_BACKOFF = 5.0
-
-#: ``error_kind`` values eligible for retry (transient by nature).
-_TRANSIENT_KINDS = frozenset({"stalled", "worker_death"})
 
 
 @dataclass(frozen=True)
@@ -150,6 +153,12 @@ class SweepHealth:
     #: re-leased run's record is authoritative, and identical anyway).
     quarantined: int = 0
     stale_results: int = 0
+
+    def merge(self, other: "SweepHealth") -> None:
+        """Fold ``other`` into this summary: counters add, flags OR."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            setattr(self, f.name, mine or theirs if isinstance(mine, bool) else mine + theirs)
 
     def summary(self) -> str:
         parts = [f"{self.ok}/{self.total} ok"]
@@ -277,16 +286,6 @@ def _execute_point(
     return rec
 
 
-def _backoff_seconds(attempt: int, retry_backoff: float) -> float:
-    """Capped exponential backoff with jitter for retry ``attempt`` (1-based).
-
-    Kept as the unseeded historical entry point; the executor itself goes
-    through a :class:`~repro.core.resilience.RetryPolicy`, whose jitter can
-    be seeded (``run_sweep(seed_jitter=True)``).
-    """
-    return RetryPolicy(backoff=retry_backoff, max_backoff=_MAX_BACKOFF).delay(attempt)
-
-
 def sweep_fingerprint(
     base: NetworkConfig,
     axes: Mapping[str, Sequence[Any]],
@@ -312,67 +311,237 @@ def sweep_fingerprint(
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def check_journal_fingerprint(journal, fingerprint: str, *, force: bool = False) -> None:
-    """Refuse to resume a journal recorded under a different fingerprint.
+def check_journal_fingerprint(journal, fingerprint: str, *, force: bool = False) -> list[dict]:
+    """The entries of a journal being resumed, unless another sweep wrote it.
 
     The header is the ``{"sweep": {...}}`` line a journaling sweep writes
     first.  Journals from before fingerprints existed have no header and
     resume as they always did; a mismatched header means the config, axes,
-    runner, or simulation code changed since the journal was written, and
-    mixing old records with new runs would corrupt the sweep silently —
-    fail with the reason instead, unless ``force`` explicitly overrides.
+    or simulation code changed since the journal was written, and mixing
+    old records with new runs would corrupt the sweep silently — fail with
+    the reason instead, unless ``force`` explicitly overrides.
     """
-    for entry in read_jsonl(journal):
-        header = entry.get("sweep")
-        if not isinstance(header, Mapping):
-            continue
-        recorded = header.get("fingerprint")
-        if recorded is not None and recorded != fingerprint and not force:
-            raise ValueError(
-                f"journal {journal} was written by a different sweep "
-                f"(fingerprint {str(recorded)[:12]}… != {fingerprint[:12]}…): "
-                "the config, axes, runner, or simulation code changed since "
-                "it was recorded; pass resume_force=True (CLI --force-resume) "
-                "to resume anyway, or start fresh with resume=False"
+    entries = read_jsonl(journal)
+    headers = (e["sweep"] for e in entries if isinstance(e.get("sweep"), Mapping))
+    recorded = next(headers, {}).get("fingerprint")
+    if recorded is not None and recorded != fingerprint and not force:
+        raise ValueError(
+            f"journal {journal} was written by a different sweep "
+            f"(fingerprint {str(recorded)[:12]}… != {fingerprint[:12]}…): "
+            "the config, axes, or simulation code changed since "
+            "it was recorded; pass resume_force=True (CLI --force-resume) "
+            "to resume anyway, or start fresh with resume=False"
+        )
+    return entries
+
+
+def rewrite_journal(
+    journal, header: Mapping[str, Any], entries: Iterable[Mapping[str, Any]]
+) -> None:
+    """Replace ``journal`` with ``header`` + ``entries``, atomically.
+
+    A resumed journal must be rewritten — a partial trailing line left by
+    a crash has no newline, and appending after it would corrupt the next
+    record — but never by truncating it first: a kill between truncate and
+    re-append would lose every checkpointed point.  The new content goes
+    to a sibling temp file that is renamed over the journal.
+    """
+    path = pathlib.Path(journal)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.unlink(missing_ok=True)
+    append_jsonl(itertools.chain((header,), entries), tmp)
+    tmp.replace(path)
+
+
+@dataclass
+class SweepLedger:
+    """The accounting of one sweep: points in, records out.
+
+    One owner for what a journal line looks like, when a point counts as
+    resumed / cache hit / ok / failed, when a record is written back to
+    the result store, and what progress and :class:`SweepHealth` report.
+    Invariant: ``pending`` = points − resumed − known − cache hits, and
+    every index is emitted once, counted once, journaled once, and written
+    back at most once and only on success.  Life cycle: construct (no I/O)
+    → :meth:`open` → :meth:`prefill` → a transport calls :meth:`emit` for
+    each of :attr:`pending` → :meth:`records`; the service controller holds
+    one per job with no journal and skips :meth:`open`.
+    """
+
+    sweep_points: InitVar[Iterable[SweepPoint]]
+    journal: Any = None
+    fingerprint: str = ""
+    #: extra fields for the journal's ``{"sweep": {...}}`` header line
+    header: Mapping[str, Any] = field(default_factory=dict)
+    resume: bool = False
+    resume_force: bool = False
+    progress: Callable[[SweepProgress], None] | None = None
+    #: ``{index: record}`` answers that need no execution (a steered sweep's
+    #: analytical fills), emitted up front the way cache hits are
+    known: Mapping[int, dict[str, Any]] = field(default_factory=dict)
+    #: ``tag(index, record)`` rewrites a record on its way *out* — into
+    #: results and journal — after the untagged one went to the store
+    tag: Callable[[int, dict[str, Any]], dict[str, Any]] | None = None
+
+    def __post_init__(self, sweep_points: Iterable[SweepPoint]) -> None:
+        if self.resume and self.journal is None:
+            raise ValueError("resume=True requires a journal path")
+        self.points: dict[int, SweepPoint] = {p.index: p for p in sweep_points}
+        self.results: dict[int, dict[str, Any]] = {}
+        #: indices in emit order (the service's incremental ``poll`` cursor)
+        self.completion_order: list[int] = []
+        self.health = SweepHealth(total=len(self.points))
+        self._store = None
+        #: ``{index: (key, provenance)}`` of cache misses awaiting write-back
+        self._misses: dict[int, tuple[str, dict[str, Any]]] = {}
+        self._start = time.monotonic()
+
+    @property
+    def pending(self) -> list[SweepPoint]:
+        """Points with no record yet, in canonical order."""
+        return [p for p in self.points.values() if p.index not in self.results]
+
+    @property
+    def finished(self) -> bool:
+        return len(self.results) >= len(self.points)
+
+    def _entry(self, index: int, record: dict[str, Any]) -> dict[str, Any]:
+        return {"index": index, "point": _jsonable(self.points[index].coords), "record": record}
+
+    def _count(self, record: Mapping[str, Any]) -> bool:
+        """Tally one final record into the health summary; True when ok."""
+        health = self.health
+        if not record.get("failed"):
+            health.ok += 1
+            return True
+        health.failed += 1
+        kind = record.get("error_kind")
+        if kind == "timeout":
+            health.timed_out += 1
+        elif kind == "stalled":
+            health.stalled += 1
+        return False
+
+    def open(self) -> None:
+        """Start the journal (resuming it if asked), then emit ``known``.
+
+        Resumed entries are counted exactly once, here, before any cache
+        prefill: they are never ``pending``, so a resumed point can not be
+        re-counted as a cache hit.
+        """
+        if self.journal is not None:
+            from .. import __version__
+
+            if self.resume:
+                for entry in check_journal_fingerprint(
+                    self.journal, self.fingerprint, force=self.resume_force
+                ):
+                    if "index" in entry and "record" in entry:
+                        self.results[self._resumed_index(entry)] = entry["record"]
+                for record in self.results.values():
+                    self._count(record)
+            header = {"fingerprint": self.fingerprint, "total": len(self.points)}
+            header.update(version=__version__, **self.header)
+            rewrite_journal(
+                self.journal,
+                {"sweep": header},
+                (self._entry(i, r) for i, r in sorted(self.results.items())),
             )
-        return
+        for index, record in self.known.items():
+            self.emit(index, record)
 
-
-def _journal_header(fingerprint: str, total: int) -> dict[str, Any]:
-    from .. import __version__
-
-    return {"sweep": {"fingerprint": fingerprint, "total": total, "version": __version__}}
-
-
-def _load_journal(journal, points: Sequence[SweepPoint]) -> dict[int, dict[str, Any]]:
-    """Completed records from a journal, keyed by point index.
-
-    Entries are validated against the current enumeration: an index outside
-    the sweep or coordinates that no longer match mean the journal belongs
-    to a different sweep, and resuming from it would silently mix records —
-    refuse instead.
-    """
-    by_index = {p.index: p for p in points}
-    completed: dict[int, dict[str, Any]] = {}
-    for entry in read_jsonl(journal):
-        if "index" not in entry or "record" not in entry:
-            continue
+    def _resumed_index(self, entry: Mapping[str, Any]) -> int:
+        """A journal entry's index, refused if it is not this sweep's point."""
         index = entry["index"]
-        point = by_index.get(index)
+        point = self.points.get(index)
         if point is None:
             raise ValueError(
-                f"journal {journal} has point index {index} outside this "
-                f"{len(points)}-point sweep; it belongs to a different sweep"
+                f"journal {self.journal} has point index {index} outside this "
+                f"{len(self.points)}-point sweep; it belongs to a different sweep"
             )
         if entry.get("point") != _jsonable(point.coords):
             raise ValueError(
-                f"journal {journal} point {index} has coordinates "
+                f"journal {self.journal} point {index} has coordinates "
                 f"{entry.get('point')!r}, but this sweep's point {index} is "
                 f"{_jsonable(point.coords)!r}; refusing to resume across "
                 "changed axes"
             )
-        completed[index] = entry["record"]
-    return completed
+        return index
+
+    def prefill(self, store, base: NetworkConfig, spec: Mapping[str, Any], context: str) -> None:
+        """Answer pending points from ``store``; remember the misses' keys.
+
+        The lookup — by resolved config, kwargs, runner identity, code salt
+        — happens *before* dispatch, so hits never reach a transport; they
+        go through :meth:`emit` like computed records (journal, progress).
+        """
+        self._store = store
+        salt = result_cache.cache_salt()
+        dotted, runner_kwargs = result_cache.provenance(spec)
+        hits: list[tuple[int, dict[str, Any]]] = []
+        for point in self.pending:
+            try:
+                cfg_dict = asdict(base.with_(**{**point.overrides, "seed": point.seed}))
+            except Exception:
+                # An invalid point cannot be cached; executing it produces
+                # the deterministic failed record.
+                continue
+            key = result_cache.point_key(cfg_dict, point.kwargs, spec, salt=salt)
+            hit = store.get(key)
+            if hit is not None:
+                hits.append((point.index, hit))
+                continue
+            self.health.cache_misses += 1
+            self._misses[point.index] = key, {
+                "context": context,
+                "runner_spec": {"runner": dotted} if dotted else {},
+                "runner_kwargs": runner_kwargs,
+                "config": cfg_dict,
+                "kwargs": dict(point.kwargs),
+                "coords": sorted(point.coords),
+            }
+        # Hits are emitted after the lookups, not between them: back-to-back
+        # journal appends measure ~10 us/point cheaper than appends
+        # interleaved with key hashing (sweep_overhead's warm leg).
+        self.health.cache_hits += len(hits)
+        for index, hit in hits:
+            self.emit(index, hit)
+
+    def emit(self, index: int, record: dict[str, Any]) -> None:
+        """Accept the final record of point ``index`` — once: a second one
+        (journal resume, a duplicate or stale completion) is dropped, or it
+        would double-count ok/failed and the "N/M cache hits" summary."""
+        if index in self.results:
+            return
+        if self._count(record) and index in self._misses:
+            # Write-back on success only: failed/stalled/timed-out points
+            # must re-run next time, never replay.  Cache hits are not in
+            # ``_misses``, so they naturally skip the write.
+            key, provenance = self._misses.pop(index)
+            self._store.put(key, record, provenance)
+        if self.tag is not None:
+            record = self.tag(index, record)
+        self.results[index] = record
+        self.completion_order.append(index)
+        if self.journal is not None:
+            append_jsonl(self._entry(index, record), self.journal)
+        if self.progress is not None:
+            done, total = len(self.results), len(self.points)
+            elapsed = time.monotonic() - self._start
+            rate = len(self.completion_order) / elapsed if elapsed > 0 else 0.0
+            eta = (total - done) / rate if rate > 0 else float("inf")
+            self.progress(SweepProgress(done, total, self.health.failed, elapsed, rate, eta))
+
+    def interrupted(self) -> None:
+        """Flush the health summary so the journal tells the whole story
+        (per-point records are flushed as they land, so it stays resumable)."""
+        self.health.interrupted = True
+        if self.journal is not None:
+            append_jsonl({"health": asdict(self.health)}, self.journal)
+
+    def records(self) -> SweepRecords:
+        """Every point's record in canonical order, health attached."""
+        return SweepRecords((self.results[i] for i in self.points), self.health)
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -401,7 +570,7 @@ def _run_pool(
     base: NetworkConfig,
     n_workers: int,
     point_timeout: float | None,
-    emit: Callable[[SweepPoint, dict[str, Any]], None],
+    emit: Callable[[int, dict[str, Any]], None],
     health: SweepHealth,
     policy: RetryPolicy,
     pending_attempts: Optional[Sequence[int]] = None,
@@ -445,7 +614,7 @@ def _run_pool(
             health.retried += 1
             delayed.append((now + policy.delay(attempt + 1), point, attempt + 1))
         else:
-            emit(point, record)
+            emit(point.index, record)
 
     def rebuild_pool(reason_points: list[tuple[SweepPoint, int]]) -> None:
         """Kill the pool, requeue ``reason_points`` at their attempts, rebuild."""
@@ -454,6 +623,18 @@ def _run_pool(
         inflight.clear()
         queue.extendleft(reversed(reason_points))
         pool = ProcessPoolExecutor(max_workers=n_workers)
+
+    def worker_died(requeue: list[tuple[SweepPoint, int]]) -> None:
+        """Any in-flight point may be the victim; retry them all
+        (deterministic re-runs), each charged one attempt so a point that
+        reliably kills its worker — e.g. an OOM — converges to a failed
+        record instead of cycling."""
+        health.worker_deaths += 1
+        now = time.monotonic()
+        for point, attempt, _ in list(inflight.values()):
+            record = _failed_record(point, "worker process died", kind="worker_death")
+            retry_or_fail(point, attempt, record, now=now)
+        rebuild_pool(requeue)
 
     try:
         while queue or inflight or delayed:
@@ -469,17 +650,7 @@ def _run_pool(
                 try:
                     future = pool.submit(_execute_point, runner, base, point)
                 except BrokenProcessPool:
-                    # Same treatment as a death detected at result time:
-                    # every in-flight point may be the victim, retry them.
-                    health.worker_deaths += 1
-                    for p, a, _ in list(inflight.values()):
-                        retry_or_fail(
-                            p,
-                            a,
-                            _failed_record(p, "worker process died", kind="worker_death"),
-                            now=time.monotonic(),
-                        )
-                    rebuild_pool([(point, attempt)])
+                    worker_died([(point, attempt)])
                     break
                 inflight[future] = (point, attempt, time.monotonic())
             if not inflight:
@@ -507,19 +678,9 @@ def _run_pool(
                 if policy.is_transient(record.get("error_kind")):
                     retry_or_fail(point, attempt, record, now=now)
                 else:
-                    emit(point, record)
+                    emit(point.index, record)
             if broken:
-                # A worker died.  Any in-flight point may be the victim;
-                # retry them all (deterministic re-runs), each charged one
-                # attempt so a point that reliably kills its worker — e.g.
-                # an OOM — converges to a failed record instead of cycling.
-                health.worker_deaths += 1
-                for point, attempt, _ in list(inflight.values()):
-                    record = _failed_record(
-                        point, "worker process died", kind="worker_death"
-                    )
-                    retry_or_fail(point, attempt, record, now=now)
-                rebuild_pool([])
+                worker_died([])
                 continue
             if point_timeout is not None:
                 overdue = [
@@ -533,7 +694,7 @@ def _run_pool(
                     for future, point, attempt, started in overdue:
                         del inflight[future]
                         emit(
-                            point,
+                            point.index,
                             _failed_record(
                                 point,
                                 f"TimeoutError: point exceeded {point_timeout:g}s"
@@ -548,6 +709,103 @@ def _run_pool(
                     rebuild_pool(innocents)
     finally:
         _kill_pool(pool)
+
+
+def _run_inline(
+    pending: Sequence[SweepPoint],
+    runner: Callable[..., Mapping[str, Any]],
+    base: NetworkConfig,
+    emit: Callable[[int, dict[str, Any]], None],
+    health: SweepHealth,
+    policy: RetryPolicy,
+    pending_attempts: Optional[Sequence[int]] = None,
+) -> None:
+    """Execute ``pending`` in this process, retrying transient failures."""
+    attempts = pending_attempts if pending_attempts is not None else itertools.repeat(0)
+    for point, attempt in zip(pending, attempts):
+        record = _execute_point(runner, base, point)
+        while policy.should_retry(record.get("error_kind"), attempt):
+            attempt += 1
+            health.retried += 1
+            time.sleep(policy.delay(attempt))
+            record = _execute_point(runner, base, point)
+        emit(point.index, record)
+
+
+def _run_local(pending, runner, base, n_workers, point_timeout, emit, health, policy,
+               pending_attempts=None) -> None:
+    """The local transport: in-process for one worker, a pool otherwise."""
+    if n_workers == 1:
+        _run_inline(pending, runner, base, emit, health, policy, pending_attempts)
+    else:
+        _run_pool(
+            pending, runner, base, n_workers, point_timeout, emit, health, policy,
+            pending_attempts,
+        )
+
+
+def run_ledger(
+    ledger: SweepLedger,
+    base: NetworkConfig,
+    runner: Callable[..., Mapping[str, Any]],
+    *,
+    n_workers: int = 1,
+    point_timeout: float | None = None,
+    max_retries: int = 2,
+    retry_backoff: float = 0.25,
+    cache=None,
+    remote: str | None = None,
+    label: str = "",
+    poll_interval: float = 0.2,
+) -> SweepRecords:
+    """Open ``ledger``, dispatch what is still pending, return its records.
+
+    With ``remote`` (a ``"host:port"`` service address) the pending points
+    go to the controller, which owns execution and the shared cache —
+    ``n_workers``, ``point_timeout`` and ``cache`` are its configuration,
+    not the client's.  Otherwise they are looked up in ``cache`` and the
+    misses run here, retry jitter seeded from ``base.seed`` so a retry
+    timeline reproduces.  A KeyboardInterrupt flushes the health summary
+    to the journal before it propagates.
+    """
+    if n_workers < 1:
+        raise ValueError("n_workers must be >= 1")
+    if max_retries < 0:
+        raise ValueError("max_retries must be >= 0")
+    if point_timeout is not None and n_workers == 1 and remote is None:
+        raise ValueError(
+            "point_timeout needs a process pool (n_workers > 1): the serial "
+            "driver runs points in-process and cannot kill a hung one"
+        )
+    ledger.open()
+    store = None if remote is not None else result_cache.resolve_cache(cache)
+    if store is not None:
+        ledger.prefill(store, base, result_cache.runner_spec(runner), "sweep")
+    pending = ledger.pending
+    try:
+        if pending and remote is not None:
+            from ..service.client import _run_remote
+
+            _run_remote(
+                remote, pending, runner, base, ledger.emit, ledger.health,
+                max_retries=max_retries, retry_backoff=retry_backoff,
+                label=label, poll_interval=poll_interval,
+            )
+        elif pending:
+            policy = RetryPolicy.seeded(
+                base.seed, max_retries=max_retries, backoff=retry_backoff
+            )
+            _run_local(
+                pending, runner, base, n_workers, point_timeout,
+                ledger.emit, ledger.health, policy,
+            )
+    except KeyboardInterrupt:
+        ledger.interrupted()
+        raise
+    finally:
+        if store is not None:
+            store.flush_stats()
+    return ledger.records()
 
 
 def run_sweep(
@@ -565,7 +823,6 @@ def run_sweep(
     derive_seeds: bool = True,
     max_retries: int = 2,
     retry_backoff: float = 0.25,
-    seed_jitter: bool = False,
     cache=None,
 ) -> SweepRecords:
     """Run ``runner`` over every sweep point; collect records in canonical order.
@@ -573,208 +830,37 @@ def run_sweep(
     Parameters mirror :func:`repro.core.sweep.sweep` plus the executor
     knobs described in the module docstring.  ``journal`` names the
     JSON-lines checkpoint file; with ``resume=False`` an existing journal
-    is truncated (a fresh sweep), with ``resume=True`` its points are
+    is replaced (a fresh sweep), with ``resume=True`` its points are
     skipped and only missing ones run.  ``point_timeout`` (seconds, pool
     mode only) kills the hung worker and marks the point failed without
     killing the sweep.  Transient failures (worker death, watchdog stalls)
     are retried up to ``max_retries`` times with capped exponential backoff
-    starting at ``retry_backoff`` seconds; the returned
-    :class:`SweepRecords` list carries the sweep's :class:`SweepHealth`
-    under ``.health``.
+    starting at ``retry_backoff`` seconds (jitter seeded from
+    ``base.seed``); the returned :class:`SweepRecords` list carries the
+    sweep's :class:`SweepHealth` under ``.health``.
 
     ``cache`` names a content-addressed result store (a directory path or
-    a :class:`repro.core.cache.ResultCache`).  Each point is looked up by
-    its fingerprint — resolved config, kwargs, runner identity, code salt
-    — *before* it is dispatched; hits replay the stored record (journal
-    and progress included, counted in ``health.cache_hits``), misses run
-    and are written back on success only.  ``REPRO_NO_CACHE=1`` disables
-    the cache regardless of this argument; records are bit-identical with
-    the cache cold, warm, or off.
+    a :class:`repro.core.cache.ResultCache`), consulted before dispatch
+    and written back on success only (:meth:`SweepLedger.prefill`).
+    ``REPRO_NO_CACHE=1`` disables the cache regardless of this argument;
+    records are bit-identical with the cache cold, warm, or off.
 
     A journaling sweep writes a header line first — the sweep's
-    :func:`sweep_fingerprint` over config × axes × runner × code salt —
-    and a resume against a journal whose header differs fails with the
-    reason instead of silently mixing records; ``resume_force=True``
-    overrides the check (pre-header journals resume as they always did).
-    ``seed_jitter=True`` derives the retry backoff jitter from the sweep's
-    seed (via :func:`repro.rng.spawn`) instead of the process-global
-    :mod:`random`, making self-healing retry timelines deterministic; the
-    default keeps the historical unseeded jitter.
+    :func:`sweep_fingerprint` over config × axes × code salt (not the
+    runner) — and a resume against a journal whose header differs fails
+    with the reason (:func:`check_journal_fingerprint`);
+    ``resume_force=True`` overrides the check.
     """
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-    if point_timeout is not None and n_workers == 1:
-        raise ValueError(
-            "point_timeout needs a process pool (n_workers > 1): the serial "
-            "driver runs points in-process and cannot kill a hung one"
-        )
-    if resume and journal is None:
-        raise ValueError("resume=True requires a journal path")
-    points = enumerate_points(base, axes, extra_axes, derive_seeds=derive_seeds)
-    results: dict[int, dict[str, Any]] = {}
-    by_index = {p.index: p for p in points}
-    fingerprint = sweep_fingerprint(base, axes, extra_axes)
-    if journal is not None:
-        if resume:
-            check_journal_fingerprint(journal, fingerprint, force=resume_force)
-            results.update(_load_journal(journal, points))
-            # Rewrite the journal with only the valid entries: a partial
-            # trailing line left by a crash has no newline, and appending
-            # straight after it would corrupt the next record.
-            open(journal, "w").close()
-            append_jsonl(_journal_header(fingerprint, len(points)), journal)
-            append_jsonl(
-                (
-                    {
-                        "index": index,
-                        "point": _jsonable(by_index[index].coords),
-                        "record": record,
-                    }
-                    for index, record in sorted(results.items())
-                ),
-                journal,
-            )
-        else:
-            open(journal, "w").close()
-            append_jsonl(_journal_header(fingerprint, len(points)), journal)
-    pending = [p for p in points if p.index not in results]
-    health = SweepHealth(total=len(points))
-
-    # Resumed journal entries are counted exactly once, HERE — before any
-    # cache prefill or replay runs.  The invariant the cache-hit summary
-    # depends on: ``pending`` excludes every resumed index, so a resumed
-    # point can never appear in ``cache_hit_records`` and be re-counted as
-    # a cache hit ("N/M cache hits" covers fresh points only).
-    for record in results.values():
-        if record.get("failed"):
-            health.failed += 1
-        else:
-            health.ok += 1
-
-    # Cache lookup happens before dispatch: hits never touch the pool.
-    # Misses remember their key so ``emit`` can write back on success.
-    store = result_cache.resolve_cache(cache)
-    cache_keys: dict[int, str] = {}
-    cache_meta: dict[int, dict[str, Any]] = {}
-    cache_hit_records: list[tuple[SweepPoint, dict[str, Any]]] = []
-    if store is not None:
-        salt = result_cache.cache_salt()
-        spec = result_cache.runner_spec(runner)
-        dotted, runner_kwargs = result_cache.provenance(spec)
-        misses: list[SweepPoint] = []
-        for point in pending:
-            cfg_dict = asdict(base.with_(**{**point.overrides, "seed": point.seed}))
-            key = result_cache.point_key(cfg_dict, point.kwargs, spec, salt=salt)
-            hit = store.get(key)
-            if hit is not None:
-                cache_hit_records.append((point, hit))
-                continue
-            misses.append(point)
-            cache_keys[point.index] = key
-            cache_meta[point.index] = {
-                "context": "sweep",
-                "runner_spec": {"runner": dotted} if dotted else {},
-                "runner_kwargs": runner_kwargs,
-                "config": cfg_dict,
-                "kwargs": dict(point.kwargs),
-                "coords": sorted(point.coords),
-            }
-        health.cache_hits = len(cache_hit_records)
-        health.cache_misses = len(misses)
-        pending = misses
-
-    start = time.monotonic()
-    completed_in_run = 0
-
-    def emit(point: SweepPoint, record: dict[str, Any]) -> None:
-        nonlocal completed_in_run
-        if point.index in results:
-            # A record for this index was already accounted (journal
-            # resume, or a duplicate replay): emitting again would
-            # double-count ok/failed and the "N/M cache hits" summary.
-            # Mirrors the service controller's ``_emit`` guard.
-            return
-        results[point.index] = record
-        completed_in_run += 1
-        if record.get("failed"):
-            health.failed += 1
-            kind = record.get("error_kind")
-            if kind == "timeout":
-                health.timed_out += 1
-            elif kind == "stalled":
-                health.stalled += 1
-        else:
-            health.ok += 1
-            # Write-back on success only: failed/stalled/timed-out points
-            # must re-run next time, never replay.  Cache hits carry no
-            # pending key, so they naturally skip the write.
-            if store is not None:
-                key = cache_keys.pop(point.index, None)
-                if key is not None:
-                    store.put(key, record, cache_meta.pop(point.index, None))
-        if journal is not None:
-            append_jsonl(
-                {"index": point.index, "point": _jsonable(point.coords), "record": record},
-                journal,
-            )
-        if progress is not None:
-            elapsed = time.monotonic() - start
-            rate = completed_in_run / elapsed if elapsed > 0 else 0.0
-            left = len(points) - len(results)
-            progress(
-                SweepProgress(
-                    done=len(results),
-                    total=len(points),
-                    failed=sum(1 for r in results.values() if r.get("failed")),
-                    elapsed=elapsed,
-                    rate=rate,
-                    eta=left / rate if rate > 0 else float("inf"),
-                )
-            )
-
-    # Replay cache hits through ``emit`` so the journal, progress callback,
-    # and health counters see them exactly like freshly computed points.
-    for point, record in cache_hit_records:
-        emit(point, record)
-
-    policy = (
-        RetryPolicy.seeded(base.seed, max_retries=max_retries, backoff=retry_backoff)
-        if seed_jitter
-        else RetryPolicy(max_retries=max_retries, backoff=retry_backoff)
+    ledger = SweepLedger(
+        enumerate_points(base, axes, extra_axes, derive_seeds=derive_seeds),
+        journal=journal,
+        fingerprint=sweep_fingerprint(base, axes, extra_axes),
+        resume=resume,
+        resume_force=resume_force,
+        progress=progress,
     )
-    try:
-        if n_workers == 1:
-            for point in pending:
-                record = _execute_point(runner, base, point)
-                attempt = 0
-                while policy.should_retry(record.get("error_kind"), attempt):
-                    attempt += 1
-                    health.retried += 1
-                    time.sleep(policy.delay(attempt))
-                    record = _execute_point(runner, base, point)
-                emit(point, record)
-        else:
-            _run_pool(
-                pending,
-                runner,
-                base,
-                n_workers,
-                point_timeout,
-                emit,
-                health,
-                policy,
-            )
-    except KeyboardInterrupt:
-        # Flush the health summary so the journal tells the whole story;
-        # per-point records are already flushed as they land, which is what
-        # makes ``resume=True`` after a Ctrl-C work.
-        health.interrupted = True
-        if journal is not None:
-            append_jsonl({"health": asdict(health)}, journal)
-        raise
-    finally:
-        if store is not None:
-            store.flush_stats()
-    return SweepRecords((results[p.index] for p in points), health)
+    return run_ledger(
+        ledger, base, runner,
+        n_workers=n_workers, point_timeout=point_timeout,
+        max_retries=max_retries, retry_backoff=retry_backoff, cache=cache,
+    )

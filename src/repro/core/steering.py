@@ -11,26 +11,24 @@ weakest and measurement is worth its cost.  A steered sweep therefore:
 2. locates the curve's knee with :func:`find_knee` (Kneedle-style maximum
    sag below the first→last chord; a curve with no distinct bend knees at
    its last point);
-3. runs a contiguous window of at most ``sim_fraction`` of the rates,
-   centred on the predicted knee, through the real :func:`run_sweep`
-   machinery — cache, retries, process pool, progress — **one sub-sweep
-   per combination with the same axis coordinates**, so every simulated
-   record is bit-identical to the one the dense sweep would produce
-   (per-point seeds derive from the point's coordinates alone);
-4. fills the remaining rates from the model and returns the merged records
-   in dense canonical order, each tagged ``source: "simulated"`` or
-   ``"analytical"``.
+3. enumerates the *dense* grid once, so every point carries the seed and
+   cache key the dense sweep would give it (both derive from the point's
+   coordinates alone), and runs one :class:`SweepLedger` over it: the
+   rates outside each combination's window are filled from the model up
+   front, the windows of every combination go to the transport in one
+   dispatch — cache, retries, process pool or service, progress;
+4. returns the records in dense canonical order, each tagged ``source:
+   "simulated"`` or ``"analytical"``.  The tag is applied on the way out:
+   the result store receives the untagged record, so a later dense sweep
+   hits every point a steered one simulated.
 
-Non-steered sweeps never touch this module, and the steered path reuses
-``run_sweep`` unchanged — the steering layer only decides *which* points
-deserve cycles.  Resume is deliberately unsupported (the window is
-recomputed per run); journal output is written once, after the sweep, in
-the same ``{"index", "point", "record"}`` JSONL shape dense journals use.
+The steering layer only decides *which* points deserve cycles; journal,
+resume and remote execution are the ledger's.  The plan is a pure function
+of config and rates, so a resumed run recomputes the same windows.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -42,15 +40,8 @@ from ..analytical.model import (
     AnalyticalModel,
     sweep_record,
 )
-from ..analysis.io import append_jsonl
 from ..config import NetworkConfig
-from .parallel import (
-    SweepHealth,
-    SweepRecords,
-    _jsonable,
-    run_sweep,
-    sweep_fingerprint,
-)
+from .parallel import SweepLedger, SweepRecords, enumerate_points, run_ledger, sweep_fingerprint
 
 __all__ = ["SteeringPlan", "find_knee", "steered_sweep"]
 
@@ -146,22 +137,25 @@ def steered_sweep(
     capacity_factor: float = DEFAULT_CAPACITY_FACTOR,
     n_workers: int = 1,
     journal=None,
+    resume: bool = False,
+    resume_force: bool = False,
     progress=None,
     point_timeout: Optional[float] = None,
     max_retries: int = 2,
     cache=None,
+    remote: Optional[str] = None,
 ) -> SweepRecords:
     """Run a knee-steered sweep over ``axes`` × ``rates``.
 
-    Parameters mirror :func:`repro.core.parallel.run_sweep` (minus resume;
-    the window is recomputed per run) plus the steering knobs:
-    ``sim_fraction`` caps the share of rates simulated per combination
-    (``min_simulated`` floors it so tiny grids still measure something),
-    ``knee_tolerance``/``capacity_factor`` tune knee detection and the
-    model.  The returned :class:`SweepRecords` holds the merged records in
-    dense canonical order — simulated ones bit-identical to a dense
-    ``run_sweep`` (modulo ``wall_seconds``), analytical ones tagged and
-    NaN where the model has no answer — plus ``.plans``, one
+    Parameters mirror :func:`repro.core.parallel.run_sweep` (``remote``
+    names a sweep-service address to simulate on instead of locally) plus
+    the steering knobs: ``sim_fraction`` caps the share of rates simulated
+    per combination (``min_simulated`` floors it so tiny grids still
+    measure something), ``knee_tolerance``/``capacity_factor`` tune knee
+    detection and the model.  The returned :class:`SweepRecords` holds the
+    records in dense canonical order — simulated ones bit-identical to a
+    dense ``run_sweep`` (modulo ``wall_seconds``), analytical ones tagged
+    and NaN where the model has no answer — plus ``.plans``, one
     :class:`SteeringPlan` per combination.
     """
     if not 0.0 < sim_fraction <= 1.0:
@@ -172,96 +166,52 @@ def steered_sweep(
     if not rates:
         raise ValueError("rates must be non-empty")
     axes = dict(axes)
-    names = list(axes)
-    budget = max(min_simulated, int(len(rates) * sim_fraction))
-    budget = min(budget, len(rates))
-    health = SweepHealth()
+    budget = max(min_simulated, int(len(rates) * sim_fraction))  # _window clamps it
+    points = enumerate_points(base, axes, {rate_axis: rates})
     plans: list[SteeringPlan] = []
-    records: list[dict[str, Any]] = []
-    for combo in itertools.product(*(axes[name] for name in names)):
-        overrides = dict(zip(names, combo))
-        cfg = base.with_(**overrides)
-        model = AnalyticalModel(cfg, capacity_factor=capacity_factor)
-        curve = model.curve(rates)
-        latencies = tuple(est.avg_latency for est in curve)
+    fills: dict[int, dict[str, Any]] = {}
+    # Rate is the innermost axis: each combination is one run of len(rates)
+    # consecutive points.
+    for first in range(0, len(points), len(rates)):
+        overrides = dict(points[first].overrides)
+        model = AnalyticalModel(base.with_(**overrides), capacity_factor=capacity_factor)
+        latencies = tuple(est.avg_latency for est in model.curve(rates))
         knee = find_knee(rates, latencies, tolerance=knee_tolerance)
         simulated = _window(knee, len(rates), budget)
-        plan = SteeringPlan(
-            overrides=overrides,
-            rates=rates,
-            model_latency=latencies,
-            saturation_rate=model.saturation_rate,
-            knee_index=knee,
-            simulated_indices=simulated,
+        plans.append(
+            SteeringPlan(
+                overrides=overrides,
+                rates=rates,
+                model_latency=latencies,
+                saturation_rate=model.saturation_rate,
+                knee_index=knee,
+                simulated_indices=simulated,
+            )
         )
-        plans.append(plan)
-        # The sub-sweep pins this combination's coordinates as single-value
-        # axes, so every point's derived seed and cache key are identical
-        # to the dense sweep's — that is the bit-identity guarantee.
-        sub = run_sweep(
-            base,
-            {name: (value,) for name, value in overrides.items()},
-            runner,
-            extra_axes={rate_axis: tuple(rates[i] for i in simulated)},
-            n_workers=n_workers,
-            progress=progress,
-            point_timeout=point_timeout,
-            max_retries=max_retries,
-            cache=cache,
-        )
-        for field in (
-            "ok",
-            "failed",
-            "retried",
-            "timed_out",
-            "stalled",
-            "worker_deaths",
-            "cache_hits",
-            "cache_misses",
-            "quarantined",
-            "stale_results",
-        ):
-            setattr(health, field, getattr(health, field) + getattr(sub.health, field))
-        by_rate = {rates[i]: rec for i, rec in zip(simulated, sub)}
-        simulated_set = set(simulated)
         for i, rate in enumerate(rates):
-            if i in simulated_set:
-                rec = dict(by_rate[rate])
-                rec["source"] = "simulated"
-            else:
+            if i not in simulated:
                 start = time.perf_counter()
                 rec = {**overrides, rate_axis: rate, **sweep_record(model, rate)}
                 rec["wall_seconds"] = time.perf_counter() - start
-                health.ok += 1
-            records.append(rec)
-    health.total = len(records)
-    if journal is not None:
-        fingerprint = sweep_fingerprint(base, axes, {rate_axis: rates})
-        open(journal, "w").close()
-        append_jsonl(
-            {
-                "sweep": {
-                    "fingerprint": fingerprint,
-                    "total": len(records),
-                    "steered": True,
-                    "sim_fraction": sim_fraction,
-                }
-            },
-            journal,
-        )
-        append_jsonl(
-            (
-                {
-                    "index": index,
-                    "point": _jsonable(
-                        {k: rec[k] for k in (*names, rate_axis) if k in rec}
-                    ),
-                    "record": rec,
-                }
-                for index, rec in enumerate(records)
-            ),
-            journal,
-        )
-    out = SweepRecords(records, health)
+                fills[first + i] = rec
+    # The steering knobs decide which points are simulated, so they are part
+    # of the journal's identity alongside the dense grid.
+    knobs = (sim_fraction, min_simulated, knee_tolerance, capacity_factor)
+    ledger = SweepLedger(
+        points,
+        journal=journal,
+        fingerprint=sweep_fingerprint(base, axes, {rate_axis: rates, "steering": knobs}),
+        header={"steered": True, "sim_fraction": sim_fraction},
+        resume=resume,
+        resume_force=resume_force,
+        progress=progress,
+        known=fills,
+        tag=lambda index, rec: rec if index in fills else {**rec, "source": "simulated"},
+    )
+    out = run_ledger(
+        ledger, base, runner,
+        n_workers=n_workers, point_timeout=point_timeout, max_retries=max_retries,
+        cache=cache, remote=remote,
+    )
     out.plans = plans
     return out

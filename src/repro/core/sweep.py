@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping, Sequence
 
 from ..config import NetworkConfig
-from .parallel import SweepProgress, enumerate_points, run_sweep
+from .parallel import enumerate_points, run_sweep
 
 __all__ = ["sweep", "product_configs"]
 
@@ -50,17 +50,7 @@ def sweep(
     base: NetworkConfig,
     axes: Mapping[str, Sequence[Any]],
     runner: Callable[[NetworkConfig], Mapping[str, Any]],
-    *,
-    extra_axes: Mapping[str, Sequence[Any]] | None = None,
-    n_workers: int = 1,
-    journal=None,
-    resume: bool = False,
-    resume_force: bool = False,
-    point_timeout: float | None = None,
-    progress: Callable[[SweepProgress], None] | None = None,
-    derive_seeds: bool = True,
-    seed_jitter: bool = False,
-    cache=None,
+    **executor: Any,
 ) -> list[dict[str, Any]]:
     """Run ``runner`` over every configuration point; collect records.
 
@@ -72,24 +62,11 @@ def sweep(
 
     A runner that raises produces a record with ``failed=True`` and the
     exception string under ``"error"`` while the rest of the sweep
-    completes; see :func:`repro.core.parallel.run_sweep` for the executor
-    knobs (``n_workers``, ``journal``/``resume``, ``point_timeout``,
-    ``progress``).  ``cache`` points at a content-addressed result store
-    (:mod:`repro.core.cache`): previously computed points replay from disk
-    instead of re-simulating, bit-identically.
+    completes.  Every keyword is :func:`repro.core.parallel.run_sweep`'s
+    (``extra_axes``, ``n_workers``, ``journal``/``resume``,
+    ``point_timeout``, ``progress``, ``derive_seeds``, ...).  ``cache``
+    points at a content-addressed result store (:mod:`repro.core.cache`):
+    previously computed points replay from disk instead of re-simulating,
+    bit-identically.
     """
-    return run_sweep(
-        base,
-        axes,
-        runner,
-        extra_axes=extra_axes,
-        n_workers=n_workers,
-        journal=journal,
-        resume=resume,
-        resume_force=resume_force,
-        point_timeout=point_timeout,
-        progress=progress,
-        derive_seeds=derive_seeds,
-        seed_jitter=seed_jitter,
-        cache=cache,
-    )
+    return run_sweep(base, axes, runner, **executor)

@@ -1,10 +1,10 @@
-"""Client side of the sweep service: submit, poll, journal, resume.
+"""Client side of the sweep service: the submit/poll transport.
 
-:func:`run_remote_sweep` mirrors :func:`repro.core.parallel.run_sweep` —
-same axes/extra-axes enumeration, same journal format (fingerprint header
-included), same resume and progress contracts, same
-:class:`~repro.core.parallel.SweepRecords` return — but execution happens
-on whatever fleet is connected to the controller at ``HOST:PORT``.
+:func:`run_remote_sweep` is :func:`repro.core.parallel.run_sweep` with a
+different transport: the same :class:`~repro.core.parallel.SweepLedger`
+owns enumeration, journal, resume, progress and health, but the pending
+points execute on whatever fleet is connected to the controller at
+``HOST:PORT`` (:func:`_run_remote`) instead of in this process.
 
 The client enumerates the sweep points *locally* and ships explicit
 ``(index, overrides, kwargs, seed)`` tuples, rather than shipping the axes
@@ -19,21 +19,20 @@ from __future__ import annotations
 
 import socket
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from ..analysis.io import append_jsonl
 from ..config import NetworkConfig
 from ..core import cache as result_cache
 from ..core.parallel import (
     SweepHealth,
+    SweepLedger,
+    SweepPoint,
     SweepProgress,
     SweepRecords,
     _jsonable,
-    _journal_header,
-    _load_journal,
-    check_journal_fingerprint,
     enumerate_points,
+    run_ledger,
     sweep_fingerprint,
 )
 from .protocol import MessageStream, parse_address
@@ -95,6 +94,65 @@ class ServiceClient:
         self.close()
 
 
+def _run_remote(
+    address: str,
+    pending: Sequence[SweepPoint],
+    runner: Callable[..., Mapping[str, Any]],
+    base: NetworkConfig,
+    emit: Callable[[int, dict[str, Any]], None],
+    health: SweepHealth,
+    *,
+    max_retries: int,
+    retry_backoff: float,
+    label: str,
+    poll_interval: float,
+) -> None:
+    """The service transport: submit ``pending``, emit records as they stream back.
+
+    Outcomes (ok / failed / timed out / stalled) are counted by ``emit`` as
+    each record lands; what only the controller can know — retries, worker
+    deaths, quarantines, stale results, its cache's hits and misses — is
+    folded into ``health`` from the final status.
+    """
+    host, port = parse_address(address)
+    spec = result_cache.runner_spec(runner)
+    if importable_name(spec) is None:
+        raise ValueError(
+            "remote sweeps need an importable module-level runner (or a "
+            "functools.partial over one with keyword bindings only); "
+            f"{runner!r} has no dotted name the workers could import"
+        )
+    payload = [
+        {
+            "index": p.index,
+            "overrides": _jsonable(p.overrides),
+            "kwargs": _jsonable(p.kwargs),
+            "seed": p.seed,
+        }
+        for p in pending
+    ]
+    with ServiceClient(host, port) as client:
+        submitted = client.submit(
+            asdict(base),
+            payload,
+            spec,
+            options={"max_retries": max_retries, "retry_backoff": retry_backoff},
+            label=label,
+        )
+        fetched = 0
+        while True:
+            status = client.poll(submitted["job_id"], since=fetched)
+            for item in status["records"]:
+                emit(int(item["index"]), item["record"])
+            fetched += len(status["records"])
+            if status["finished"]:
+                break
+            time.sleep(poll_interval)
+    health.merge(
+        replace(SweepHealth(**status["health"]), total=0, ok=0, failed=0, timed_out=0, stalled=0)
+    )
+
+
 def run_remote_sweep(
     address: str,
     base: NetworkConfig,
@@ -109,140 +167,32 @@ def run_remote_sweep(
     derive_seeds: bool = True,
     max_retries: int = 2,
     retry_backoff: float = 0.25,
-    seed_jitter: bool = True,
     poll_interval: float = 0.2,
     label: str = "",
 ) -> SweepRecords:
     """Run a sweep on the service at ``address`` (``"host:port"``).
 
-    The signature and semantics mirror :func:`repro.core.parallel.run_sweep`
+    The signature and semantics are :func:`repro.core.parallel.run_sweep`'s
     minus the local-executor knobs (``n_workers``, ``point_timeout``,
     ``cache`` — the *controller* owns the shared cache).  Records come
     back bit-identical to a serial run (modulo ``wall_seconds``), in
-    canonical enumeration order, with the controller's
-    :class:`~repro.core.parallel.SweepHealth` attached.  ``seed_jitter``
-    defaults to True here — deterministic retry timelines are the point
-    of a self-healing service — where the local driver defaults to the
-    historical unseeded jitter.
+    canonical enumeration order.
 
     ``journal``/``resume`` checkpoint on the *client*: each record is
     appended as it streams back, so a client killed mid-sweep resumes by
     re-submitting only the missing points (the service's cache typically
     answers the overlap without re-running it).
     """
-    if resume and journal is None:
-        raise ValueError("resume=True requires a journal path")
-    host, port = parse_address(address)
-    spec = result_cache.runner_spec(runner)
-    if importable_name(spec) is None:
-        raise ValueError(
-            "remote sweeps need an importable module-level runner (or a "
-            "functools.partial over one with keyword bindings only); "
-            f"{runner!r} has no dotted name the workers could import"
-        )
-    points = enumerate_points(base, axes, extra_axes, derive_seeds=derive_seeds)
-    by_index = {p.index: p for p in points}
-    fingerprint = sweep_fingerprint(base, axes, extra_axes)
-    results: dict[int, dict[str, Any]] = {}
-    if journal is not None:
-        if resume:
-            check_journal_fingerprint(journal, fingerprint, force=resume_force)
-            results.update(_load_journal(journal, points))
-            open(journal, "w").close()
-            append_jsonl(_journal_header(fingerprint, len(points)), journal)
-            append_jsonl(
-                (
-                    {
-                        "index": index,
-                        "point": _jsonable(by_index[index].coords),
-                        "record": record,
-                    }
-                    for index, record in sorted(results.items())
-                ),
-                journal,
-            )
-        else:
-            open(journal, "w").close()
-            append_jsonl(_journal_header(fingerprint, len(points)), journal)
-    resumed_ok = sum(1 for r in results.values() if not r.get("failed"))
-    resumed_failed = len(results) - resumed_ok
-
-    payload = [
-        {
-            "index": p.index,
-            "overrides": _jsonable(p.overrides),
-            "kwargs": _jsonable(p.kwargs),
-            "seed": p.seed,
-        }
-        for p in points
-        if p.index not in results
-    ]
-    start = time.monotonic()
-    health = SweepHealth(total=len(points))
-    with ServiceClient(host, port) as client:
-        if payload:
-            submitted = client.submit(
-                asdict(base),
-                payload,
-                spec,
-                options={
-                    "max_retries": max_retries,
-                    "retry_backoff": retry_backoff,
-                    "seed_jitter": seed_jitter,
-                },
-                label=label,
-            )
-            job_id = submitted["job_id"]
-            fetched = 0
-            completed_in_run = 0
-            try:
-                while True:
-                    status = client.poll(job_id, since=fetched)
-                    for item in status["records"]:
-                        index, record = int(item["index"]), item["record"]
-                        results[index] = record
-                        fetched += 1
-                        completed_in_run += 1
-                        if journal is not None:
-                            append_jsonl(
-                                {
-                                    "index": index,
-                                    "point": _jsonable(by_index[index].coords),
-                                    "record": record,
-                                },
-                                journal,
-                            )
-                        if progress is not None:
-                            elapsed = time.monotonic() - start
-                            rate = completed_in_run / elapsed if elapsed > 0 else 0.0
-                            left = len(points) - len(results)
-                            progress(
-                                SweepProgress(
-                                    done=len(results),
-                                    total=len(points),
-                                    failed=sum(
-                                        1 for r in results.values() if r.get("failed")
-                                    ),
-                                    elapsed=elapsed,
-                                    rate=rate,
-                                    eta=left / rate if rate > 0 else float("inf"),
-                                )
-                            )
-                    if status["finished"]:
-                        health = SweepHealth(**status["health"])
-                        break
-                    time.sleep(poll_interval)
-            except KeyboardInterrupt:
-                # Mirror run_sweep: flush what we know so the journal tells
-                # the whole story; per-point records are already flushed,
-                # which is what makes resume=True after a Ctrl-C work.
-                health.interrupted = True
-                if journal is not None:
-                    append_jsonl({"health": asdict(health)}, journal)
-                raise
-    # Fold the resumed-journal points back into the totals, exactly as the
-    # local driver counts them.
-    health.total = len(points)
-    health.ok += resumed_ok
-    health.failed += resumed_failed
-    return SweepRecords((results[p.index] for p in points), health)
+    ledger = SweepLedger(
+        enumerate_points(base, axes, extra_axes, derive_seeds=derive_seeds),
+        journal=journal,
+        fingerprint=sweep_fingerprint(base, axes, extra_axes),
+        resume=resume,
+        resume_force=resume_force,
+        progress=progress,
+    )
+    return run_ledger(
+        ledger, base, runner,
+        max_retries=max_retries, retry_backoff=retry_backoff,
+        remote=address, label=label, poll_interval=poll_interval,
+    )

@@ -20,15 +20,16 @@ failure model (DESIGN.md §5h) is built from four mechanisms:
   successful result clears the streak.
 * **Fallback.**  If no workers are connected for ``fallback_after``
   seconds while work is queued, the controller runs the remaining points
-  itself on the local process-pool executor
-  (:func:`repro.core.parallel._run_pool`) — a submitted sweep always
+  itself on the local transports a plain sweep uses
+  (:func:`repro.core.parallel._run_local`) — a submitted sweep always
   completes, fleet or no fleet.
 
 Retries reuse :class:`repro.core.resilience.RetryPolicy` with jitter
 seeded from the sweep's base seed, so the retry timeline of a chaos test
-is reproducible.  The shared result cache answers hits at submit time
-without dispatching anything, and worker results are written back so any
-worker's result is every client's hit.
+is reproducible.  Each job's accounting — results, health, the shared
+result cache's submit-time prefill and success-only write-back — is a
+:class:`repro.core.parallel.SweepLedger`, the same one a local sweep runs
+on, so any worker's result is every client's hit.
 
 The :class:`Controller` itself is a pure, lock-protected state machine
 driven by :meth:`Controller.handle` (one message in, one reply out),
@@ -49,13 +50,7 @@ from typing import Any, Callable, Mapping, Optional
 
 from ..config import NetworkConfig
 from ..core import cache as result_cache
-from ..core.parallel import (
-    SweepHealth,
-    SweepPoint,
-    _execute_point,
-    _failed_record,
-    _run_pool,
-)
+from ..core.parallel import SweepHealth, SweepLedger, SweepPoint, _failed_record, _run_local
 from ..core.resilience import RetryPolicy
 from .protocol import MAX_LINE_BYTES, PROTOCOL_VERSION, ProtocolError, decode, encode
 from .worker import importable_name, resolve_runner
@@ -114,7 +109,7 @@ class WorkerState:
 
 
 class Job:
-    """One submitted sweep: its points, queues, results, and health."""
+    """One submitted sweep: its ledger (points, results, health) and queues."""
 
     def __init__(
         self,
@@ -130,29 +125,26 @@ class Job:
         self.label = label
         self.runner_spec = dict(runner_spec)
         self.policy = policy
-        self.points: dict[int, dict[str, Any]] = {int(p["index"]): p for p in points}
+        self.ledger = SweepLedger(
+            SweepPoint(int(p["index"]), p["overrides"], p["kwargs"], int(p["seed"]))
+            for p in points
+        )
         #: (index, attempt) pairs ready to lease, in submission order.
-        self.pending: list[tuple[int, int]] = [(int(p["index"]), 0) for p in points]
+        self.pending: list[tuple[int, int]] = []
         #: backoff retries as (ready_time, index, attempt).
         self.delayed: list[tuple[float, int, int]] = []
         #: indices currently leased (values are lease ids).
         self.leased: dict[int, str] = {}
-        self.results: dict[int, dict[str, Any]] = {}
-        #: indices in completion order, for incremental ``poll`` replies.
-        self.completion_order: list[int] = []
-        self.health = SweepHealth(total=len(points))
-        self.cache_keys: dict[int, str] = {}
-        self.cache_meta: dict[int, dict[str, Any]] = {}
         self.created = 0.0
         self.fallback_active = False
 
     @property
-    def finished(self) -> bool:
-        return len(self.results) >= len(self.points)
+    def health(self) -> SweepHealth:
+        return self.ledger.health
 
-    def sweep_point(self, index: int) -> SweepPoint:
-        p = self.points[index]
-        return SweepPoint(index, dict(p["overrides"]), dict(p["kwargs"]), int(p["seed"]))
+    @property
+    def finished(self) -> bool:
+        return self.ledger.finished
 
 
 class Controller:
@@ -277,7 +269,7 @@ class Controller:
             self.leases[lease.lease_id] = lease
             job.leased[index] = lease.lease_id
             worker.leases.add(lease.lease_id)
-            point = job.points[index]
+            point = job.ledger.points[index]
             return {
                 "type": "lease",
                 "lease_id": lease.lease_id,
@@ -285,9 +277,9 @@ class Controller:
                 "index": index,
                 "attempt": attempt,
                 "config": job.base,
-                "overrides": point["overrides"],
-                "kwargs": point["kwargs"],
-                "seed": point["seed"],
+                "overrides": point.overrides,
+                "kwargs": point.kwargs,
+                "seed": point.seed,
                 "runner": job.runner_spec,
                 "deadline_seconds": self.options.lease_seconds,
             }
@@ -353,82 +345,41 @@ class Controller:
         self._job_seq += 1
         job_id = f"job-{self._job_seq:04d}"
         # Jitter is seeded from the sweep's base seed so a chaos run's retry
-        # timeline reproduces; ``seed_jitter: false`` opts back out.
-        if options.get("seed_jitter", True):
-            policy = RetryPolicy.seeded(
-                base_cfg.seed, job_id, max_retries=max_retries, backoff=retry_backoff
-            )
-        else:
-            policy = RetryPolicy(max_retries=max_retries, backoff=retry_backoff)
+        # timeline reproduces.
+        policy = RetryPolicy.seeded(
+            base_cfg.seed, job_id, max_retries=max_retries, backoff=retry_backoff
+        )
         job = Job(job_id, base, points, spec, policy, label=str(msg.get("label") or ""))
         job.created = self.clock()
         self.jobs[job_id] = job
-        cache_hits = self._prefill_from_cache(job, base_cfg, spec)
+        if self.store is not None:
+            # Hits are answered here, at submit time, without dispatch.
+            job.ledger.prefill(self.store, base_cfg, spec, "service")
+            self.store.flush_stats()
+        job.pending = [(p.index, 0) for p in job.ledger.pending]
         session["role"] = "client"
         return {
             "type": "submitted",
             "job_id": job_id,
-            "total": len(job.points),
-            "cache_hits": cache_hits,
+            "total": len(job.ledger.points),
+            "cache_hits": job.health.cache_hits,
         }
-
-    def _prefill_from_cache(
-        self, job: Job, base_cfg: NetworkConfig, spec: Mapping[str, Any]
-    ) -> int:
-        """Serve cache hits at submit time; remember keys for write-back."""
-        if self.store is None:
-            return 0
-        salt = result_cache.cache_salt()
-        dotted, runner_kwargs = result_cache.provenance(spec)
-        hits = 0
-        still_pending: list[tuple[int, int]] = []
-        for index, attempt in job.pending:
-            point = job.points[index]
-            try:
-                cfg_dict = asdict(
-                    base_cfg.with_(**{**point["overrides"], "seed": point["seed"]})
-                )
-            except Exception:
-                # An invalid point cannot be cached; the worker will produce
-                # the same deterministic failed record a local sweep would.
-                still_pending.append((index, attempt))
-                continue
-            key = result_cache.point_key(cfg_dict, point["kwargs"], spec, salt=salt)
-            hit = self.store.get(key)
-            if hit is not None:
-                hits += 1
-                job.health.cache_hits += 1
-                self._emit(job, index, hit)
-                continue
-            job.health.cache_misses += 1
-            job.cache_keys[index] = key
-            job.cache_meta[index] = {
-                "context": "service",
-                "runner_spec": {"runner": dotted} if dotted else {},
-                "runner_kwargs": runner_kwargs,
-                "config": cfg_dict,
-                "kwargs": dict(point["kwargs"]),
-                "coords": sorted({**point["overrides"], **point["kwargs"]}),
-            }
-            still_pending.append((index, attempt))
-        job.pending = still_pending
-        self.store.flush_stats()
-        return hits
 
     def _on_poll(self, msg: Mapping[str, Any], session: dict[str, Any]) -> dict[str, Any]:
         job = self.jobs.get(str(msg.get("job_id")))
         if job is None:
             return {"type": "error", "error": f"unknown job {msg.get('job_id')!r}"}
         since = int(msg.get("since", 0))
+        ledger = job.ledger
         records = [
-            {"index": index, "record": job.results[index]}
-            for index in job.completion_order[since:]
+            {"index": index, "record": ledger.results[index]}
+            for index in ledger.completion_order[since:]
         ]
         return {
             "type": "status",
             "job_id": job.job_id,
-            "total": len(job.points),
-            "done": len(job.results),
+            "total": len(ledger.points),
+            "done": len(ledger.results),
             "finished": job.finished,
             "records": records,
             "health": asdict(job.health),
@@ -454,8 +405,8 @@ class Controller:
                 {
                     "job_id": j.job_id,
                     "label": j.label,
-                    "total": len(j.points),
-                    "done": len(j.results),
+                    "total": len(j.ledger.points),
+                    "done": len(j.ledger.results),
                     "finished": j.finished,
                     "fallback": j.fallback_active,
                     "summary": j.health.summary(),
@@ -481,49 +432,27 @@ class Controller:
             self._emit(job, index, record)
 
     def _emit(self, job: Job, index: int, record: dict[str, Any]) -> None:
-        """Record a final result; mirrors ``run_sweep``'s health bookkeeping."""
-        if index in job.results:  # pragma: no cover - double-emit guard
-            return
-        job.results[index] = record
-        job.completion_order.append(index)
-        if record.get("failed"):
-            job.health.failed += 1
-            kind = record.get("error_kind")
-            if kind == "timeout":
-                job.health.timed_out += 1
-            elif kind == "stalled":
-                job.health.stalled += 1
-        else:
-            job.health.ok += 1
-            if self.store is not None:
-                key = job.cache_keys.pop(index, None)
-                if key is not None:
-                    self.store.put(key, record, job.cache_meta.pop(index, None))
-                    self.store.flush_stats()
+        """Hand a final result to the job's ledger; flush cache stats at the end."""
+        job.ledger.emit(index, record)
+        if job.finished and self.store is not None:
+            self.store.flush_stats()
 
     def _requeue_lease(self, lease: Lease, kind: str) -> None:
-        """Put an expired/orphaned lease's point back in its job's queue."""
+        """Charge an expired/orphaned lease one attempt: retry or fail its point."""
         self.leases.pop(lease.lease_id, None)
         job = self.jobs.get(lease.job_id)
         if job is None:  # pragma: no cover - job retired mid-flight
             return
         job.leased.pop(lease.index, None)
-        if job.policy.should_retry(kind, lease.attempt):
-            job.health.retried += 1
-            ready = self.clock() + job.policy.delay(lease.attempt + 1)
-            job.delayed.append((ready, lease.index, lease.attempt + 1))
-        else:
-            point = job.sweep_point(lease.index)
-            reason = {
-                "lease_expired": "lease expired: worker presumed lost",
-                "worker_death": "worker died or went silent",
-                "disconnect": "worker disconnected",
-            }.get(kind, kind)
-            self._emit(
-                job,
-                lease.index,
-                _failed_record(point, f"{reason} (attempt {lease.attempt + 1})", kind=kind),
-            )
+        reason = {
+            "lease_expired": "lease expired: worker presumed lost",
+            "worker_death": "worker died or went silent",
+            "disconnect": "worker disconnected",
+        }.get(kind, kind)
+        record = _failed_record(
+            job.ledger.points[lease.index], f"{reason} (attempt {lease.attempt + 1})", kind=kind
+        )
+        self._finish_or_retry(job, lease.index, lease.attempt, record)
 
     def _promote_delayed(self, job: Job, now: float) -> None:
         ready = [e for e in job.delayed if e[0] <= now]
@@ -619,20 +548,19 @@ class Controller:
         way (derived seeds), and stale-completion handling covers the
         overlap.
         """
+
+        def emit(index: int, record: dict[str, Any]) -> None:
+            with self._lock:
+                self._emit(job, index, record)
+
         try:
             runner = resolve_runner(job.runner_spec)
             base = NetworkConfig(**job.base)
         except Exception as exc:
+            error = f"fallback cannot run: {type(exc).__name__}: {exc}"
             with self._lock:
-                for index, attempt in self._drain_queues(job):
-                    self._emit(
-                        job,
-                        index,
-                        _failed_record(
-                            job.sweep_point(index),
-                            f"fallback cannot run: {type(exc).__name__}: {exc}",
-                        ),
-                    )
+                for index, _ in self._drain_queues(job):
+                    emit(index, _failed_record(job.ledger.points[index], error))
                 job.fallback_active = False
             return
         while True:
@@ -644,35 +572,12 @@ class Controller:
             if not batch:
                 time.sleep(0.05)
                 continue
-            points = [job.sweep_point(index) for index, _ in batch]
+            points = [job.ledger.points[index] for index, _ in batch]
             attempts = [attempt for _, attempt in batch]
-
-            def emit(point: SweepPoint, record: dict[str, Any]) -> None:
-                with self._lock:
-                    self._emit(job, point.index, record)
-
-            if self.options.fallback_workers <= 1:
-                for point, attempt in zip(points, attempts):
-                    record = _execute_point(runner, base, point)
-                    while job.policy.should_retry(record.get("error_kind"), attempt):
-                        attempt += 1
-                        with self._lock:
-                            job.health.retried += 1
-                        time.sleep(job.policy.delay(attempt))
-                        record = _execute_point(runner, base, point)
-                    emit(point, record)
-            else:
-                _run_pool(
-                    points,
-                    runner,
-                    base,
-                    self.options.fallback_workers,
-                    None,
-                    emit,
-                    job.health,
-                    job.policy,
-                    pending_attempts=attempts,
-                )
+            n_workers = max(self.options.fallback_workers, 1)
+            _run_local(
+                points, runner, base, n_workers, None, emit, job.health, job.policy, attempts
+            )
 
     def _drain_queues(self, job: Job) -> list[tuple[int, int]]:
         """Take every pending and delayed point (backoffs included); locked."""

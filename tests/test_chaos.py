@@ -107,7 +107,7 @@ class TestPoolChaos:
             kill_once_runner, logdir=str(tmp_path), victims=victims
         )
         records = run_sweep(
-            BASE, AXES, runner, extra_axes=EXTRA, n_workers=2, seed_jitter=True
+            BASE, AXES, runner, extra_axes=EXTRA, n_workers=2
         )
         assert strip_timing(records) == strip_timing(serial_baseline())
         assert records.health.worker_deaths >= 1
@@ -120,7 +120,7 @@ class TestPoolChaos:
             stall_once_runner, logdir=str(tmp_path), victims=victims
         )
         records = run_sweep(
-            BASE, AXES, runner, extra_axes=EXTRA, n_workers=2, seed_jitter=True
+            BASE, AXES, runner, extra_axes=EXTRA, n_workers=2
         )
         assert strip_timing(records) == strip_timing(serial_baseline())
         assert records.health.retried == len(victims) * len(EXTRA["load"])

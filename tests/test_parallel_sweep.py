@@ -18,15 +18,13 @@ from repro import rng
 from repro.analysis.io import read_jsonl
 from repro.config import NetworkConfig
 from repro.core.parallel import (
-    _MAX_BACKOFF,
     SweepHealth,
     SweepProgress,
     SweepRecords,
-    _backoff_seconds,
     enumerate_points,
     run_sweep,
 )
-from repro.core.resilience import SimulationStalled, StallDiagnosis
+from repro.core.resilience import RetryPolicy, SimulationStalled, StallDiagnosis
 from repro.core.sweep import product_configs, sweep
 
 BASE = NetworkConfig(k=4, n=2)
@@ -385,13 +383,12 @@ class TestHealthSummary:
 
 class TestTransientRetry:
     def test_backoff_grows_and_caps(self):
-        assert _backoff_seconds(1, 0.25) >= 0.25
+        policy = RetryPolicy(backoff=0.25)
+        assert policy.delay(1) >= 0.25
         for attempt in range(1, 12):
-            assert 0 < _backoff_seconds(attempt, 0.25) <= _MAX_BACKOFF * 1.25
+            assert 0 < policy.delay(attempt) <= policy.max_backoff * 1.25
 
     def test_seeded_policy_jitter_deterministic(self):
-        from repro.core.resilience import RetryPolicy
-
         a = RetryPolicy.seeded(7, backoff=0.25)
         b = RetryPolicy.seeded(7, backoff=0.25)
         assert [a.delay(i) for i in range(1, 6)] == [b.delay(i) for i in range(1, 6)]
@@ -405,22 +402,29 @@ class TestTransientRetry:
         assert not RetryPolicy(max_retries=2).should_retry("stalled", 2)
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_seed_jitter_sweep_runs(self, tmp_path, n_workers):
-        # seed_jitter must not change any record, only the retry timeline.
-        runner = functools.partial(stall_once_runner, logdir=str(tmp_path / "a"))
-        (tmp_path / "a").mkdir()
-        seeded = run_sweep(
-            BASE, {"router_delay": (1, 2)}, runner,
-            n_workers=n_workers, max_retries=2, retry_backoff=0.01, seed_jitter=True,
-        )
-        (tmp_path / "b").mkdir()
-        runner_b = functools.partial(stall_once_runner, logdir=str(tmp_path / "b"))
-        plain = run_sweep(
-            BASE, {"router_delay": (1, 2)}, runner_b,
-            n_workers=n_workers, max_retries=2, retry_backoff=0.01,
-        )
-        assert strip_timing(seeded) == strip_timing(plain)
-        assert seeded.health.retried == plain.health.retried == 2
+    def test_retry_timeline_is_deterministic_by_default(self, tmp_path, n_workers, monkeypatch):
+        # The backoff jitter derives from the sweep's seed, never from the
+        # process-global ``random``: two runs sleep exactly the same delays.
+        real_delay = RetryPolicy.delay
+        timelines: list[list[float]] = []
+
+        def recording_delay(policy, attempt):
+            timelines[-1].append(real_delay(policy, attempt))
+            return timelines[-1][-1]
+
+        monkeypatch.setattr(RetryPolicy, "delay", recording_delay)
+        runs = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            runner = functools.partial(stall_once_runner, logdir=str(tmp_path / name))
+            timelines.append([])
+            runs.append(run_sweep(
+                BASE, {"router_delay": (1, 2)}, runner,
+                n_workers=n_workers, max_retries=2, retry_backoff=0.01,
+            ))
+        assert strip_timing(runs[0]) == strip_timing(runs[1])
+        assert runs[0].health.retried == runs[1].health.retried == 2
+        assert timelines[0] == timelines[1] and len(timelines[0]) == 2
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_stall_retried_then_succeeds(self, tmp_path, n_workers):

@@ -147,6 +147,10 @@ def strip(rec):
     return {k: v for k, v in rec.items() if k not in ("wall_seconds", "source")}
 
 
+def dumps(records):
+    return json.dumps([strip(r) for r in records])
+
+
 class TestSteeredSweep:
     def test_simulated_records_bit_identical_to_dense(self):
         axes = {"router_delay": (1, 2)}
@@ -229,6 +233,80 @@ class TestSteeredSweep:
         for entry, rec in zip(points, steered):
             assert entry["record"]["source"] == rec["source"]
             assert entry["point"]["rate"] == rec["rate"]
+
+    def test_steered_then_dense_shares_one_cache(self, tmp_path):
+        # The store receives untagged records: a later dense sweep hits
+        # every point the steered one simulated and equals a cold dense run
+        # byte for byte — no ``source`` key leaks into the cache.
+        axes = {"router_delay": (1, 2)}
+        cache = tmp_path / "cache"
+        steered = steered_sweep(BASE, axes, fake_runner, rates=RATES, cache=cache)
+        n_sim = sum(r["source"] == "simulated" for r in steered)
+        assert (steered.health.cache_hits, steered.health.cache_misses) == (0, n_sim)
+        dense = run_sweep(BASE, axes, fake_runner, extra_axes={"rate": RATES}, cache=cache)
+        assert dense.health.cache_hits == n_sim
+        assert dense.health.cache_misses == len(dense) - n_sim
+        cold = run_sweep(BASE, axes, fake_runner, extra_axes={"rate": RATES})
+        assert dumps(dense) == dumps(cold)
+        assert not any("source" in r for r in dense)
+
+    def test_interrupted_then_resumed_equals_uninterrupted(self, tmp_path):
+        axes = {"router_delay": (1, 2)}
+        whole = steered_sweep(BASE, axes, fake_runner, rates=RATES)
+        journal = tmp_path / "steer.jsonl"
+        calls = []
+
+        def interrupting_runner(cfg, **kwargs):
+            calls.append(kwargs["rate"])
+            if len(calls) == 4:
+                raise KeyboardInterrupt
+            return fake_runner(cfg, **kwargs)
+
+        with pytest.raises(KeyboardInterrupt):
+            steered_sweep(BASE, axes, interrupting_runner, rates=RATES, journal=journal)
+        lines = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert lines[-1]["health"]["interrupted"] is True
+        n_fills = sum(r["source"] == "analytical" for r in whole)
+        assert sum("index" in e for e in lines) == n_fills + 3
+
+        executed = []
+
+        def counting_runner(cfg, **kwargs):
+            executed.append(kwargs["rate"])
+            return fake_runner(cfg, **kwargs)
+
+        resumed = steered_sweep(
+            BASE, axes, counting_runner, rates=RATES, journal=journal, resume=True
+        )
+        assert len(executed) == len(whole) - n_fills - 3  # only the missing points ran
+        assert [r["source"] for r in resumed] == [r["source"] for r in whole]
+        assert dumps(resumed) == dumps(whole)  # via JSON: analytical fills hold NaNs
+        assert resumed.health.ok == len(whole) and resumed.plans == whole.plans
+        # The steering knobs and the config are part of the journal's identity.
+        with pytest.raises(ValueError, match="different sweep"):
+            steered_sweep(
+                BASE, axes, fake_runner, rates=RATES, sim_fraction=0.25,
+                journal=journal, resume=True,
+            )
+        with pytest.raises(ValueError, match="different sweep"):
+            steered_sweep(
+                BASE.with_(seed=99), axes, fake_runner, rates=RATES,
+                journal=journal, resume=True,
+            )
+
+    def test_steered_via_service_equals_local(self):
+        from repro.service import Controller, ControllerServer, ServiceOptions
+
+        axes = {"router_delay": (1, 2)}
+        local = steered_sweep(BASE, axes, fake_runner, rates=RATES)
+        with ControllerServer(Controller(ServiceOptions(fallback_after=0.05))) as server:
+            host, port = server.address
+            remote = steered_sweep(
+                BASE, axes, fake_runner, rates=RATES, remote=f"{host}:{port}"
+            )
+        assert [r["source"] for r in remote] == [r["source"] for r in local]
+        assert dumps(remote) == dumps(local)
+        assert remote.health.ok == local.health.ok == len(local)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="sim_fraction"):
