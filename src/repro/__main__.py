@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from pathlib import Path
@@ -401,8 +400,8 @@ def _explore_spec(args):
     cfg = _network_config(args)
     if args.quick:
         # The quick profile is pinned — 4x4 network, small space, short
-        # windows — so its front is comparable across hosts and gateable
-        # against the committed BENCH_explore_quick.json baseline.
+        # windows — so its front is comparable across hosts and its
+        # hypervolume can be pinned exactly (tests/test_explore.py).
         cfg = cfg.with_(k=4, n=2)
         profile = dict(
             space=QUICK_SPACE, population=8, generations=3,
@@ -473,8 +472,6 @@ def _cmd_explore(args) -> int:
     if args.resume and not args.journal:
         print("--resume requires --journal", file=sys.stderr)
         return 2
-    if args.check:
-        return _explore_check(args, cfg, spec)
     cache = None
     if args.cache is not None:
         cache = args.cache or default_cache_dir()
@@ -510,129 +507,6 @@ def _cmd_explore(args) -> int:
         print(pareto_plot(result.front))
     print(f"explore: {result.summary()}", file=sys.stderr)
     return 1 if result.errors else 0
-
-
-def _explore_check(args, cfg, spec) -> int:
-    """Self-contained explore gate: determinism, cache reuse, resume, HV.
-
-    Runs the seeded profile twice (cold then warm) plus a simulated-
-    interrupt resume, asserting bit-identical fronts, >= half the warm
-    evaluations answered from the result cache, and hypervolume no worse
-    than the committed ``BENCH_explore_quick.json`` baseline
-    (``--update-baseline`` refreshes it).  Artifacts land under ``--out``.
-    """
-    import shutil
-    import tempfile
-
-    from .analysis.io import canonical_json
-    from .analysis.pareto import hypervolume
-    from .core.explore import QUICK_HV_REFERENCE, explore
-
-    if not args.quick:
-        print("--check requires --quick (the gated profile)", file=sys.stderr)
-        return 2
-    if args.remote or args.resume:
-        print("--check runs locally from scratch; drop --remote/--resume",
-              file=sys.stderr)
-        return 2
-    baseline_path = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
-    baseline_path = baseline_path / "BENCH_explore_quick.json"
-    failures: list[str] = []
-    tmp = Path(tempfile.mkdtemp(prefix="repro-explore-check-"))
-    try:
-        cache_dir = args.cache or str(tmp / "cache")
-        j_a, j_b, j_c = tmp / "a.jsonl", tmp / "b.jsonl", tmp / "c.jsonl"
-        say = (lambda msg: print(f"explore: {msg}", file=sys.stderr))
-        run_a = explore(cfg, spec, journal=j_a, cache=cache_dir,
-                        n_workers=args.workers, log=say)
-        front_a = "\n".join(canonical_json(r) for r in run_a.front)
-        run_b = explore(cfg, spec, journal=j_b, cache=cache_dir,
-                        n_workers=args.workers)
-        front_b = "\n".join(canonical_json(r) for r in run_b.front)
-        if front_a != front_b:
-            failures.append("determinism: fronts differ across same-seed runs")
-        else:
-            print(f"check determinism: ok ({len(run_a.front)} designs, "
-                  f"bit-identical)")
-        hits, misses = run_b.health.cache_hits, run_b.health.cache_misses
-        if hits < misses:
-            failures.append(
-                f"cache reuse: warm run answered {hits}/{hits + misses} "
-                "points from cache (< half)"
-            )
-        else:
-            print(f"check cache reuse: ok ({hits}/{hits + misses} warm "
-                  "points from cache)")
-        # Simulated interrupt: drop the journal tail (one full line plus a
-        # partial one) and resume; the front must be unchanged.
-        lines = j_a.read_text(encoding="utf-8").splitlines()
-        cut = max(1, len(lines) - 2)
-        j_c.write_text(
-            "\n".join(lines[:cut]) + "\n" + lines[cut][: len(lines[cut]) // 2],
-            encoding="utf-8",
-        )
-        run_c = explore(cfg, spec, journal=j_c, resume=True, cache=cache_dir,
-                        n_workers=args.workers)
-        front_c = "\n".join(canonical_json(r) for r in run_c.front)
-        if front_c != front_a:
-            failures.append("resume: front after interrupted-journal resume "
-                            "differs from the uninterrupted run")
-        elif run_c.resumed == 0:
-            failures.append("resume: nothing was resumed from the journal")
-        else:
-            print(f"check resume: ok ({run_c.resumed} genomes resumed, "
-                  "front unchanged)")
-        hv = hypervolume(
-            [r["objectives"] for r in run_a.front], QUICK_HV_REFERENCE
-        )
-        if args.update_baseline:
-            baseline_path.parent.mkdir(parents=True, exist_ok=True)
-            baseline_path.write_text(
-                json.dumps(
-                    {
-                        "name": "explore_quick",
-                        "hypervolume": hv,
-                        "reference": list(QUICK_HV_REFERENCE),
-                        "front_size": len(run_a.front),
-                        "population": spec.population,
-                        "generations": spec.generations,
-                        "seed": spec.seed,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n",
-                encoding="utf-8",
-            )
-            print(f"check hypervolume: baseline updated ({hv:.1f}) -> "
-                  f"{baseline_path}")
-        elif not baseline_path.exists():
-            failures.append(
-                f"hypervolume: no baseline at {baseline_path} "
-                "(run with --update-baseline to create it)"
-            )
-        else:
-            baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-            floor = float(baseline["hypervolume"]) * (1.0 - 1e-6)
-            if hv < floor:
-                failures.append(
-                    f"hypervolume: {hv:.3f} below baseline "
-                    f"{baseline['hypervolume']:.3f}"
-                )
-            else:
-                print(f"check hypervolume: ok ({hv:.1f} >= baseline "
-                      f"{baseline['hypervolume']:.1f})")
-        front_path, fig_path = _write_explore_outputs(
-            args.out or "explore-out", run_a, spec
-        )
-        print(f"front -> {front_path}\nfigure -> {fig_path}", file=sys.stderr)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    for failure in failures:
-        print(f"check FAILED: {failure}", file=sys.stderr)
-    if not failures:
-        print("explore --check: all gates passed")
-    return 1 if failures else 0
 
 
 def _cmd_estimate(args) -> int:
@@ -766,36 +640,6 @@ def _cmd_characterize(args) -> int:
         )
     )
     return 0
-
-
-def _cmd_bench(args) -> int:
-    from .core.bench import run_backend_compare, run_bench, run_steered_compare
-
-    if args.backends:
-        # One leg per backend: the runs are minutes-long at full scale and
-        # deterministic, so best-of-N buys little for the speedup ratio.
-        return run_backend_compare(
-            quick=args.quick,
-            out_dir=args.out,
-            check=args.check,
-            min_speedup=args.min_backend_speedup,
-        )
-    if args.steered:
-        return run_steered_compare(
-            quick=args.quick,
-            out_dir=args.out,
-            check=args.check,
-            max_sim_fraction=args.max_sim_fraction,
-        )
-    return run_bench(
-        quick=args.quick,
-        only=args.only or None,
-        out_dir=args.out,
-        check=args.check,
-        fail_threshold=args.fail_threshold,
-        repeats=args.repeats,
-        update_baselines=args.update_baselines,
-    )
 
 
 def _cmd_submit(args) -> int:
@@ -1119,19 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="write explore_front.jsonl + explore_front.txt here",
     )
-    p.add_argument(
-        "--check",
-        action="store_true",
-        help="gate the quick profile: bit-identical fronts across two "
-        "same-seed runs, >= half the warm run from cache, clean resume "
-        "after a simulated interrupt, hypervolume vs the committed baseline",
-    )
-    p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="--check: rewrite benchmarks/perf/BENCH_explore_quick.json "
-        "from this run instead of gating against it",
-    )
     p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser(
@@ -1188,78 +1019,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instructions", type=int, default=10000)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_characterize)
-
-    p = sub.add_parser(
-        "bench", help="perf microbenchmarks (writes BENCH_<name>.json records)"
-    )
-    p.add_argument(
-        "--quick", action="store_true", help="scaled-down configs (CI smoke job)"
-    )
-    p.add_argument(
-        "--only",
-        action="append",
-        metavar="SCENARIO",
-        help="run one scenario (repeatable); default: all",
-    )
-    p.add_argument(
-        "--out", default="benchmarks/perf", help="output directory for BENCH records"
-    )
-    p.add_argument(
-        "--check",
-        action="store_true",
-        help="fail (exit 1) on a speedup regression vs the committed records",
-    )
-    p.add_argument(
-        "--fail-threshold",
-        type=float,
-        default=0.25,
-        metavar="FRACTION",
-        help="allowed speedup_vs_dense drop before --check fails (default 0.25)",
-    )
-    p.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timing repeats per scenario leg; best-of-N is recorded (default 3)",
-    )
-    p.add_argument(
-        "--update-baselines",
-        action="store_true",
-        help="refresh seed_baseline.json from this run's cycles/sec (run on "
-        "the reference host, then commit the regenerated records)",
-    )
-    p.add_argument(
-        "--backends",
-        action="store_true",
-        help="instead of the scenario suite, time the object vs vectorized "
-        "backends on the saturation scenario, assert bit-identical records, "
-        "and write BENCH_vectorized_saturation.json",
-    )
-    p.add_argument(
-        "--min-backend-speedup",
-        type=float,
-        default=3.0,
-        metavar="RATIO",
-        help="--backends --check fails below this vectorized speedup "
-        "(default 3.0)",
-    )
-    p.add_argument(
-        "--steered",
-        action="store_true",
-        help="instead of the scenario suite, compare a dense latency-load "
-        "sweep against the analytical-model-steered version and write "
-        "BENCH_steered_sweep.json; --check gates the simulated-point "
-        "budget and knee accuracy",
-    )
-    p.add_argument(
-        "--max-sim-fraction",
-        type=float,
-        default=0.5,
-        metavar="FRACTION",
-        help="--steered budget: share of grid points the steered sweep may "
-        "simulate (default 0.5; also the --check gate)",
-    )
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "serve", help="run the distributed sweep-service controller"

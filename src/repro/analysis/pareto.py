@@ -10,8 +10,7 @@ analysis needs:
   caller, which keeps one convention everywhere).
 * :func:`hypervolume`: the exact dominated hypervolume against a reference
   point, for 2 or 3 objectives — the standard scalar measure of front
-  quality (larger is better), used by ``repro explore --check`` to gate a
-  committed baseline.
+  quality (larger is better); tier-1 pins the ``--quick`` front's value.
 * :func:`pareto_plot`: an ASCII scatter of a front, one marker per series
   (e.g. per topology), built on :func:`repro.analysis.ascii_plot`.
 

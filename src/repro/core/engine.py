@@ -69,8 +69,8 @@ def _fast_forward_default() -> bool:
     """``fast_forward=None`` resolves against this environment toggle.
 
     ``REPRO_DISABLE_FAST_FORWARD=1`` forces the dense cycle loop on every
-    engine in the process — the equivalence suite and the perf benchmark
-    harness use it to compare the two paths through unmodified drivers.
+    engine in the process — the equivalence suite uses it as the
+    reference path to compare against through unmodified drivers.
     """
     return os.environ.get("REPRO_DISABLE_FAST_FORWARD", "") in ("", "0")
 

@@ -113,7 +113,7 @@ PENALTY_METRICS = {"latency": math.inf, "throughput": 0.0, "cost": math.inf}
 
 #: Hypervolume reference point for the ``--quick`` profile front
 #: (latency cycles, negated throughput, cost units) — weakly worse than
-#: any feasible quick-space design, fixed so the committed baseline gate
+#: any feasible quick-space design, fixed so the hypervolume tier-1 pins
 #: is comparing like with like.
 QUICK_HV_REFERENCE = (200.0, 0.0, 5000.0)
 

@@ -20,8 +20,6 @@ execution-driven simulations.
 
 from __future__ import annotations
 
-import os
-
 from ..config import NetworkConfig
 from .network import Network
 
@@ -51,23 +49,8 @@ def build_network(config: NetworkConfig, **kwargs):
     accepted by the object backend only; the ideal topology is rejected
     here exactly as :class:`Network` rejects it — callers that want the
     contention-free fabric construct :class:`IdealNetwork` explicitly.
-
-    ``REPRO_DEFAULT_BACKEND=vectorized`` upgrades default-backend configs
-    inside the vectorized envelope (:func:`vectorized_supports`) to the
-    vectorized backend.  Because accepted configs are bit-exact, results
-    are unchanged; CI uses this to run the whole quick suite as one large
-    backend-equivalence check.  An explicit ``backend=`` always wins, and
-    unsupported configs (faults, ``credit_delay=0``, ideal) silently stay
-    on the object backend.
     """
     backend = getattr(config, "backend", "object")
-    if (
-        backend == "object"
-        and not kwargs
-        and os.environ.get("REPRO_DEFAULT_BACKEND") == "vectorized"
-        and vectorized_supports(config)
-    ):
-        backend = "vectorized"
     if backend == "object":
         return Network(config, **kwargs)
     if backend == "vectorized":

@@ -235,31 +235,14 @@ class TestRandomizedEquivalence:
 
 
 class TestBackendSelection:
-    def test_factory_dispatch(self, monkeypatch):
+    def test_factory_dispatch(self):
         from repro.network.network import Network
         from repro.network.vectorized import VectorizedNetwork
 
-        monkeypatch.delenv("REPRO_DEFAULT_BACKEND", raising=False)
         assert isinstance(build_network(NetworkConfig()), Network)
         assert isinstance(
             build_network(NetworkConfig(backend="vectorized")), VectorizedNetwork
         )
-
-    def test_env_default_backend_override(self, monkeypatch):
-        """REPRO_DEFAULT_BACKEND=vectorized upgrades supported configs (the
-        CI backend dimension) but never touches unsupported ones."""
-        from repro.network.network import Network
-        from repro.network.vectorized import VectorizedNetwork
-
-        monkeypatch.setenv("REPRO_DEFAULT_BACKEND", "vectorized")
-        assert isinstance(build_network(NetworkConfig()), VectorizedNetwork)
-        # outside the vectorized envelope: silently stays on object
-        assert isinstance(
-            build_network(NetworkConfig(faults="links:1")), Network
-        )
-        assert isinstance(build_network(NetworkConfig(credit_delay=0)), Network)
-        # construction overrides are an object-backend feature
-        assert isinstance(build_network(NetworkConfig(), faults=None), Network)
 
     def test_vectorized_supports_mirrors_constructor(self):
         from repro.network.factory import vectorized_supports

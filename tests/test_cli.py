@@ -82,6 +82,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["openloop", "--rate", "0.1", "--topology", "fat-tree"])
 
+    def test_retired_surfaces_are_argparse_errors(self):
+        for argv in (["bench"], ["explore", "--quick", "--check"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+
 
 class TestCommands:
     def test_openloop(self, capsys):
@@ -126,6 +132,25 @@ class TestCommands:
         assert main(argv + ["--resume"]) == 0
         assert capsys.readouterr().out == first
         assert len([e for e in read_jsonl(journal) if "index" in e]) == 4
+
+    def test_sweep_steer_tags_sources_and_keeps_budget(self, capsys, tmp_path):
+        journal = tmp_path / "steered.jsonl"
+        rc = main(
+            [
+                "sweep", "--steer", "--k", "4", "--n", "2",
+                "--rates", "0.1,0.2,0.3,0.4,0.5,0.6",
+                "--warmup", "200", "--measure", "400", "--drain", "4000",
+                "--journal", str(journal),
+            ]
+        )
+        assert rc == 0
+        assert "source" in capsys.readouterr().out
+        header, *points = read_jsonl(journal)
+        assert header["sweep"]["steered"] is True
+        sources = [p["record"]["source"] for p in points]
+        assert set(sources) == {"simulated", "analytical"}
+        assert sources.count("simulated") <= len(sources) // 2
+        assert all("latency" in p["record"] for p in points)
 
     def test_sweep_resume_without_journal_errors(self, capsys):
         rc = main(["sweep", "--k", "4", "--rates", "0.05", "--resume"])
@@ -283,10 +308,6 @@ class TestExploreCLI:
     def test_resume_requires_journal(self, capsys):
         assert main(["explore", "--quick", "--resume"]) == 2
         assert "--resume requires --journal" in capsys.readouterr().err
-
-    def test_check_requires_quick(self, capsys):
-        assert main(["explore", "--check"]) == 2
-        assert "--check requires --quick" in capsys.readouterr().err
 
     def test_bad_gene_exits_2(self, capsys):
         rc = main(["explore", "--quick", "--gene", "topology=hypercube"])
@@ -446,85 +467,3 @@ class TestCacheCLI:
         err = capsys.readouterr().err
         assert "cache hits" not in err
         assert not (tmp_path / "cache" / "store.jsonl").exists()
-
-
-class TestBenchUpdateBaselines:
-    def _fake_scenarios(self, monkeypatch):
-        from repro.core import bench
-
-        fake = bench.BenchScenario(
-            "fake", "constant scenario", lambda quick: (1000, 0, {"fom": 1.0})
-        )
-        monkeypatch.setattr(bench, "SCENARIOS", {"fake": fake})
-        return bench
-
-    def test_update_baselines_writes_seed_baseline(self, tmp_path, monkeypatch):
-        import json
-
-        bench = self._fake_scenarios(monkeypatch)
-        rc = bench.run_bench(
-            quick=True, out_dir=tmp_path, repeats=1,
-            update_baselines=True, echo=lambda s: None,
-        )
-        assert rc == 0
-        data = json.loads((tmp_path / "seed_baseline.json").read_text())
-        assert "fake" in data["quick"]
-        assert data["quick"]["fake"]["cps"] > 0
-        # the baseline records the backend it was measured on
-        assert data["quick"]["fake"]["backend"] == "object"
-        # a later plain run reads it back as the speedup_vs_seed reference
-        bench.run_bench(quick=True, out_dir=tmp_path, repeats=1, echo=lambda s: None)
-        record = json.loads((tmp_path / "BENCH_fake.quick.json").read_text())
-        assert record["seed_baseline_cps"] == data["quick"]["fake"]["cps"]
-        assert record["backend"] == "object"
-
-    def test_baseline_from_other_backend_never_gates(self, tmp_path, monkeypatch):
-        """A baseline measured under one backend must not validate (or
-        fail) a scenario running under another."""
-        import json
-
-        bench = self._fake_scenarios(monkeypatch)
-        (tmp_path / "seed_baseline.json").write_text(
-            json.dumps({"quick": {"fake": {"cps": 1e9, "backend": "vectorized"}}})
-        )
-        bench.run_bench(quick=True, out_dir=tmp_path, repeats=1, echo=lambda s: None)
-        record = json.loads((tmp_path / "BENCH_fake.quick.json").read_text())
-        assert record["seed_baseline_cps"] is None
-        assert record["speedup_vs_seed"] is None
-
-    def test_legacy_bare_float_baseline_reads_as_object(self, tmp_path, monkeypatch):
-        import json
-
-        bench = self._fake_scenarios(monkeypatch)
-        (tmp_path / "seed_baseline.json").write_text(
-            json.dumps({"quick": {"fake": 0.001}})
-        )
-        bench.run_bench(quick=True, out_dir=tmp_path, repeats=1, echo=lambda s: None)
-        record = json.loads((tmp_path / "BENCH_fake.quick.json").read_text())
-        assert record["seed_baseline_cps"] == 0.001
-        assert record["speedup_vs_seed"] > 0
-
-    def test_plain_run_leaves_baselines_alone(self, tmp_path, monkeypatch):
-        bench = self._fake_scenarios(monkeypatch)
-        bench.run_bench(quick=True, out_dir=tmp_path, repeats=1, echo=lambda s: None)
-        assert not (tmp_path / "seed_baseline.json").exists()
-
-    def test_update_preserves_other_modes_and_names(self, tmp_path, monkeypatch):
-        import json
-
-        bench = self._fake_scenarios(monkeypatch)
-        (tmp_path / "seed_baseline.json").write_text(
-            json.dumps({"full": {"other": 123.0}, "quick": {"legacy": 1.0}})
-        )
-        bench.run_bench(
-            quick=True, out_dir=tmp_path, repeats=1,
-            update_baselines=True, echo=lambda s: None,
-        )
-        data = json.loads((tmp_path / "seed_baseline.json").read_text())
-        assert data["full"] == {"other": 123.0}
-        assert data["quick"]["legacy"] == 1.0
-        assert "fake" in data["quick"]
-
-    def test_cli_flag_parses(self):
-        args = build_parser().parse_args(["bench", "--quick", "--update-baselines"])
-        assert args.update_baselines is True

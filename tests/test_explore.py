@@ -27,6 +27,7 @@ from repro.analysis.io import read_jsonl
 from repro.analysis.pareto import dominates, hypervolume, pareto_front, pareto_plot
 from repro.config import NetworkConfig
 from repro.core.explore import (
+    QUICK_HV_REFERENCE,
     DesignSpace,
     ExploreSpec,
     crowding_distances,
@@ -297,6 +298,18 @@ def test_explore_bit_identical_and_warm_cache(explored, tmp_path):
     # (failed/penalty points are never cached, so misses stay non-zero).
     assert h.cache_hits >= h.cache_misses
     assert h.cache_hits + h.cache_misses == h.total
+
+
+def test_quick_profile_hypervolume_pinned():
+    """`repro explore --quick` (seed 1) is a deterministic search: its front's
+    hypervolume is pinned exactly, so a change that moves any simulated
+    number on the quick space, or the search itself, shows here."""
+    from repro.__main__ import _explore_spec, build_parser
+
+    cfg, spec = _explore_spec(build_parser().parse_args(["explore", "--quick"]))
+    res = explore(cfg, spec)
+    hv = hypervolume([r["objectives"] for r in res.front], QUICK_HV_REFERENCE)
+    assert hv == pytest.approx(516064.7425491101, rel=1e-9)
 
 
 def test_explore_resume_after_truncation(explored, tmp_path):

@@ -140,6 +140,29 @@ class TestOpenLoopEquivalence:
         fast, dense = both_paths(go)
         _assert_openloop_equal(fast, dense)
 
+    def test_8x8_low_load_skipped_cycle_count(self, both_paths):
+        # Near-zero load on the paper's mesh: ~91% of cycles are provably
+        # idle.  The skipped-cycle count is a pure function of the seed, so
+        # pinning it guards the fast path's reach without a timer.
+        cfg = NetworkConfig(k=8, n=2, seed=7)
+        nets = []
+
+        def go():
+            sim = OpenLoopSimulator(
+                cfg,
+                warmup=10_000,
+                measure=20_000,
+                drain_limit=30_000,
+                network_factory=lambda c: nets.append(Network(c)) or nets[-1],
+            )
+            return sim.run(0.0001)
+
+        fast, dense = both_paths(go)
+        _assert_openloop_equal(fast, dense)
+        assert [net.now for net in nets] == [30_000, 30_000]
+        assert nets[0].fast_forwarded_cycles == 27_317
+        assert nets[1].fast_forwarded_cycles == 0
+
     @pytest.mark.parametrize("topology", ["ring", "torus"])
     def test_other_topologies(self, both_paths, topology):
         cfg = NetworkConfig(topology=topology, k=8, n=1 if topology == "ring" else 2, seed=2)
@@ -287,6 +310,36 @@ class TestTraceEquivalence:
         assert fast.avg_latency == dense.avg_latency
         assert fast.packets == dense.packets
         assert fast.throughput == dense.throughput
+
+    def test_8x8_sparse_trace_skipped_cycle_count(self, both_paths):
+        # 40 packets in 8 widely spaced clusters over ~200k cycles: replay
+        # would spend nearly all its wall time stepping an empty fabric.
+        # All but 239 of the 175029 cycles must be skipped, exactly.
+        records = [
+            TraceRecord(
+                burst * 25_000 + 3 * i, (7 * burst + i) % 64, (11 * burst + 5 * i) % 64, 4
+            )
+            for burst in range(8)
+            for i in range(5)
+        ]
+        trace = Trace(records, num_nodes=64)
+        cfg = NetworkConfig(k=8, n=2, seed=7)
+        nets = []
+
+        def go():
+            return TraceDrivenSimulator(
+                cfg,
+                trace,
+                network_factory=lambda c: nets.append(Network(c)) or nets[-1],
+            ).run()
+
+        fast, dense = both_paths(go)
+        assert fast.runtime == dense.runtime
+        assert fast.avg_latency == dense.avg_latency
+        assert fast.packets == dense.packets == 40
+        assert [net.now for net in nets] == [175_029, 175_029]
+        assert nets[0].fast_forwarded_cycles == 174_790
+        assert nets[1].fast_forwarded_cycles == 0
 
     def test_captured_trace(self, both_paths):
         cfg = NetworkConfig(k=4, n=2, seed=7)

@@ -325,16 +325,32 @@ class TestSteeredSweep:
 
 
 class TestSteeredOpenLoop:
-    def test_knee_within_one_grid_step_of_dense(self):
-        rates = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-        runner = functools.partial(
-            _openloop_runner, warmup=200, measure=400, drain_limit=4000
-        )
-        dense = run_sweep(BASE, {}, runner, extra_axes={"rate": rates})
+    @pytest.mark.parametrize(
+        "cfg, rates, windows",
+        [
+            pytest.param(
+                BASE,
+                tuple(round(0.1 * i, 1) for i in range(1, 10)),
+                dict(warmup=200, measure=400, drain_limit=4000),
+                id="4x4",
+            ),
+            # the paper's mesh swept across its knee (model saturation 0.42)
+            pytest.param(
+                NetworkConfig(k=8, n=2, seed=7),
+                tuple(round(0.05 * i, 2) for i in range(1, 11)),
+                dict(warmup=500, measure=1000, drain_limit=10000),
+                id="8x8",
+                marks=pytest.mark.slow,
+            ),
+        ],
+    )
+    def test_knee_within_one_grid_step_of_dense(self, cfg, rates, windows):
+        runner = functools.partial(_openloop_runner, **windows)
+        dense = run_sweep(cfg, {}, runner, extra_axes={"rate": rates})
         dense_knee = find_knee(
             rates, [r["latency"] for r in dense]
         )
-        steered = steered_sweep(BASE, {}, runner, rates=rates)
+        steered = steered_sweep(cfg, {}, runner, rates=rates)
         (plan,) = steered.plans
         assert abs(plan.knee_index - dense_knee) <= 1
         # simulated budget respected on the real runner too
