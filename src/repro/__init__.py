@@ -60,33 +60,38 @@ __all__ = [
 def _detect_version() -> str:
     """Single-source the version from packaging metadata.
 
-    Installed (even ``pip install -e``): ``importlib.metadata`` has it.
-    Run straight from a source checkout via ``PYTHONPATH=src``: fall back
-    to parsing the adjacent ``pyproject.toml`` so the two never drift.
+    Run from a checkout (``PYTHONPATH=src`` or ``pip install -e``): the
+    adjacent ``pyproject.toml`` answers when it names project ``repro`` —
+    one small file read.  Installed as a wheel there is no such file and
+    ``importlib.metadata`` has the version; asking it first would cost a
+    scan of every ``sys.path`` entry on each start from a checkout.
     """
+    import pathlib
+    import re
+
     try:
-        from importlib.metadata import PackageNotFoundError, version
+        text = (pathlib.Path(__file__).resolve().parents[2] / "pyproject.toml").read_text(
+            encoding="utf-8"
+        )
+    except OSError:
+        text = ""
+    # A targeted regex instead of a TOML parser: tomllib is 3.11+ and this
+    # package supports 3.10.
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.M)
+    if match and re.search(r'^name\s*=\s*"repro"', text, re.M):
+        return match.group(1)
+    try:
+        from importlib.metadata import version
 
         return version("repro")
-    except PackageNotFoundError:
-        pass
-    except Exception:  # pragma: no cover - metadata backend quirks
-        pass
-    try:
-        import pathlib
-        import re
-
-        pyproject = pathlib.Path(__file__).resolve().parents[2] / "pyproject.toml"
-        # A targeted regex instead of a TOML parser: tomllib is 3.11+ and
-        # this package supports 3.10.
-        match = re.search(
-            r'^version\s*=\s*"([^"]+)"', pyproject.read_text(encoding="utf-8"), re.M
-        )
-        if match:
-            return match.group(1)
-    except OSError:  # pragma: no cover - no checkout layout either
-        pass
-    return "0.0.0+unknown"
+    except Exception:  # PackageNotFoundError, or a metadata backend quirk
+        return "0.0.0+unknown"
 
 
-__version__ = _detect_version()
+def __getattr__(name: str):
+    # ``__version__`` is resolved on first use (PEP 562) and then stored, so
+    # ``import repro`` itself reads no file and imports no metadata backend.
+    if name == "__version__":
+        value = globals()["__version__"] = _detect_version()
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,7 +11,9 @@ Pareto front over three minimized objectives:
     when the design saturates even there.
 ``throughput``
     Negated accepted throughput (flits/cycle/node) at the high evaluation
-    rate, so more throughput sorts as "smaller".
+    rate, so more throughput sorts as "smaller".  Nothing else is read
+    from that point, and throughput is final when the measurement window
+    closes, so it runs without a drain phase (:func:`explore_runner`).
 ``cost``
     A silicon area proxy computed from the topology alone (no simulation),
     documented at :func:`design_cost`: wire length (sum of channel delays,
@@ -256,7 +258,9 @@ def design_cost(cfg: NetworkConfig) -> float:
 # --------------------------------------------------------------------------
 
 
-def explore_runner(cfg, *, genome, rate, warmup, measure, drain_limit):
+def explore_runner(
+    cfg, *, genome, rate, warmup, measure, drain_limit, throughput_rate=None
+):
     """Sweep runner for one (genome, rate) point.
 
     ``genome`` arrives as the canonical pairs tuple (an extra-axis value,
@@ -264,10 +268,26 @@ def explore_runner(cfg, *, genome, rate, warmup, measure, drain_limit):
     to an infeasible combination raises ``ValueError`` /
     ``BackendUnsupported``, which the sweep layer records as a failed
     point — the explorer turns those into penalty objectives.
+
+    ``throughput_rate`` is a bound keyword, not a coordinate: the point at
+    that rate is the genome's *throughput point*, of which only accepted
+    throughput is ever read.  Throughput is final when the measurement
+    window closes, so the point runs with ``drain_limit=0`` and its record
+    carries ``throughput`` alone — there is no latency in it to misread.
+    Being a runner keyword it is part of the cache key, so a throughput
+    point never answers for a full measurement at the same rate.
     """
     cfg = genome_config(cfg, genome)
-    sim = OpenLoopSimulator(cfg, warmup=warmup, measure=measure, drain_limit=drain_limit)
+    throughput_only = rate == throughput_rate
+    sim = OpenLoopSimulator(
+        cfg,
+        warmup=warmup,
+        measure=measure,
+        drain_limit=0 if throughput_only else drain_limit,
+    )
     res = sim.run(rate)
+    if throughput_only:
+        return {"throughput": res.throughput}
     return {
         "latency": res.avg_latency,
         "throughput": res.throughput,
@@ -888,13 +908,17 @@ def _bound_runner(spec: ExploreSpec):
     ``functools.partial`` over the module-level :func:`explore_runner`
     keeps the runner picklable for the process pool *and* importable by
     name for the remote service (the client re-binds keyword arguments on
-    the worker side).
+    the worker side).  The high rate is named as the throughput point
+    unless both rates coincide: a point's role cannot be told from its
+    rate then, and it keeps the full drain its latency reading needs.
     """
     import functools
 
+    lo, hi = spec.rates
     return functools.partial(
         explore_runner,
         warmup=spec.warmup,
         measure=spec.measure,
         drain_limit=spec.drain_limit,
+        throughput_rate=hi if hi != lo else None,
     )

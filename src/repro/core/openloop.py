@@ -13,12 +13,18 @@ steady-state contention.  Latency counts from packet creation, so source
 queueing delay is included and latency diverges at saturation.  A run whose
 tagged packets cannot drain within the budget reports ``saturated=True``
 and infinite latency.
+
+The drain phase exists to time the tagged packets and for nothing else:
+accepted throughput is final the cycle the window closes.  A caller that
+reads throughput only runs with ``drain_limit=0``; one whose need for the
+latencies depends on the throughput passes ``drain_if=`` to
+:meth:`OpenLoopSimulator.run` and is asked once, at the window edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -229,6 +235,29 @@ class _MeasureSink:
         return self.outstanding == 0
 
 
+class _GatedSink(_MeasureSink):
+    """A measure sink that may decline the drain phase at the window edge.
+
+    The engine consults the sink only once the injector reports done, i.e.
+    from the cycle the measurement window closes, and by then it has taken
+    the ``flits_at_measure_end`` snapshot — so the first :meth:`done` call
+    sees the window's final accepted throughput.  ``drain_if`` is asked
+    exactly once, there; on a falsy answer the sink reports done and the
+    run ends in the state a ``drain_limit=0`` run ends in.
+    """
+
+    def __init__(self, drain_if: Callable[[float], bool], throughput) -> None:
+        super().__init__()
+        self._drain_if = drain_if
+        self._throughput = throughput  # engine -> the window's accepted throughput
+        self._drain: Optional[bool] = None  # undecided until the window closes
+
+    def done(self, engine: SimulationEngine) -> bool:
+        if self._drain is None:
+            self._drain = bool(self._drain_if(self._throughput(engine)))
+        return not self._drain or self.outstanding == 0
+
+
 class OpenLoopSimulator:
     """Runs open-loop measurements on a fresh network per run."""
 
@@ -266,8 +295,22 @@ class OpenLoopSimulator:
         self.network_factory = network_factory
 
     # -- single-point run -----------------------------------------------------
-    def run(self, injection_rate: float, *, seed: Optional[int] = None) -> OpenLoopResult:
-        """Measure at ``injection_rate`` (offered flits/cycle/node)."""
+    def run(
+        self,
+        injection_rate: float,
+        *,
+        seed: Optional[int] = None,
+        drain_if: Optional[Callable[[float], bool]] = None,
+    ) -> OpenLoopResult:
+        """Measure at ``injection_rate`` (offered flits/cycle/node).
+
+        ``drain_if``, when given, is called once with the window's accepted
+        throughput in the cycle the measurement window closes; if it returns
+        false the drain phase is skipped and the result equals, field by
+        field, the one a ``drain_limit=0`` simulator returns (throughput
+        final, latencies of the packets already delivered, ``saturated`` if
+        any tagged packet is still in flight).
+        """
         if not 0.0 < injection_rate <= 1.0:
             raise ValueError("injection_rate must be in (0, 1]")
         cfg = self.config
@@ -282,7 +325,15 @@ class OpenLoopSimulator:
                 f"rate {injection_rate} needs >1 packet/cycle/node "
                 f"(mean size {self.sizes.mean})"
             )
-        sink = _MeasureSink()
+        if drain_if is None:
+            sink = _MeasureSink()
+        else:
+            sink = _GatedSink(
+                drain_if,
+                lambda engine: self._window_throughput(
+                    engine.flits_at_measure_start, engine.flits_at_measure_end, n
+                ),
+            )
         if len(cfg.classes) == 1:
             # Single class: the exact pre-class code path — same RNG stream
             # labels, same draw order — so defaults stay bit-identical.
@@ -338,6 +389,10 @@ class OpenLoopSimulator:
         result.probe_records = outcome.probe_records
         return result
 
+    def _window_throughput(self, flits_start: int, flits_end: int, n: int) -> float:
+        """Accepted flits/cycle/node between the two window-edge snapshots."""
+        return (flits_end - flits_start) / (self.measure * n) if self.measure else 0.0
+
     def _collect(
         self,
         rate: float,
@@ -356,7 +411,7 @@ class OpenLoopSimulator:
             counts = np.bincount(srcs, minlength=n)
             nz = counts > 0
             per_node[nz] = sums[nz] / counts[nz]
-        throughput = (flits_end - flits_start) / (self.measure * n) if self.measure else 0.0
+        throughput = self._window_throughput(flits_start, flits_end, n)
         if saturated or len(lat) == 0:
             avg = worst = float("inf")
         else:
@@ -444,13 +499,21 @@ class OpenLoopSimulator:
         (footnote 3 notes the exact latency is ill-conditioned near
         saturation, which is also why a latency cap makes a poor criterion
         on high-diameter topologies like the ring).
+
+        A probe whose window throughput already fails the tracking test is
+        unstable whatever its drain would show, so it ends at the window
+        edge (``drain_if``); only probes that track are drained.  The lower
+        bracket is judged on drain alone: at ``lo`` a small mesh offers so
+        few flits per window that the tracking ratio is mostly sampling
+        noise, and "tagged packets drained" is what *not saturated* means.
         """
 
         def stable(rate: float) -> bool:
-            res = self.run(rate, seed=seed)
-            return (not res.saturated) and res.throughput >= track_fraction * rate
+            floor = track_fraction * rate
+            res = self.run(rate, seed=seed, drain_if=lambda tp: tp >= floor)
+            return (not res.saturated) and res.throughput >= floor
 
-        if not stable(lo):
+        if self.run(lo, seed=seed).saturated:
             return 0.0
         while hi - lo > tolerance:
             mid = 0.5 * (lo + hi)

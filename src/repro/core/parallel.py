@@ -57,16 +57,17 @@ import json
 import pathlib
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import InitVar, asdict, dataclass, field, fields
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .. import rng
 from ..analysis.io import append_jsonl, canonical_json, read_jsonl
 from ..config import NetworkConfig
 from . import cache as result_cache
 from .resilience import RetryPolicy, SimulationStalled
+
+if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = [
     "SweepPoint",
@@ -596,6 +597,11 @@ def _run_pool(
     * a record with a transient ``error_kind`` (``"stalled"``) → retried
       with backoff up to ``max_retries`` times.
     """
+    # Imported here, not at module top: the pool machinery pulls in
+    # multiprocessing (~25 ms), which the serial path never needs.
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
     # Queue entries are (point, attempt); ``delayed`` holds backoff retries
     # as (ready_monotonic, point, attempt).  ``pending_attempts`` lets the
     # service's local-fallback path resume points mid-retry-budget.

@@ -65,10 +65,12 @@ class RoutingAlgorithm(ABC):
     list index, ``row[packet.dst]``, and never calls :meth:`route` for that
     node again, so every entry must *be* (``is``) the candidate list
     ``route`` returns for that destination.  Rows are built on first use,
-    one node at a time, and are immutable once built.  DOR on a mesh
-    qualifies; anything that consults packet state (dateline classes on a
-    torus, VAL/ROMM phases), allocates per call (MA) or depends on the
-    fault set (:class:`~repro.routing.fault.FaultAwareRouting`) does not.
+    one node at a time, and are immutable once built.  DOR qualifies on a
+    mesh and, with the balanced dateline (whose VC class is a function of
+    node and destination alone), on a torus or ring; anything that consults
+    other packet state (the strict dateline reads ``packet.src``, VAL/ROMM
+    read the phase), allocates per call (MA) or depends on the fault set
+    (:class:`~repro.routing.fault.FaultAwareRouting`) does not.
     """
 
     name: str = "abstract"

@@ -6,7 +6,10 @@ scheme.  We use the standard balanced variant: within each dimension, a leg
 that will traverse the wraparound edge rides VC class 0 until the crossing
 and class 1 afterwards, while a leg that never wraps rides class 1.  The
 class is a pure function of (position after the hop, target), so no
-per-packet state is needed.
+per-packet state is needed — which is also what lets balanced-dateline DOR
+serve its routes from static rows (:attr:`RoutingAlgorithm.static_rows`)
+exactly as the mesh does; only ``dateline_mode="strict"`` reads the
+packet's source and keeps calling :meth:`DOR.route`.
 
 Deadlock freedom: class-0 channel dependencies never include the wrap edge
 (the crossing hop allocates class 1 downstream), so the class-0 chain is
@@ -25,19 +28,38 @@ from .base import RouteCandidate, RoutingAlgorithm, vc_range
 
 __all__ = ["DOR", "dor_port"]
 
-#: Largest mesh that gets static route rows: a full table is num_nodes**2
-#: references, so 1024 nodes cap it at 8 MiB per shape.
+#: Largest network that gets static route rows: a full table is
+#: num_nodes**2 references, so 1024 nodes cap it at 8 MiB per shape.
 _STATIC_ROW_MAX_NODES = 1024
 
 
 @lru_cache(maxsize=16)
-def _mesh_tables(topo_type: type, k: int, n: int, num_vcs: int, local_port: int):
-    """Candidate lists and route rows shared by every mesh DOR of one shape
+def _shape_tables(
+    topo_type: type,
+    k: int,
+    n: int,
+    num_vcs: int,
+    local_port: int,
+    wrap: bool,
+    dateline_mode: str,
+):
+    """Candidate lists and route rows shared by every DOR of one shape
     (both are immutable and depend on the shape alone, so sweeps rebuilding
-    a network reuse them); ``rows[node]`` is None until first needed."""
-    all_vcs = tuple(range(num_vcs))
-    cands = [[RouteCandidate(port, all_vcs)] for port in range(2 * n)]
-    return cands, [RouteCandidate(local_port, all_vcs)], [None] * k**n
+    a network reuse them); ``rows[node]`` is None until first needed.
+
+    Candidates are indexed ``[port]`` on a mesh and ``[port][vc class]`` on
+    a wrapped topology.  ``dateline_mode`` is in the key because a row is
+    ``route()``'s output, which depends on it.
+    """
+    if wrap:
+        classes = (vc_range(0, 2, num_vcs), vc_range(1, 2, num_vcs))
+        cands = [
+            [[RouteCandidate(port, classes[cls])] for cls in (0, 1)]
+            for port in range(2 * n)
+        ]
+    else:
+        cands = [[RouteCandidate(port, range(num_vcs))] for port in range(2 * n)]
+    return cands, [RouteCandidate(local_port, range(num_vcs))], [None] * k**n
 
 
 def dor_port(topo: KAryNCube, node: int, target: int) -> int:
@@ -83,30 +105,28 @@ class DOR(RoutingAlgorithm):
         self.dateline_mode = dateline_mode
         if self._wrap and num_vcs < 2:
             raise ValueError("DOR on a wrapped topology needs >= 2 VCs (dateline)")
-        self._classes = (
-            (vc_range(0, 2, num_vcs), vc_range(1, 2, num_vcs)) if self._wrap else None
+        # Pre-built candidate lists (immutable, shared across hops and across
+        # builds of one shape): one per output port on the mesh, one per
+        # (port, class) on wrapped topologies.
+        self._cands, self._eject_candidates, self._rows = _shape_tables(
+            type(topology),
+            topology.k,
+            topology.n,
+            num_vcs,
+            topology.local_port,
+            self._wrap,
+            dateline_mode,
         )
-        # Pre-built candidate lists (immutable, shared across hops): one per
-        # output port on the mesh, one per (port, class) on wrapped
-        # topologies.
-        ports = 2 * topology.n
-        if self._wrap:
-            self._cands = [
-                [
-                    [RouteCandidate(port, self._classes[cls])]
-                    for cls in (0, 1)
-                ]
-                for port in range(ports)
-            ]
-        else:
-            self._cands, self._eject_candidates, self._rows = _mesh_tables(
-                type(topology), topology.k, topology.n, num_vcs, topology.local_port
-            )
-            self.static_rows = topology.num_nodes <= _STATIC_ROW_MAX_NODES
+        # Only the strict discipline reads a packet field (``src``) beyond
+        # the destination; mesh and balanced-dateline routes are static.
+        self.static_rows = (
+            not (self._wrap and dateline_mode == "strict")
+            and topology.num_nodes <= _STATIC_ROW_MAX_NODES
+        )
 
     def static_row(self, node: int) -> list[list[RouteCandidate]]:
         if not self.static_rows:
-            return super().static_row(node)  # wrapped or oversized: raises
+            return super().static_row(node)  # strict dateline or oversized: raises
         row = self._rows[node]
         if row is None:
             probe = Packet(-1, node, node, 1, 0)

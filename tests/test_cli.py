@@ -65,6 +65,29 @@ class TestVersion:
         assert repro.__version__
         assert repro.__version__[0].isdigit()
 
+    def test_import_repro_skips_stdlib_the_serial_path_never_uses(self):
+        """Every CLI start and every spawned pool worker pays for ``import
+        repro``: the packaging-metadata scan and the process-pool / socket
+        machinery stay out of it, and ``__version__`` resolves on demand."""
+        script = (
+            "import sys, repro\n"
+            "heavy = ('importlib.metadata', 'multiprocessing',"
+            " 'concurrent.futures.process', 'socketserver')\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+            "print(repro.__version__)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.returncode == 0, out.stderr
+        import repro
+
+        assert out.stdout.splitlines() == ["[]", repro.__version__]
+
 
 class TestParser:
     def test_requires_command(self):

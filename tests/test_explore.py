@@ -33,6 +33,7 @@ from repro.core.explore import (
     crowding_distances,
     design_cost,
     explore,
+    explore_runner,
     genome_key,
     init_population,
     make_offspring,
@@ -310,6 +311,53 @@ def test_quick_profile_hypervolume_pinned():
     res = explore(cfg, spec)
     hv = hypervolume([r["objectives"] for r in res.front], QUICK_HV_REFERENCE)
     assert hv == pytest.approx(516064.7425491101, rel=1e-9)
+
+
+# The throughput point (rates[1]): only accepted throughput is read from it,
+# so it ends when the measurement window closes.
+
+FEASIBLE_SPACE = DesignSpace.from_mapping({"topology": ("mesh", "torus"), "num_vcs": (2, 4)})
+
+
+def _small_spec(rates):
+    return ExploreSpec(
+        space=FEASIBLE_SPACE, population=3, generations=0, seed=3,
+        rates=rates, warmup=50, measure=100, drain_limit=800,
+    )
+
+
+def test_throughput_point_record_has_throughput_only():
+    point = dict(
+        genome=(("num_vcs", 2), ("topology", "torus")),
+        rate=0.5, warmup=50, measure=100, drain_limit=800,
+    )
+    full = explore_runner(BASE.with_(seed=11), **point)
+    cut = explore_runner(BASE.with_(seed=11), throughput_rate=0.5, **point)
+    assert set(full) == {"latency", "throughput", "saturated"}
+    assert set(cut) == {"throughput"}  # no latency to misread
+    assert cut["throughput"] == full["throughput"]
+    # any other rate under the same binding is a full measurement
+    assert explore_runner(BASE.with_(seed=11), throughput_rate=0.9, **point) == full
+
+
+def test_equal_rates_keep_the_full_drain():
+    """rates=(r, r): a point's role cannot be told from its rate."""
+    res = explore(BASE, _small_spec((0.1, 0.1)))
+    assert res.evaluated > 0 and res.errors == 0
+    for entry in res.archive:
+        assert math.isfinite(entry["metrics"]["latency"])
+        assert entry["metrics"]["throughput"] > 0.0
+
+
+def test_throughput_point_never_answers_for_a_latency_point(tmp_path):
+    """Two explores share a cache; the first's throughput rate is the
+    second's latency rate.  The throughput-only records must all miss."""
+    explore(BASE, _small_spec((0.1, 0.55)), cache=tmp_path)
+    shared = explore(BASE, _small_spec((0.55, 0.9)), cache=tmp_path)
+    alone = explore(BASE, _small_spec((0.55, 0.9)))
+    assert shared.health.cache_hits == 0 and shared.health.cache_misses == shared.health.total
+    assert shared.archive == alone.archive
+    assert any(math.isfinite(e["metrics"]["latency"]) for e in shared.archive)
 
 
 def test_explore_resume_after_truncation(explored, tmp_path):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.config import NetworkConfig
 from repro.core.openloop import OpenLoopSimulator
+from repro.network import Network
 
 
 @pytest.fixture
@@ -123,3 +126,100 @@ class TestBatchedDestinationDraws:
             runs.append((res.latencies.tolist(), res.throughput, res.avg_hops))
         assert runs[0] == runs[1]
         assert len(runs[0][0]) > 100
+
+
+def _reference_saturation(sim, *, tolerance, seed, track_fraction=0.95, lo=0.02, hi=1.0):
+    """``saturation_throughput``'s bisection on plain, always-drained runs."""
+    if sim.run(lo, seed=seed).saturated:
+        return 0.0
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        res = sim.run(mid, seed=seed)
+        if not res.saturated and res.throughput >= track_fraction * mid:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestWindowEdgeDecision:
+    """``run(drain_if=)``: asked once when the window closes; declining the
+    drain leaves exactly the ``drain_limit=0`` run."""
+
+    WINDOWS = dict(warmup=60, measure=120)
+
+    @pytest.mark.parametrize(
+        "kw,rate",
+        [
+            (dict(), 0.9),  # saturated: tagged packets left in flight
+            (dict(), 0.05),  # light: most of the window already delivered
+            (dict(topology="torus", classes="a:share=0.7+b:share=0.3"), 0.8),
+        ],
+        ids=["mesh-0.9", "mesh-0.05", "torus-2class-0.8"],
+    )
+    def test_cut_run_equals_drain_limit_zero_run(self, mesh4, kw, rate):
+        cfg = mesh4.with_(seed=5, **kw)
+        asked = []
+
+        def decline(throughput):
+            asked.append(throughput)
+            return False
+
+        cut = OpenLoopSimulator(cfg, drain_limit=900, **self.WINDOWS).run(rate, drain_if=decline)
+        ref = OpenLoopSimulator(cfg, drain_limit=0, **self.WINDOWS).run(rate)
+        assert asked == [ref.throughput]  # once, with the window's final value
+        for f in dataclasses.fields(ref):
+            got, want = getattr(cut, f.name), getattr(ref, f.name)
+            if isinstance(want, np.ndarray):
+                np.testing.assert_array_equal(got, want, err_msg=f.name)
+            else:
+                assert got == want, f.name
+
+    def test_accepting_the_drain_is_the_plain_run(self, mesh4):
+        sim = OpenLoopSimulator(mesh4.with_(seed=5), drain_limit=900, **self.WINDOWS)
+        plain, kept = sim.run(0.3), sim.run(0.3, drain_if=lambda tp: True)
+        assert not plain.saturated
+        assert kept.latencies.tolist() == plain.latencies.tolist()
+        assert (kept.throughput, kept.avg_latency) == (plain.throughput, plain.avg_latency)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(),
+            dict(topology="torus"),
+            dict(topology="ring"),
+            dict(routing="val"),
+            dict(vc_buffer_size=1),
+        ],
+        ids=["mesh", "torus", "ring", "val", "q1"],
+    )
+    def test_saturation_search_matches_always_drained_bisection(self, mesh4, kw, seed):
+        """Same value to the last digit, strictly fewer simulated cycles."""
+        cfg = mesh4.with_(**kw)
+        cycles = {}
+        values = {}
+        for name in ("reference", "search"):
+            built: list = []
+            sim = OpenLoopSimulator(
+                cfg, warmup=60, measure=120, drain_limit=900,
+                network_factory=lambda c: built.append(Network(c)) or built[-1],
+            )
+            if name == "reference":
+                values[name] = _reference_saturation(sim, tolerance=0.1, seed=seed)
+            else:
+                values[name] = sim.saturation_throughput(tolerance=0.1, seed=seed)
+            cycles[name] = sum(net.now for net in built)
+        assert values["search"] == values["reference"] > 0.0
+        assert cycles["search"] < cycles["reference"]
+
+    @pytest.mark.parametrize("seed", [2, 3, 6, 10, 11])
+    def test_lower_bracket_is_judged_on_drain_alone(self, mesh4, seed):
+        """At rate 0.02 a 4x4 mesh offers ~190 flits per 600-cycle window, so
+        the 5 % tracking test there is a coin flip: these seeds used to fail
+        it and return 0.0 where their neighbours returned 0.72-0.79."""
+        sim = OpenLoopSimulator(mesh4, warmup=300, measure=600, drain_limit=6000)
+        lo = sim.run(0.02, seed=seed)
+        assert not lo.saturated and lo.throughput < 0.95 * 0.02  # the old test fails here
+        # One bisection step is enough to tell 0.0 from a bracketed search.
+        assert sim.saturation_throughput(tolerance=0.5, seed=seed) == 0.51

@@ -279,28 +279,43 @@ class TestRegistry:
 
 
 class TestStaticRouteRows:
-    """The static-row contract of RoutingAlgorithm (DOR on a mesh)."""
+    """The static-row contract of RoutingAlgorithm (mesh and balanced-dateline DOR)."""
 
-    @pytest.mark.parametrize("k,n", [(4, 2), (8, 2), (3, 3)])
-    def test_row_entry_is_what_route_returns(self, k, n):
-        mesh = Mesh(k, n)
-        r = DOR(mesh, 2)
+    @pytest.mark.parametrize(
+        "topo",
+        [
+            pytest.param(Mesh(4, 2), id="4-2"),
+            pytest.param(Mesh(8, 2), id="8-2"),
+            pytest.param(Mesh(3, 3), id="3-3"),
+            pytest.param(Torus(4, 2), id="torus-4-2"),
+            pytest.param(Torus(5, 2), id="torus-5-2"),
+            pytest.param(Ring(8), id="ring-8"),
+        ],
+    )
+    def test_row_entry_is_what_route_returns(self, topo):
+        r = DOR(topo, 2)
         assert r.static_rows
-        for node in range(mesh.num_nodes):
+        for node in range(topo.num_nodes):
             row = r.static_row(node)
-            assert len(row) == mesh.num_nodes
-            for dst in range(mesh.num_nodes):
-                assert row[dst] is r.route(node, mkpkt(0, dst))
+            assert len(row) == topo.num_nodes
+            for dst in range(topo.num_nodes):
+                # The source must not matter: vary it with the destination.
+                assert row[dst] is r.route(node, mkpkt((dst + node) % topo.num_nodes, dst))
 
     def test_rows_are_shared_across_builds_of_one_shape(self):
         a, b = DOR(Mesh(4, 2), 2), DOR(Mesh(4, 2), 2)
         assert a.static_row(5) is b.static_row(5)
         assert a.static_row(5) is not DOR(Mesh(4, 2), 4).static_row(5)
+        t = DOR(Torus(4, 2), 2)
+        assert t.static_row(5) is DOR(Torus(4, 2), 2).static_row(5)
+        assert t.static_row(5) is not a.static_row(5)
+        # strict and balanced never share tables, whatever strict's rows hold
+        assert t._rows is not DOR(Torus(4, 2), 2, dateline_mode="strict")._rows
 
     @pytest.mark.parametrize(
         "kw",
         [
-            dict(topology="torus", num_vcs=4),
+            dict(topology="torus", num_vcs=4, dateline="strict"),
             dict(routing="val", num_vcs=4),
             dict(routing="romm", num_vcs=4),
             dict(routing="ma", num_vcs=4),
