@@ -24,6 +24,7 @@ __all__ = [
     "save_records",
     "load_records",
     "append_jsonl",
+    "JsonlAppender",
     "read_jsonl",
     "canonical_json",
     "record_digest",
@@ -128,6 +129,39 @@ def append_jsonl(record: Mapping[str, Any] | Iterable[Mapping[str, Any]], path) 
         for rec in records:
             fh.write(json.dumps(dict(rec), default=str) + "\n")
             fh.flush()
+
+
+class JsonlAppender:
+    """A held append handle on a JSON-lines file, for one line per point.
+
+    The durability of :func:`append_jsonl` without its open and close per
+    record: every :meth:`write` is one already-encoded line, flushed before
+    it returns, so a process killed later loses at most the line being
+    written.  The file is opened — and created — by the first write, not
+    by the constructor, and in append mode, so a line lands at the current
+    end of the file whoever else has written to it since.
+    """
+
+    def __init__(self, path) -> None:
+        self.path = path
+        self._fh = None
+
+    def write(self, line: str) -> int:
+        """Append ``line`` plus a newline; returns the bytes written."""
+        if self._fh is None:
+            self._fh = open(self.path, "ab")
+        data = line.encode("utf-8") + b"\n"
+        self._fh.write(data)
+        self._fh.flush()
+        return len(data)
+
+    def close(self) -> None:
+        """Release the handle (idempotent); a later write reopens it."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+    __del__ = close  # a dropped appender releases its handle; nothing is buffered
 
 
 def read_jsonl(path) -> list[dict[str, Any]]:

@@ -48,7 +48,7 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from ..analysis.io import append_jsonl, canonical_json, read_jsonl
+from ..analysis.io import JsonlAppender, canonical_json, read_jsonl
 
 __all__ = [
     "CacheStats",
@@ -160,15 +160,30 @@ def _json_default(obj: Any) -> Any:
     return str(obj)
 
 
+#: The two encoders behind every key and store line, built once: passing
+#: ``default=`` to :func:`json.dumps` constructs a fresh encoder per call.
+_encode_key = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=_json_default
+).encode
+_encode_line = json.JSONEncoder(default=_json_default).encode
+
+
 def _jsonable(obj: Any) -> Any:
     """``obj`` as it reads back from JSON (tuples→lists, numpy→native)."""
-    return json.loads(json.dumps(obj, default=_json_default))
+    return json.loads(_encode_line(obj))
 
 
 def fingerprint(payload: Mapping[str, Any], *, salt: Optional[str] = None) -> str:
-    """sha256 key of an arbitrary JSON-able payload under the code salt."""
+    """sha256 key of an arbitrary JSON-able payload under the code salt.
+
+    The payload is encoded once, canonically: keys sorted at every depth,
+    tuples as lists, numpy scalars and arrays as native numbers — so the
+    key is the same for any dict insertion order, for tuple or list, and
+    for numpy or native values, and it is the key of the payload as it
+    reads back from a store line.
+    """
     body = {"payload": payload, "salt": salt if salt is not None else cache_salt()}
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
+    return hashlib.sha256(_encode_key(body).encode("utf-8")).hexdigest()
 
 
 def runner_spec(runner: Callable[..., Any]) -> dict[str, Any]:
@@ -222,13 +237,14 @@ def point_key(
     *,
     salt: Optional[str] = None,
 ) -> str:
-    """Cache key of one sweep point: resolved config × kwargs × runner."""
+    """Cache key of one sweep point: resolved config × kwargs × runner.
+
+    ``config_dict`` is the flattened :class:`~repro.config.NetworkConfig`
+    (``dataclasses.asdict`` form, seed included); normalisation is
+    :func:`fingerprint`'s.
+    """
     return fingerprint(
-        {
-            "config": _jsonable(dict(config_dict)),
-            "kwargs": _jsonable(dict(kwargs)),
-            "runner": spec,
-        },
+        {"config": dict(config_dict), "kwargs": dict(kwargs), "runner": spec},
         salt=salt,
     )
 
@@ -269,8 +285,10 @@ class ResultCache:
     """Content-addressed on-disk store: JSONL records + sha256 index.
 
     Open is cheap (one linear scan of ``store.jsonl``); lookups are a dict
-    probe; writes append one flushed line.  Duplicate keys resolve to the
-    newest line, so re-caching an entry is an overwrite without a rewrite.
+    probe; writes append one flushed line through an append handle the
+    cache holds from its first :meth:`put` until :meth:`close` (a later
+    ``put`` reopens it).  Duplicate keys resolve to the newest line, so
+    re-caching an entry is an overwrite without a rewrite.
     """
 
     def __init__(self, path) -> None:
@@ -278,6 +296,7 @@ class ResultCache:
         self.path.mkdir(parents=True, exist_ok=True)
         self.store_path = self.path / _STORE_NAME
         self.stats = CacheStats()
+        self._appender = JsonlAppender(self.store_path)
         self._repair_tail()
         self._index: dict[str, dict[str, Any]] = {}
         for entry in read_jsonl(self.store_path):
@@ -324,15 +343,25 @@ class ResultCache:
     def put(
         self, key: str, record: Mapping[str, Any], meta: Optional[Mapping[str, Any]] = None
     ) -> None:
-        """Store ``record`` under ``key`` with provenance ``meta`` fields."""
+        """Store ``record`` under ``key`` with provenance ``meta`` fields.
+
+        The record is encoded once: that text is spliced into the store
+        line and decoded for the index, so a ``get`` in this process
+        returns what one after a reopen would.  ``stats.bytes_written``
+        grows by the line's own length, whoever else appends meanwhile.
+        """
         entry = dict(meta or {})
         entry["key"] = key
-        entry["record"] = _jsonable(dict(record))
-        before = self.total_bytes
-        append_jsonl(entry, self.store_path)
+        encoded = _encode_line(dict(record))
+        line = f'{_encode_line(entry)[:-1]}, "record": {encoded}}}'
+        self.stats.bytes_written += self._appender.write(line)
         self.stats.writes += 1
-        self.stats.bytes_written += self.total_bytes - before
+        entry["record"] = json.loads(encoded)
         self._index[key] = entry
+
+    def close(self) -> None:
+        """Release the append handle; every written line is already flushed."""
+        self._appender.close()
 
     def flush_stats(self) -> None:
         """Fold this process's counters into the cumulative ``stats.json``."""
@@ -365,17 +394,18 @@ class ResultCache:
         bytes_before = self.total_bytes
         entries = self.entries()
         kept: list[dict[str, Any]] = []
+        lines: list[str] = []
         budget = max_bytes
         for entry in reversed(entries):
-            size = len(json.dumps(entry, default=_json_default)) + 1
-            if size > budget:
+            line = _encode_line(entry) + "\n"
+            if len(line) > budget:
                 break
-            budget -= size
+            budget -= len(line)
             kept.append(entry)
+            lines.append(line)
         kept.reverse()
-        self.store_path.write_text("")
-        if kept:
-            append_jsonl(kept, self.store_path)
+        self.close()  # one writer at a time; the next put reopens
+        self.store_path.write_text("".join(reversed(lines)), encoding="utf-8")
         self._index = {e["key"]: e for e in kept}
         return GCResult(
             kept=len(kept),

@@ -61,7 +61,8 @@ from dataclasses import InitVar, asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .. import rng
-from ..analysis.io import append_jsonl, canonical_json, read_jsonl
+from ..analysis.io import JsonlAppender, append_jsonl, canonical_json, read_jsonl
+from ..classes import TrafficClass
 from ..config import NetworkConfig
 from . import cache as result_cache
 from .resilience import RetryPolicy, SimulationStalled
@@ -197,9 +198,32 @@ class SweepRecords(list):
         self.health = health if health is not None else SweepHealth()
 
 
+#: The journal-line encoder, built once (``json.dumps(default=)`` builds one
+#: per call); the format is :func:`repro.analysis.io.append_jsonl`'s.
+_encode_line = json.JSONEncoder(default=str).encode
+
+
 def _jsonable(mapping: Mapping[str, Any]) -> dict[str, Any]:
     """A mapping as it will read back from a JSON journal (tuples→lists…)."""
-    return json.loads(json.dumps(dict(mapping), default=str))
+    return json.loads(_encode_line(dict(mapping)))
+
+
+_CONFIG_FIELDS = tuple(f.name for f in fields(NetworkConfig))
+_CLASS_FIELDS = tuple(f.name for f in fields(TrafficClass))
+
+
+def _config_dict(cfg: NetworkConfig) -> dict[str, Any]:
+    """``dataclasses.asdict(cfg)`` by a field walk (a third of the cost).
+
+    Every field is an immutable scalar except ``classes``, a tuple of flat
+    :class:`TrafficClass` records, so the recursive deep copy has nothing
+    to protect; tests/test_sweep_ledger.py holds this equal to ``asdict``.
+    """
+    flat = {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
+    flat["classes"] = tuple(
+        {name: getattr(cls, name) for name in _CLASS_FIELDS} for cls in cfg.classes
+    )
+    return flat
 
 
 def enumerate_points(
@@ -218,6 +242,10 @@ def enumerate_points(
     ``"seed"`` is itself a swept config axis, in which case the explicit
     value wins (sweeping over seeds means the caller wants exactly those
     seeds).
+
+    The points of one config combination are consecutive and share one
+    ``overrides`` mapping (the same object), which is how
+    :meth:`SweepLedger.prefill` resolves each combination's config once.
     """
     axes = dict(axes)
     extra_axes = dict(extra_axes or {})
@@ -304,9 +332,9 @@ def sweep_fingerprint(
     the points themselves).
     """
     payload = {
-        "config": _jsonable(asdict(base)),
-        "axes": _jsonable({k: list(v) for k, v in dict(axes).items()}),
-        "extra_axes": _jsonable({k: list(v) for k, v in dict(extra_axes or {}).items()}),
+        "config": asdict(base),
+        "axes": {k: list(v) for k, v in dict(axes).items()},
+        "extra_axes": {k: list(v) for k, v in dict(extra_axes or {}).items()},
         "salt": result_cache.cache_salt(),
     }
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
@@ -367,6 +395,12 @@ class SweepLedger:
     → :meth:`open` → :meth:`prefill` → a transport calls :meth:`emit` for
     each of :attr:`pending` → :meth:`records`; the service controller holds
     one per job with no journal and skips :meth:`open`.
+
+    Each record is encoded once per file it goes to, and the journal is one
+    append handle: opened by the first :meth:`emit` (so after
+    :meth:`open`'s rename of a resumed journal), every line flushed before
+    the next point runs, closed by :meth:`records`, :meth:`interrupted` or
+    :meth:`close` — which :func:`run_ledger` calls on any way out.
     """
 
     sweep_points: InitVar[Iterable[SweepPoint]]
@@ -395,6 +429,7 @@ class SweepLedger:
         self._store = None
         #: ``{index: (key, provenance)}`` of cache misses awaiting write-back
         self._misses: dict[int, tuple[str, dict[str, Any]]] = {}
+        self._journal = JsonlAppender(self.journal) if self.journal is not None else None
         self._start = time.monotonic()
 
     @property
@@ -407,7 +442,9 @@ class SweepLedger:
         return len(self.results) >= len(self.points)
 
     def _entry(self, index: int, record: dict[str, Any]) -> dict[str, Any]:
-        return {"index": index, "point": _jsonable(self.points[index].coords), "record": record}
+        """One journal line, unencoded; its ``point`` reads back as
+        ``_jsonable(coords)``, which is what :meth:`_resumed_index` checks."""
+        return {"index": index, "point": self.points[index].coords, "record": record}
 
     def _count(self, record: Mapping[str, Any]) -> bool:
         """Tally one final record into the health summary; True when ok."""
@@ -460,11 +497,14 @@ class SweepLedger:
                 f"journal {self.journal} has point index {index} outside this "
                 f"{len(self.points)}-point sweep; it belongs to a different sweep"
             )
-        if entry.get("point") != _jsonable(point.coords):
+        # Plain coordinates equal their JSON form as they are; only tuples
+        # and the like need the round trip to compare.
+        recorded, coords = entry.get("point"), point.coords
+        if recorded != coords and recorded != _jsonable(coords):
             raise ValueError(
                 f"journal {self.journal} point {index} has coordinates "
-                f"{entry.get('point')!r}, but this sweep's point {index} is "
-                f"{_jsonable(point.coords)!r}; refusing to resume across "
+                f"{recorded!r}, but this sweep's point {index} is "
+                f"{_jsonable(coords)!r}; refusing to resume across "
                 "changed axes"
             )
         return index
@@ -479,14 +519,25 @@ class SweepLedger:
         self._store = store
         salt = result_cache.cache_salt()
         dotted, runner_kwargs = result_cache.provenance(spec)
+        runner_spec = {"runner": dotted} if dotted else {}
         hits: list[tuple[int, dict[str, Any]]] = []
+        # enumerate_points hands every point of one override combination the
+        # same ``overrides`` mapping, consecutively: validate and flatten the
+        # config once per mapping, then lay each point's seed over the result.
+        overrides, flat = None, None
         for point in self.pending:
-            try:
-                cfg_dict = asdict(base.with_(**{**point.overrides, "seed": point.seed}))
-            except Exception:
-                # An invalid point cannot be cached; executing it produces
-                # the deterministic failed record.
+            if point.overrides is not overrides:
+                overrides = point.overrides
+                try:
+                    flat = _config_dict(base.with_(**{**overrides, "seed": point.seed}))
+                except Exception:
+                    # An invalid combination cannot be cached; executing its
+                    # points produces the deterministic failed records.
+                    flat = None
+            if flat is None:
                 continue
+            cfg_dict = dict(flat)
+            cfg_dict["seed"] = point.seed
             key = result_cache.point_key(cfg_dict, point.kwargs, spec, salt=salt)
             hit = store.get(key)
             if hit is not None:
@@ -495,7 +546,7 @@ class SweepLedger:
             self.health.cache_misses += 1
             self._misses[point.index] = key, {
                 "context": context,
-                "runner_spec": {"runner": dotted} if dotted else {},
+                "runner_spec": runner_spec,
                 "runner_kwargs": runner_kwargs,
                 "config": cfg_dict,
                 "kwargs": dict(point.kwargs),
@@ -524,8 +575,8 @@ class SweepLedger:
             record = self.tag(index, record)
         self.results[index] = record
         self.completion_order.append(index)
-        if self.journal is not None:
-            append_jsonl(self._entry(index, record), self.journal)
+        if self._journal is not None:
+            self._journal.write(_encode_line(self._entry(index, record)))
         if self.progress is not None:
             done, total = len(self.results), len(self.points)
             elapsed = time.monotonic() - self._start
@@ -537,11 +588,18 @@ class SweepLedger:
         """Flush the health summary so the journal tells the whole story
         (per-point records are flushed as they land, so it stays resumable)."""
         self.health.interrupted = True
-        if self.journal is not None:
-            append_jsonl({"health": asdict(self.health)}, self.journal)
+        if self._journal is not None:
+            self._journal.write(_encode_line({"health": asdict(self.health)}))
+        self.close()
+
+    def close(self) -> None:
+        """Release the journal handle (idempotent; every line is flushed)."""
+        if self._journal is not None:
+            self._journal.close()
 
     def records(self) -> SweepRecords:
         """Every point's record in canonical order, health attached."""
+        self.close()
         return SweepRecords((self.results[i] for i in self.points), self.health)
 
 
@@ -783,12 +841,13 @@ def run_ledger(
             "point_timeout needs a process pool (n_workers > 1): the serial "
             "driver runs points in-process and cannot kill a hung one"
         )
-    ledger.open()
-    store = None if remote is not None else result_cache.resolve_cache(cache)
-    if store is not None:
-        ledger.prefill(store, base, result_cache.runner_spec(runner), "sweep")
-    pending = ledger.pending
+    store = None
     try:
+        ledger.open()
+        store = None if remote is not None else result_cache.resolve_cache(cache)
+        if store is not None:
+            ledger.prefill(store, base, result_cache.runner_spec(runner), "sweep")
+        pending = ledger.pending
         if pending and remote is not None:
             from ..service.client import _run_remote
 
@@ -809,8 +868,10 @@ def run_ledger(
         ledger.interrupted()
         raise
     finally:
+        ledger.close()
         if store is not None:
             store.flush_stats()
+            store.close()
     return ledger.records()
 
 

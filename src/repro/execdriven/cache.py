@@ -44,9 +44,14 @@ class SetAssocCache:
     ``lines`` is total capacity in lines; ``assoc`` the ways per set.
     :meth:`access` performs a lookup-and-fill in one step and returns
     whether it hit.
+
+    Sets are materialised on first touch: an untouched set is ``None`` and
+    its contents are implied by the :meth:`fill_run` calls recorded so far,
+    so pre-loading a large working set costs nothing for the sets a run
+    never reaches.
     """
 
-    __slots__ = ("num_sets", "assoc", "_sets", "stats")
+    __slots__ = ("num_sets", "assoc", "_sets", "_runs", "_any_open", "stats")
 
     def __init__(self, lines: int, assoc: int):
         if lines < 1 or assoc < 1:
@@ -55,12 +60,30 @@ class SetAssocCache:
             raise ValueError("lines must be a multiple of assoc")
         self.num_sets = lines // assoc
         self.assoc = assoc
-        self._sets: list[dict[int, None]] = [dict() for _ in range(self.num_sets)]
+        self._sets: list[dict[int, None] | None] = [None] * self.num_sets
+        #: ``(start, count)`` of every :meth:`fill_run`, for sets not yet open
+        self._runs: list[tuple[int, int]] = []
+        self._any_open = False
         self.stats = CacheStats()
+
+    def _open(self, index: int) -> dict[int, None]:
+        """Materialise set ``index`` by replaying the recorded runs into it."""
+        s = self._sets[index] = {}
+        self._any_open = True
+        n = self.num_sets
+        for start, count in self._runs:
+            first = start + (index - start) % n
+            # A run's lines are distinct, so of those that map here only the
+            # last ``assoc`` can survive it.
+            for line in range(first, start + count, n)[-self.assoc :]:
+                self.fill(line)
+        return s
 
     def access(self, line: int) -> bool:
         """Look up ``line``; fill on miss (evicting LRU).  True on hit."""
         s = self._sets[line % self.num_sets]
+        if s is None:
+            s = self._open(line % self.num_sets)
         if line in s:
             # Move to MRU position.
             del s[line]
@@ -82,6 +105,8 @@ class SetAssocCache:
         that would defeat secondary-miss merging).
         """
         s = self._sets[line % self.num_sets]
+        if s is None:
+            s = self._open(line % self.num_sets)
         if line in s:
             del s[line]
             s[line] = None
@@ -93,19 +118,41 @@ class SetAssocCache:
     def fill(self, line: int) -> None:
         """Insert ``line`` (evicting LRU if needed) without touching stats."""
         s = self._sets[line % self.num_sets]
+        if s is None:
+            s = self._open(line % self.num_sets)
         if line in s:
             del s[line]
         elif len(s) >= self.assoc:
             del s[next(iter(s))]
         s[line] = None
 
+    def fill_run(self, start: int, count: int) -> None:
+        """``fill(start)`` … ``fill(start + count - 1)``, in that order.
+
+        Recorded, not executed, for every set still untouched; a set that
+        is already open takes its lines of the run now, one by one.
+        """
+        if count <= 0:
+            return
+        if self._any_open:
+            sets, n = self._sets, self.num_sets
+            for line in range(start, start + count):
+                if sets[line % n] is not None:
+                    self.fill(line)
+        self._runs.append((start, count))
+
     def probe(self, line: int) -> bool:
         """Lookup without side effects (no fill, no LRU update, no stats)."""
-        return line in self._sets[line % self.num_sets]
+        s = self._sets[line % self.num_sets]
+        if s is None:
+            s = self._open(line % self.num_sets)
+        return line in s
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if present; True if it was."""
         s = self._sets[line % self.num_sets]
+        if s is None:
+            s = self._open(line % self.num_sets)
         if line in s:
             del s[line]
             return True
@@ -118,4 +165,6 @@ class SetAssocCache:
 
     def occupancy(self) -> int:
         """Lines currently resident."""
-        return sum(len(s) for s in self._sets)
+        return sum(
+            len(s if s is not None else self._open(i)) for i, s in enumerate(self._sets)
+        )

@@ -210,12 +210,17 @@ class CmpSystem:
         workloads for the same reason.
         """
         space = self.space
-        for off in range(space.mid_lines):
-            line = space.mid_line(off)
-            self.tiles[space.home_tile(line)].fill(line)
+        # Both pools are runs of consecutive lines.  Low-order interleaving
+        # deals the mid pool round-robin to the tiles, so each tile receives
+        # every ``len(tiles)``-th line from its first one on; caches record
+        # a run and build a set only when the simulation first touches it.
+        tiles = len(self.tiles)
+        start = space.mid_line(0)
+        for tile in self.tiles:
+            first = start + (tile.tile_id - space.home_tile(start)) % tiles
+            tile.fill_run(first, len(range(first, start + space.mid_lines, tiles)))
         for core in self.cores:
-            for off in range(space.hot_lines):
-                core.l1.fill(space.hot_line(core.core_id, off))
+            core.l1.fill_run(space.hot_line(core.core_id, 0), space.hot_lines)
 
     # -- traffic hooks --------------------------------------------------------
     def _count(self, src: int, dst: int, flits: int, cls: int) -> None:

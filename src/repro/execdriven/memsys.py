@@ -56,6 +56,11 @@ class HomeTile:
         """Pre-load ``line`` into the bank (warm-start support)."""
         self.l2.fill(line // self.interleave)
 
+    def fill_run(self, line: int, count: int) -> None:
+        """:meth:`fill` the ``count`` lines ``line``, ``line + interleave``,
+        … — consecutive bank addresses, hence one run."""
+        self.l2.fill_run(line // self.interleave, count)
+
     def service(self, line: int, traffic_class: int = 0) -> tuple[int, bool]:
         """Serve a request for ``line``: returns (latency, l2_hit).
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 import socketserver
 import threading
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
@@ -130,7 +131,7 @@ class Job:
             for p in points
         )
         #: (index, attempt) pairs ready to lease, in submission order.
-        self.pending: list[tuple[int, int]] = []
+        self.pending: deque[tuple[int, int]] = deque()
         #: backoff retries as (ready_time, index, attempt).
         self.delayed: list[tuple[float, int, int]] = []
         #: indices currently leased (values are lease ids).
@@ -256,7 +257,7 @@ class Controller:
             self._promote_delayed(job, now)
             if not job.pending:
                 continue
-            index, attempt = job.pending.pop(0)
+            index, attempt = job.pending.popleft()
             self._lease_seq += 1
             lease = Lease(
                 lease_id=f"lease-{self._lease_seq:06d}",
@@ -356,7 +357,7 @@ class Controller:
             # Hits are answered here, at submit time, without dispatch.
             job.ledger.prefill(self.store, base_cfg, spec, "service")
             self.store.flush_stats()
-        job.pending = [(p.index, 0) for p in job.ledger.pending]
+        job.pending = deque((p.index, 0) for p in job.ledger.pending)
         session["role"] = "client"
         return {
             "type": "submitted",
@@ -583,7 +584,7 @@ class Controller:
         """Take every pending and delayed point (backoffs included); locked."""
         batch = list(job.pending)
         batch.extend((index, attempt) for _, index, attempt in job.delayed)
-        job.pending = []
+        job.pending = deque()
         job.delayed = []
         return batch
 

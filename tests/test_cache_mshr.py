@@ -98,6 +98,44 @@ class TestSetAssocCache:
                 misses_per_line[line] = misses_per_line.get(line, 0) + 1
         assert all(v == 1 for v in misses_per_line.values())
 
+    @given(
+        st.sampled_from([(4, 1), (8, 2), (16, 4), (24, 3)]),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("run"), st.integers(0, 60), st.integers(0, 90)),
+                st.tuples(
+                    st.sampled_from(["fill", "access", "lookup", "probe", "invalidate"]),
+                    st.integers(0, 150),
+                ),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fill_run_equals_the_fill_loop(self, shape, ops):
+        """``fill_run(start, count)`` is ``fill(start) … fill(start+count-1)``
+        whatever sets earlier operations have already opened: same answers,
+        same stats, same set contents in the same LRU order."""
+        lazy, loop = SetAssocCache(*shape), SetAssocCache(*shape)
+        for op, *args in ops:
+            if op == "run":
+                start, count = args
+                lazy.fill_run(start, count)
+                for line in range(start, start + count):
+                    loop.fill(line)
+            else:
+                assert getattr(lazy, op)(*args) == getattr(loop, op)(*args)
+        assert lazy.occupancy() == loop.occupancy()  # opens every set
+        assert [list(s) for s in lazy._sets] == [list(s) for s in loop._sets]
+        assert (lazy.stats.hits, lazy.stats.misses) == (loop.stats.hits, loop.stats.misses)
+
+    def test_fill_run_builds_no_set_until_touched(self):
+        c = SetAssocCache(64, 4)
+        c.fill_run(100, 1000)
+        assert all(s is None for s in c._sets)
+        assert c.probe(1099) and not c.probe(100)  # 16 sets x 4 ways: the last 64 lines
+        assert sum(s is not None for s in c._sets) == 2
+
 
 class TestMSHRFile:
     def test_allocate_until_full(self):

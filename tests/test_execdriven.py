@@ -241,6 +241,28 @@ class TestCmpSystem:
         cold = CmpSystem(blackscholes(1500), ideal=True, seed=2, warm_start=False).run()
         assert warm.l2_miss_rate < cold.l2_miss_rate
 
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_warm_start_equals_the_per_line_fill(self, name):
+        """The recorded runs are the pre-fill they replace: every L2 bank
+        and L1 holds the same lines in the same LRU order as after filling
+        the mid pool and the hot sets one line at a time."""
+        spec = BENCHMARKS[name](1000)
+        warm = CmpSystem(spec, ideal=True, seed=2)
+        loop = CmpSystem(spec, ideal=True, seed=2, warm_start=False)
+        space = loop.space
+        for off in range(space.mid_lines):
+            line = space.mid_line(off)
+            loop.tiles[space.home_tile(line)].fill(line)
+        for core in loop.cores:
+            for off in range(space.hot_lines):
+                core.l1.fill(space.hot_line(core.core_id, off))
+
+        def contents(system):
+            caches = [t.l2 for t in system.tiles] + [c.l1 for c in system.cores]
+            return [(c.occupancy(), [list(s) for s in c._sets]) for c in caches]
+
+        assert contents(warm) == contents(loop)
+
     def test_blocking_fraction_slows_execution(self):
         spec_fast = blackscholes(1500)
         object.__setattr__(spec_fast, "blocking_fraction", 0.0)

@@ -11,16 +11,22 @@ demonstration that a warm rerun of a representative latency-load grid is
 from __future__ import annotations
 
 import functools
+import json
 import os
 import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import asdict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.__main__ import _openloop_runner
 from repro.analysis.io import read_jsonl, record_digest
+from repro.classes import TrafficClass
 from repro.config import NetworkConfig
 from repro.core import cache as cache_mod
 from repro.core.cache import (
@@ -154,6 +160,87 @@ class TestFingerprints:
         assert base != point_key({"k": 4}, {"rate": 0.1}, {"runner": "m:g"}, salt="s")
 
 
+#: One class registry, spelled four ways (``parse_classes`` normalises them).
+CLASS_SPELLINGS = (
+    "hi:priority=1,lo:share=0.5",
+    "hi:priority=1+lo:share=0.5",
+    (TrafficClass("hi", priority=1), TrafficClass("lo", share=0.5)),
+    [{"name": "hi", "priority": 1}, {"name": "lo", "share": 0.5}],
+)
+
+_SCALARS = st.one_of(
+    st.integers(0, 2**64 - 1), st.floats(0, 1), st.text("abc", max_size=3), st.none()
+)
+_KWARGS = st.dictionaries(
+    st.sampled_from(["rate", "window", "mode", "depth"]),
+    st.one_of(_SCALARS, st.tuples(_SCALARS, _SCALARS), st.lists(_SCALARS, max_size=3)),
+)
+
+
+def _respell(obj):
+    """The same value as another caller might hand it in: dicts in reverse
+    insertion order, tuples as lists and lists as tuples, numbers as numpy
+    scalars."""
+    if isinstance(obj, dict):
+        return {k: _respell(v) for k, v in reversed(list(obj.items()))}
+    if isinstance(obj, (tuple, list)):
+        return (list if isinstance(obj, tuple) else tuple)(_respell(v) for v in obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return np.int64(obj) if obj < 2**63 else np.uint64(obj)
+    return np.float64(obj) if isinstance(obj, float) else obj
+
+
+def _changed(value):
+    """A value of the same kind that is not ``value``."""
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, (tuple, list)):
+        return [*value, "extra"]
+    return f"{value}x"
+
+
+class TestPointKeyProperty:
+    @given(
+        fields=st.fixed_dictionaries(
+            {
+                "k": st.integers(2, 8),
+                "num_vcs": st.integers(2, 4),
+                "router_delay": st.integers(1, 8),
+                "routing": st.sampled_from(["dor", "val"]),
+                "bimodal_long_fraction": st.floats(0, 1),
+                "seed": st.integers(0, 2**64 - 1),
+            }
+        ),
+        spellings=st.tuples(st.sampled_from(CLASS_SPELLINGS), st.sampled_from(CLASS_SPELLINGS)),
+        kwargs=_KWARGS,
+        bindings=st.dictionaries(st.sampled_from(["warmup", "measure"]), st.integers(0, 500)),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_key_ignores_spelling_and_separates_points(
+        self, fields, spellings, kwargs, bindings, data
+    ):
+        config = asdict(NetworkConfig(**fields, classes=spellings[0]))
+        spec = runner_spec(functools.partial(_openloop_runner, **bindings))
+        key = point_key(config, kwargs, spec, salt="s")
+        assert len(key) == 64
+        # Same point, spelled differently: same key.
+        respelled = asdict(NetworkConfig(**fields, classes=spellings[1]))
+        assert key == point_key(_respell(respelled), _respell(kwargs), _respell(spec), salt="s")
+        # ... and the key of the entry as it reads back from a store line.
+        on_disk = json.loads(json.dumps({"config": config, "kwargs": kwargs}))
+        assert key == point_key(on_disk["config"], on_disk["kwargs"], spec, salt="s")
+        # Any one thing different: another key.
+        name = data.draw(st.sampled_from(sorted(config)), label="config field")
+        assert key != point_key({**config, name: _changed(config[name])}, kwargs, spec, salt="s")
+        name = data.draw(st.sampled_from(sorted(kwargs) + ["new"]), label="kwarg")
+        other = {**kwargs, name: _changed(kwargs.get(name))}
+        assert key != point_key(config, other, spec, salt="s")
+        rebound = functools.partial(_openloop_runner, **{**bindings, "drain_limit": 7})
+        assert key != point_key(config, kwargs, runner_spec(rebound), salt="s")
+        assert key != point_key(config, kwargs, spec, salt="t")
+
+
 class TestResultCacheStore:
     def test_put_get_roundtrip_jsonable(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
@@ -216,6 +303,55 @@ class TestResultCacheStore:
         assert cache.get("k9") == {"v": 9, "pad": "x" * 50}
         assert cache.get("k0") is None
         assert len(ResultCache(tmp_path / "c")) == res.kept
+
+    def test_put_gc_put_reopen_keeps_every_survivor(self, tmp_path):
+        """``gc`` rewrites the file under the handle ``put`` holds; lines
+        written before and after it must all be there for the next open."""
+        cache = ResultCache(tmp_path / "c")
+        for i in range(6):
+            cache.put(f"k{i}", {"v": i, "pad": "x" * 40})
+        res = cache.gc(cache.total_bytes // 2)
+        survivors = {e["key"]: e["record"] for e in cache.entries()}
+        assert 0 < res.kept == len(survivors) < 6
+        cache.put("late", {"v": (7, 8)})
+        cache.put("k0", {"v": "again"})
+        expected = {**survivors, "late": {"v": [7, 8]}, "k0": {"v": "again"}}
+        lines = cache.store_path.read_text().splitlines()
+        assert [json.loads(line)["key"] for line in lines] == [*survivors, "late", "k0"]
+        for view in (cache, ResultCache(tmp_path / "c")):
+            assert {e["key"]: e["record"] for e in view.entries()} == expected
+        # a hit is still a private copy, before and after the reopen
+        cache.get("late")["v"].append(9)
+        assert cache.get("late") == {"v": [7, 8]}
+
+    def test_bytes_written_is_this_writers_own(self, tmp_path):
+        """Two caches appending to one store in turn: each is billed its own
+        lines (not whatever the file grew by), nothing interleaves, and each
+        sees the other's entries once it reopens."""
+        a, b = ResultCache(tmp_path / "c"), ResultCache(tmp_path / "c")
+
+        class Meanwhile:
+            """Stringified while ``a`` encodes a line: ``b`` appends right then."""
+
+            def __str__(self):
+                b.put("b-mid", {"who": "b"})
+                return "meanwhile"
+
+        for i in range(5):
+            a.put(f"a{i}", {"who": "a", "i": i})
+            b.put(f"b{i}", {"who": "b", "i": (i, "x" * i)})
+        a.put("a-last", {"who": "a"}, {"note": Meanwhile()})
+        lines = a.store_path.read_text().splitlines()
+        keys = [json.loads(line)["key"] for line in lines]
+        assert keys == [f"{who}{i}" for i in range(5) for who in "ab"] + ["b-mid", "a-last"]
+        for cache, who in ((a, "a"), (b, "b")):
+            own = sum(len(line) + 1 for line, key in zip(lines, keys) if key.startswith(who))
+            assert cache.stats.bytes_written == own
+        assert a.stats.bytes_written + b.stats.bytes_written == a.total_bytes
+        assert len(a) == len(b) == 6
+        reopened = ResultCache(tmp_path / "c")
+        assert len(reopened) == 12
+        assert reopened.get("a3") == a.get("a3") and reopened.get("b3") == b.get("b3")
 
     def test_gc_zero_budget_empties(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
