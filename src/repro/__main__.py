@@ -684,7 +684,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    from .service import Worker, parse_address
+    from .service import VersionMismatch, Worker, parse_address
 
     host, port = parse_address(args.address)
     worker = Worker(
@@ -699,6 +699,9 @@ def _cmd_worker(args) -> int:
         done = worker.run()
     except KeyboardInterrupt:
         done = worker.points_done
+    except VersionMismatch as exc:
+        print(f"worker: {exc}", file=sys.stderr)
+        return 1
     print(f"worker executed {done} point{'s' if done != 1 else ''}")
     return 0
 

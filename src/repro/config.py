@@ -241,6 +241,24 @@ class NetworkConfig:
         """Return a copy with ``changes`` applied (frozen-dataclass update)."""
         return replace(self, **changes)
 
+    def with_seed(self, seed: Any) -> "NetworkConfig":
+        """``with_(seed=seed)`` without re-validating the other fields.
+
+        Every other field of ``self`` already passed ``__post_init__``, and
+        the seed's only rule is ``int()`` — so the copy is a field-for-field
+        clone with the normalized seed laid over it, equal (and hashing
+        equal) to what ``with_(seed=seed)`` returns, with the same error for
+        a seed that is not an integer.  Sweep execution resolves a
+        combination's config once and derives each point's from it this way.
+        """
+        try:
+            seed = int(seed)
+        except (TypeError, ValueError):
+            raise ValueError(f"seed must be an integer, got {seed!r}") from None
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, seed=seed)
+        return clone
+
 
 @dataclass(frozen=True)
 class CmpConfig:

@@ -8,7 +8,10 @@ pure waste.  This module memoizes them on disk, BookSim-style:
 
 * **Content addressing.**  A point's identity is the sha256 fingerprint of
   its *resolved* configuration dict, its extra-axis kwargs, the identity of
-  the runner that produced it, and a **code-version salt**.  The salt folds
+  the runner that produced it, and a **code-version salt** — in two
+  levels, so a sweep hashes what a combination's points share (config
+  minus seed, runner, salt: :func:`combination_digest`) once and only the
+  point's own kwargs and seed per point (:func:`combination_key`).  The salt folds
   in ``repro.__version__`` plus a per-module source digest of the hot-path
   files (``config``/``rng`` and the ``core``, ``network``, ``routing``,
   ``topology``, ``traffic``, ``execdriven`` packages), so any edit to
@@ -34,7 +37,6 @@ and the ``repro cache`` CLI (``stats`` / ``verify`` / ``gc``).
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 import hashlib
@@ -58,6 +60,8 @@ __all__ = [
     "cache_disabled",
     "cache_salt",
     "code_fingerprint",
+    "combination_digest",
+    "combination_key",
     "default_cache_dir",
     "fingerprint",
     "point_key",
@@ -173,6 +177,19 @@ def _jsonable(obj: Any) -> Any:
     return json.loads(_encode_line(obj))
 
 
+def _copy_json(obj: Any) -> Any:
+    """A private copy of a decoded-JSON value (``copy.deepcopy`` for these).
+
+    Index records come from ``json.loads``, so dicts and lists are the only
+    mutable nodes; everything else is shared.
+    """
+    if type(obj) is dict:
+        return {name: _copy_json(value) for name, value in obj.items()}
+    if type(obj) is list:
+        return [_copy_json(value) for value in obj]
+    return obj
+
+
 def fingerprint(payload: Mapping[str, Any], *, salt: Optional[str] = None) -> str:
     """sha256 key of an arbitrary JSON-able payload under the code salt.
 
@@ -230,6 +247,35 @@ def provenance(spec: Mapping[str, Any]) -> tuple[Optional[str], dict[str, Any]]:
     return node.get("runner"), runner_kwargs
 
 
+def combination_digest(
+    config_dict: Mapping[str, Any],
+    spec: Mapping[str, Any],
+    *,
+    salt: Optional[str] = None,
+) -> str:
+    """Digest of what the points of one config combination share.
+
+    Covers the flattened config *minus its seed*, the runner spec and the
+    code salt — everything in a point's identity except the two things
+    that vary inside a combination.  A sweep computes it once per
+    combination and derives each point's key from it with
+    :func:`combination_key`; normalisation is :func:`fingerprint`'s.
+    """
+    shared = {name: value for name, value in config_dict.items() if name != "seed"}
+    return fingerprint({"config": shared, "runner": spec}, salt=salt)
+
+
+def combination_key(digest: str, kwargs: Mapping[str, Any], seed: Any) -> str:
+    """Cache key of one point of the combination ``digest`` names.
+
+    ``sha256(digest ‖ canonical{kwargs, seed})``: the per-point hash covers
+    only the point's own extra-axis kwargs and seed, canonically encoded
+    (sorted keys, tuples as lists, numpy as native).
+    """
+    own = _encode_key({"kwargs": dict(kwargs), "seed": seed})
+    return hashlib.sha256((digest + own).encode("utf-8")).hexdigest()
+
+
 def point_key(
     config_dict: Mapping[str, Any],
     kwargs: Mapping[str, Any],
@@ -240,13 +286,14 @@ def point_key(
     """Cache key of one sweep point: resolved config × kwargs × runner.
 
     ``config_dict`` is the flattened :class:`~repro.config.NetworkConfig`
-    (``dataclasses.asdict`` form, seed included); normalisation is
-    :func:`fingerprint`'s.
+    (``dataclasses.asdict`` form, seed included).  The key is two-level —
+    :func:`combination_key` over :func:`combination_digest` — so this is
+    exactly what :meth:`repro.core.parallel.SweepLedger.prefill` computes
+    for the same point, and it is the same for any dict order, tuple or
+    list, numpy or native value, and ``classes`` spelling.
     """
-    return fingerprint(
-        {"config": dict(config_dict), "kwargs": dict(kwargs), "runner": spec},
-        salt=salt,
-    )
+    digest = combination_digest(config_dict, spec, salt=salt)
+    return combination_key(digest, kwargs, config_dict.get("seed"))
 
 
 @dataclass
@@ -338,7 +385,7 @@ class ResultCache:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        return copy.deepcopy(entry["record"])
+        return _copy_json(entry["record"])
 
     def put(
         self, key: str, record: Mapping[str, Any], meta: Optional[Mapping[str, Any]] = None

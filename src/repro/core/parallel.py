@@ -280,6 +280,35 @@ def _failed_record(
     return rec
 
 
+#: ``(base, overrides, resolved config)`` of the combination the last
+#: :func:`_execute_point` call in this process resolved; read and replaced
+#: whole, so concurrent service-worker threads see a consistent triple.
+_last_combination: Optional[tuple[NetworkConfig, Mapping[str, Any], NetworkConfig]] = None
+
+
+def _point_config(base: NetworkConfig, point: SweepPoint) -> NetworkConfig:
+    """``base.with_(**overrides, seed=seed)``, validated once per combination.
+
+    A combination's points arrive consecutively, so the last resolved one
+    is remembered: a point of the same base and overrides (identity first,
+    equality second — a pool or service worker unpickles fresh objects per
+    point) takes the validated config and lays its seed on with
+    :meth:`NetworkConfig.with_seed`.  A combination or seed that does not
+    validate is not remembered and raises for each of its points.
+    """
+    global _last_combination
+    memo = _last_combination
+    if memo is not None:
+        last_base, last_overrides, resolved = memo
+        if (last_base is base or last_base == base) and (
+            last_overrides is point.overrides or last_overrides == point.overrides
+        ):
+            return resolved.with_seed(point.seed)
+    cfg = base.with_(**{**point.overrides, "seed": point.seed})
+    _last_combination = (base, point.overrides, cfg)
+    return cfg
+
+
 def _execute_point(
     runner: Callable[..., Mapping[str, Any]],
     base: NetworkConfig,
@@ -295,7 +324,7 @@ def _execute_point(
     """
     start = time.perf_counter()
     try:
-        cfg = base.with_(**{**point.overrides, "seed": point.seed})
+        cfg = _point_config(base, point)
         out = runner(cfg, **point.kwargs) if point.kwargs else runner(cfg)
         rec = dict(point.coords)
         rec.update(out)
@@ -522,9 +551,10 @@ class SweepLedger:
         runner_spec = {"runner": dotted} if dotted else {}
         hits: list[tuple[int, dict[str, Any]]] = []
         # enumerate_points hands every point of one override combination the
-        # same ``overrides`` mapping, consecutively: validate and flatten the
-        # config once per mapping, then lay each point's seed over the result.
-        overrides, flat = None, None
+        # same ``overrides`` mapping, consecutively: validate, flatten and
+        # digest the config once per mapping, then lay each point's seed over
+        # the result and hash only the point's own kwargs and seed.
+        overrides, flat, digest = None, None, ""
         for point in self.pending:
             if point.overrides is not overrides:
                 overrides = point.overrides
@@ -534,11 +564,13 @@ class SweepLedger:
                     # An invalid combination cannot be cached; executing its
                     # points produces the deterministic failed records.
                     flat = None
+                else:
+                    digest = result_cache.combination_digest(flat, spec, salt=salt)
             if flat is None:
                 continue
             cfg_dict = dict(flat)
             cfg_dict["seed"] = point.seed
-            key = result_cache.point_key(cfg_dict, point.kwargs, spec, salt=salt)
+            key = result_cache.combination_key(digest, point.kwargs, point.seed)
             hit = store.get(key)
             if hit is not None:
                 hits.append((point.index, hit))

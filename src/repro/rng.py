@@ -26,7 +26,7 @@ _MASK64 = (1 << 64) - 1
 
 def _label_hash(*parts: object) -> int:
     """Stable 64-bit hash of a sequence of labels (ints / strings)."""
-    data = "\x1f".join(str(p) for p in parts).encode("utf-8")
+    data = "\x1f".join(map(str, parts)).encode("utf-8")
     # crc32 twice with different salts to get 64 stable bits; zlib.crc32 is
     # stable across Python versions, unlike hash().
     lo = zlib.crc32(data)

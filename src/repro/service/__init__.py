@@ -20,7 +20,13 @@ quarantine state machines, local-pool fallback).
 
 from .client import ServiceClient, run_remote_sweep
 from .controller import Controller, ControllerServer, ServiceOptions
-from .protocol import MAX_LINE_BYTES, PROTOCOL_VERSION, ProtocolError, parse_address
+from .protocol import (
+    MAX_LINE_BYTES,
+    PROTOCOL_VERSION,
+    ProtocolError,
+    VersionMismatch,
+    parse_address,
+)
 from .worker import Worker
 
 __all__ = [
@@ -31,6 +37,7 @@ __all__ = [
     "ProtocolError",
     "ServiceClient",
     "ServiceOptions",
+    "VersionMismatch",
     "Worker",
     "parse_address",
     "run_remote_sweep",

@@ -35,7 +35,13 @@ from ..core.parallel import (
     run_ledger,
     sweep_fingerprint,
 )
-from .protocol import MessageStream, parse_address
+from .protocol import (
+    PROTOCOL_VERSION,
+    MessageStream,
+    ProtocolError,
+    check_welcome,
+    parse_address,
+)
 from .worker import importable_name
 
 __all__ = ["ServiceClient", "run_remote_sweep"]
@@ -47,10 +53,15 @@ class ServiceClient:
     def __init__(self, host: str, port: int, *, timeout: float = 30.0) -> None:
         sock = socket.create_connection((host, port), timeout=timeout)
         self._stream = MessageStream(sock)
-        reply = self._stream.rpc({"type": "hello", "role": "client"})
-        if reply.get("type") != "welcome":
+        try:
+            check_welcome(
+                self._stream.rpc(
+                    {"type": "hello", "role": "client", "protocol": PROTOCOL_VERSION}
+                )
+            )
+        except ProtocolError as exc:
             self._stream.close()
-            raise ConnectionError(f"controller refused hello: {reply}")
+            raise ConnectionError(str(exc)) from None
 
     def _rpc(self, msg: Mapping[str, Any]) -> dict[str, Any]:
         reply = self._stream.rpc(msg)

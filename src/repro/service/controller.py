@@ -125,6 +125,12 @@ class Job:
         self.base = base
         self.label = label
         self.runner_spec = dict(runner_spec)
+        #: content id of what every lease of this job shares; a lease names
+        #: it and carries the body only when the connection was not just sent
+        #: it.  Unsalted: it names the content, whatever code version reads it.
+        self.spec_id = result_cache.fingerprint(
+            {"config": base, "runner": self.runner_spec}, salt=""
+        )
         self.policy = policy
         self.ledger = SweepLedger(
             SweepPoint(int(p["index"]), p["overrides"], p["kwargs"], int(p["seed"]))
@@ -153,10 +159,11 @@ class Controller:
 
     ``handle(msg, session)`` processes one protocol message and returns the
     reply; ``session`` is any dict the transport keeps per connection (the
-    controller stores the peer's identity in it).  ``tick()`` advances
-    time-based state: lease expiry, worker liveness, retry-backoff
-    promotion, and the no-worker fallback.  ``session_closed(session)``
-    reports a transport disconnect.
+    controller stores the peer's identity in it, and the id of the job spec
+    it last sent — a new connection is a new dict, so it is sent the body
+    again).  ``tick()`` advances time-based state: lease expiry, worker
+    liveness, retry-backoff promotion, and the no-worker fallback.
+    ``session_closed(session)`` reports a transport disconnect.
     """
 
     def __init__(
@@ -170,7 +177,12 @@ class Controller:
         self.clock = clock
         self.store = result_cache.resolve_cache(cache)
         self._lock = threading.RLock()
+        #: every job ever submitted (``poll`` / ``info``), and the ones whose
+        #: ledger has not finished, in submission order — all ``request``
+        #: and ``tick`` walk, so a long-lived controller's finished jobs
+        #: cost a lease nothing.
         self.jobs: dict[str, Job] = {}
+        self._open_jobs: dict[str, Job] = {}
         self.workers: dict[str, WorkerState] = {}
         self.leases: dict[str, Lease] = {}
         self._job_seq = 0
@@ -204,6 +216,16 @@ class Controller:
                 return {"type": "error", "error": f"{type(exc).__name__}: {exc}"}
 
     def _on_hello(self, msg: Mapping[str, Any], session: dict[str, Any]) -> dict[str, Any]:
+        # A hello that states no version is taken as current: hand-driven
+        # sessions, and peers from before the field existed.
+        stated = msg.get("protocol")
+        if stated is not None and stated != PROTOCOL_VERSION:
+            return {
+                "type": "error",
+                "error": f"protocol version mismatch: peer speaks {stated!r}, this "
+                f"controller speaks {PROTOCOL_VERSION}; upgrade controller and workers together",
+                "protocol": PROTOCOL_VERSION,
+            }
         role = msg.get("role", "client")
         reply: dict[str, Any] = {"type": "welcome", "protocol": PROTOCOL_VERSION}
         if role == "worker":
@@ -251,8 +273,8 @@ class Controller:
                 "backoff": min(worker.quarantined_until - now, 4 * self.options.idle_backoff),
                 "quarantined": True,
             }
-        for job in self.jobs.values():
-            if job.finished or job.fallback_active:
+        for job in self._open_jobs.values():
+            if job.fallback_active:
                 continue
             self._promote_delayed(job, now)
             if not job.pending:
@@ -271,19 +293,25 @@ class Controller:
             job.leased[index] = lease.lease_id
             worker.leases.add(lease.lease_id)
             point = job.ledger.points[index]
-            return {
+            reply = {
                 "type": "lease",
                 "lease_id": lease.lease_id,
                 "job_id": job.job_id,
                 "index": index,
                 "attempt": attempt,
-                "config": job.base,
+                "spec": job.spec_id,
                 "overrides": point.overrides,
                 "kwargs": point.kwargs,
                 "seed": point.seed,
-                "runner": job.runner_spec,
                 "deadline_seconds": self.options.lease_seconds,
             }
+            if session.get("spec") != job.spec_id:
+                # The body crosses the wire once per run of one job's leases
+                # on a connection; the worker keeps what it resolved from it.
+                reply["config"] = job.base
+                reply["runner"] = job.runner_spec
+                session["spec"] = job.spec_id
+            return reply
         return {"type": "idle", "backoff": self.options.idle_backoff}
 
     def _on_heartbeat(self, msg: Mapping[str, Any], session: dict[str, Any]) -> dict[str, Any]:
@@ -358,6 +386,8 @@ class Controller:
             job.ledger.prefill(self.store, base_cfg, spec, "service")
             self.store.flush_stats()
         job.pending = deque((p.index, 0) for p in job.ledger.pending)
+        if not job.finished:
+            self._open_jobs[job_id] = job
         session["role"] = "client"
         return {
             "type": "submitted",
@@ -435,8 +465,10 @@ class Controller:
     def _emit(self, job: Job, index: int, record: dict[str, Any]) -> None:
         """Hand a final result to the job's ledger; flush cache stats at the end."""
         job.ledger.emit(index, record)
-        if job.finished and self.store is not None:
-            self.store.flush_stats()
+        if job.finished:
+            self._open_jobs.pop(job.job_id, None)
+            if self.store is not None:
+                self.store.flush_stats()
 
     def _requeue_lease(self, lease: Lease, kind: str) -> None:
         """Charge an expired/orphaned lease one attempt: retry or fail its point."""
@@ -512,7 +544,7 @@ class Controller:
                 if now - w.last_seen > self.options.heartbeat_timeout
             ]:
                 self._worker_lost(worker, "worker_death")
-            for job in self.jobs.values():
+            for job in list(self._open_jobs.values()):
                 self._promote_delayed(job, now)
                 self._maybe_fallback(job, now)
 

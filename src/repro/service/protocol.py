@@ -16,6 +16,27 @@ client     ``hello`` → ``welcome`` · ``submit`` → ``submitted`` ·
 any        malformed input → ``error`` (connection stays up)
 ========== =============================================================
 
+A ``lease`` names the point (``index``, ``attempt``, ``overrides``,
+``kwargs``, ``seed``) and the job's *spec*: ``"spec"`` is a content id —
+:func:`repro.core.cache.fingerprint` of the job's base config and runner
+spec — and the body it names (``"config"`` + ``"runner"``) rides along only
+when that id is not the last one the controller sent on this connection.
+So the first lease of a connection, and the first after the connection
+was handed another job's point (a retried point of an earlier job
+included), carries the body; every other lease is slim, and the worker
+executes it from the spec it resolved when the body arrived.  A worker
+that does not hold the named id answers with a failed record naming it,
+never with another job's spec.  A lease with a body and no id (protocol 1's
+shape) still executes.
+
+Versioning: both ``hello`` messages state ``"protocol"``
+(:data:`PROTOCOL_VERSION`) and so does ``welcome``.  The controller answers
+a hello stating a *different* version with an ``error`` naming both; a
+hello stating none is taken as current (hand-driven sessions, and peers
+from before the field existed).  Worker and client refuse a ``welcome`` of
+another version (:func:`check_welcome`) and do not retry it — controller
+and workers upgrade together.
+
 Robustness rules every peer follows:
 
 * a line over :data:`MAX_LINE_BYTES` is a protocol violation — the
@@ -40,13 +61,17 @@ __all__ = [
     "PROTOCOL_VERSION",
     "MessageStream",
     "ProtocolError",
+    "VersionMismatch",
+    "check_welcome",
     "decode",
     "encode",
     "parse_address",
 ]
 
-#: Bumped on incompatible wire changes; ``hello`` carries it both ways.
-PROTOCOL_VERSION = 1
+#: Bumped on incompatible wire changes; ``hello`` and ``welcome`` carry it.
+#: 2: leases name their job spec by content id and carry its body only when
+#: the connection has not just been sent it.
+PROTOCOL_VERSION = 2
 
 #: Hard cap on one frame.  A lease for a large config is a few KiB; 8 MiB
 #: leaves room for bulky poll replies while bounding a hostile or corrupt
@@ -56,6 +81,10 @@ MAX_LINE_BYTES = 8 * 1024 * 1024
 
 class ProtocolError(RuntimeError):
     """A frame that violates the wire protocol (size, syntax, or shape)."""
+
+
+class VersionMismatch(ProtocolError):
+    """The peer speaks another :data:`PROTOCOL_VERSION`; retrying cannot help."""
 
 
 def _json_default(obj: Any) -> Any:
@@ -69,10 +98,13 @@ def _json_default(obj: Any) -> Any:
     return str(obj)
 
 
+#: Built once: ``json.dumps(default=)`` constructs an encoder per call.
+_encode_json = json.JSONEncoder(default=_json_default, separators=(",", ":")).encode
+
+
 def encode(msg: Mapping[str, Any]) -> bytes:
     """One message as a newline-terminated UTF-8 JSON line."""
-    line = json.dumps(dict(msg), default=_json_default, separators=(",", ":"))
-    data = line.encode("utf-8") + b"\n"
+    data = _encode_json(dict(msg)).encode("utf-8") + b"\n"
     if len(data) > MAX_LINE_BYTES:
         raise ProtocolError(f"message of {len(data)} bytes exceeds {MAX_LINE_BYTES}")
     return data
@@ -96,6 +128,23 @@ def decode(line: bytes | str) -> dict[str, Any]:
     if not isinstance(msg.get("type"), str):
         raise ProtocolError("frame has no string 'type' field")
     return msg
+
+
+def check_welcome(reply: Mapping[str, Any]) -> None:
+    """Accept the reply to a ``hello`` only if it is this version's ``welcome``.
+
+    Raises :class:`VersionMismatch` when the reply states another protocol
+    version (a ``welcome`` must state one; the controller's version refusal
+    states its own), and plain :class:`ProtocolError` for any other refusal.
+    """
+    welcomed = reply.get("type") == "welcome"
+    if (welcomed or "protocol" in reply) and reply.get("protocol") != PROTOCOL_VERSION:
+        raise VersionMismatch(
+            f"controller speaks protocol {reply.get('protocol')!r}, this peer speaks "
+            f"{PROTOCOL_VERSION}: upgrade controller and workers together"
+        )
+    if not welcomed:
+        raise ProtocolError(f"controller refused hello: {reply}")
 
 
 def parse_address(address: str) -> tuple[str, int]:

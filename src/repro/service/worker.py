@@ -21,6 +21,12 @@ is bit-identical to the one a serial run would produce (modulo
 (dotted module name + keyword bindings) and is resolved by import, which
 is also what pins the requirement that remote runners be module-level
 functions or keyword-only partials over them.
+
+A job's spec (base config + runner) arrives with the first lease a
+connection gets for it and is named by content id on every lease; the
+worker resolves a body once — import, ``NetworkConfig`` validation — and
+executes the slim leases that follow from a small content-addressed table
+(:func:`execute_lease`).
 """
 
 from __future__ import annotations
@@ -29,13 +35,20 @@ import functools
 import socket
 import threading
 import time
+from collections import OrderedDict
 from typing import Any, Callable, Mapping, Optional
 
 from ..config import NetworkConfig
 from ..core import cache as result_cache
 from ..core.parallel import SweepPoint, _execute_point, _failed_record
 from ..core.resilience import RetryPolicy
-from .protocol import MessageStream, ProtocolError
+from .protocol import (
+    PROTOCOL_VERSION,
+    MessageStream,
+    ProtocolError,
+    VersionMismatch,
+    check_welcome,
+)
 
 __all__ = ["Worker", "execute_lease", "importable_name", "resolve_runner"]
 
@@ -71,12 +84,60 @@ def resolve_runner(spec: Mapping[str, Any]) -> Callable[..., Any]:
     return functools.partial(fn, **kwargs) if kwargs else fn
 
 
+#: Job specs this process resolved, by content id: ``(runner, base)``, or the
+#: error text when the body did not resolve.  Bounded: a body arriving makes
+#: its id the youngest, the oldest is dropped.  A controller omits the body
+#: only for the id it sent last on a connection, so the spec a connection is
+#: working from is always among the youngest.  Lookups take no lock (an id
+#: is moved, never removed and re-added); writers serialise on ``_specs_lock``.
+_SPECS: OrderedDict[str, Any] = OrderedDict()
+_MAX_SPECS = 16
+_specs_lock = threading.Lock()
+
+
+def _job_spec(lease: Mapping[str, Any]) -> Any:
+    """The lease's resolved ``(runner, base)``, or the text of why not.
+
+    A slim lease is answered from the table; an id the table does not hold
+    is an error naming it — the worker never substitutes a spec the lease
+    did not name.  A body (``runner`` + ``config``) is resolved unless its
+    id already did, and remembered under the id when it has one.
+    """
+    spec_id = lease.get("spec")
+    held = _SPECS.get(spec_id) if spec_id is not None else None
+    if "runner" not in lease:
+        if held is None:
+            return (
+                f"LookupError: lease names job spec {spec_id!r}, which this worker does "
+                "not hold: no lease on this connection carried its config and runner"
+            )
+        return held
+    if not isinstance(held, tuple):
+        try:
+            held = resolve_runner(lease["runner"]), NetworkConfig(**lease["config"])
+        except Exception as exc:
+            held = f"{type(exc).__name__}: {exc}"
+    if spec_id is not None:
+        with _specs_lock:
+            _SPECS[spec_id] = held
+            _SPECS.move_to_end(spec_id)
+            while len(_SPECS) > _MAX_SPECS:
+                _SPECS.popitem(last=False)
+    return held
+
+
 def execute_lease(lease: Mapping[str, Any]) -> dict[str, Any]:
     """Run one leased point; any failure becomes a ``failed=True`` record.
 
     The record is exactly what a local sweep would produce for the same
     point: same config resolution, same derived seed, same coordinate
     ordering (overrides then extra kwargs).
+
+    Accepted lease shapes: ``spec`` id + body (``config`` and ``runner``;
+    resolved once per id and remembered), ``spec`` id alone (executed from
+    the remembered spec; an id this process does not hold yields a failed
+    record naming it), and a body with no id (resolved for this lease
+    only).
     """
     point = SweepPoint(
         int(lease["index"]),
@@ -84,11 +145,10 @@ def execute_lease(lease: Mapping[str, Any]) -> dict[str, Any]:
         dict(lease["kwargs"]),
         int(lease["seed"]),
     )
-    try:
-        runner = resolve_runner(lease["runner"])
-        base = NetworkConfig(**lease["config"])
-    except Exception as exc:
-        return _failed_record(point, f"{type(exc).__name__}: {exc}")
+    held = _job_spec(lease)
+    if isinstance(held, str):
+        return _failed_record(point, held)
+    runner, base = held
     return _execute_point(runner, base, point)
 
 
@@ -130,7 +190,9 @@ class Worker:
 
         Connection losses retry with capped exponential backoff (the
         reconnect policy reuses :class:`~repro.core.resilience.RetryPolicy`
-        arithmetic); ``max_reconnects`` consecutive failures give up.
+        arithmetic); ``max_reconnects`` consecutive failures give up.  A
+        controller of another protocol version is not retried:
+        :class:`~repro.service.protocol.VersionMismatch` propagates.
         """
         stop = stop or threading.Event()
         policy = RetryPolicy(
@@ -143,6 +205,8 @@ class Worker:
                 failures = 0
                 if finished:
                     break
+            except VersionMismatch:
+                raise  # permanent: reconnecting meets the same controller
             except (ConnectionError, ProtocolError, OSError) as exc:
                 failures += 1
                 if failures > self.max_reconnects:
@@ -159,9 +223,15 @@ class Worker:
         sock = socket.create_connection((self.host, self.port), timeout=30.0)
         sock.settimeout(None)
         with MessageStream(sock) as stream:
-            welcome = stream.rpc({"type": "hello", "role": "worker", "name": self.name})
-            if welcome.get("type") != "welcome":
-                raise ProtocolError(f"controller refused hello: {welcome}")
+            welcome = stream.rpc(
+                {
+                    "type": "hello",
+                    "role": "worker",
+                    "name": self.name,
+                    "protocol": PROTOCOL_VERSION,
+                }
+            )
+            check_welcome(welcome)
             heartbeat_interval = float(welcome.get("heartbeat_interval", 2.0))
             self.log(f"registered as {welcome.get('worker_id', self.name)}")
             idle_since: Optional[float] = None

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import (
     TABLE_I_PARAMETER_SPACE,
@@ -43,6 +48,48 @@ class TestNetworkConfigDefaults:
         assert cfg2.router_delay == 4
         assert cfg.router_delay == 1
         assert cfg2.k == cfg.k
+
+    @given(
+        fields=st.fixed_dictionaries(
+            {
+                "topology": st.sampled_from(["mesh", "torus"]),
+                "k": st.integers(2, 8),
+                "num_vcs": st.integers(2, 4),
+                "classes": st.sampled_from([None, 3, "hi:priority=1+lo:share=0.5"]),
+                "faults": st.sampled_from([None, "links:2"]),
+                "seed": st.integers(0, 2**64 - 1),
+            }
+        ),
+        seed=st.one_of(
+            st.integers(-(2**70), 2**70),
+            st.integers(0, 2**63 - 1).map(np.int64),
+            st.integers(2**63, 2**64 - 1).map(np.uint64),
+            st.booleans(),
+            st.floats(-1e6, 1e6),
+            st.integers(0, 99).map(str),
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_with_seed_is_with_seed_equals(self, fields, seed):
+        """``with_seed(s)`` is ``with_(seed=s)`` — equal, hashing equal, a plain
+        int seed, a distinct object — without the other fields' validation."""
+        cfg = NetworkConfig(**fields)
+        want, got = cfg.with_(seed=seed), cfg.with_seed(seed)
+        assert got == want and hash(got) == hash(want)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert type(got) is NetworkConfig and type(got.seed) is int
+        assert got is not cfg and cfg.seed == fields["seed"]
+        assert got.with_(k=cfg.k) == want  # still a constructible dataclass
+
+    @pytest.mark.parametrize("bad", ["abc", None, 1.5j, float("nan"), float("inf"), [1]])
+    def test_with_seed_rejects_what_with_rejects(self, bad):
+        cfg = NetworkConfig(k=4)
+        outcomes = []
+        for derive in (lambda: cfg.with_(seed=bad), lambda: cfg.with_seed(bad)):
+            with pytest.raises(Exception) as caught:
+                derive()
+            outcomes.append((type(caught.value), str(caught.value)))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestNetworkConfigValidation:

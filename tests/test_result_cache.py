@@ -10,6 +10,7 @@ demonstration that a warm rerun of a representative latency-load grid is
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import os
@@ -41,7 +42,7 @@ from repro.core.cache import (
     runner_spec,
     verify_entries,
 )
-from repro.core.parallel import run_sweep
+from repro.core.parallel import SweepLedger, enumerate_points, run_sweep
 
 
 #: A small-but-real latency-load grid (fig01 shape): 4x4 mesh, three loads.
@@ -241,7 +242,87 @@ class TestPointKeyProperty:
         assert key != point_key(config, kwargs, spec, salt="t")
 
 
+class KeySpy(ResultCache):
+    """A store that notes every key it is asked for."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.asked: list[str] = []
+
+    def get(self, key):
+        self.asked.append(key)
+        return super().get(key)
+
+
+@pytest.mark.parametrize(
+    "axes, extra",
+    [
+        ({"router_delay": (1, 2)}, {"rate": (0.1, 0.2)}),  # derived seeds
+        ({"seed": (3, 2**64 - 1), "num_vcs": (2, 4)}, {"rate": (0.1,)}),  # a seed axis
+        ({}, {"window": ((10, 20), (30, 40))}),  # no config axis at all
+        (  # numpy values on both kinds of axis
+            {"router_delay": (np.int64(1), np.int64(2)), "bimodal_long_fraction": (np.float64(0.25),)},
+            {"rate": (np.float64(0.1),), "depth": (np.int32(3),)},
+        ),
+    ],
+)
+def test_prefill_key_is_point_key_of_the_flattened_config(tmp_path, axes, extra):
+    """The sweep path digests a combination once and hashes only kwargs and
+    seed per point; the standalone ``point_key`` of the point's flattened
+    config (``asdict`` form, as a store line's provenance reads) is that key."""
+    base = NetworkConfig(k=4, n=2, seed=9)
+    spec = runner_spec(GRID_RUNNER)
+    points = enumerate_points(base, axes, extra)
+    store = KeySpy(tmp_path / "c")
+    SweepLedger(points).prefill(store, base, spec, "sweep")
+    assert len(store.asked) == len(points) == len(set(store.asked))
+    for point, key in zip(points, store.asked):
+        config = asdict(base.with_(**{**point.overrides, "seed": point.seed}))
+        assert key == point_key(config, point.kwargs, spec)
+        on_disk = json.loads(json.dumps({"config": config, "kwargs": point.kwargs}, default=int))
+        assert key == point_key(on_disk["config"], on_disk["kwargs"], spec)
+
+
+_JSON_TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text("ab")),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3), st.dictionaries(st.text("xyz", max_size=2), children, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
 class TestResultCacheStore:
+    @given(record=st.dictionaries(st.text("abc", min_size=1, max_size=2), _JSON_TREES, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_get_copies_like_deepcopy(self, record, tmp_path_factory):
+        """``get`` walks dicts and lists instead of ``copy.deepcopy``: on a
+        decoded-JSON record the two agree, no container is shared with the
+        index, and scribbling on the copy leaves the store's answer intact."""
+        cache = ResultCache(tmp_path_factory.mktemp("copy") / "c")
+        cache.put("k", record)
+        held = cache._index["k"]["record"]
+        got = cache.get("k")
+        assert got == copy.deepcopy(held) == held
+
+        def containers(obj):
+            if isinstance(obj, (dict, list)):
+                yield id(obj)
+                for child in obj.values() if isinstance(obj, dict) else obj:
+                    yield from containers(child)
+
+        assert not set(containers(got)) & set(containers(held))
+
+        def scribble(obj):
+            for child in list(obj.values()) if isinstance(obj, dict) else list(obj):
+                if isinstance(child, (dict, list)):
+                    scribble(child)
+            obj.clear()
+
+        before = copy.deepcopy(held)
+        scribble(got)
+        assert cache.get("k") == before == ResultCache(cache.path).get("k")
+
     def test_put_get_roundtrip_jsonable(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
         cache.put("k1", {"latency": 1.5, "coords": (1, 2), "ok": True})

@@ -16,7 +16,10 @@ Three layers, cheapest first:
 from __future__ import annotations
 
 import socket
+import socketserver
+import sys
 import threading
+from dataclasses import asdict
 
 import pytest
 
@@ -24,15 +27,19 @@ from repro.config import NetworkConfig
 from repro.core import cache as result_cache
 from repro.core.parallel import enumerate_points, run_sweep
 from repro.service import (
+    PROTOCOL_VERSION,
     Controller,
     ControllerServer,
     ProtocolError,
+    ServiceClient,
     ServiceOptions,
+    VersionMismatch,
     Worker,
     parse_address,
     run_remote_sweep,
 )
 from repro.service.protocol import MAX_LINE_BYTES, MessageStream, decode, encode
+from repro.service.worker import _MAX_SPECS, execute_lease
 
 BASE = NetworkConfig(k=4, n=2)
 
@@ -146,8 +153,8 @@ def make_controller(clock, **opts) -> Controller:
     return Controller(ServiceOptions(**defaults), clock=clock)
 
 
-def submit_job(controller, axes=None, *, options=None, base=BASE):
-    points = enumerate_points(base, axes or {"router_delay": (1, 2)})
+def submit_job(controller, axes=None, *, options=None, base=BASE, extra=None):
+    points = enumerate_points(base, axes or {"router_delay": (1, 2)}, extra)
     payload = [
         {
             "index": p.index,
@@ -157,8 +164,6 @@ def submit_job(controller, axes=None, *, options=None, base=BASE):
         }
         for p in points
     ]
-    from dataclasses import asdict
-
     reply = controller.handle(
         {
             "type": "submit",
@@ -217,8 +222,6 @@ class TestControllerStateMachine:
 
     def test_submit_rejects_bad_base_and_unimportable_runner(self):
         c = make_controller(Clock())
-        from dataclasses import asdict
-
         bad = c.handle(
             {"type": "submit", "base": {"k": -1}, "points": [], "runner": {"runner": "x:y"}},
             {},
@@ -471,6 +474,288 @@ class TestControllerStateMachine:
 
 
 # ---------------------------------------------------------------------------
+# job specs on the wire: once per connection, by content id
+# ---------------------------------------------------------------------------
+
+
+def wire(msg):
+    """A message as the peer reads it."""
+    return decode(encode(msg))
+
+
+def config_on_wire(base):
+    """A base config as a lease carries it (tuples as lists)."""
+    return wire({"type": "t", "config": asdict(base)})["config"]
+
+
+def report(controller, session, lease, record):
+    reply = controller.handle(
+        {"type": "result", "lease_id": lease["lease_id"], "job_id": lease["job_id"],
+         "record": record},
+        session,
+    )
+    assert reply["type"] == "ok", reply
+
+
+def job_records(controller, submitted, points):
+    status = controller.handle({"type": "poll", "job_id": submitted["job_id"]}, {})
+    assert status["finished"], status["summary"]
+    by_index = {item["index"]: item["record"] for item in status["records"]}
+    return [by_index[p.index] for p in points]
+
+
+class TestJobSpecOnTheWire:
+    AXES = {"router_delay": tuple(range(1, 9))}
+    EXTRA = {"m": tuple(range(25))}  # 8 x 25 = 200 points
+
+    def test_body_crosses_once_per_session_and_lease_bytes_are_bounded(self):
+        c = make_controller(Clock())
+        submitted, points = submit_job(c, self.AXES, extra=self.EXTRA)
+        first, _ = register_worker(c, "w1")
+        second, _ = register_worker(c, "w2")
+        leases, lease_bytes = [], 0
+        for n in range(len(points)):
+            # the second connection joins half way: it is sent the body too
+            session = first if n < 100 else second
+            frame = encode(c.handle({"type": "request"}, session))
+            lease_bytes += len(frame)
+            lease = decode(frame)
+            assert lease["type"] == "lease"
+            leases.append(lease)
+            report(c, session, lease, execute_lease(lease))
+        bodied = [n for n, lease in enumerate(leases) if "config" in lease or "runner" in lease]
+        assert bodied == [0, 100]
+        for n in bodied:
+            assert leases[n]["config"] == config_on_wire(BASE)
+            assert leases[n]["runner"] == result_cache.runner_spec(service_runner)
+        assert len({lease["spec"] for lease in leases}) == 1
+        # A count, not a time: two ~490-byte bodies plus 200 ~260-byte slim
+        # leases.  At protocol 1 every lease carried the body (~150 KB in all).
+        assert lease_bytes <= 2 * 800 + 200 * 280
+        records = job_records(c, submitted, points)
+        serial = run_sweep(BASE, self.AXES, service_runner, extra_axes=self.EXTRA)
+        assert strip_timing(records) == strip_timing(serial)
+
+    def test_interleaved_jobs_run_under_their_own_spec_and_a_retry_gets_its_body_back(self):
+        clock = Clock()
+        c = make_controller(clock)
+        other = BASE.with_(k=8, seed=3)
+        axes = {"router_delay": (1, 2)}
+        sub1, pts1 = submit_job(c, axes)
+        sub2, pts2 = submit_job(c, axes, base=other)
+        a, _ = register_worker(c, "a")
+        b, _ = register_worker(c, "b")
+
+        def lease_for(session):
+            lease = wire(c.handle({"type": "request"}, session))
+            assert lease["type"] == "lease", lease
+            return lease
+
+        a1 = lease_for(a)  # job 1, point 0: body
+        b1 = lease_for(b)  # job 1, point 1: body (b's first)
+        assert a1["job_id"] == b1["job_id"] == sub1["job_id"]
+        assert "config" in a1 and "config" in b1 and a1["spec"] == b1["spec"]
+        report(c, a, a1, execute_lease(a1))
+        # b's point stalls (transient): it is re-queued behind its backoff
+        stalled = {"failed": True, "error": "SimulationStalled: x", "error_kind": "stalled",
+                   "wall_seconds": 0.0}
+        report(c, b, b1, stalled)
+        a2 = lease_for(a)  # job 2, point 0: another spec, so its body
+        assert a2["job_id"] == sub2["job_id"] and a2["spec"] != a1["spec"]
+        assert a2["config"] == config_on_wire(other)
+        report(c, a, a2, execute_lease(a2))
+        clock.advance(5.0)  # past the retry backoff
+        a3 = lease_for(a)  # job 1's retried point, after job 2's body
+        assert (a3["job_id"], a3["index"], a3["attempt"]) == (sub1["job_id"], 1, 1)
+        assert a3["spec"] == a1["spec"] and a3["config"] == config_on_wire(BASE)
+        report(c, a, a3, execute_lease(a3))
+        a4 = lease_for(a)  # back to job 2: the last body sent was job 1's
+        assert a4["job_id"] == sub2["job_id"] and "runner" in a4
+        report(c, a, a4, execute_lease(a4))
+        for sub, pts, base in ((sub1, pts1, BASE), (sub2, pts2, other)):
+            serial = run_sweep(base, axes, service_runner)
+            assert strip_timing(job_records(c, sub, pts)) == strip_timing(serial)
+
+    def test_unknown_spec_id_is_a_failed_record_naming_it(self):
+        lease = {"index": 0, "overrides": {"router_delay": 2}, "kwargs": {"m": 1}, "seed": 5,
+                 "spec": "no-such-spec-id"}
+        for _ in range(2):  # deterministic: the same record every time
+            record = execute_lease(lease)
+            assert record["failed"] is True and record["error_kind"] == "error"
+            assert "'no-such-spec-id'" in record["error"]
+            assert record["router_delay"] == 2 and record["m"] == 1
+
+    def test_bodied_lease_without_an_id_still_executes(self):
+        (point,) = enumerate_points(BASE, {"router_delay": (2,)}, {"m": (5,)})
+        lease = {
+            "type": "lease",
+            "index": 0, "overrides": dict(point.overrides), "kwargs": dict(point.kwargs),
+            "seed": point.seed, "config": asdict(BASE),
+            "runner": result_cache.runner_spec(service_runner),
+        }
+        (serial,) = run_sweep(BASE, {"router_delay": (2,)}, service_runner, extra_axes={"m": (5,)})
+        assert strip_timing([execute_lease(wire(lease))]) == strip_timing([serial])
+
+    def test_a_body_that_does_not_resolve_fails_every_lease_with_its_reason(self):
+        body = {"index": 0, "overrides": {}, "kwargs": {}, "seed": 1, "spec": "unimportable-spec",
+                "config": asdict(BASE), "runner": {"runner": "no_such_module_xyz:run"}}
+        slim = {k: v for k, v in body.items() if k not in ("config", "runner")}
+        for lease in (body, slim, slim):
+            record = execute_lease(lease)
+            assert record["failed"] is True
+            assert record["error"].startswith("ModuleNotFoundError")
+
+    def test_spec_table_is_bounded_and_drops_the_oldest(self):
+        def lease(n, body):
+            base = BASE.with_(seed=1000 + n)
+            out = {"index": 0, "overrides": {}, "kwargs": {}, "seed": 1, "spec": f"bound-test-{n}"}
+            if body:
+                out.update(config=asdict(base), runner=result_cache.runner_spec(service_runner))
+            return out
+
+        for n in range(_MAX_SPECS + 1):
+            assert not execute_lease(lease(n, body=True)).get("failed")
+        assert "'bound-test-0'" in execute_lease(lease(0, body=False))["error"]
+        for n in range(1, _MAX_SPECS + 1):
+            assert not execute_lease(lease(n, body=False)).get("failed")
+        # a body arriving again makes its id the youngest
+        assert not execute_lease(lease(1, body=True)).get("failed")
+        assert not execute_lease(lease(0, body=True)).get("failed")
+        assert "'bound-test-2'" in execute_lease(lease(2, body=False))["error"]
+        assert not execute_lease(lease(1, body=False)).get("failed")
+
+    def test_threads_sharing_the_spec_table_never_cross_specs(self):
+        """More worker threads than cores on one process-wide table and one
+        last-combination memo, switching every few bytecodes: every record
+        is computed under its own lease's spec."""
+        runner = result_cache.runner_spec(service_runner)
+        wrong: list = []
+
+        def serve(k):
+            base = BASE.with_(k=k, seed=k)
+            spec = result_cache.fingerprint({"config": asdict(base), "runner": runner}, salt="")
+            for n in range(300):
+                lease = {"index": n, "overrides": {"router_delay": 1 + n % 4}, "kwargs": {"m": n},
+                         "seed": 7 * n + k, "spec": spec}
+                if n == 0:
+                    lease.update(config=asdict(base), runner=runner)
+                record = execute_lease(wire({"type": "lease", **lease}))
+                want = {"value": k * 1000 + (1 + n % 4) * 10 + n, "seed_used": 7 * n + k}
+                if {name: record.get(name) for name in want} != want:
+                    wrong.append((k, n, record))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=serve, args=(k,), daemon=True) for k in range(2, 8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_finished_jobs_are_not_visited_by_request(self):
+        c = make_controller(Clock())
+        visited = []
+        promote = c._promote_delayed
+        c._promote_delayed = lambda job, now: (visited.append(job.job_id), promote(job, now))
+        session, _ = register_worker(c)
+        finished = []
+        for _ in range(3):  # three jobs run to the end, as explore's generations do
+            submitted, _ = submit_job(c, {"router_delay": (1,)})
+            lease = c.handle({"type": "request"}, session)
+            report(c, session, lease, execute_lease(wire(lease)))
+            finished.append(submitted["job_id"])
+        live, _ = submit_job(c, {"router_delay": (1, 2)})
+        del visited[:]
+        assert c.handle({"type": "request"}, session)["job_id"] == live["job_id"]
+        c.tick()
+        assert visited == [live["job_id"], live["job_id"]]
+        # poll and info still know every job
+        assert [j["job_id"] for j in c.handle({"type": "info"}, {})["jobs"]] == [
+            *finished, live["job_id"]
+        ]
+        assert c.handle({"type": "poll", "job_id": finished[0]}, {})["finished"]
+
+
+class _OldController(socketserver.StreamRequestHandler):
+    """A controller of the previous protocol: welcomes anyone, as version 1."""
+
+    def handle(self):
+        self.server.connections += 1  # type: ignore[attr-defined]
+        if self.rfile.readline():
+            self.wfile.write(
+                encode({"type": "welcome", "protocol": PROTOCOL_VERSION - 1,
+                        "worker_id": "w", "heartbeat_interval": 2.0})
+            )
+
+
+class TestProtocolVersionHandshake:
+    def test_controller_refuses_a_hello_of_another_version(self):
+        c = make_controller(Clock())
+        for role in ("worker", "client"):
+            session: dict = {}
+            reply = c.handle(
+                {"type": "hello", "role": role, "name": "old", "protocol": PROTOCOL_VERSION - 1},
+                session,
+            )
+            assert reply["type"] == "error" and reply["protocol"] == PROTOCOL_VERSION
+            assert str(PROTOCOL_VERSION - 1) in reply["error"]
+            assert str(PROTOCOL_VERSION) in reply["error"]
+            assert not session and not c.workers
+        # the current version, and a hello that states none, are welcomed
+        for hello in (
+            {"type": "hello", "role": "worker", "protocol": PROTOCOL_VERSION},
+            {"type": "hello", "role": "worker"},
+        ):
+            assert c.handle(hello, {}) ["protocol"] == PROTOCOL_VERSION
+        assert len(c.workers) == 2
+
+    def test_worker_and_client_refuse_a_welcome_of_another_version(self):
+        server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _OldController)
+        server.daemon_threads = True
+        server.connections = 0  # type: ignore[attr-defined]
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02},
+                                  daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            worker = Worker(host, port, name="new", reconnect_backoff=0.01)
+            with pytest.raises(VersionMismatch, match="protocol 1.*speaks 2"):
+                worker.run()
+            assert issubclass(VersionMismatch, ProtocolError)
+            assert server.connections == 1  # refused once; no reconnect loop
+            with pytest.raises(ConnectionError, match="protocol 1.*speaks 2"):
+                ServiceClient(host, port)
+            assert server.connections == 2
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+    def test_real_peers_state_their_version(self):
+        seen = []
+
+        class Recording(Controller):
+            def _on_hello(self, msg, session):
+                seen.append((msg.get("role"), msg.get("protocol")))
+                return super()._on_hello(msg, session)
+
+        stop = threading.Event()
+        with ControllerServer(Recording(ServiceOptions(fallback_after=None))) as server:
+            start_workers(server.address, 1, stop=stop)
+            host, port = server.address
+            records = run_remote_sweep(f"{host}:{port}", BASE, {"router_delay": (1,)}, service_runner)
+            stop.set()
+        assert records.health.ok == 1
+        assert sorted(seen) == [("client", PROTOCOL_VERSION), ("worker", PROTOCOL_VERSION)]
+
+
+# ---------------------------------------------------------------------------
 # socket integration
 # ---------------------------------------------------------------------------
 
@@ -507,6 +792,36 @@ class TestServiceIntegration:
             stop.set()
         assert strip_timing(records) == strip_timing(self.serial())
         assert records.health.ok == 6 and records.health.failed == 0
+
+    def test_two_concurrent_jobs_with_different_bases_never_swap_specs(self):
+        """Two clients, two bases, one fleet of two in-process workers (which
+        share one spec table): every record is its own job's."""
+        bases = [BASE, BASE.with_(k=8, seed=17)]
+        axes, extra = {"router_delay": (1, 2, 3, 4)}, {"m": tuple(range(6))}
+        opts = ServiceOptions(lease_seconds=30.0, fallback_after=None)
+        stop = threading.Event()
+        got: dict[int, list] = {}
+        with ControllerServer(Controller(opts)) as server:
+            start_workers(server.address, 2, stop=stop)
+            host, port = server.address
+
+            def client(n):
+                got[n] = run_remote_sweep(
+                    f"{host}:{port}", bases[n], axes, service_runner, extra_axes=extra,
+                    poll_interval=0.01,
+                )
+
+            clients = [threading.Thread(target=client, args=(n,), daemon=True) for n in (0, 1)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=60.0)
+            stop.set()
+        assert not any(t.is_alive() for t in clients)
+        for n, base in enumerate(bases):
+            serial = run_sweep(base, axes, service_runner, extra_axes=extra)
+            assert strip_timing(got[n]) == strip_timing(serial)
+            assert got[n].health.ok == 24 and got[n].health.failed == 0
 
     def test_zero_workers_falls_back_to_local_execution(self):
         opts = ServiceOptions(fallback_after=0.1)

@@ -143,8 +143,9 @@ def cheap_runner(cfg, rate):
 def test_cold_sweep_bookkeeping_is_counted_not_timed(tmp_path, monkeypatch):
     """200 cold points with cache and journal: each file is opened a fixed
     number of times, the store is never ``stat``-ed per put, and a config is
-    validated once per distinct override combination plus once per executed
-    point.  Counts, so the guard cannot flake on a slow box."""
+    validated once per distinct override combination by the cache prefill
+    and once per combination by execution — never per point.  Counts, so the
+    guard cannot flake on a slow box."""
     journal, cache_dir = tmp_path / "sweep.jsonl", tmp_path / "cache"
     opens: dict[str, int] = {}
     stats: dict[str, int] = {}
@@ -176,7 +177,7 @@ def test_cold_sweep_bookkeeping_is_counted_not_timed(tmp_path, monkeypatch):
     assert len(read_jsonl(journal)) == 201 and len(read_jsonl(cache_dir / "store.jsonl")) == 200
     assert opens["sweep.jsonl"] == 1 and opens["store.jsonl"] == 1
     assert stats.get("store.jsonl", 0) <= 4  # opening the cache looks; no put does
-    assert validations[0] == 10 + 200
+    assert validations[0] == 10 + 10
 
 
 def test_dropped_ledger_leaves_a_resumable_journal(tmp_path):
@@ -270,6 +271,48 @@ def test_invalid_combination_is_never_looked_up_or_written_back(tmp_path):
     assert (totals["hits"], totals["misses"], totals["writes"]) == (2, 2, 2)
 
 
+def test_execution_resolves_a_combination_once_and_fails_per_point(monkeypatch):
+    """``_execute_point`` validates a run of equal overrides once (the same
+    mapping or an equal copy, as a pool or service worker sees them) and lays
+    each seed on; a bad seed fails its own point with ``with_``'s message,
+    and another base or combination is never answered from the last one."""
+    validations = [0]
+    real_post_init = NetworkConfig.__post_init__
+
+    def counting_post_init(self):
+        validations[0] += 1
+        real_post_init(self)
+
+    monkeypatch.setattr(NetworkConfig, "__post_init__", counting_post_init)
+
+    def seen(cfg, rate):
+        return {"cfg": (cfg.k, cfg.router_delay, cfg.num_vcs, cfg.seed)}
+
+    shared = {"router_delay": 3}
+    torus = NetworkConfig(k=4, n=2, topology="torus")
+    plan = [  # (base, overrides, seed) -> expected cfg tuple, or an error
+        (BASE, shared, 5, (4, 3, 2, 5)),
+        (BASE, shared, "bad", "ValueError: seed must be an integer, got 'bad'"),
+        (BASE, dict(shared), 6, (4, 3, 2, 6)),
+        (BASE.with_(k=8), shared, 6, (8, 3, 2, 6)),
+        (NetworkConfig(k=8, n=2), dict(shared), 7, (8, 3, 2, 7)),
+        (torus, {"num_vcs": 1}, 1, "ValueError: torus/ring DOR needs >= 2 VCs for the dateline scheme"),
+        (torus, {"num_vcs": 1}, 2, "ValueError: torus/ring DOR needs >= 2 VCs for the dateline scheme"),
+        (torus, {"num_vcs": 2}, 2, (4, 1, 2, 2)),
+    ]
+    for index, (base, overrides, seed, expected) in enumerate(plan):
+        validations[0] = 0
+        point = parallel.SweepPoint(index, overrides, {"rate": 0.1}, seed)
+        record = strip(parallel._execute_point(seen, base, point))
+        if isinstance(expected, str):
+            assert record == {**overrides, "rate": 0.1, "failed": True, "error": expected,
+                              "error_kind": "error"}
+        else:
+            assert record == {**overrides, "rate": 0.1, "cfg": expected}
+        # first of a run: one validation; the rest of the run: none
+        assert validations[0] == (0 if index in (1, 2, 4) else 1), index
+
+
 def test_config_dict_is_asdict():
     """The ledger's field walk is ``dataclasses.asdict`` on every config shape."""
     for cfg in (
@@ -318,7 +361,7 @@ def test_journal_and_store_line_formats_are_pinned(tmp_path, monkeypatch):
         '"seed": 11003407096160671076, "faults": null}, '
         '"kwargs": {"rate": 0.25, "window": [10, 20]}, '
         '"coords": ["classes", "rate", "router_delay", "window"], '
-        '"key": "4c085569f2a983059f18e9c6d6b1f6f3092cbda6f8aeda5d6d9164696c9e9150", '
+        '"key": "914841bee40722b29db3fd23f282de39d3c4e7df92e2fd610706912c140f13fd", '
         '"record": %s}\n' % record
     )
     assert store.stats.bytes_written == 965 == store.total_bytes
