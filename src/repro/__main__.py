@@ -28,20 +28,38 @@ import functools
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
 from .analysis import format_records, format_table, probe_heatmap
 from .analysis.io import _coerce
 from .config import CmpConfig, NetworkConfig
-from .core.barrier import BarrierSimulator
-from .core.closedloop import BatchSimulator
-from .core.openloop import OpenLoopSimulator
-from .core.parallel import SweepProgress, run_sweep
-from .core.probes import PROBE_REGISTRY, ProbeSet, build_probes
-from .core.reply import FixedReply, ImmediateReply, ProbabilisticReply, ReplyModel
 from .core.resilience import SimulationStalled, Watchdog
 
+if TYPE_CHECKING:  # pragma: no cover
+    from .core.parallel import SweepProgress
+    from .core.probes import ProbeSet
+    from .core.reply import ReplyModel
+
 __all__ = ["main"]
+
+# Building the parser and dispatching need config-level data only: each
+# command imports its drivers (and with them numpy and the simulator) in its
+# handler, so ``--help``, ``cache``, ``serve``, ``submit`` and an idle
+# ``worker`` start without them.
+
+
+class _ProbeNamesHelp(str):
+    """Help text naming :data:`~repro.core.probes.PROBE_REGISTRY`'s probes.
+
+    argparse expands a help string as ``help % params`` when it prints it;
+    the registry is read then, so building the parser imports no probe code.
+    """
+
+    def __mod__(self, params: Any) -> str:
+        from .core.probes import PROBE_REGISTRY
+
+        return str.__mod__(self, {**params, "probe_names": ",".join(PROBE_REGISTRY)})
 
 
 def _add_probe_args(p: argparse.ArgumentParser) -> None:
@@ -49,9 +67,9 @@ def _add_probe_args(p: argparse.ArgumentParser) -> None:
         "--probes",
         default=None,
         metavar="NAMES",
-        help=(
+        help=_ProbeNamesHelp(
             "enable instrumentation probes: comma-separated from "
-            f"{{{','.join(PROBE_REGISTRY)}}} or 'all'"
+            "{%(probe_names)s} or 'all'"
         ),
     )
     p.add_argument(
@@ -71,6 +89,8 @@ def _add_probe_args(p: argparse.ArgumentParser) -> None:
 def _build_probe_set(args) -> ProbeSet | None:
     if not getattr(args, "probes", None):
         return None
+    from .core.probes import ProbeSet, build_probes
+
     return ProbeSet(
         build_probes(args.probes), interval=args.probe_interval, out=args.probe_out
     )
@@ -194,6 +214,8 @@ def _health_kwargs(args) -> dict:
 
 def _parse_reply(spec: str) -> ReplyModel:
     """Parse ``immediate``, ``fixed:<L>`` or ``prob:<l2>:<mem>:<missrate>``."""
+    from .core.reply import FixedReply, ImmediateReply, ProbabilisticReply
+
     parts = spec.split(":")
     if parts[0] == "immediate":
         return ImmediateReply()
@@ -205,6 +227,8 @@ def _parse_reply(spec: str) -> ReplyModel:
 
 
 def _cmd_openloop(args) -> int:
+    from .core.openloop import OpenLoopSimulator
+
     cfg = _network_config(args)
     probes = _build_probe_set(args)
     sim = OpenLoopSimulator(
@@ -248,6 +272,8 @@ def _parse_axis(spec: str) -> tuple[str, tuple]:
 
 def _openloop_runner(cfg, *, rate, warmup, measure, drain_limit):
     """Module-level sweep runner (picklable for the process pool)."""
+    from .core.openloop import OpenLoopSimulator
+
     sim = OpenLoopSimulator(cfg, warmup=warmup, measure=measure, drain_limit=drain_limit)
     res = sim.run(rate)
     record = {
@@ -277,6 +303,7 @@ def _print_progress(p: SweepProgress) -> None:
 
 def _cmd_sweep(args) -> int:
     from .core.cache import default_cache_dir
+    from .core.parallel import run_sweep
 
     cfg = _network_config(args)
     rates = tuple(float(r) for r in args.rates.split(","))
@@ -541,6 +568,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_saturation(args) -> int:
+    from .core.openloop import OpenLoopSimulator
+
     cfg = _network_config(args)
     sim = OpenLoopSimulator(
         cfg, warmup=args.warmup, measure=args.measure, drain_limit=args.drain
@@ -555,6 +584,9 @@ def _cmd_saturation(args) -> int:
 
 
 def _cmd_batch(args) -> int:
+    from .core.barrier import BarrierSimulator
+    from .core.closedloop import BatchSimulator
+
     cfg = _network_config(args)
     probes = _build_probe_set(args)
     kwargs = {}

@@ -1,53 +1,36 @@
 """Reporting helpers: text tables, ASCII plots, statistics, persistence."""
 
-from .ascii_plot import ascii_heatmap, ascii_plot, ascii_scatter, probe_heatmap
-from .io import (
-    append_jsonl,
-    load_records,
-    read_jsonl,
-    records_from_csv,
-    records_to_csv,
-    save_records,
-)
-from .stats import (
-    ConfidenceInterval,
-    LatencyStats,
-    batch_means,
-    class_breakdown,
-    confidence_interval,
-    index_of_dispersion,
-    latency_stats,
-    per_class_latency_stats,
-    warmup_cutoff,
-)
-from .pareto import dominates, hypervolume, pareto_front, pareto_plot
-from .tables import format_matrix, format_records, format_table
+from .. import _lazy
 
-__all__ = [
-    "format_table",
-    "format_records",
-    "format_matrix",
-    "ascii_plot",
-    "ascii_scatter",
-    "ascii_heatmap",
-    "probe_heatmap",
-    "LatencyStats",
-    "latency_stats",
-    "per_class_latency_stats",
-    "class_breakdown",
-    "ConfidenceInterval",
-    "confidence_interval",
-    "batch_means",
-    "warmup_cutoff",
-    "index_of_dispersion",
-    "records_to_csv",
-    "records_from_csv",
-    "save_records",
-    "load_records",
-    "append_jsonl",
-    "read_jsonl",
-    "dominates",
-    "pareto_front",
-    "hypervolume",
-    "pareto_plot",
-]
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    "format_table": ".tables",
+    "format_records": ".tables",
+    "format_matrix": ".tables",
+    "ascii_plot": ".ascii_plot",
+    "ascii_scatter": ".ascii_plot",
+    "ascii_heatmap": ".ascii_plot",
+    "probe_heatmap": ".ascii_plot",
+    "LatencyStats": ".stats",
+    "latency_stats": ".stats",
+    "per_class_latency_stats": ".stats",
+    "class_breakdown": ".stats",
+    "ConfidenceInterval": ".stats",
+    "confidence_interval": ".stats",
+    "batch_means": ".stats",
+    "warmup_cutoff": ".stats",
+    "index_of_dispersion": ".stats",
+    "records_to_csv": ".io",
+    "records_from_csv": ".io",
+    "save_records": ".io",
+    "load_records": ".io",
+    "append_jsonl": ".io",
+    "read_jsonl": ".io",
+    "dominates": ".pareto",
+    "pareto_front": ".pareto",
+    "hypervolume": ".pareto",
+    "pareto_plot": ".pareto",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

@@ -16,9 +16,11 @@ import hashlib
 import io
 import json
 import pathlib
+import sys
 from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
+    "json_default",
     "records_to_csv",
     "records_from_csv",
     "save_records",
@@ -57,13 +59,34 @@ def _coerce(value: str) -> Any:
     return value
 
 
+def json_default(obj: Any) -> Any:
+    """JSON fallback that keeps numpy values numeric (bit-exact floats).
+
+    numpy integers and floats become ``int`` and ``float``, arrays nested
+    lists, anything else ``str(obj)``.  The encoders behind cache keys,
+    store lines and the service wire share it.  numpy is looked up, never
+    imported: when nothing has loaded it, no value can be a numpy value.
+    """
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
+    return str(obj)
+
+
 def canonical_json(obj: Any) -> str:
     """A canonical JSON rendering: sorted keys, tight separators, ``str`` fallback.
 
     Two structurally equal mappings serialize to the same bytes regardless
     of insertion order, which makes the output safe to hash — this is the
-    serialization under every content-addressed fingerprint in
-    :mod:`repro.core.cache` and the record digests the cache tests compare.
+    serialization under the code salt, the sweep and explore journals'
+    fingerprints and the record digests the cache tests compare.  Its
+    fallback stays ``str`` rather than :func:`json_default`, so a journal
+    fingerprint does not move for a config or axis holding numpy values.
     """
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
 

@@ -17,7 +17,10 @@ pure waste.  This module memoizes them on disk, BookSim-style:
   ``topology``, ``traffic``, ``execdriven`` packages), so any edit to
   simulation-relevant code invalidates the cache cleanly.  A doc-only edit
   that is *known* not to change results can opt in to the old entries by
-  pinning ``REPRO_CACHE_SALT`` to the previous salt.
+  pinning ``REPRO_CACHE_SALT`` to the previous salt.  A value that is not
+  JSON-native keys on its text, and one whose text is its memory address
+  (an object without a parameter ``__repr__``, a function) raises
+  ``TypeError`` instead of keying.
 * **Store layout.**  One append-only JSON-lines file (``store.jsonl``)
   holding full entries — key, provenance metadata, record — plus an
   in-memory sha256 index built on open.  A tail truncated by a crash is
@@ -48,9 +51,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
 
-import numpy as np
-
-from ..analysis.io import JsonlAppender, canonical_json, read_jsonl
+from ..analysis.io import JsonlAppender, canonical_json, json_default, read_jsonl
 
 __all__ = [
     "CacheStats",
@@ -86,11 +87,13 @@ CACHE_SALT_ENV = "REPRO_CACHE_SALT"
 #: one open-loop, one batch and one analytical point and fails if a
 #: ``repro`` module they pulled in is missing here).  ``analysis`` is salted
 #: whole — ``analysis.stats`` computes record fields, ``analysis.io`` the
-#: canonical JSON behind every key, and the package ``__init__`` puts the
-#: rest on every driver's import path.  ``__main__`` and ``service`` are
-#: absent: CLI wiring and transport cannot change a simulation record.
+#: JSON encoding behind every key, and a driver may reach any of it through
+#: the package's lazy names.  ``__main__`` and ``service`` are absent: CLI
+#: wiring and transport cannot change a simulation record.
 _HOT_PATHS = (
     "__init__.py",
+    "_lazy.py",
+    "_version.py",
     "classes.py",
     "config.py",
     "rng.py",
@@ -153,23 +156,40 @@ def cache_salt() -> str:
     return os.environ.get(CACHE_SALT_ENV) or _computed_salt()
 
 
-def _json_default(obj: Any) -> Any:
-    """JSON fallback that keeps numeric types numeric (bit-exact floats)."""
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return str(obj)
+def _key_default(obj: Any) -> Any:
+    """:func:`~repro.analysis.io.json_default` for a value entering a key.
+
+    A value whose text holds its own memory address — an instance with the
+    default ``object.__repr__``, a function, a method bound to such an
+    instance — is refused with a ``TypeError`` naming its type: a key built
+    on an address never hits in another process, and as addresses are
+    reused it can name another value in this one.  The hex digits are
+    compared case-blind, as platforms print ``%p`` differently.
+    """
+    value = json_default(obj)
+    if isinstance(value, str):
+        text = value.lower()
+        for held in (obj, getattr(obj, "__self__", obj)):
+            if format(id(held), "x") in text:
+                kind = type(obj)
+                raise TypeError(
+                    f"{kind.__module__}.{kind.__qualname__} value {value!r} cannot "
+                    "enter a cache key: its text is a memory address; give the "
+                    "type a __repr__ of its parameters"
+                )
+    return value
 
 
-#: The two encoders behind every key and store line, built once: passing
+#: The encoders behind every key and store line, built once: passing
 #: ``default=`` to :func:`json.dumps` constructs a fresh encoder per call.
+#: What enters a key refuses address-valued objects; a store line keeps
+#: the lenient ``str`` fallback.  A runner's bindings enter its key but keep
+#: the line format's key order, which store lines and the wire carry.
 _encode_key = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), default=_json_default
+    sort_keys=True, separators=(",", ":"), default=_key_default
 ).encode
-_encode_line = json.JSONEncoder(default=_json_default).encode
+_encode_binding = json.JSONEncoder(default=_key_default).encode
+_encode_line = json.JSONEncoder(default=json_default).encode
 
 
 def _jsonable(obj: Any) -> Any:
@@ -210,13 +230,15 @@ def runner_spec(runner: Callable[..., Any]) -> dict[str, Any]:
     in the dotted name, any :func:`functools.partial` binding (args and
     keywords, recursively), and — for functions — a CRC of the compiled
     bytecode, which distinguishes same-named lambdas and tracks edits to
-    runners living outside the salted ``repro`` package.
+    runners living outside the salted ``repro`` package.  A binding that is
+    not JSON-native keys on its text, so one whose text is a memory
+    address raises ``TypeError`` (see :func:`_key_default`).
     """
     if isinstance(runner, functools.partial):
         return {
             "partial_of": runner_spec(runner.func),
-            "args": _jsonable(list(runner.args)),
-            "kwargs": _jsonable(dict(runner.keywords or {})),
+            "args": json.loads(_encode_binding(list(runner.args))),
+            "kwargs": json.loads(_encode_binding(dict(runner.keywords or {}))),
         }
     spec: dict[str, Any] = {
         "runner": f"{getattr(runner, '__module__', '?')}:"
@@ -538,6 +560,8 @@ def verify_entries(
     entries = sorted(cache.entries(), key=lambda e: e["key"])
     if not entries:
         return []
+    import numpy as np  # the sampler; ``cache stats`` and ``gc`` never load it
+
     gen = np.random.default_rng(seed)
     count = min(sample, len(entries))
     chosen = gen.choice(len(entries), size=count, replace=False)

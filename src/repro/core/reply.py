@@ -19,8 +19,10 @@ kernel requests their own L2 miss rate (Table IV).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "ReplyModel",
@@ -44,6 +46,13 @@ class ReplyModel(ABC):
     @abstractmethod
     def mean(self) -> float:
         """Expected service latency (class 0)."""
+
+    def __repr__(self) -> str:
+        # The model's parameters, not its address: a reply model bound into
+        # a sweep runner or swept as an axis is part of the point's cache
+        # key, which must be the same in every process.
+        params = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({params})"
 
 
 class ImmediateReply(ReplyModel):

@@ -15,9 +15,10 @@ collides with, say, the VC tie-break stream of router 12.
 from __future__ import annotations
 
 import zlib
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["spawn", "make_generator", "python_randbits", "sweep_seed"]
 
@@ -49,7 +50,14 @@ def spawn(seed: int, *labels: object) -> int:
 
 
 def make_generator(seed: int, *labels: object) -> np.random.Generator:
-    """A :class:`numpy.random.Generator` for the stream named by ``labels``."""
+    """A :class:`numpy.random.Generator` for the stream named by ``labels``.
+
+    numpy is imported here, not at module top: :func:`spawn` and
+    :func:`sweep_seed` serve the sweep ledger and the service, which never
+    draw a number.
+    """
+    import numpy as np
+
     return np.random.default_rng(spawn(seed, *labels))
 
 

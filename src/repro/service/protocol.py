@@ -54,7 +54,7 @@ import socket
 import threading
 from typing import Any, Mapping, Optional
 
-import numpy as np
+from ..analysis.io import json_default
 
 __all__ = [
     "MAX_LINE_BYTES",
@@ -87,19 +87,9 @@ class VersionMismatch(ProtocolError):
     """The peer speaks another :data:`PROTOCOL_VERSION`; retrying cannot help."""
 
 
-def _json_default(obj: Any) -> Any:
-    """Keep numpy scalars numeric on the wire (bit-exact floats)."""
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return str(obj)
-
-
 #: Built once: ``json.dumps(default=)`` constructs an encoder per call.
-_encode_json = json.JSONEncoder(default=_json_default, separators=(",", ":")).encode
+#: numpy values stay numeric on the wire (bit-exact floats).
+_encode_json = json.JSONEncoder(default=json_default, separators=(",", ":")).encode
 
 
 def encode(msg: Mapping[str, Any]) -> bytes:

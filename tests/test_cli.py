@@ -89,6 +89,161 @@ class TestVersion:
         assert out.stdout.splitlines() == ["[]", repro.__version__]
 
 
+#: What a process that does not simulate must never import: numpy, the
+#: simulator's packages, and the drivers.
+SIMULATOR_MODULES = (
+    "numpy",
+    "repro.network",
+    "repro.routing",
+    "repro.topology",
+    "repro.traffic",
+    "repro.execdriven",
+    "repro.analytical",
+    "repro.core.engine",
+    "repro.core.openloop",
+    "repro.core.closedloop",
+    "repro.core.barrier",
+    "repro.core.tracedriven",
+    "repro.core.explore",
+    "repro.core.steering",
+    "repro.core.probes",
+)
+
+#: Prints the loaded members of SIMULATOR_MODULES (and their submodules).
+_REPORT_LOADED = (
+    "print(sorted(m for m in sys.modules if any("
+    "m == h or m.startswith(h + '.') for h in %r)))\n" % (SIMULATOR_MODULES,)
+)
+
+
+def _fresh_python(script: str) -> list[str]:
+    """Run ``script`` in a new interpreter; its stdout lines."""
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+class TestControlPlaneImports:
+    """The ledger, result cache, journal, service and CLI dispatch run
+    without numpy or the simulator; a process imports what it runs."""
+
+    def test_sweep_cache_journal_and_a_lease_load_no_simulator(self):
+        script = (
+            "import dataclasses, sys, tempfile, pathlib\n"
+            "import repro, repro.core.parallel, repro.core.cache, repro.analysis.io\n"
+            "import repro.service.protocol, repro.service.controller\n"
+            "import repro.service.client, repro.service.worker\n"
+            "from repro.config import NetworkConfig\n"
+            "from repro.core.cache import runner_spec\n"
+            "from repro.core.parallel import run_sweep\n"
+            "from repro.service.controller import Controller, ServiceOptions\n"
+            "from repro.service.worker import execute_lease\n"
+            "def constant(cfg, *, rate):\n"
+            "    return {'latency': cfg.router_delay / (1.0 - rate)}\n"
+            "work = pathlib.Path(tempfile.mkdtemp())\n"
+            "base = NetworkConfig(k=4, n=2, seed=3)\n"
+            "rates = {'rate': tuple(round(0.05 * i, 2) for i in range(1, 11))}\n"
+            "for _ in range(2):  # cold, then every point a cache hit\n"
+            "    recs = run_sweep(base, {'router_delay': (1, 2)}, constant, extra_axes=rates,\n"
+            "                     cache=work / 'c', journal=work / 'j.jsonl')\n"
+            "    assert len(recs) == 20 and recs.health.ok == 20, recs.health.summary()\n"
+            "assert recs.health.cache_hits == 20\n"
+            "ctl = Controller(ServiceOptions(fallback_after=None))\n"
+            "client, worker = {}, {}\n"
+            "ctl.handle({'type': 'hello', 'role': 'client'}, client)\n"
+            "ctl.handle({'type': 'hello', 'role': 'worker', 'name': 'w'}, worker)\n"
+            "job = ctl.handle({'type': 'submit', 'base': dataclasses.asdict(base),\n"
+            "    'points': [{'index': 0, 'overrides': {}, 'kwargs': {'rate': 0.5}, 'seed': 5}],\n"
+            "    'runner': runner_spec(constant), 'options': {}}, client)\n"
+            "lease = ctl.handle({'type': 'request'}, worker)\n"
+            "record = execute_lease(lease)\n"
+            "assert record == {**record, 'rate': 0.5, 'latency': 2.0}, record\n"
+            "ctl.handle({'type': 'result', 'lease_id': lease['lease_id'],\n"
+            "    'job_id': lease['job_id'], 'record': record}, worker)\n"
+            "assert ctl.handle({'type': 'poll', 'job_id': job['job_id']}, client)['finished']\n"
+            + _REPORT_LOADED
+        )
+        assert _fresh_python(script) == ["[]"]
+
+    def test_control_plane_commands_start_without_the_simulator(self):
+        """``--help``/``--version`` and the help of every command that does
+        not simulate: exit 0, and nothing of the simulator imported."""
+        commands = (
+            ["--help"], ["--version"], ["cache", "--help"], ["serve", "--help"],
+            ["submit", "--help"], ["worker", "--help"],
+        )
+        script = (
+            "import contextlib, io, sys\n"
+            "from repro.__main__ import main\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n"
+            "            main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            assert exc.code == 0, (argv, exc.code)\n"
+            "        else:\n"
+            "            raise AssertionError(argv)\n"
+            + _REPORT_LOADED
+        )
+        assert _fresh_python(script) == ["[]"]
+
+    def test_probe_names_in_help_come_from_the_registry(self, capsys):
+        from repro.core.probes import PROBE_REGISTRY
+
+        for command in ("openloop", "batch"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            text = " ".join(capsys.readouterr().out.split())
+            assert "from {" + ",".join(PROBE_REGISTRY) + "} or 'all'" in text
+
+
+class TestLazyNamespaces:
+    """``repro``, ``repro.core`` and ``repro.analysis`` import a public name's
+    submodule on first use; what they export is what eager imports gave."""
+
+    PACKAGES = ("repro", "repro.core", "repro.analysis")
+
+    @pytest.mark.parametrize("name", PACKAGES)
+    def test_exports_resolve_to_their_submodules(self, name):
+        import importlib
+
+        package = importlib.import_module(name)
+        assert package.__all__ == list(package._exports)
+        listed = dir(package)
+        for export, submodule in package._exports.items():
+            defining = importlib.import_module(submodule, name)
+            assert getattr(package, export) is getattr(defining, export), export
+            assert export in listed
+        namespace: dict = {}
+        exec(f"from {name} import *", namespace)
+        assert {k for k in namespace if k != "__builtins__"} == set(package.__all__)
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            package.nope
+
+    def test_an_export_outranks_its_same_named_submodule(self):
+        """Loading ``repro.core.sweep`` first binds the module on the package;
+        the exported function keeps the name, as with eager imports."""
+        script = (
+            "import pickle\n"
+            "import repro.core.sweep, repro.core.explore, repro.analysis.ascii_plot\n"
+            "import repro.core, repro.analysis\n"
+            "from repro.core import sweep, explore\n"
+            "from repro.analysis import ascii_plot\n"
+            "print(sweep.__module__, explore.__module__, ascii_plot.__module__)\n"
+            "assert repro.core.sweep is sweep and pickle.loads(pickle.dumps(sweep)) is sweep\n"
+        )
+        assert _fresh_python(script) == [
+            "repro.core.sweep repro.core.explore repro.analysis.ascii_plot"
+        ]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

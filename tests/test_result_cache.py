@@ -1,11 +1,12 @@
 """Tests for the content-addressed result cache (repro.core.cache).
 
-Covers the ISSUE 5 checklist: hit-after-warm equivalence against a cold
-run (sha256 record digests), invalidation on fingerprint change,
-corrupt-index tolerance (a truncated tail recovers, like the sweep
-journal), the ``REPRO_NO_CACHE=1`` bypass — plus the acceptance-criteria
-demonstration that a warm rerun of a representative latency-load grid is
->= 10x faster than cold while bit-identical, recorded BENCH-style.
+Covers hit-after-warm equivalence against a cold run (sha256 record
+digests), invalidation on fingerprint change, corrupt-index tolerance (a
+truncated tail recovers, like the sweep journal), the ``REPRO_NO_CACHE=1``
+bypass, what may enter a key (numpy values key as native ones, a value
+whose text is a memory address is refused) — plus a warm rerun of a
+representative latency-load grid >= 10x faster than cold while
+bit-identical.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.core.cache import (
     verify_entries,
 )
 from repro.core.parallel import SweepLedger, enumerate_points, run_sweep
+from repro.core.reply import FixedReply
 
 
 #: A small-but-real latency-load grid (fig01 shape): 4x4 mesh, three loads.
@@ -240,6 +242,204 @@ class TestPointKeyProperty:
         rebound = functools.partial(_openloop_runner, **{**bindings, "drain_limit": 7})
         assert key != point_key(config, kwargs, runner_spec(rebound), salt="s")
         assert key != point_key(config, kwargs, spec, salt="t")
+
+
+def test_point_key_of_pinned_inputs_is_stable():
+    """A key's bytes are part of the on-disk format: the same inputs under
+    the same salt key to this literal in every version that keeps the
+    format (numpy and native values, tuples, ``classes`` spelling)."""
+    config = asdict(NetworkConfig(k=4, n=2, seed=2**63 + 5, classes="user:share=3+os:priority=1"))
+    kwargs = {"rate": np.float64(0.25), "window": (10, np.int32(20)), "mode": "fast"}
+    spec = {"partial_of": {"runner": "m:f", "code_crc": 7}, "args": [], "kwargs": {"warmup": 100}}
+    assert (
+        point_key(config, kwargs, spec, salt="pinned")
+        == "0635a43c322e4ff5fb7f470e513d7766ba4e2716fec935b7cef2cc5a04e6b9f4"
+    )
+
+
+def _numpy_default(obj):
+    """The JSON fallback written against an imported numpy, as the cache and
+    the wire each carried it before they shared ``json_default``."""
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return str(obj)
+
+
+_NUMPY_LEAVES = st.one_of(
+    st.integers(-(2**31), 2**31 - 1).flatmap(
+        lambda v: st.sampled_from([np.int64(v), np.int32(v), int(v)])
+    ),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.floats(allow_nan=False, width=32).flatmap(
+        lambda v: st.sampled_from([np.float64(v), np.float32(v), v])
+    ),
+    st.booleans().flatmap(lambda v: st.sampled_from([np.bool_(v), v])),
+    st.lists(st.integers(-5, 5), max_size=4).map(np.array),
+    st.lists(st.floats(-1, 1), max_size=3).map(np.array),
+    st.lists(st.booleans(), max_size=3).map(np.array),
+    st.text("ab", max_size=2),
+    st.none(),
+)
+_NUMPY_TREES = st.recursive(
+    _NUMPY_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.tuples(children, children),
+        st.dictionaries(st.text("xyz", max_size=2), children, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+class TestSharedJsonDefault:
+    """One fallback (``analysis.io.json_default``) behind keys, store lines
+    and the wire, which reads numpy off ``sys.modules`` instead of importing it."""
+
+    @given(tree=_NUMPY_TREES)
+    @settings(max_examples=200, deadline=None)
+    def test_same_text_as_the_numpy_importing_fallback(self, tree):
+        from repro.analysis.io import json_default
+
+        for options in ({}, {"sort_keys": True, "separators": (",", ":")}):
+            ours = json.JSONEncoder(default=json_default, **options).encode(tree)
+            assert ours == json.JSONEncoder(default=_numpy_default, **options).encode(tree)
+
+    def test_same_text_with_numpy_not_loaded(self):
+        """Without numpy in the process every value takes the ``str`` path."""
+        script = textwrap.dedent(
+            """
+            import json, sys
+            from fractions import Fraction
+            from repro.analysis.io import json_default
+            tree = {"f": Fraction(1, 3), "s": {1, 2}, "n": [1, 2.5, None, (3, "x")]}
+            print(json.JSONEncoder(default=json_default).encode(tree))
+            print("numpy" in sys.modules)
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.returncode == 0, out.stderr
+        from fractions import Fraction
+
+        tree = {"f": Fraction(1, 3), "s": {1, 2}, "n": [1, 2.5, None, (3, "x")]}
+        assert out.stdout.splitlines() == [
+            json.JSONEncoder(default=_numpy_default).encode(tree),
+            "False",
+        ]
+
+
+class _Plain:
+    """A value with the default ``object.__repr__``: its text is its address."""
+
+    def method(self):
+        return 0
+
+
+def _local_function(cfg):
+    return {}
+
+
+class TestAddressValuedKeys:
+    """A value whose text holds its memory address never enters a key: such
+    a key misses in every other process and, as addresses are reused, can
+    name another value in this one."""
+
+    @pytest.mark.parametrize(
+        "value, type_name",
+        [(_Plain(), "_Plain"), (_local_function, "function"), (_Plain().method, "method")],
+    )
+    def test_runner_binding_is_refused(self, value, type_name):
+        with pytest.raises(TypeError, match=type_name):
+            runner_spec(functools.partial(_openloop_runner, hook=value))
+        with pytest.raises(TypeError, match=type_name):
+            runner_spec(functools.partial(_openloop_runner, value))
+
+    def test_point_kwarg_and_config_value_are_refused(self):
+        spec = {"runner": "m:f"}
+        with pytest.raises(TypeError, match="_Plain"):
+            point_key({"k": 4}, {"hook": _Plain()}, spec, salt="s")
+        with pytest.raises(TypeError, match="_Plain"):
+            point_key({"k": 4, "extra": [_Plain()]}, {}, spec, salt="s")
+        with pytest.raises(TypeError, match="function"):
+            fingerprint({"x": _local_function}, salt="s")
+
+    def test_cached_sweep_over_an_address_valued_axis_raises(self, tmp_path):
+        def runner(cfg, *, hook):
+            return {"v": 1}
+
+        axis = {"hook": (_Plain(),)}
+        with pytest.raises(TypeError, match="_Plain"):
+            run_sweep(GRID_CFG, {}, runner, extra_axes=axis, cache=tmp_path / "c")
+        # uncached, nothing is keyed
+        assert run_sweep(GRID_CFG, {}, runner, extra_axes=axis)[0]["v"] == 1
+
+    def test_store_lines_and_the_wire_stay_lenient(self, tmp_path):
+        from repro.service import protocol
+
+        store = ResultCache(tmp_path / "c")
+        store.put("k", {"v": 1}, {"note": _Plain()})
+        assert "_Plain object at 0x" in store.store_path.read_text()
+        assert b"_Plain object at 0x" in protocol.encode({"type": "x", "o": _Plain()})
+
+
+#: The paper's four reply models, as runner bindings or axis values.
+_REPLY_MODELS = (
+    "ImmediateReply()",
+    "FixedReply(20)",
+    "ProbabilisticReply(20, 300, 0.1)",
+    "PerClassReply({1: FixedReply(50)}, ProbabilisticReply())",
+)
+
+
+class TestReplyModelKeys:
+    def test_fixed_reply_bindings_key_by_latency(self):
+        """Fifty alternating FixedReply(20)/(21) bindings: one key per
+        latency, never one for both (their addresses recur)."""
+        keys: dict[int, set] = {20: set(), 21: set()}
+        for i in range(50):
+            latency = 20 + i % 2
+            spec = runner_spec(functools.partial(_openloop_runner, reply_model=FixedReply(latency)))
+            keys[latency].add(point_key({"k": 4}, {}, spec, salt="s"))
+        assert len(keys[20]) == len(keys[21]) == 1
+        assert keys[20] != keys[21]
+
+    def test_reply_model_keys_match_across_interpreters(self):
+        script = textwrap.dedent(
+            f"""
+            import functools
+            from repro.__main__ import _openloop_runner
+            from repro.core.cache import point_key, runner_spec
+            from repro.core.reply import *
+            for text in {_REPLY_MODELS!r}:
+                model = eval(text)
+                spec = runner_spec(functools.partial(_openloop_runner, reply_model=model))
+                print(point_key({{"k": 4}}, {{"reply": model}}, spec, salt="s"))
+            """
+        )
+
+        def keys():
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+            assert out.returncode == 0, out.stderr
+            return out.stdout.split()
+
+        first = keys()
+        assert len(set(first)) == len(_REPLY_MODELS)
+        assert keys() == first
 
 
 class KeySpy(ResultCache):
@@ -661,7 +861,7 @@ class TestWarmSpeedupAcceptance:
     mesh, 2 router delays x 3 loads).  The measured successor is the repo
     benchmark's ``sweep_overhead`` cold/warm legs."""
 
-    def test_warm_rerun_10x_and_bench_record(self, tmp_path):
+    def test_warm_rerun_10x(self, tmp_path):
         cdir = tmp_path / "cache"
         t0 = time.perf_counter()
         cold = grid_sweep(cache=cdir)
