@@ -342,22 +342,21 @@ class FaultState:
     """Runtime fault bookkeeping for one :class:`~repro.network.network.Network`.
 
     Owns the activation/deactivation schedule, the set of currently-faulted
-    ``(node, out_port)`` channels, the per-router fault bitmasks, and a
-    per-version reachability cache used for unreachable-pair detection.
-    The owning network bumps ``network._fault_version`` through
-    :meth:`apply`, which is what tells blocked head flits to recompute
-    their routes after the fault set changes.
+    ``(node, out_port)`` channels, and a reachability cache used for
+    unreachable-pair detection.  It holds the topology, never the network:
+    the network hands itself to :meth:`apply`, which sets the per-router
+    fault bitmasks and bumps ``network._fault_version`` (what tells blocked
+    head flits to recompute their routes after the fault set changes).
     """
 
-    def __init__(self, resolved: Sequence[tuple[int, int, int, Optional[int]]], network):
-        self.network = network
+    def __init__(self, resolved: Sequence[tuple[int, int, int, Optional[int]]], topology):
+        self.topology = topology
         self.active: set[tuple[int, int]] = set()
         self._events: dict[int, list[tuple[int, int, int]]] = {}
         for node, port, start, end in resolved:
             self._events.setdefault(max(start, 0), []).append((node, port, +1))
             if end is not None:
                 self._events.setdefault(end, []).append((node, port, -1))
-        self._reach_version = -1
         self._dist: dict[int, list[int]] = {}
         self._rev: Optional[list[list[int]]] = None
 
@@ -376,12 +375,12 @@ class FaultState:
             return None
         return min(self._events)
 
-    def apply(self, now: int) -> None:
-        """Apply the activation/deactivation events scheduled for ``now``."""
+    def apply(self, now: int, net) -> None:
+        """Apply the activation/deactivation events scheduled for ``now`` to
+        ``net``'s routers."""
         bucket = self._events.pop(now, None)
         if bucket is None:
             return
-        net = self.network
         routers = net.routers
         for node, port, delta in bucket:
             if delta > 0:
@@ -391,27 +390,30 @@ class FaultState:
                 self.active.discard((node, port))
                 routers[node].fault_mask &= ~(1 << port)
         net._fault_version += 1
+        self._dist = {}
+        self._rev = None
 
     def is_faulted(self, node: int, port: int) -> bool:
         return (node, port) in self.active
 
+    def admit(self, packet, now: int) -> None:
+        """Raise :class:`UnreachableDestination` if ``packet``, offered at
+        cycle ``now``, cannot reach its destination under the active set."""
+        if self.active and not self.reachable(packet.src, packet.dst):
+            raise UnreachableDestination(packet.src, packet.dst, now)
+
     def distances_to(self, target: int) -> list[int]:
         """Hop distance from every node to ``target`` over non-faulted links.
 
-        BFS on the reversed directed graph, cached per (fault version,
-        target).  Unreachable nodes get ``UNREACHABLE`` (an effectively
-        infinite sentinel).  The fault-aware routing fallback steers every
-        hop strictly downhill on this metric, which is what makes detours
-        oscillation-free.
+        BFS on the reversed directed graph, cached per target until the
+        next fault-set change.  Unreachable nodes get ``UNREACHABLE`` (an
+        effectively infinite sentinel).  The fault-aware routing fallback
+        steers every hop strictly downhill on this metric, which is what
+        makes detours oscillation-free.
         """
-        version = self.network._fault_version
-        if version != self._reach_version:
-            self._reach_version = version
-            self._dist = {}
-            self._rev = None
         dist = self._dist.get(target)
         if dist is None:
-            topo = self.network.topology
+            topo = self.topology
             n = topo.num_nodes
             rev = self._rev
             if rev is None:
@@ -776,25 +778,26 @@ class InvariantChecker:
         num_vcs = cfg.num_vcs
         buf_size = cfg.vc_buffer_size
         # Flits in flight per (dst, in_port, vc) and credits in flight per
-        # (upstream router id, out_port, vc).
+        # (id of the upstream credit list, vc).
         arrivals: dict[tuple[int, int, int], int] = {}
         for bucket in net._arrivals.values():
             for ivc, _pkt, _fidx in bucket:
-                key = (ivc.router.node, ivc.in_port, ivc.vc)
+                key = (ivc.node, ivc.in_port, ivc.vc)
                 arrivals[key] = arrivals.get(key, 0) + 1
-        credits_in_flight: dict[tuple[int, int, int], int] = {}
+        credits_in_flight: dict[tuple[int, int], int] = {}
         for bucket in net._credits.values():
-            for router, op, vc in bucket:
-                key = (id(router), op, vc)
+            for creds, vc in bucket:
+                key = (id(creds), vc)
                 credits_in_flight[key] = credits_in_flight.get(key, 0) + 1
         for ch in net.topology.channels():
             upstream = routers[ch.src]
             downstream = routers[ch.dst]
+            creds = upstream.credits[ch.out_port]
             for vc in range(num_vcs):
-                held = upstream.credits[ch.out_port][vc]
+                held = creds[vc]
                 buffered = len(downstream.ivcs[ch.in_port * num_vcs + vc].fifo)
                 flying = arrivals.get((ch.dst, ch.in_port, vc), 0)
-                returning = credits_in_flight.get((id(upstream), ch.out_port, vc), 0)
+                returning = credits_in_flight.get((id(creds), vc), 0)
                 total = held + buffered + flying + returning
                 if total != buf_size:
                     raise InvariantViolation(

@@ -18,6 +18,7 @@ rates per class, and interrupt counts.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -177,6 +178,15 @@ class CmpSystem:
             USER: np.zeros(256, dtype=np.int64),
             KERNEL: np.zeros(256, dtype=np.int64),
         }
+        # A core's request callback holds the system weakly: a bound method
+        # would close the cycle system -> cores -> core -> system, which only
+        # the generation-2 collector frees.  It is dereferenced once per
+        # MSHR-allocating miss, never per core step.
+        system = weakref.ref(self)
+
+        def send_request(core_id: int, line: int, traffic_class: int) -> None:
+            system()._send_request(core_id, line, traffic_class)
+
         self.cores = [
             InOrderCore(
                 i,
@@ -184,7 +194,7 @@ class CmpSystem:
                 self.space,
                 l1=SetAssocCache(cfg.l1_lines, cfg.l1_assoc),
                 mshrs=MSHRFile(cfg.mshrs),
-                send_request=self._send_request,
+                send_request=send_request,
                 rng=rng_mod.make_generator(seed, "core", i, benchmark.name),
                 l1_latency=cfg.l1_latency,
                 blocking_fraction=benchmark.blocking_fraction,

@@ -87,13 +87,13 @@ class Network(BaseNetwork):
             resolved = plan.resolve(
                 self.topology, rng_mod.spawn(config.seed, "faults")
             )
-            self.faults = FaultState(resolved, self)
+            self.faults = FaultState(resolved, self.topology)
             self.routing = FaultAwareRouting(self.routing, self.faults)
         num_vcs = config.num_vcs
         self.routers = [
             Router(
                 node,
-                self,
+                self.topology,
                 self.routing,
                 num_vcs=num_vcs,
                 buf_size=config.vc_buffer_size,
@@ -104,15 +104,17 @@ class Network(BaseNetwork):
         ]
         # Wire each channel once: the upstream router learns the input VCs
         # its flits land in, and each of those learns the credit event it
-        # returns.  Injection-port VCs keep ``upstream = None`` — their
-        # buffer is checked directly by the source.
+        # returns — the upstream credit counters of that channel, never the
+        # router, so no component refers back to its owner.  Injection-port
+        # VCs keep ``upstream = None``: the source checks their buffer.
         for ch in self.topology.channels():
             upstream = self.routers[ch.src]
             base = ch.in_port * num_vcs
             landing = self.routers[ch.dst].ivcs[base : base + num_vcs]
             upstream.down[ch.out_port] = landing
+            creds = upstream.credits[ch.out_port]
             for vc, ivc in enumerate(landing):
-                ivc.upstream = (upstream, ch.out_port, vc)
+                ivc.upstream = (creds, vc)
         #: delivery cycle -> [(input VC, packet, flit index)] / [credit event]
         self._arrivals: dict[int, list] = {}
         self._credits: dict[int, list] = {}
@@ -136,12 +138,14 @@ class Network(BaseNetwork):
         self._active_routers: set[int] = set()
         if self.faults is not None:
             # Faults starting at cycle 0 take effect before the first step.
-            self.faults.apply(0)
+            self.faults.apply(0, self)
 
     # -- driver API -----------------------------------------------------------
     def offer(self, packet: Packet) -> None:
         """Queue ``packet`` at its source node (infinite source queue)."""
         self.routing.on_inject(packet)
+        if self.faults is not None:
+            self.faults.admit(packet, self.now)
         c = packet.traffic_class
         if c >= self._num_classes:
             c = self._num_classes - 1
@@ -158,12 +162,12 @@ class Network(BaseNetwork):
         # 0. Fault activations/deactivations scheduled for this cycle.
         fs = self.faults
         if fs is not None and fs.has_events:
-            fs.apply(now)
+            fs.apply(now, self)
         # 1. Credits land (usable this cycle).
         bucket = self._credits.pop(now, None)
         if bucket is not None:
-            for router, op, vc in bucket:
-                router.credits[op][vc] += 1
+            for creds, vc in bucket:
+                creds[vc] += 1
         # 2. Link arrivals buffer into downstream input VCs.
         bucket = self._arrivals.pop(now, None)
         if bucket is not None:
@@ -171,7 +175,7 @@ class Network(BaseNetwork):
             for ivc, pkt, fidx in bucket:
                 fifo = ivc.fifo
                 if not fifo:
-                    router = ivc.router
+                    router = routers[ivc.node]
                     router.busy.add(ivc.index)
                     active.add(router.node)
                     if ready < router.wake:
@@ -193,7 +197,7 @@ class Network(BaseNetwork):
             for node in sorted(active):
                 router = routers[node]
                 if router.wake <= now:
-                    router.step(now)
+                    router.step(now, self)
                     if not router.busy:
                         active.discard(node)
             if credit_out:

@@ -30,7 +30,9 @@ Per cycle, for each input VC whose head flit has cleared the pipeline:
    network's delivery-cycle bucket.
 
 Flits and credits in flight live in the owning :class:`Network`'s per-cycle
-buckets, so routers never observe partially-updated same-cycle state.
+buckets, so routers never observe partially-updated same-cycle state.  A
+router holds no reference to its network: :meth:`Router.step` is handed it
+per call, so a network is freed by reference counting when its run ends.
 ``wake`` is the earliest cycle at which a head flit of this router can be
 ready — ``now + 1`` whenever a ready head was blocked or lost arbitration,
 so whatever unblocks it finds the router awake; the network skips the
@@ -47,6 +49,7 @@ from .arbiters import build_arbiter
 from .vc import InputVC
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..topology.base import Topology
     from .network import Network
 
 __all__ = ["Router"]
@@ -60,7 +63,6 @@ class Router:
 
     __slots__ = (
         "node",
-        "network",
         "routing",
         "row",
         "num_vcs",
@@ -83,7 +85,7 @@ class Router:
     def __init__(
         self,
         node: int,
-        network: "Network",
+        topo: "Topology",
         routing: RoutingAlgorithm,
         *,
         num_vcs: int,
@@ -91,9 +93,7 @@ class Router:
         arbitration: str,
         classes: "tuple | None" = None,
     ):
-        topo = network.topology
         self.node = node
-        self.network = network
         self.routing = routing
         #: static route row, fetched at the first RC if the routing offers one
         self.row: Optional[list] = None
@@ -102,7 +102,7 @@ class Router:
         self.num_ports = topo.ports_per_router
         nivcs = self.num_ports * num_vcs
         self.ivcs = [
-            InputVC(i, i // num_vcs, i % num_vcs, self) for i in range(nivcs)
+            InputVC(i, i // num_vcs, i % num_vcs, node) for i in range(nivcs)
         ]
         #: indices of input VCs with a non-empty FIFO
         self.busy: set[int] = set()
@@ -170,15 +170,15 @@ class Router:
         return False
 
     # -- main per-cycle work --------------------------------------------------
-    def step(self, now: int) -> None:
-        """RC + VA + SA + ST for this router at cycle ``now``; sets ``wake``."""
+    def step(self, now: int, net: "Network") -> None:
+        """RC + VA + SA + ST for this router of ``net`` at cycle ``now``;
+        sets ``wake``."""
         ivcs = self.ivcs
         busy = self.busy
         reqs = self._reqs
         local = self.local_port
         fm = self.fault_mask
         credits = self.credits
-        net = self.network
         fv = net._fault_version
         nxt = now + 1
         wake = _IDLE
@@ -274,7 +274,7 @@ class Router:
                     continue
                 used_inputs |= in_port_bit
                 fifo = ivc.fifo
-                pkt, fidx, _ = fifo.popleft()
+                pkt, fidx, _ = fifo.pop(0)
                 if fifo:
                     ready = fifo[0][2]
                     if ready < wake:
@@ -285,8 +285,8 @@ class Router:
                 if credit is not None:
                     # The freed buffer slot returns one credit upstream.
                     if credit_out is None:
-                        upstream, up_port, vc = credit
-                        upstream.credits[up_port][vc] += 1
+                        creds, vc = credit
+                        creds[vc] += 1
                     else:
                         credit_out.append(credit)
                 is_tail = fidx == pkt.size - 1

@@ -16,16 +16,22 @@ The VC's routing state machine is encoded compactly:
 * ``out_port >= 0``                             — allocated; ``out_vc`` is
   the downstream VC, or ``-1`` when the output is the ejection port.
 
-``router`` and ``upstream`` are wiring, fixed at network build: the owning
-router (a link arrival is filed against the input VC itself, so delivery
-needs no lookup), and the prebuilt credit event ``(upstream router,
-its out_port, vc)`` this buffer returns each time a flit leaves it —
-``None`` on the injection port, whose buffer the source checks directly.
+``node`` and ``upstream`` are wiring, fixed at network build: the owning
+router's node id (a link arrival is filed against the input VC itself and
+finds its router by index), and the prebuilt credit event ``(credit list,
+vc)`` this buffer returns each time a flit leaves it — the upstream
+router's per-VC credit counters for the channel feeding this port, so a
+returning credit is ``creds[vc] += 1``.  It is ``None`` on the injection
+port, whose buffer the source checks directly.  Neither refers back to a
+router, so a network's object graph holds no cycle (DESIGN.md §6).
+
+The FIFO is a plain list: credits bound it by ``vc_buffer_size`` (a few
+flits), where ``pop(0)`` costs nothing and an empty list is an eighth of
+an empty ``deque``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 __all__ = ["InputVC"]
@@ -43,22 +49,22 @@ class InputVC:
         "out_vc",
         "candidates",
         "route_version",
-        "router",
+        "node",
         "upstream",
     )
 
-    def __init__(self, index: int, in_port: int, vc: int, router=None):
+    def __init__(self, index: int, in_port: int, vc: int, node: int):
         self.index = index
         self.in_port = in_port
         self.vc = vc
-        self.fifo: deque = deque()
+        self.fifo: list = []
         self.out_port: int = -1
         self.out_vc: int = -1
         self.candidates: Optional[list] = None
         #: network fault version the candidates were computed under; a head
         #: flit still awaiting VC allocation re-routes when this goes stale.
         self.route_version: int = 0
-        self.router = router
+        self.node = node
         self.upstream: Optional[tuple] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

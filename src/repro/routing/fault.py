@@ -23,7 +23,8 @@ limit holds its VC until the next fault-set change re-routes it.
 
 At injection, an unreachable destination raises a structured
 :class:`~repro.core.resilience.UnreachableDestination` instead of letting
-the packet wander.
+the packet wander (the network asks :meth:`FaultState.admit`, which knows
+the fault set but not the clock).
 
 Deadlock freedom is deliberately **not** preserved under detours: a route
 around a dead link can close a channel-dependency cycle that the base
@@ -35,7 +36,7 @@ converts any resulting deadlock into a :class:`SimulationStalled` diagnosis.
 
 from __future__ import annotations
 
-from ..core.resilience import FaultState, UnreachableDestination
+from ..core.resilience import FaultState
 from ..network.packet import Packet
 from .base import RouteCandidate, RoutingAlgorithm
 
@@ -77,11 +78,6 @@ class FaultAwareRouting(RoutingAlgorithm):
 
     def on_inject(self, packet: Packet) -> None:
         self.base.on_inject(packet)
-        fs = self.faults
-        if fs.active and not fs.reachable(packet.src, packet.dst):
-            raise UnreachableDestination(
-                packet.src, packet.dst, fs.network.now
-            )
 
     def route(self, node: int, packet: Packet) -> list[RouteCandidate]:
         cands = self.base.route(node, packet)

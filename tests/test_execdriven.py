@@ -226,6 +226,22 @@ class TestCmpSystem:
         assert base.requests_by_kind["kernel_timer"] == 0
         assert timer.total_flits > base.total_flits
 
+    @pytest.mark.parametrize(
+        "spec,interrupts,kinds",
+        [
+            (lu, 38, {"user": 76, "kernel_burst": 28, "kernel_timer": 3702}),
+            (fft, 30, {"user": 122, "kernel_burst": 40, "kernel_timer": 3485}),
+        ],
+    )
+    def test_timer_request_kinds_pinned(self, spec, interrupts, kinds):
+        """A request is billed to ``kernel_timer`` by the sending core's
+        interrupt state at send time; the ``_retire()`` that follows a
+        non-blocking send can pop the handler frame, so a bit read after it
+        moves requests between kinds (fft shows it at this size, lu not)."""
+        res = CmpSystem(spec(300), CmpConfig(), timer_interval=200, seed=1).run()
+        assert res.interrupts == interrupts
+        assert res.requests_by_kind == kinds
+
     def test_timer_rate_measured(self):
         res = self._small(lu(1500), timer_interval=500).run()
         assert res.timer_rate == pytest.approx(1 / 500, rel=0.3)

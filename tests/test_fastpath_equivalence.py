@@ -507,7 +507,9 @@ class TestReadyCycleGating:
         stepped = []
         step = Router.step
         monkeypatch.setattr(
-            Router, "step", lambda self, now: (stepped.append(self.node), step(self, now))
+            Router,
+            "step",
+            lambda self, now, net: (stepped.append(self.node), step(self, now, net)),
         )
         net = Network(NetworkConfig(k=4, n=2, router_delay=4))
         net.offer(net.make_packet(0, 3, 1))

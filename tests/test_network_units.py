@@ -41,7 +41,8 @@ class TestPacket:
 
 class TestInputVC:
     def test_initial_state(self):
-        vc = InputVC(3, 1, 1)
+        vc = InputVC(3, 1, 1, 5)
+        assert vc.node == 5 and vc.upstream is None
         assert vc.out_port == -1 and vc.out_vc == -1
         assert vc.candidates is None
         assert not vc.fifo

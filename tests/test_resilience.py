@@ -141,32 +141,32 @@ class TestFaultState:
     def _state(self, spec: str) -> tuple[Network, FaultState]:
         net = Network(NetworkConfig(k=4, n=2))
         resolved = FaultPlan.parse(spec).resolve(net.topology, seed=1)
-        return net, FaultState(resolved, net)
+        return net, FaultState(resolved, net.topology)
 
     def test_transient_window_toggles(self):
         net, fs = self._state("link:0>1@5-10")
-        fs.apply(0)
+        fs.apply(0, net)
         assert not fs.active
-        fs.apply(5)
+        fs.apply(5, net)
         assert len(fs.active) == 1
         (node, port), = fs.active
         assert fs.is_faulted(node, port)
         assert net.routers[node].fault_mask == 1 << port
-        fs.apply(10)
+        fs.apply(10, net)
         assert not fs.active
         assert net.routers[node].fault_mask == 0
 
     def test_apply_bumps_fault_version(self):
         net, fs = self._state("link:0>1")
         v0 = net._fault_version
-        fs.apply(0)
+        fs.apply(0, net)
         assert net._fault_version == v0 + 1
-        fs.apply(1)  # no event scheduled: no bump
+        fs.apply(1, net)  # no event scheduled: no bump
         assert net._fault_version == v0 + 1
 
     def test_distances_and_reachability(self):
         net, fs = self._state("router:5")
-        fs.apply(0)
+        fs.apply(0, net)
         dist = fs.distances_to(5)
         assert dist[5] == 0
         assert all(d == UNREACHABLE for i, d in enumerate(dist) if i != 5)
@@ -177,9 +177,9 @@ class TestFaultState:
 
     def test_cache_invalidated_on_fault_change(self):
         net, fs = self._state("link:0>1@0-20")
-        fs.apply(0)
+        fs.apply(0, net)
         d_faulted = fs.distances_to(1)[0]
-        fs.apply(20)
+        fs.apply(20, net)
         assert fs.distances_to(1)[0] == 1
         assert d_faulted > 1
 
