@@ -15,15 +15,15 @@ Examples::
     python -m repro worker localhost:7421 &
     python -m repro submit localhost:7421 --rates 0.05,0.2
 
-Every command accepts the network knobs of Table I (``--topology``,
-``--k``, ``--num-vcs``, ``--vc-buffer-size``, ``--router-delay``,
-``--routing``, ``--arbitration``, ``--traffic``, ``--packet-size``,
-``--seed``) and prints a plain-text result.
+Every simulating command takes one flag per Table I knob of
+:class:`~repro.config.NetworkConfig` (``_NETWORK_FLAGS``) and prints a
+plain-text result.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -32,8 +32,7 @@ from typing import TYPE_CHECKING, Any
 
 from . import __version__
 from .analysis import format_records, format_table, probe_heatmap
-from .analysis.io import _coerce
-from .config import CmpConfig, NetworkConfig
+from .config import FIELD_CHOICES, CmpConfig, NetworkConfig
 from .core.resilience import SimulationStalled, Watchdog
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -107,84 +106,64 @@ def _report_probes(probes: ProbeSet | None, records: list) -> None:
         print(probe_heatmap(records, field="per_node_ejected"))
 
 
-def _add_network_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--topology", default="mesh", choices=("mesh", "torus", "ring"))
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--num-vcs", type=int, default=2)
-    p.add_argument("--vc-buffer-size", "-q", type=int, default=4)
-    p.add_argument("--router-delay", "--tr", type=int, default=1)
-    p.add_argument("--routing", default="dor", choices=("dor", "val", "ma", "romm"))
-    p.add_argument(
-        "--arbitration",
-        default="round_robin",
-        choices=("round_robin", "age", "priority", "weighted"),
-    )
-    p.add_argument(
-        "--classes",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "traffic-class registry: a count (e.g. '2') or '+'-separated "
-            "entries 'name[:priority=P][:weight=W][:share=S][:pattern=T]', "
-            "e.g. 'user:share=3+os:priority=1' (default: one class); pair "
-            "with --arbitration priority|weighted; also sweepable via "
-            "--axis classes=SPEC1,SPEC2"
-        ),
-    )
-    p.add_argument(
-        "--traffic",
-        default="uniform_random",
-        choices=(
-            "uniform_random",
-            "transpose",
-            "bit_complement",
-            "bit_reversal",
-            "neighbor",
-            "tornado",
-            "hotspot",
-        ),
-    )
-    p.add_argument("--packet-size", default="single", choices=("single", "bimodal"))
-    p.add_argument(
-        "--backend",
-        default="object",
-        choices=("object", "vectorized", "analytical"),
-        help="network implementation: per-flit Python objects (reference), "
+#: NetworkConfig's fields by name: a flag's and an axis value's type and
+#: default are read off the field.
+_FIELDS = {f.name: f for f in dataclasses.fields(NetworkConfig)}
+
+#: The network flags, one per NetworkConfig field, with the add_argument
+#: keywords the field cannot supply (an alias, help).  Type and default come
+#: from the field and choices from FIELD_CHOICES; a field without a scalar
+#: default (classes, faults) is a spec string defaulting to None.
+_NETWORK_FLAGS: dict[str, dict[str, Any]] = {
+    # The ideal network is the NAR reference, run through `cmp --ideal`.
+    "topology": {"choices": ("mesh", "torus", "ring")},
+    "k": {},
+    "n": {},
+    "num_vcs": {},
+    "vc_buffer_size": {"aliases": ("-q",)},
+    "router_delay": {"aliases": ("--tr",)},
+    "routing": {},
+    "arbitration": {},
+    "classes": {
+        "help": "traffic-class registry: a count (e.g. '2') or '+'-separated "
+        "entries 'name[:priority=P][:weight=W][:share=S][:pattern=T]', "
+        "e.g. 'user:share=3+os:priority=1' (default: one class); pair "
+        "with --arbitration priority|weighted; also sweepable via "
+        "--axis classes=SPEC1,SPEC2"
+    },
+    "traffic": {},
+    "packet_size": {},
+    "backend": {
+        "help": "network implementation: per-flit Python objects (reference), "
         "the struct-of-arrays numpy backend (bit-identical, much faster at "
         "scale; rejects faulted or credit_delay=0 configs), or the "
         "zero-cycle analytical estimator (cycle drivers reject it — use "
-        "'repro estimate' or 'repro sweep --steer')",
-    )
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "fault plan, e.g. 'links:2' (random), 'link:12>20', "
-            "'router:5@1000-2000'; clauses joined with ';'"
-        ),
-    )
+        "'repro estimate' or 'repro sweep --steer')"
+    },
+    "seed": {},
+    "faults": {
+        "help": "fault plan, e.g. 'links:2' (random), 'link:12>20', "
+        "'router:5@1000-2000'; clauses joined with ';'"
+    },
+}
+
+
+def _add_network_args(p: argparse.ArgumentParser, *names: str) -> None:
+    """Attach the network flags of ``names`` (default: all of them)."""
+    for name in names or _NETWORK_FLAGS:
+        kw = dict(_NETWORK_FLAGS[name])
+        flags = ("--" + name.replace("_", "-"), *kw.pop("aliases", ()))
+        default = _FIELDS[name].default
+        if isinstance(default, (int, float, str)):
+            kw = {"type": type(default), "default": default,
+                  "choices": FIELD_CHOICES.get(name), **kw}
+        else:
+            kw = {"default": None, "metavar": "SPEC", **kw}
+        p.add_argument(*flags, **kw)
 
 
 def _network_config(args: argparse.Namespace) -> NetworkConfig:
-    return NetworkConfig(
-        topology=args.topology,
-        k=args.k,
-        n=args.n,
-        num_vcs=args.num_vcs,
-        vc_buffer_size=args.vc_buffer_size,
-        router_delay=args.router_delay,
-        routing=args.routing,
-        arbitration=args.arbitration,
-        traffic=args.traffic,
-        packet_size=args.packet_size,
-        backend=getattr(args, "backend", "object"),
-        classes=getattr(args, "classes", None),
-        seed=args.seed,
-        faults=getattr(args, "faults", None),
-    )
+    return NetworkConfig(**{name: getattr(args, name) for name in _NETWORK_FLAGS})
 
 
 def _add_health_args(p: argparse.ArgumentParser) -> None:
@@ -260,14 +239,83 @@ def _cmd_openloop(args) -> int:
     return 0
 
 
+def _count_or_spec(value: str) -> int | str:
+    """A spec field's value (``classes``, ``faults``): a count or a spec."""
+    try:
+        return int(value)
+    except ValueError:
+        return value
+
+
 def _parse_axis(spec: str) -> tuple[str, tuple]:
-    """Parse a ``--axis name=v1,v2,...`` config-axis spec."""
+    """Parse a ``--axis``/``--gene`` ``name=v1,v2,...`` spec.
+
+    Each value is typed by the NetworkConfig field it sets, so ``1`` and
+    ``1.0`` are one coordinate of a float field, and ``2.5`` for an
+    integer field is a parse error rather than a truncated config.
+    """
     name, sep, values = spec.partition("=")
     if not sep or not name or not values:
         raise argparse.ArgumentTypeError(
             f"bad axis {spec!r} (expected name=value,value,...)"
         )
-    return name.replace("-", "_"), tuple(_coerce(v) for v in values.split(","))
+    name = name.replace("-", "_")
+    if name not in _FIELDS:
+        raise argparse.ArgumentTypeError(f"unknown config field {name!r} in {spec!r}")
+    default = _FIELDS[name].default
+    parse = type(default) if isinstance(default, (int, float, str)) else _count_or_spec
+    try:
+        return name, tuple(parse(v) for v in values.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{name} takes {parse.__name__} values, got {values!r}"
+        ) from None
+
+
+#: The flags of the commands that run sweep points (sweep, explore,
+#: submit), each declared once; a command attaches the ones it takes.
+_EXECUTOR_FLAGS: dict[str, dict[str, Any]] = {
+    "--rates": dict(required=True, help="comma-separated offered loads"),
+    "--axis": dict(
+        action="append", type=_parse_axis, metavar="NAME=V1,V2,...",
+        help="sweep a config field too (repeatable), e.g. --axis "
+        "router-delay=1,2,4; values are typed by the field",
+    ),
+    "--workers": dict(type=int, default=1, help="process-pool size (1 = serial)"),
+    "--journal": dict(help="JSON-lines checkpoint, one line per point (explore: genome)"),
+    "--resume": dict(
+        action="store_true", help="skip what --journal holds instead of starting fresh"
+    ),
+    "--force-resume": dict(
+        action="store_true", help="resume even when the journal's fingerprint "
+        "(config x axes or spec x code version) no longer matches",
+    ),
+    "--remote": dict(
+        metavar="HOST:PORT", help="run the points on the distributed service at "
+        "this address instead of locally (see 'repro serve' / 'repro worker')",
+    ),
+    "--progress": dict(action="store_true", help="print per-point rate/ETA to stderr"),
+    "--point-timeout": dict(
+        type=float, metavar="SECONDS",
+        help="kill points that run longer than this (parallel mode)",
+    ),
+    "--max-retries": dict(
+        type=int, default=2, help="retry transient point failures (stalls, worker "
+        "deaths) up to this many times (default 2)",
+    ),
+    "--cache": dict(
+        nargs="?", const="", metavar="DIR",
+        help="reuse identical (config, seed) points from a content-addressed "
+        "result cache (default dir: $REPRO_CACHE_DIR or .repro-cache); "
+        "REPRO_NO_CACHE=1 bypasses it",
+    ),
+}
+
+
+def _add_executor_args(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Attach the executor flags ``flags`` (default: all of them)."""
+    for flag in flags or _EXECUTOR_FLAGS:
+        p.add_argument(flag, **_EXECUTOR_FLAGS[flag])
 
 
 def _openloop_runner(cfg, *, rate, warmup, measure, drain_limit):
@@ -301,56 +349,62 @@ def _print_progress(p: SweepProgress) -> None:
     )
 
 
-def _cmd_sweep(args) -> int:
+def _cache_dir(args) -> str | Path | None:
+    """``--cache``: None when absent, the default directory when bare."""
+    if args.cache is None:
+        return None
     from .core.cache import default_cache_dir
-    from .core.parallel import run_sweep
 
+    return args.cache or default_cache_dir()
+
+
+def _cmd_sweep(args) -> int:
     cfg = _network_config(args)
     rates = tuple(float(r) for r in args.rates.split(","))
     axes = dict(args.axis or [])
+    steer = getattr(args, "steer", False)
     if args.resume and not args.journal:
         print("--resume requires --journal", file=sys.stderr)
         return 2
-    cache = None
-    if args.cache is not None:
-        cache = args.cache or default_cache_dir()
+    if steer and cfg.backend == "analytical":
+        print("--steer simulates its knee window cycle-accurately; pick "
+              "--backend object|vectorized (the model half is implied)",
+              file=sys.stderr)
+        return 2
     runner = functools.partial(
         _openloop_runner, warmup=args.warmup, measure=args.measure, drain_limit=args.drain
     )
-    if getattr(args, "steer", False):
-        return _steered_sweep_cli(args, cfg, axes, rates, runner, cache)
+    shared: dict[str, Any] = dict(
+        journal=args.journal,
+        resume=args.resume,
+        resume_force=args.force_resume,
+        progress=_print_progress if args.progress else None,
+        max_retries=args.max_retries,
+    )
+    # Under --remote the controller owns execution: pool width, point
+    # timeouts and the shared cache are its configuration, not the client's.
+    local: dict[str, Any] = dict(
+        n_workers=args.workers, point_timeout=args.point_timeout, cache=_cache_dir(args)
+    )
     try:
-        if getattr(args, "remote", None):
+        if steer:
+            from .core.steering import steered_sweep
+
+            records = steered_sweep(
+                cfg, axes, runner, rates=rates, sim_fraction=args.steer_fraction,
+                remote=args.remote, **shared, **local,
+            )
+        elif args.remote:
             from .service import run_remote_sweep
 
-            # The controller owns execution: pool width, point timeouts,
-            # and the shared cache are its configuration, not the client's.
             records = run_remote_sweep(
-                args.remote,
-                cfg,
-                axes,
-                runner,
-                extra_axes={"rate": rates},
-                journal=args.journal,
-                resume=args.resume,
-                resume_force=args.force_resume,
-                progress=_print_progress if args.progress else None,
-                max_retries=args.max_retries,
+                args.remote, cfg, axes, runner, extra_axes={"rate": rates}, **shared
             )
         else:
+            from .core.parallel import run_sweep
+
             records = run_sweep(
-                cfg,
-                axes,
-                runner,
-                extra_axes={"rate": rates},
-                n_workers=args.workers,
-                journal=args.journal,
-                resume=args.resume,
-                resume_force=args.force_resume,
-                progress=_print_progress if args.progress else None,
-                point_timeout=args.point_timeout,
-                max_retries=args.max_retries,
-                cache=cache,
+                cfg, axes, runner, extra_axes={"rate": rates}, **shared, **local
             )
     except ValueError as exc:  # bad n_workers, journal/axes mismatch, ...
         print(f"sweep error: {exc}", file=sys.stderr)
@@ -359,54 +413,13 @@ def _cmd_sweep(args) -> int:
         print(f"service error: {exc}", file=sys.stderr)
         return 2
     columns = list(axes) + ["rate", "latency", "throughput", "saturated"]
+    if steer:
+        columns.append("source")
     if any(r.get("failed") for r in records):
         columns.append("error")
     print(format_records(records, columns))
-    health = getattr(records, "health", None)
-    if health is not None:
-        print(f"health: {health.summary()}", file=sys.stderr)
-    return 0 if health is None or health.failed == 0 else 1
-
-
-def _steered_sweep_cli(args, cfg, axes, rates, runner, cache) -> int:
-    from .core.steering import steered_sweep
-
-    if cfg.backend == "analytical":
-        print("--steer simulates its knee window cycle-accurately; pick "
-              "--backend object|vectorized (the model half is implied)",
-              file=sys.stderr)
-        return 2
-    try:
-        records = steered_sweep(
-            cfg,
-            axes,
-            runner,
-            rates=rates,
-            sim_fraction=args.steer_fraction,
-            n_workers=args.workers,
-            journal=args.journal,
-            resume=args.resume,
-            resume_force=args.force_resume,
-            progress=_print_progress if args.progress else None,
-            point_timeout=args.point_timeout,
-            max_retries=args.max_retries,
-            cache=cache,
-            remote=args.remote,
-        )
-    except ValueError as exc:
-        print(f"sweep error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, RuntimeError) as exc:  # remote mode: refused/error reply
-        print(f"service error: {exc}", file=sys.stderr)
-        return 2
-    columns = list(axes) + ["rate", "latency", "throughput", "saturated", "source"]
-    if any(r.get("failed") for r in records):
-        columns.append("error")
-    print(format_records(records, columns))
-    for plan in records.plans:
-        coords = (
-            " ".join(f"{k}={v}" for k, v in plan.overrides.items()) or "(base)"
-        )
+    for plan in getattr(records, "plans", ()):
+        coords = " ".join(f"{k}={v}" for k, v in plan.overrides.items()) or "(base)"
         lo, hi = plan.simulated_indices[0], plan.simulated_indices[-1]
         print(
             f"steer {coords}: predicted knee at rate {plan.knee_rate:g} "
@@ -415,53 +428,39 @@ def _steered_sweep_cli(args, cfg, axes, rates, runner, cache) -> int:
             f"{len(plan.simulated_indices)}/{len(plan.rates)} points",
             file=sys.stderr,
         )
-    health = records.health
-    print(f"health: {health.summary()}", file=sys.stderr)
-    return 0 if health.failed == 0 else 1
+    print(f"health: {records.health.summary()}", file=sys.stderr)
+    return 0 if records.health.failed == 0 else 1
 
 
 def _explore_spec(args):
-    """Resolve the CLI flags into an (config, ExploreSpec) pair."""
-    from .core.explore import DEFAULT_SPACE, QUICK_SPACE, DesignSpace, ExploreSpec
+    """Resolve the CLI flags into a (config, ExploreSpec) pair: the profile
+    (``ExploreSpec()`` or ``QUICK_SPEC``) with each flag given laid over it."""
+    from .core.explore import QUICK_SPEC, DesignSpace, ExploreSpec
 
     cfg = _network_config(args)
+    spec = QUICK_SPEC if args.quick else ExploreSpec()
     if args.quick:
-        # The quick profile is pinned — 4x4 network, small space, short
-        # windows — so its front is comparable across hosts and its
-        # hypervolume can be pinned exactly (tests/test_explore.py).
         cfg = cfg.with_(k=4, n=2)
-        profile = dict(
-            space=QUICK_SPACE, population=8, generations=3,
-            rates=(0.1, 0.55), warmup=150, measure=300, drain_limit=3000,
-        )
-    else:
-        profile = dict(
-            space=DEFAULT_SPACE, population=12, generations=6,
-            rates=(0.05, 0.45), warmup=300, measure=600, drain_limit=6000,
-        )
-    space_map = profile["space"].as_mapping()
+    space = spec.space.as_mapping()
     for name, values in args.gene or []:
-        space_map[name] = list(values)
-    spec = ExploreSpec(
-        space=DesignSpace.from_mapping(space_map),
-        population=args.population or profile["population"],
-        generations=(
-            args.generations if args.generations is not None
-            else profile["generations"]
-        ),
+        space[name] = list(values)
+    given = dict(
+        population=args.population,
+        generations=args.generations,
+        rates=None if args.rates is None else tuple(float(r) for r in args.rates.split(",")),
+        warmup=args.warmup,
+        measure=args.measure,
+        drain_limit=args.drain,
+    )
+    return cfg, dataclasses.replace(
+        spec,
+        space=DesignSpace.from_mapping(space),
         seed=args.seed,
-        rates=(
-            tuple(float(r) for r in args.rates.split(","))
-            if args.rates else profile["rates"]
-        ),
-        warmup=args.warmup or profile["warmup"],
-        measure=args.measure or profile["measure"],
-        drain_limit=args.drain or profile["drain_limit"],
         objectives=tuple(args.objectives.split(",")),
         surrogate=args.surrogate,
         screen_fraction=args.screen_fraction,
+        **{k: v for k, v in given.items() if v is not None},
     )
-    return cfg, spec
 
 
 def _write_explore_outputs(out_dir, result, spec) -> tuple[str, str]:
@@ -488,22 +487,13 @@ def _write_explore_outputs(out_dir, result, spec) -> tuple[str, str]:
 
 
 def _cmd_explore(args) -> int:
-    from .core.cache import default_cache_dir
     from .core.explore import explore
 
-    try:
-        cfg, spec = _explore_spec(args)
-    except ValueError as exc:
-        print(f"explore error: {exc}", file=sys.stderr)
-        return 2
     if args.resume and not args.journal:
         print("--resume requires --journal", file=sys.stderr)
         return 2
-    cache = None
-    if args.cache is not None:
-        cache = args.cache or default_cache_dir()
-    say = (lambda msg: print(f"explore: {msg}", file=sys.stderr))
     try:
+        cfg, spec = _explore_spec(args)
         result = explore(
             cfg,
             spec,
@@ -511,11 +501,11 @@ def _cmd_explore(args) -> int:
             resume=args.resume,
             resume_force=args.force_resume,
             n_workers=args.workers,
-            cache=cache,
+            cache=_cache_dir(args),
             remote=args.remote,
             max_retries=args.max_retries,
             point_timeout=args.point_timeout,
-            log=say,
+            log=lambda msg: print(f"explore: {msg}", file=sys.stderr),
         )
     except ValueError as exc:
         print(f"explore error: {exc}", file=sys.stderr)
@@ -634,11 +624,8 @@ def _cmd_cmp(args) -> int:
         "75mhz": TIMER_INTERVAL_75MHZ,
     }[args.clock]
     spec = BENCHMARKS[args.benchmark](args.instructions)
-    cfg = CmpConfig(
-        network=NetworkConfig(
-            k=4, n=2, num_vcs=8, vc_buffer_size=4, router_delay=args.router_delay
-        )
-    )
+    cfg = CmpConfig()  # Table II, with the router delay given
+    cfg = cfg.with_(network=cfg.network.with_(router_delay=args.router_delay))
     res = CmpSystem(
         spec, cfg, ideal=args.ideal, timer_interval=interval, seed=args.seed
     ).run()
@@ -676,21 +663,16 @@ def _cmd_characterize(args) -> int:
 
 def _cmd_submit(args) -> int:
     # ``repro submit HOST:PORT`` is ``repro sweep --remote HOST:PORT`` with
-    # the local-executor knobs pinned off; one implementation, two spellings.
+    # the local-executor knobs pinned off (the subparser's set_defaults);
+    # one implementation, two spellings.
     args.remote = args.address
-    args.workers = 1
-    args.point_timeout = None
-    args.cache = None
     return _cmd_sweep(args)
 
 
 def _cmd_serve(args) -> int:
-    from .core.cache import default_cache_dir
     from .service import Controller, ControllerServer, ServiceOptions
 
-    cache = None
-    if args.cache is not None:
-        cache = args.cache or default_cache_dir()
+    cache = _cache_dir(args)
     options = ServiceOptions(
         lease_seconds=args.lease_seconds,
         heartbeat_timeout=args.heartbeat_timeout,
@@ -702,16 +684,9 @@ def _cmd_serve(args) -> int:
     server = ControllerServer(
         Controller(options, cache=cache), host=args.host, port=args.port
     )
-    server.start()
-    host, port = server.address
+    host, port = server.address  # bound (and listening) at construction
     print(f"sweep service on {host}:{port}" + (f" (cache: {cache})" if cache else ""))
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
+    server.serve_forever()
     return 0
 
 
@@ -797,11 +772,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def openloop_args(p):
+    def openloop_args(p, warmup=500, measure=1000, drain=10000):
         _add_network_args(p)
-        p.add_argument("--warmup", type=int, default=500)
-        p.add_argument("--measure", type=int, default=1000)
-        p.add_argument("--drain", type=int, default=10000)
+        p.add_argument("--warmup", type=int, default=warmup)
+        p.add_argument("--measure", type=int, default=measure)
+        p.add_argument("--drain", type=int, default=drain)
 
     p = sub.add_parser("openloop", help="one open-loop measurement point")
     openloop_args(p)
@@ -814,65 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="latency-load curve / design-space sweep (parallel, resumable)"
     )
     openloop_args(p)
-    p.add_argument("--rates", required=True, help="comma-separated offered loads")
-    p.add_argument(
-        "--axis",
-        action="append",
-        type=_parse_axis,
-        metavar="NAME=V1,V2,...",
-        help="sweep a config field too (repeatable), e.g. --axis router-delay=1,2,4",
-    )
-    p.add_argument(
-        "--workers", type=int, default=1, help="process-pool size (1 = serial)"
-    )
-    p.add_argument(
-        "--journal", default=None, help="JSON-lines checkpoint file (one point per line)"
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip points already in --journal instead of starting fresh",
-    )
-    p.add_argument(
-        "--force-resume",
-        action="store_true",
-        help="resume even when the journal's sweep fingerprint (config x "
-        "axes x code version) no longer matches",
-    )
-    p.add_argument(
-        "--remote",
-        default=None,
-        metavar="HOST:PORT",
-        help="run the sweep on the distributed service at this address "
-        "instead of locally (see 'repro serve' / 'repro worker')",
-    )
-    p.add_argument(
-        "--progress", action="store_true", help="print per-point rate/ETA to stderr"
-    )
-    p.add_argument(
-        "--point-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill sweep points that run longer than this (parallel mode)",
-    )
-    p.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="retry transient point failures (stalls, worker deaths) up to "
-        "this many times (default 2)",
-    )
-    p.add_argument(
-        "--cache",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="DIR",
-        help="reuse identical (config, seed) points from a content-addressed "
-        "result cache (default dir: $REPRO_CACHE_DIR or .repro-cache); "
-        "REPRO_NO_CACHE=1 bypasses it",
-    )
+    _add_executor_args(p)
     p.add_argument(
         "--steer",
         action="store_true",
@@ -895,10 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="NSGA-II Pareto search over the design space "
         "(latency / throughput / cost)",
     )
-    _add_network_args(p)
-    p.add_argument("--warmup", type=int, default=None)
-    p.add_argument("--measure", type=int, default=None)
-    p.add_argument("--drain", type=int, default=None)
+    openloop_args(p, None, None, None)  # unset windows: the profile's
     p.add_argument(
         "--quick",
         action="store_true",
@@ -912,12 +826,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--generations", type=int, default=None, help="number of NSGA-II generations"
     )
     p.add_argument(
-        "--gene",
-        action="append",
-        type=_parse_axis,
-        metavar="NAME=V1,V2,...",
-        help="override/add a design-space gene (repeatable), e.g. "
-        "--gene num-vcs=2,4,8",
+        "--gene", **{**_EXECUTOR_FLAGS["--axis"], "help": "override/add a "
+        "design-space gene (repeatable), e.g. --gene num-vcs=2,4,8"},
     )
     p.add_argument(
         "--objectives",
@@ -945,52 +855,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="--surrogate: share of screened genomes that graduate to "
         "simulation (default 0.5)",
     )
-    p.add_argument(
-        "--workers", type=int, default=1, help="process-pool size (1 = serial)"
-    )
-    p.add_argument(
-        "--journal",
-        default=None,
-        help="JSON-lines archive of every evaluated genome (one per line)",
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay genomes already in --journal instead of re-evaluating",
-    )
-    p.add_argument(
-        "--force-resume",
-        action="store_true",
-        help="resume even when the journal's fingerprint (spec x config x "
-        "code version) no longer matches",
-    )
-    p.add_argument(
-        "--remote",
-        default=None,
-        metavar="HOST:PORT",
-        help="evaluate generations on the distributed sweep service",
-    )
-    p.add_argument(
-        "--point-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill evaluation points that run longer than this (parallel mode)",
-    )
-    p.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="retry transient point failures up to this many times (default 2)",
-    )
-    p.add_argument(
-        "--cache",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="DIR",
-        help="content-addressed result cache (duplicate genomes are free); "
-        "default dir: $REPRO_CACHE_DIR or .repro-cache",
+    _add_executor_args(
+        p, "--workers", "--journal", "--resume", "--force-resume", "--remote",
+        "--point-timeout", "--max-retries", "--cache",
     )
     p.add_argument(
         "--out",
@@ -1043,16 +910,16 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("blackscholes", "lu", "canneal", "fft", "barnes"),
     )
     p.add_argument("--instructions", type=int, default=10000)
-    p.add_argument("--router-delay", "--tr", type=int, default=1)
+    _add_network_args(p, "router_delay")
     p.add_argument("--clock", default="3ghz", choices=("off", "3ghz", "75mhz"))
     p.add_argument("--ideal", action="store_true", help="run on the ideal network")
-    p.add_argument("--seed", type=int, default=1)
+    _add_network_args(p, "seed")
     p.set_defaults(func=_cmd_cmp)
 
     p = sub.add_parser("characterize", help="Table III/IV characterization")
     p.add_argument("--benchmark", default="all")
     p.add_argument("--instructions", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=1)
+    _add_network_args(p, "seed")
     p.set_defaults(func=_cmd_characterize)
 
     p = sub.add_parser(
@@ -1138,35 +1005,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     openloop_args(p)
     p.add_argument("address", metavar="HOST:PORT", help="controller address")
-    p.add_argument("--rates", required=True, help="comma-separated offered loads")
-    p.add_argument(
-        "--axis",
-        action="append",
-        type=_parse_axis,
-        metavar="NAME=V1,V2,...",
-        help="sweep a config field too (repeatable)",
+    _add_executor_args(
+        p, "--rates", "--axis", "--journal", "--resume", "--force-resume",
+        "--progress", "--max-retries",
     )
-    p.add_argument("--journal", default=None, help="client-side JSON-lines checkpoint")
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip points already in --journal instead of starting fresh",
-    )
-    p.add_argument(
-        "--force-resume",
-        action="store_true",
-        help="resume even when the journal's sweep fingerprint mismatches",
-    )
-    p.add_argument(
-        "--progress", action="store_true", help="print per-point rate/ETA to stderr"
-    )
-    p.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="per-point transient-failure retry budget on the service",
-    )
-    p.set_defaults(func=_cmd_submit)
+    p.set_defaults(func=_cmd_submit, workers=1, point_timeout=None, cache=None)
 
     p = sub.add_parser(
         "cache", help="content-addressed result cache: stats, verify, gc"

@@ -11,7 +11,8 @@ fails before a multi-minute simulation starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from .classes import DEFAULT_CLASSES, TrafficClass, parse_classes
@@ -21,36 +22,34 @@ __all__ = [
     "CmpConfig",
     "TrafficClass",
     "FIELD_CHOICES",
+    "INT_FIELDS",
     "TABLE_I_PARAMETER_SPACE",
     "TABLE_II_PARAMETERS",
 ]
 
-_TOPOLOGIES = ("mesh", "torus", "ring", "ideal")
-_ROUTERS = ("dor", "val", "ma", "romm")
-_ARBITERS = ("round_robin", "age", "priority", "weighted")
-_PATTERNS = (
-    "uniform_random",
-    "bit_reversal",
-    "bit_complement",
-    "transpose",
-    "neighbor",
-    "tornado",
-    "hotspot",
-)
-_SIZES = ("single", "bimodal")
-
-#: Legal values per categorical :class:`NetworkConfig` field.  The design
-#: space explorer (:mod:`repro.core.explore`) validates gene values against
-#: this mapping up front, so a typo'd space fails before any simulation —
-#: the same eager-validation stance ``__post_init__`` takes for single
-#: configs.  Numeric fields (``k``, ``num_vcs``, ...) are absent: their
-#: ranges are open and checked by construction.
+#: Legal values per categorical :class:`NetworkConfig` field, the one list
+#: of them: ``__post_init__`` checks every field here, the CLI takes its
+#: flag choices from it, and the design-space explorer
+#: (:mod:`repro.core.explore`) validates gene values against it up front,
+#: so a typo'd space fails before any simulation.  Numeric fields (``k``,
+#: ``num_vcs``, ...) are absent: their ranges are open and checked by
+#: construction.
 FIELD_CHOICES: dict[str, tuple[str, ...]] = {
-    "topology": _TOPOLOGIES,
-    "routing": _ROUTERS,
-    "arbitration": _ARBITERS,
-    "traffic": _PATTERNS,
-    "packet_size": _SIZES,
+    "topology": ("mesh", "torus", "ring", "ideal"),
+    "routing": ("dor", "val", "ma", "romm"),
+    "arbitration": ("round_robin", "age", "priority", "weighted"),
+    "traffic": (
+        "uniform_random",
+        "bit_reversal",
+        "bit_complement",
+        "transpose",
+        "neighbor",
+        "tornado",
+        "hotspot",
+    ),
+    "packet_size": ("single", "bimodal"),
+    "backend": ("object", "vectorized", "analytical"),
+    "dateline": ("balanced", "strict"),
 }
 
 
@@ -156,29 +155,25 @@ class NetworkConfig:
         except (TypeError, ValueError):
             raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
         object.__setattr__(self, "classes", parse_classes(self.classes))
-        if self.topology not in _TOPOLOGIES:
-            raise ValueError(f"unknown topology {self.topology!r}; pick from {_TOPOLOGIES}")
-        if self.routing not in _ROUTERS:
-            raise ValueError(f"unknown routing {self.routing!r}; pick from {_ROUTERS}")
-        if self.arbitration not in _ARBITERS:
-            raise ValueError(f"unknown arbitration {self.arbitration!r}; pick from {_ARBITERS}")
-        if self.traffic not in _PATTERNS:
-            raise ValueError(f"unknown traffic {self.traffic!r}; pick from {_PATTERNS}")
+        for name, choices in FIELD_CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(
+                    f"unknown {name} {getattr(self, name)!r}; pick from {choices}"
+                )
+        patterns = FIELD_CHOICES["traffic"]
         for cls in self.classes:
-            if cls.pattern is not None and cls.pattern not in _PATTERNS:
+            if cls.pattern is not None and cls.pattern not in patterns:
                 raise ValueError(
                     f"class {cls.name!r}: unknown pattern {cls.pattern!r}; "
-                    f"pick from {_PATTERNS}"
+                    f"pick from {patterns}"
                 )
-        if self.packet_size not in _SIZES:
-            raise ValueError(f"unknown packet_size {self.packet_size!r}; pick from {_SIZES}")
-        if self.dateline not in ("balanced", "strict"):
-            raise ValueError(f"unknown dateline {self.dateline!r}")
-        if self.backend not in ("object", "vectorized", "analytical"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; pick from "
-                "('object', 'vectorized', 'analytical')"
-            )
+        for name in INT_FIELDS:
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                ) from None
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if self.n < 1:
@@ -258,6 +253,16 @@ class NetworkConfig:
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__, seed=seed)
         return clone
+
+
+#: The integer-valued :class:`NetworkConfig` fields, read off the dataclass
+#: (an ``int`` default).  Each must be integral (``operator.index``: numpy
+#: integers pass, ``2.5`` does not), so a fractional buffer depth fails at
+#: construction instead of simulating as some other depth.  ``seed`` is
+#: normalised by its own rule.
+INT_FIELDS: tuple[str, ...] = tuple(
+    f.name for f in fields(NetworkConfig) if type(f.default) is int and f.name != "seed"
+)
 
 
 @dataclass(frozen=True)

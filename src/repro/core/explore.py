@@ -70,7 +70,7 @@ import numpy as np
 
 from ..analysis.io import append_jsonl, canonical_json
 from ..analysis.pareto import dominates, pareto_front
-from ..config import FIELD_CHOICES, NetworkConfig
+from ..config import FIELD_CHOICES, INT_FIELDS, NetworkConfig
 from ..rng import make_generator
 from ..topology import build_topology
 from . import cache as result_cache
@@ -89,6 +89,7 @@ __all__ = [
     "ExploreSpec",
     "ExploreResult",
     "QUICK_SPACE",
+    "QUICK_SPEC",
     "DEFAULT_SPACE",
     "QUICK_HV_REFERENCE",
     "OBJECTIVES",
@@ -140,7 +141,8 @@ class DesignSpace:
     fixes genome tuple layout, journal serialization, and per-point seed
     derivation all at once.  Validation is eager: unknown fields, reserved
     fields (``seed``, ``classes``, ``faults``), empty or duplicate value
-    lists, and values outside :data:`repro.config.FIELD_CHOICES` fail at
+    lists, values outside :data:`repro.config.FIELD_CHOICES` and
+    non-integers for a :data:`repro.config.INT_FIELDS` field fail at
     construction, before any simulation starts.
     """
 
@@ -174,6 +176,8 @@ class DesignSpace:
                     raise ValueError(
                         f"gene {name!r} value {v!r} not in {choices}"
                     )
+                if name in INT_FIELDS and not isinstance(v, int):
+                    raise ValueError(f"gene {name!r} value {v!r} is not an integer")
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Sequence[Any]]) -> "DesignSpace":
@@ -497,16 +501,18 @@ DEFAULT_SPACE = DesignSpace.from_mapping(
 class ExploreSpec:
     """Everything that identifies one exploration run.
 
-    The fingerprint (and therefore journal resume compatibility) covers
-    every field here plus the base config and the code-version salt.
+    The defaults are the ``repro explore`` profile; :data:`QUICK_SPEC` is
+    the ``--quick`` one.  The fingerprint (and therefore journal resume
+    compatibility) covers every field here plus the base config and the
+    code-version salt.
     """
 
-    space: DesignSpace = QUICK_SPACE
+    space: DesignSpace = DEFAULT_SPACE
     population: int = 12
     generations: int = 6
     seed: int = 1
     #: (low, high) injection rates: latency is read at low, throughput at high.
-    rates: tuple[float, float] = (0.1, 0.55)
+    rates: tuple[float, float] = (0.05, 0.45)
     warmup: int = 300
     measure: int = 600
     drain_limit: int = 6000
@@ -559,6 +565,15 @@ class ExploreSpec:
             v = float(metrics[name])
             out.append(-v if name == "throughput" else v)
         return tuple(out)
+
+
+#: The pinned ``repro explore --quick`` profile (run on a 4x4 network):
+#: small space, short windows, so its front is comparable across hosts and
+#: its hypervolume can be pinned exactly (tests/test_explore.py).
+QUICK_SPEC = ExploreSpec(
+    space=QUICK_SPACE, population=8, generations=3,
+    rates=(0.1, 0.55), warmup=150, measure=300, drain_limit=3000,
+)
 
 
 @dataclass

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
 
 import pytest
 
-from repro.__main__ import _parse_axis, _parse_reply, build_parser, main
+from repro.__main__ import (
+    _explore_spec,
+    _network_config,
+    _parse_axis,
+    _parse_reply,
+    build_parser,
+    main,
+)
 from repro.analysis.io import read_jsonl
+from repro.config import NetworkConfig
+from repro.core.parallel import enumerate_points
 from repro.core.reply import FixedReply, ImmediateReply, ProbabilisticReply
 
 
@@ -47,6 +57,40 @@ class TestParseAxis:
         for spec in ("router_delay", "=1,2", "name="):
             with pytest.raises(argparse.ArgumentTypeError):
                 _parse_axis(spec)
+
+    def test_values_are_typed_by_field(self):
+        """``1`` and ``1.0`` of a float field are one coordinate: one point
+        seed (and one cache key) for what is one config."""
+        name, values = _parse_axis("bimodal-long-fraction=1,0.5")
+        assert name == "bimodal_long_fraction" and values == (1.0, 0.5)
+        assert [type(v) for v in values] == [float, float]
+        base = NetworkConfig(packet_size="bimodal")
+        seeds = [
+            [p.seed for p in enumerate_points(base, dict([_parse_axis(spec)]), {"rate": (0.1,)})]
+            for spec in ("bimodal-long-fraction=1", "bimodal-long-fraction=1.0")
+        ]
+        assert seeds[0] == seeds[1]
+        # a spec field: a count when the value is one, a spec string otherwise
+        assert _parse_axis("classes=2,user+os") == ("classes", (2, "user+os"))
+        assert _parse_axis("faults=links:1") == ("faults", ("links:1",))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--rates", "0.1", "--axis", "seed=1.5"],  # ran seed 1
+            ["sweep", "--rates", "0.1", "--axis", "k=8.0"],  # failed every point
+            ["sweep", "--rates", "0.1", "--axis", "vc-buffer-size=2,2.5"],
+            ["sweep", "--rates", "0.1", "--axis", "bogus=1"],
+            ["submit", "localhost:1", "--rates", "0.1", "--axis", "k=8.0"],
+            ["explore", "--quick", "--gene", "num-vcs=2,4.0"],
+        ],
+    )
+    def test_bad_values_exit_2_at_parse(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "error: argument --" in err
 
 
 class TestVersion:
@@ -244,6 +288,252 @@ class TestLazyNamespaces:
         ]
 
 
+#: The CLI's option surface, pinned: per subcommand, each argument's option
+#: strings, dest, default, sorted choices, nargs, const, required and action
+#: class (help excluded) -- 195 options and 3 positionals over 12
+#: subcommands.  The network and executor flags are generated from one
+#: declaration each; this says that generation adds and loses nothing.
+PARSER_SURFACE = {
+    'openloop': [
+        (('--topology',), 'topology', 'mesh', ('mesh', 'ring', 'torus'), None, None, False, '_StoreAction'),
+        (('--k',), 'k', 8, None, None, None, False, '_StoreAction'),
+        (('--n',), 'n', 2, None, None, None, False, '_StoreAction'),
+        (('--num-vcs',), 'num_vcs', 2, None, None, None, False, '_StoreAction'),
+        (('--vc-buffer-size', '-q'), 'vc_buffer_size', 4, None, None, None, False, '_StoreAction'),
+        (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
+        (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
+        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin', 'weighted'), None, None, False, '_StoreAction'),
+        (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
+        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
+        (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
+        (('--backend',), 'backend', 'object', ('analytical', 'object', 'vectorized'), None, None, False, '_StoreAction'),
+        (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
+        (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
+        (('--warmup',), 'warmup', 500, None, None, None, False, '_StoreAction'),
+        (('--measure',), 'measure', 1000, None, None, None, False, '_StoreAction'),
+        (('--drain',), 'drain', 10000, None, None, None, False, '_StoreAction'),
+        (('--rate',), 'rate', None, None, None, None, True, '_StoreAction'),
+        (('--probes',), 'probes', None, None, None, None, False, '_StoreAction'),
+        (('--probe-interval',), 'probe_interval', 100, None, None, None, False, '_StoreAction'),
+        (('--probe-out',), 'probe_out', None, None, None, None, False, '_StoreAction'),
+        (('--watchdog',), 'watchdog', None, None, None, None, False, '_StoreAction'),
+        (('--check-invariants',), 'check_invariants', False, None, 0, True, False, '_StoreTrueAction'),
+    ],
+    'sweep': [
+        (('--topology',), 'topology', 'mesh', ('mesh', 'ring', 'torus'), None, None, False, '_StoreAction'),
+        (('--k',), 'k', 8, None, None, None, False, '_StoreAction'),
+        (('--n',), 'n', 2, None, None, None, False, '_StoreAction'),
+        (('--num-vcs',), 'num_vcs', 2, None, None, None, False, '_StoreAction'),
+        (('--vc-buffer-size', '-q'), 'vc_buffer_size', 4, None, None, None, False, '_StoreAction'),
+        (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
+        (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
+        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin', 'weighted'), None, None, False, '_StoreAction'),
+        (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
+        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
+        (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
+        (('--backend',), 'backend', 'object', ('analytical', 'object', 'vectorized'), None, None, False, '_StoreAction'),
+        (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
+        (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
+        (('--warmup',), 'warmup', 500, None, None, None, False, '_StoreAction'),
+        (('--measure',), 'measure', 1000, None, None, None, False, '_StoreAction'),
+        (('--drain',), 'drain', 10000, None, None, None, False, '_StoreAction'),
+        (('--rates',), 'rates', None, None, None, None, True, '_StoreAction'),
+        (('--axis',), 'axis', None, None, None, None, False, '_AppendAction'),
+        (('--workers',), 'workers', 1, None, None, None, False, '_StoreAction'),
+        (('--journal',), 'journal', None, None, None, None, False, '_StoreAction'),
+        (('--resume',), 'resume', False, None, 0, True, False, '_StoreTrueAction'),
+        (('--force-resume',), 'force_resume', False, None, 0, True, False, '_StoreTrueAction'),
+        (('--remote',), 'remote', None, None, None, None, False, '_StoreAction'),
+        (('--progress',), 'progress', False, None, 0, True, False, '_StoreTrueAction'),
+        (('--point-timeout',), 'point_timeout', None, None, None, None, False, '_StoreAction'),
+        (('--max-retries',), 'max_retries', 2, None, None, None, False, '_StoreAction'),
+        (('--cache',), 'cache', None, None, '?', '', False, '_StoreAction'),
+        (('--steer',), 'steer', False, None, 0, True, False, '_StoreTrueAction'),
+        (('--steer-fraction',), 'steer_fraction', 0.5, None, None, None, False, '_StoreAction'),
+    ],
+    'explore': [
+        (('--topology',), 'topology', 'mesh', ('mesh', 'ring', 'torus'), None, None, False, '_StoreAction'),
+        (('--k',), 'k', 8, None, None, None, False, '_StoreAction'),
+        (('--n',), 'n', 2, None, None, None, False, '_StoreAction'),
+        (('--num-vcs',), 'num_vcs', 2, None, None, None, False, '_StoreAction'),
+        (('--vc-buffer-size', '-q'), 'vc_buffer_size', 4, None, None, None, False, '_StoreAction'),
+        (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
+        (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
+        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin', 'weighted'), None, None, False, '_StoreAction'),
+        (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
+        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
+        (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
+        (('--backend',), 'backend', 'object', ('analytical', 'object', 'vectorized'), None, None, False, '_StoreAction'),
+        (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
+        (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
+        (('--warmup',), 'warmup', None, None, None, None, False, '_StoreAction'),
+        (('--measure',), 'measure', None, None, None, None, False, '_StoreAction'),
+        (('--drain',), 'drain', None, None, None, None, False, '_StoreAction'),
+        (('--quick',), 'quick', False, None, 0, True, False, '_StoreTrueAction'),
+        (('--population',), 'population', None, None, None, None, False, '_StoreAction'),
+        (('--generations',), 'generations', None, None, None, None, False, '_StoreAction'),
+        (('--gene',), 'gene', None, None, None, None, False, '_AppendAction'),
+        (('--objectives',), 'objectives', 'latency,throughput,cost', None, None, None, False, '_StoreAction'),
+        (('--rates',), 'rates', None, None, None, None, False, '_StoreAction'),
+        (('--surrogate',), 'surrogate', False, None, 0, True, False, '_StoreTrueAction'),
+        (('--screen-fraction',), 'screen_fraction', 0.5, None, None, None, False, '_StoreAction'),
+        (('--workers',), 'workers', 1, None, None, None, False, '_StoreAction'),
+        (('--journal',), 'journal', None, None, None, None, False, '_StoreAction'),
+        (('--resume',), 'resume', False, None, 0, True, False, '_StoreTrueAction'),
+        (('--force-resume',), 'force_resume', False, None, 0, True, False, '_StoreTrueAction'),
+        (('--remote',), 'remote', None, None, None, None, False, '_StoreAction'),
+        (('--point-timeout',), 'point_timeout', None, None, None, None, False, '_StoreAction'),
+        (('--max-retries',), 'max_retries', 2, None, None, None, False, '_StoreAction'),
+        (('--cache',), 'cache', None, None, '?', '', False, '_StoreAction'),
+        (('--out',), 'out', None, None, None, None, False, '_StoreAction'),
+    ],
+    'estimate': [
+        (('--topology',), 'topology', 'mesh', ('mesh', 'ring', 'torus'), None, None, False, '_StoreAction'),
+        (('--k',), 'k', 8, None, None, None, False, '_StoreAction'),
+        (('--n',), 'n', 2, None, None, None, False, '_StoreAction'),
+        (('--num-vcs',), 'num_vcs', 2, None, None, None, False, '_StoreAction'),
+        (('--vc-buffer-size', '-q'), 'vc_buffer_size', 4, None, None, None, False, '_StoreAction'),
+        (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
+        (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
+        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin', 'weighted'), None, None, False, '_StoreAction'),
+        (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
+        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
+        (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
+        (('--backend',), 'backend', 'object', ('analytical', 'object', 'vectorized'), None, None, False, '_StoreAction'),
+        (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
+        (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
+        (('--rates',), 'rates', None, None, None, None, True, '_StoreAction'),
+        (('--capacity-factor',), 'capacity_factor', 0.85, None, None, None, False, '_StoreAction'),
+    ],
+    'saturation': [
+        (('--topology',), 'topology', 'mesh', ('mesh', 'ring', 'torus'), None, None, False, '_StoreAction'),
+        (('--k',), 'k', 8, None, None, None, False, '_StoreAction'),
+        (('--n',), 'n', 2, None, None, None, False, '_StoreAction'),
+        (('--num-vcs',), 'num_vcs', 2, None, None, None, False, '_StoreAction'),
+        (('--vc-buffer-size', '-q'), 'vc_buffer_size', 4, None, None, None, False, '_StoreAction'),
+        (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
+        (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
+        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin', 'weighted'), None, None, False, '_StoreAction'),
+        (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
+        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
+        (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
+        (('--backend',), 'backend', 'object', ('analytical', 'object', 'vectorized'), None, None, False, '_StoreAction'),
+        (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
+        (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
+        (('--warmup',), 'warmup', 500, None, None, None, False, '_StoreAction'),
+        (('--measure',), 'measure', 1000, None, None, None, False, '_StoreAction'),
+        (('--drain',), 'drain', 10000, None, None, None, False, '_StoreAction'),
+        (('--tolerance',), 'tolerance', 0.01, None, None, None, False, '_StoreAction'),
+    ],
+    'batch': [
+        (('--topology',), 'topology', 'mesh', ('mesh', 'ring', 'torus'), None, None, False, '_StoreAction'),
+        (('--k',), 'k', 8, None, None, None, False, '_StoreAction'),
+        (('--n',), 'n', 2, None, None, None, False, '_StoreAction'),
+        (('--num-vcs',), 'num_vcs', 2, None, None, None, False, '_StoreAction'),
+        (('--vc-buffer-size', '-q'), 'vc_buffer_size', 4, None, None, None, False, '_StoreAction'),
+        (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
+        (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
+        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin', 'weighted'), None, None, False, '_StoreAction'),
+        (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
+        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
+        (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
+        (('--backend',), 'backend', 'object', ('analytical', 'object', 'vectorized'), None, None, False, '_StoreAction'),
+        (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
+        (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
+        (('-b', '--batch-size'), 'batch_size', 1000, None, None, None, False, '_StoreAction'),
+        (('-m', '--max-outstanding'), 'max_outstanding', 1, None, None, None, False, '_StoreAction'),
+        (('--nar',), 'nar', None, None, None, None, False, '_StoreAction'),
+        (('--reply',), 'reply', None, None, None, None, False, '_StoreAction'),
+        (('--barrier',), 'barrier', False, None, 0, True, False, '_StoreTrueAction'),
+        (('--probes',), 'probes', None, None, None, None, False, '_StoreAction'),
+        (('--probe-interval',), 'probe_interval', 100, None, None, None, False, '_StoreAction'),
+        (('--probe-out',), 'probe_out', None, None, None, None, False, '_StoreAction'),
+        (('--watchdog',), 'watchdog', None, None, None, None, False, '_StoreAction'),
+        (('--check-invariants',), 'check_invariants', False, None, 0, True, False, '_StoreTrueAction'),
+    ],
+    'cmp': [
+        (('--benchmark',), 'benchmark', 'blackscholes', ('barnes', 'blackscholes', 'canneal', 'fft', 'lu'), None, None, False, '_StoreAction'),
+        (('--instructions',), 'instructions', 10000, None, None, None, False, '_StoreAction'),
+        (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
+        (('--clock',), 'clock', '3ghz', ('3ghz', '75mhz', 'off'), None, None, False, '_StoreAction'),
+        (('--ideal',), 'ideal', False, None, 0, True, False, '_StoreTrueAction'),
+        (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
+    ],
+    'characterize': [
+        (('--benchmark',), 'benchmark', 'all', None, None, None, False, '_StoreAction'),
+        (('--instructions',), 'instructions', 10000, None, None, None, False, '_StoreAction'),
+        (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
+    ],
+    'serve': [
+        (('--host',), 'host', '127.0.0.1', None, None, None, False, '_StoreAction'),
+        (('--port',), 'port', 7421, None, None, None, False, '_StoreAction'),
+        (('--cache',), 'cache', None, None, '?', '', False, '_StoreAction'),
+        (('--lease-seconds',), 'lease_seconds', 60.0, None, None, None, False, '_StoreAction'),
+        (('--heartbeat-timeout',), 'heartbeat_timeout', 10.0, None, None, None, False, '_StoreAction'),
+        (('--quarantine-after',), 'quarantine_after', 3, None, None, None, False, '_StoreAction'),
+        (('--quarantine-seconds',), 'quarantine_seconds', 30.0, None, None, None, False, '_StoreAction'),
+        (('--fallback-after',), 'fallback_after', 15.0, None, None, None, False, '_StoreAction'),
+        (('--no-fallback',), 'no_fallback', False, None, 0, True, False, '_StoreTrueAction'),
+        (('--fallback-workers',), 'fallback_workers', 1, None, None, None, False, '_StoreAction'),
+    ],
+    'worker': [
+        ((), 'address', None, None, None, None, True, '_StoreAction'),
+        (('--name',), 'name', None, None, None, None, False, '_StoreAction'),
+        (('--max-points',), 'max_points', None, None, None, None, False, '_StoreAction'),
+        (('--max-idle',), 'max_idle', None, None, None, None, False, '_StoreAction'),
+    ],
+    'submit': [
+        (('--topology',), 'topology', 'mesh', ('mesh', 'ring', 'torus'), None, None, False, '_StoreAction'),
+        (('--k',), 'k', 8, None, None, None, False, '_StoreAction'),
+        (('--n',), 'n', 2, None, None, None, False, '_StoreAction'),
+        (('--num-vcs',), 'num_vcs', 2, None, None, None, False, '_StoreAction'),
+        (('--vc-buffer-size', '-q'), 'vc_buffer_size', 4, None, None, None, False, '_StoreAction'),
+        (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
+        (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
+        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin', 'weighted'), None, None, False, '_StoreAction'),
+        (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
+        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
+        (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
+        (('--backend',), 'backend', 'object', ('analytical', 'object', 'vectorized'), None, None, False, '_StoreAction'),
+        (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
+        (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
+        (('--warmup',), 'warmup', 500, None, None, None, False, '_StoreAction'),
+        (('--measure',), 'measure', 1000, None, None, None, False, '_StoreAction'),
+        (('--drain',), 'drain', 10000, None, None, None, False, '_StoreAction'),
+        ((), 'address', None, None, None, None, True, '_StoreAction'),
+        (('--rates',), 'rates', None, None, None, None, True, '_StoreAction'),
+        (('--axis',), 'axis', None, None, None, None, False, '_AppendAction'),
+        (('--journal',), 'journal', None, None, None, None, False, '_StoreAction'),
+        (('--resume',), 'resume', False, None, 0, True, False, '_StoreTrueAction'),
+        (('--force-resume',), 'force_resume', False, None, 0, True, False, '_StoreTrueAction'),
+        (('--progress',), 'progress', False, None, 0, True, False, '_StoreTrueAction'),
+        (('--max-retries',), 'max_retries', 2, None, None, None, False, '_StoreAction'),
+    ],
+    'cache': [
+        ((), 'action', None, ('gc', 'stats', 'verify'), None, None, True, '_StoreAction'),
+        (('--dir',), 'dir', None, None, None, None, False, '_StoreAction'),
+        (('--max-bytes',), 'max_bytes', None, None, None, None, False, '_StoreAction'),
+        (('--sample',), 'sample', 1, None, None, None, False, '_StoreAction'),
+        (('--seed',), 'seed', 0, None, None, None, False, '_StoreAction'),
+    ],
+}
+
+
+def _parser_surface() -> dict:
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: [
+            (tuple(a.option_strings), a.dest, a.default,
+             None if a.choices is None else tuple(sorted(a.choices)),
+             a.nargs, a.const, a.required, type(a).__name__)
+            for a in p._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, p in sub.choices.items()
+    }
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -265,6 +555,18 @@ class TestParser:
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args(argv)
             assert exc.value.code == 2
+
+    def test_option_surface_is_pinned(self):
+        assert _parser_surface() == PARSER_SURFACE
+
+    def test_network_flags_build_the_config_they_name(self):
+        args = build_parser().parse_args(
+            ["openloop", "--rate", "0.1", "-q", "2", "--tr", "3", "--classes", "2",
+             "--backend", "vectorized", "--seed", "9"]
+        )
+        assert _network_config(args) == NetworkConfig(
+            vc_buffer_size=2, router_delay=3, classes="2", backend="vectorized", seed=9
+        )
 
 
 class TestCommands:
@@ -322,13 +624,21 @@ class TestCommands:
             ]
         )
         assert rc == 0
-        assert "source" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "source" in captured.out
+        assert "steer (base): predicted knee at rate" in captured.err
+        assert "health: 6/6 ok" in captured.err
         header, *points = read_jsonl(journal)
         assert header["sweep"]["steered"] is True
         sources = [p["record"]["source"] for p in points]
         assert set(sources) == {"simulated", "analytical"}
         assert sources.count("simulated") <= len(sources) // 2
         assert all("latency" in p["record"] for p in points)
+
+    def test_sweep_steer_rejects_the_analytical_backend(self, capsys):
+        argv = ["sweep", "--steer", "--backend", "analytical", "--rates", "0.1"]
+        assert main(argv) == 2
+        assert "--steer simulates its knee window" in capsys.readouterr().err
 
     def test_sweep_resume_without_journal_errors(self, capsys):
         rc = main(["sweep", "--k", "4", "--rates", "0.05", "--resume"])
@@ -486,6 +796,22 @@ class TestExploreCLI:
     def test_resume_requires_journal(self, capsys):
         assert main(["explore", "--quick", "--resume"]) == 2
         assert "--resume requires --journal" in capsys.readouterr().err
+
+    def test_profiles_are_the_explorer_s(self):
+        from repro.core.explore import QUICK_SPEC, ExploreSpec
+
+        parse = build_parser().parse_args
+        assert _explore_spec(parse(["explore"]))[1] == ExploreSpec()
+        cfg, spec = _explore_spec(parse(["explore", "--quick"]))
+        assert spec == QUICK_SPEC and (cfg.k, cfg.n) == (4, 2)
+
+    def test_explicit_zeros_are_honoured(self, capsys):
+        argv = ["explore", "--quick", "--warmup", "0", "--drain", "0", "--generations", "0"]
+        _, spec = _explore_spec(build_parser().parse_args(argv))
+        assert (spec.warmup, spec.measure, spec.drain_limit) == (0, 300, 0)
+        assert spec.generations == 0 and spec.population == 8
+        assert main(["explore", "--quick", "--population", "0"]) == 2
+        assert "population must be >= 2" in capsys.readouterr().err
 
     def test_bad_gene_exits_2(self, capsys):
         rc = main(["explore", "--quick", "--gene", "topology=hypercube"])

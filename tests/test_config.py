@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import (
+    FIELD_CHOICES,
     TABLE_I_PARAMETER_SPACE,
     TABLE_II_PARAMETERS,
     CmpConfig,
@@ -115,6 +116,24 @@ class TestNetworkConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             NetworkConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", sorted(FIELD_CHOICES))
+    def test_categorical_fields_name_their_choices(self, name):
+        with pytest.raises(ValueError, match=f"unknown {name} 'nope'; pick from"):
+            NetworkConfig(**{name: "nope"})
+
+    @pytest.mark.parametrize(
+        "name",
+        ["k", "n", "num_vcs", "vc_buffer_size", "router_delay", "link_delay",
+         "bimodal_long_size", "credit_delay"],
+    )
+    def test_integer_fields_reject_non_integral_values(self, name):
+        """``vc_buffer_size=2.5`` used to simulate as q=3 under a record
+        saying 2.5; numpy integers stay accepted and equal."""
+        default = getattr(NetworkConfig(), name)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {default}.5$"):
+            NetworkConfig(**{name: default + 0.5})
+        assert NetworkConfig(**{name: np.int64(default)}) == NetworkConfig()
 
     def test_wrapped_topologies_need_two_vcs(self):
         with pytest.raises(ValueError):

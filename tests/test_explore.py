@@ -191,6 +191,8 @@ def test_design_space_validation():
         DesignSpace.from_mapping({"num_vcs": (2, 2)})
     with pytest.raises(ValueError, match="not in"):
         DesignSpace.from_mapping({"topology": ("mesh", "hypercube")})
+    with pytest.raises(ValueError, match="'vc_buffer_size' value 2.5 is not an integer"):
+        DesignSpace.from_mapping({"vc_buffer_size": (2, 2.5)})
     space = DesignSpace.from_mapping({"topology": ("mesh",), "num_vcs": (2, 4)})
     assert space.names == ("num_vcs", "topology")  # sorted
     assert space.size == 2
