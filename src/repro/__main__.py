@@ -134,11 +134,9 @@ _NETWORK_FLAGS: dict[str, dict[str, Any]] = {
     "traffic": {},
     "packet_size": {},
     "backend": {
-        "help": "network implementation: per-flit Python objects (reference), "
-        "the struct-of-arrays numpy backend (bit-identical, much faster at "
-        "scale; rejects faulted or credit_delay=0 configs), or the "
-        "zero-cycle analytical estimator (cycle drivers reject it — use "
-        "'repro estimate' or 'repro sweep --steer')"
+        "help": "network implementation: per-flit Python objects (reference) "
+        "or the struct-of-arrays numpy backend (bit-identical, much faster "
+        "at scale; rejects faulted or credit_delay=0 configs)"
     },
     "seed": {},
     "faults": {
@@ -300,8 +298,8 @@ _EXECUTOR_FLAGS: dict[str, dict[str, Any]] = {
         help="kill points that run longer than this (parallel mode)",
     ),
     "--max-retries": dict(
-        type=int, default=2, help="retry transient point failures (stalls, worker "
-        "deaths) up to this many times (default 2)",
+        type=int, default=2, help="retry transient point failures (worker deaths, "
+        "expired leases) up to this many times (default 2)",
     ),
     "--cache": dict(
         nargs="?", const="", metavar="DIR",
@@ -365,11 +363,6 @@ def _cmd_sweep(args) -> int:
     steer = getattr(args, "steer", False)
     if args.resume and not args.journal:
         print("--resume requires --journal", file=sys.stderr)
-        return 2
-    if steer and cfg.backend == "analytical":
-        print("--steer simulates its knee window cycle-accurately; pick "
-              "--backend object|vectorized (the model half is implied)",
-              file=sys.stderr)
         return 2
     runner = functools.partial(
         _openloop_runner, warmup=args.warmup, measure=args.measure, drain_limit=args.drain

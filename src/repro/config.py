@@ -48,7 +48,7 @@ FIELD_CHOICES: dict[str, tuple[str, ...]] = {
         "hotspot",
     ),
     "packet_size": ("single", "bimodal"),
-    "backend": ("object", "vectorized", "analytical"),
+    "backend": ("object", "vectorized"),
     "dateline": ("balanced", "strict"),
 }
 
@@ -130,12 +130,11 @@ class NetworkConfig:
     traffic: str = "uniform_random"
     credit_delay: int = 1
     #: network implementation: "object" (per-flit Python objects, the
-    #: reference cycle-level model), "vectorized" (struct-of-arrays numpy
+    #: reference cycle-level model) or "vectorized" (struct-of-arrays numpy
     #: backend, bit-identical on every supported configuration — see
-    #: DESIGN.md "Vectorized backend"), or "analytical" (the zero-cycle
-    #: queueing estimator of :mod:`repro.analytical`; cycle drivers reject
-    #: it with BackendUnsupported pointing at ``repro.analytical.estimate``
-    #: / ``repro estimate``).  The backend is part of the result cache
+    #: DESIGN.md "Vectorized backend").  The zero-cycle estimator is not a
+    #: backend: build :class:`repro.analytical.AnalyticalModel` (CLI:
+    #: ``repro estimate``).  The backend is part of the result cache
     #: fingerprint, so cached records never cross backends.
     backend: str = "object"
     #: VC-class discipline for DOR on wrapped topologies: "balanced"

@@ -86,16 +86,6 @@ class _BurstInjector:
     def done(self, engine: SimulationEngine) -> bool:
         return self.rounds_offered >= self.rounds
 
-    def next_event_cycle(self, engine: SimulationEngine) -> Optional[int]:
-        """An idle fabric with rounds remaining bursts *this* cycle.
-
-        Barrier runs therefore contain no skippable idle gaps: the method
-        exists to satisfy the engine's fast-forward protocol explicitly.
-        """
-        if self.rounds_offered < self.rounds:
-            return engine.network.now
-        return None
-
 
 class BarrierSimulator:
     """Burst-synchronized closed-loop driver."""

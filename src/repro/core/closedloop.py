@@ -118,12 +118,6 @@ class _BatchLoop:
         self.total_requests = 0
         self.req_latency_sum = 0
         self.req_latency_count = 0
-        # Fast-forward bookkeeping: the dense loop draws ``gen.random(n)``
-        # unconditionally every cycle, so lookahead must consume exactly
-        # those draws for every cycle it skips (see next_event_cycle).
-        self._drawn_until = 0
-        self._cached_cycle = -1
-        self._cached_draws = None
 
     @property
     def os_requests(self) -> int:
@@ -158,20 +152,7 @@ class _BatchLoop:
             for reply in bucket:
                 net.offer(reply)
         # Injection: OS class preempts user class; NAR gates the rate.
-        if now == self._cached_cycle:
-            # Lookahead already drew this cycle and found an injection.
-            draws = self._cached_draws
-            self._cached_cycle = -1
-            self._cached_draws = None
-        elif now < self._drawn_until:
-            # Lookahead drew this cycle and proved it injects nothing (a
-            # non-injecting draw stays non-injecting: eligibility cannot
-            # change before the next timer tick or reply release, and the
-            # lookahead never draws past either).
-            return
-        else:
-            draws = gen.random(n)
-            self._drawn_until = now + 1
+        draws = gen.random(n)
         pf = self.pf
         m = sim.max_outstanding
         pattern = sim.pattern
@@ -231,91 +212,6 @@ class _BatchLoop:
 
     def done(self, engine: SimulationEngine) -> bool:
         return self.unfinished == 0
-
-    def next_event_cycle(self, engine: SimulationEngine) -> Optional[int]:
-        """Next cycle at which this loop could act (consuming RNG draws).
-
-        Called only while the network is idle, so node eligibility is
-        frozen until the next timer tick or reply release — the lookahead
-        never draws past either.  Per skipped cycle it consumes the same
-        ``gen.random(n)`` the dense loop would, keeping the stream (and
-        every later dest/size/delay draw) bit-identical.
-        """
-        now = engine.network.now
-        if self._cached_cycle >= now:
-            return self._cached_cycle
-        stop = engine.max_cycles
-        if 0 <= self.next_timer < stop:
-            stop = self.next_timer
-        rel = self.pending_replies.next_time()
-        if rel is not None and rel < stop:
-            stop = rel
-        if stop <= now:
-            return stop  # a timer tick or reply release is due this cycle
-        # Classify nodes by their (frozen) eligibility and NAR gate.
-        pf = self.pf
-        m = self.sim.max_outstanding
-        remaining = self.remaining
-        nar = self.nar_by_class
-        gated: list[tuple[int, float]] = []
-        for node in range(len(pf)):
-            if pf[node] >= m:
-                continue
-            for cls in self.inject_order:
-                if remaining[cls][node] > 0:
-                    break
-            else:
-                continue
-            rate = nar[cls]
-            if rate >= 1.0:
-                return now  # an ungated node injects this very cycle
-            gated.append((node, rate))
-        gen = self.gen
-        n = len(pf)
-        cycle = max(now, self._drawn_until)
-        if not gated:
-            # Nothing can inject before ``stop``: burn the dense loop's
-            # per-cycle draws in one bulk call (same stream position).
-            if stop > cycle:
-                gen.random((stop - cycle) * n)
-                self._drawn_until = stop
-            return stop
-        # Scan whole blocks of cycles per RNG call (``random(k * n)``
-        # consumes the doubles of ``k`` successive ``random(n)`` calls); on
-        # a mid-block hit, rewind the generator state and redraw exactly up
-        # to the hit so the stream position matches the dense loop's.
-        idx = np.array([node for node, _ in gated], dtype=np.intp)
-        rates = np.array([rate for _, rate in gated])
-        # Short gaps (some node's gate fires within a cycle or two) are the
-        # common case at moderate NAR: scan them with plain per-cycle draws
-        # before escalating to block draws.
-        warm_until = min(stop, cycle + 2)
-        while cycle < warm_until:
-            draws = gen.random(n)
-            self._drawn_until = cycle + 1
-            if (draws[idx] < rates).any():
-                self._cached_cycle = cycle
-                self._cached_draws = draws
-                return cycle
-            cycle += 1
-        block_cycles = 16
-        while cycle < stop:
-            k = min(block_cycles, stop - cycle)
-            state = gen.bit_generator.state
-            block = gen.random(k * n).reshape(k, n)
-            hits = (block[:, idx] < rates).any(axis=1)
-            if hits.any():
-                j = int(np.argmax(hits))
-                gen.bit_generator.state = state
-                draws = gen.random((j + 1) * n)[j * n :]
-                self._drawn_until = cycle + j + 1
-                self._cached_cycle = cycle + j
-                self._cached_draws = draws
-                return cycle + j
-            cycle += k
-            self._drawn_until = cycle
-            block_cycles = min(block_cycles * 4, 512)
-        return stop
 
 
 class BatchSimulator:

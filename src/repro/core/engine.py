@@ -65,15 +65,6 @@ def _invariants_default() -> bool:
     return os.environ.get("REPRO_CHECK_INVARIANTS", "") not in ("", "0")
 
 
-def _fast_forward_default() -> bool:
-    """``fast_forward=None`` resolves against this environment toggle.
-
-    ``REPRO_DISABLE_FAST_FORWARD=1`` forces the dense cycle loop on every
-    engine in the process — the equivalence suite uses it as the
-    reference path to compare against through unmodified drivers.
-    """
-    return os.environ.get("REPRO_DISABLE_FAST_FORWARD", "") in ("", "0")
-
 __all__ = [
     "Phase",
     "Injector",
@@ -94,20 +85,7 @@ class Phase(enum.Enum):
 
 @runtime_checkable
 class Injector(Protocol):
-    """Creates traffic: called once per cycle before the network steps.
-
-    Injectors *may* additionally implement ``next_event_cycle(engine)``
-    (see the module docstring): when the network is idle, the engine asks
-    the injector for the next cycle at which it could possibly inject and
-    jumps the clock there in one step.  The default — not implementing the
-    method at all, or returning ``None`` — safely disables fast-forward
-    for that injector (the execution-driven CMP does per-cycle core work
-    and must opt out).  An implementation must (a) never under-predict
-    (returning a cycle *later* than the true next injection is a bug;
-    earlier is merely slower), and (b) keep the run's RNG stream identical
-    to the dense loop's by consuming exactly the per-cycle draws the dense
-    loop would have consumed for every cycle it looked ahead through.
-    """
+    """Creates traffic: called once per cycle before the network steps."""
 
     def inject(self, engine: "SimulationEngine") -> None:
         """Offer this cycle's packets to ``engine.network``."""
@@ -177,7 +155,6 @@ class SimulationEngine:
         probes: Optional["ProbeSet"] = None,
         watchdog: Optional["Watchdog"] = None,
         check_invariants: Optional[bool] = None,
-        fast_forward: Optional[bool] = None,
     ):
         if warmup < 0:
             raise ValueError("warmup must be >= 0")
@@ -207,9 +184,6 @@ class SimulationEngine:
             self.invariants: Optional[InvariantChecker] = InvariantChecker()
         else:
             self.invariants = None
-        if fast_forward is None:
-            fast_forward = _fast_forward_default()
-        self.fast_forward = fast_forward
         self._measure_start = warmup
         self._measure_end = None if measure is None else warmup + measure
         self.phase = Phase.WARMUP if warmup > 0 else Phase.MEASURE
@@ -245,9 +219,6 @@ class SimulationEngine:
             watchdog.begin(net)
         if invariants is not None:
             invariants.begin(net)
-        next_event = (
-            getattr(injector, "next_event_cycle", None) if self.fast_forward else None
-        )
         completed = False
         while True:
             now = net.now
@@ -265,40 +236,6 @@ class SimulationEngine:
                 break
             if now >= max_cycles:
                 break
-            # 2b. Idle-cycle fast-forward: when nothing is in flight and the
-            #     injector can name its next injection cycle, jump the clock
-            #     there in one step instead of stepping an empty fabric.  The
-            #     jump is capped at every cycle something *could* happen — a
-            #     phase boundary (stop checks and counter snapshots re-run
-            #     there), the budget, and any event scheduled inside the
-            #     network (credits in flight, fault activations) — so each
-            #     skipped cycle is provably a no-op and results stay
-            #     bit-identical to the dense loop.
-            if next_event is not None and net.is_idle():
-                nxt = next_event(self)
-                if nxt is not None and nxt > now:
-                    target = nxt
-                    if now < measure_start < target:
-                        target = measure_start
-                    if measure_end is not None and now < measure_end < target:
-                        target = measure_end
-                    if max_cycles < target:
-                        target = max_cycles
-                    ev = net.next_internal_event_cycle()
-                    if ev is not None and ev < target:
-                        target = ev
-                    if target > now:
-                        net.advance_to(target)
-                        # Hooks observe the skipped cycles [now, target) so
-                        # their windows/schedules stay aligned with the
-                        # dense loop's.
-                        if probes is not None:
-                            probes.on_idle_gap(net, now, target)
-                        if watchdog is not None:
-                            watchdog.on_idle_gap(net, now, target)
-                        if invariants is not None:
-                            invariants.on_idle_gap(net, now, target)
-                        continue
             # 3-5. Inject, step, deliver.
             injector.inject(self)
             delivered = net.step()

@@ -100,15 +100,6 @@ class _TrafficInjector:
     Injects every cycle of the run (background traffic keeps flowing through
     the drain phase so tagged packets see steady-state contention); packets
     created during the measurement phase are tagged and counted on the sink.
-
-    Fast-forward support: the dense loop draws ``process.arrivals(gen)``
-    once per cycle, so :meth:`next_event_cycle` looks ahead by performing
-    exactly those draws for the skipped cycles — the RNG stream (and hence
-    every downstream ``dest``/``size`` draw) is bit-identical to the dense
-    loop's.  ``_drawn_until`` records how far the stream has been consumed
-    so a capped jump can never double-draw a cycle; the first non-empty
-    arrival set is cached and replayed by :meth:`inject` when the clock
-    reaches its cycle.
     """
 
     def __init__(
@@ -125,25 +116,11 @@ class _TrafficInjector:
         self._batch_dests = hasattr(pattern, "dests") and not getattr(
             sizes, "uses_rng", True
         )
-        self._drawn_until = 0  # arrivals consumed for every cycle < this
-        self._cached_cycle = -1
-        self._cached_arrivals = None
 
     def inject(self, engine: SimulationEngine) -> None:
         net = engine.network
-        now = net.now
         gen = self.gen
-        if now == self._cached_cycle:
-            arrivals = self._cached_arrivals
-            self._cached_cycle = -1
-            self._cached_arrivals = None
-        elif now < self._drawn_until:
-            # This cycle's arrivals draw happened during lookahead and was
-            # empty (a non-empty one would have been cached); nothing to do.
-            return
-        else:
-            arrivals = self.process.arrivals(gen)
-            self._drawn_until = now + 1
+        arrivals = self.process.arrivals(gen)
         in_window = engine.in_measure
         pattern = self.pattern
         sizes = self.sizes
@@ -170,28 +147,6 @@ class _TrafficInjector:
         # The source never exhausts; the run may end once the window closed.
         return engine.in_drain
 
-    def next_event_cycle(self, engine: SimulationEngine) -> Optional[int]:
-        """Next cycle with a non-empty arrivals draw (consuming the stream).
-
-        Called by the engine only while the network is idle; draws forward
-        at most to the budget (the run cannot execute cycles beyond it).
-        """
-        now = engine.network.now
-        if self._cached_cycle >= now:
-            return self._cached_cycle
-        cycle = max(now, self._drawn_until)
-        horizon = engine.max_cycles
-        if cycle >= horizon:
-            return horizon
-        offset, arrivals = self.process.first_arrival_block(self.gen, horizon - cycle)
-        if arrivals is None:
-            self._drawn_until = horizon
-            return horizon
-        self._drawn_until = cycle + offset + 1
-        self._cached_cycle = cycle + offset
-        self._cached_arrivals = arrivals
-        return cycle + offset
-
 
 class _MultiClassInjector:
     """Per-class open-loop sources behind the single-injector interface.
@@ -200,9 +155,7 @@ class _MultiClassInjector:
     spatial pattern (the class's ``pattern`` override or the config's), its
     own Bernoulli sub-process at ``share``-scaled rate, and its own derived
     RNG substream, so per-class streams are independent and reproducible.
-    Classes inject in registry order each cycle; fast-forward takes the
-    minimum next-arrival over the sub-streams (each sub-injector consumes
-    its own RNG draws exactly as its dense loop would).
+    Classes inject in registry order each cycle.
     """
 
     def __init__(self, subs: list):
@@ -214,9 +167,6 @@ class _MultiClassInjector:
 
     def done(self, engine: SimulationEngine) -> bool:
         return engine.in_drain
-
-    def next_event_cycle(self, engine: SimulationEngine) -> Optional[int]:
-        return min(sub.next_event_cycle(engine) for sub in self.subs)
 
 
 class _MeasureSink:

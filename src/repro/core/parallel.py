@@ -20,12 +20,13 @@ of sweep axes through a :class:`~concurrent.futures.ProcessPoolExecutor`:
   dies, or a point that exceeds ``point_timeout`` — yields a record marked
   ``failed=True`` with the exception string under ``"error"`` instead of
   killing the sweep; every other point still completes.
-* **Self-healing.**  *Transient* failures — a worker process dying, or a
-  run aborted by the engine watchdog (:class:`SimulationStalled`) — are
-  retried up to ``max_retries`` times with capped exponential backoff and
-  jitter before the point is recorded as failed.  Deterministic runner
-  exceptions are **not** retried: the same config and seed would fail the
-  same way, so retrying only burns CPU.  A point that exceeds
+* **Self-healing.**  *Transient* failures — a pool worker process dying —
+  are retried up to ``max_retries`` times with capped exponential backoff
+  and jitter before the point is recorded as failed.  Deterministic
+  failures are **not** retried: a runner exception, or a run aborted by
+  the engine watchdog (:class:`SimulationStalled`), whose window counts
+  cycles, would fail the same way under the same config and seed, so
+  retrying only burns CPU.  A point that exceeds
   ``point_timeout`` gets its worker *killed* (the whole pool is torn down
   and rebuilt; innocent in-flight points are resubmitted and re-run
   deterministically), so a hung simulation cannot occupy a pool slot for
@@ -316,11 +317,11 @@ def _execute_point(
 ) -> dict[str, Any]:
     """Run one point; exceptions become a failed record, never propagate.
 
-    ``error_kind`` classifies failures for the retry policy: ``"stalled"``
-    (the engine watchdog aborted the run — transient, retried) versus
-    ``"error"`` (a deterministic runner exception — never retried).  The
-    stall record keeps only the first diagnosis line; the full snapshot is
-    multi-line and belongs in logs, not in every journal record.
+    ``error_kind`` says why a point failed: ``"stalled"`` (the engine
+    watchdog aborted the run) or ``"error"`` (a runner exception).  Both
+    are deterministic, so neither is retried.  The stall record keeps only
+    the first diagnosis line; the full snapshot is multi-line and belongs
+    in logs, not in every journal record.
     """
     start = time.perf_counter()
     try:
@@ -683,9 +684,7 @@ def _run_pool(
     * a dead worker (``BrokenProcessPool``) → pool rebuild; every point
       that was in flight is retried with backoff, since any of them may
       have been the victim and re-running a completed-but-unreported point
-      is deterministic;
-    * a record with a transient ``error_kind`` (``"stalled"``) → retried
-      with backoff up to ``max_retries`` times.
+      is deterministic.
     """
     # Imported here, not at module top: the pool machinery pulls in
     # multiprocessing (~25 ms), which the serial path never needs.
@@ -771,10 +770,7 @@ def _run_pool(
                     break
                 except Exception as exc:  # e.g. unpicklable runner output
                     record = _failed_record(point, f"{type(exc).__name__}: {exc}")
-                if policy.is_transient(record.get("error_kind")):
-                    retry_or_fail(point, attempt, record, now=now)
-                else:
-                    emit(point.index, record)
+                emit(point.index, record)
             if broken:
                 worker_died([])
                 continue
@@ -812,27 +808,21 @@ def _run_inline(
     runner: Callable[..., Mapping[str, Any]],
     base: NetworkConfig,
     emit: Callable[[int, dict[str, Any]], None],
-    health: SweepHealth,
-    policy: RetryPolicy,
-    pending_attempts: Optional[Sequence[int]] = None,
 ) -> None:
-    """Execute ``pending`` in this process, retrying transient failures."""
-    attempts = pending_attempts if pending_attempts is not None else itertools.repeat(0)
-    for point, attempt in zip(pending, attempts):
-        record = _execute_point(runner, base, point)
-        while policy.should_retry(record.get("error_kind"), attempt):
-            attempt += 1
-            health.retried += 1
-            time.sleep(policy.delay(attempt))
-            record = _execute_point(runner, base, point)
-        emit(point.index, record)
+    """Execute ``pending`` in this process, one attempt per point.
+
+    Every failure here is final: the one transient kind a local run can
+    meet is a pool worker's death.
+    """
+    for point in pending:
+        emit(point.index, _execute_point(runner, base, point))
 
 
 def _run_local(pending, runner, base, n_workers, point_timeout, emit, health, policy,
                pending_attempts=None) -> None:
     """The local transport: in-process for one worker, a pool otherwise."""
     if n_workers == 1:
-        _run_inline(pending, runner, base, emit, health, policy, pending_attempts)
+        _run_inline(pending, runner, base, emit)
     else:
         _run_pool(
             pending, runner, base, n_workers, point_timeout, emit, health, policy,
@@ -932,9 +922,9 @@ def run_sweep(
     is replaced (a fresh sweep), with ``resume=True`` its points are
     skipped and only missing ones run.  ``point_timeout`` (seconds, pool
     mode only) kills the hung worker and marks the point failed without
-    killing the sweep.  Transient failures (worker death, watchdog stalls)
-    are retried up to ``max_retries`` times with capped exponential backoff
-    starting at ``retry_backoff`` seconds (jitter seeded from
+    killing the sweep.  Transient failures (worker death) are retried up
+    to ``max_retries`` times with capped exponential backoff starting at
+    ``retry_backoff`` seconds (jitter seeded from
     ``base.seed``); the returned :class:`SweepRecords` list carries the
     sweep's :class:`SweepHealth` under ``.health``.
 

@@ -70,26 +70,9 @@ class Probe:
     def on_cycle(self, net: NetworkLike, now: int, delivered: list) -> None:
         pass
 
-    def on_idle_gap(self, net: NetworkLike, start: int, end: int) -> None:
-        """Observe fast-forwarded idle cycles ``[start, end)`` at once.
-
-        The engine's idle-cycle fast-forward skips cycles during which the
-        network provably does nothing; this hook keeps probe output
-        bit-identical to the dense loop.  The default replays
-        :meth:`on_cycle` per skipped cycle (always correct for custom
-        probes); built-ins override it with O(1) batch updates because an
-        idle network's samples are all zeros.
-        """
-        for now in range(start, end):
-            self.on_cycle(net, now, _NO_DELIVERIES)
-
     def flush(self, net: NetworkLike, window_cycles: int) -> dict:
         """Return this window's fields; reset per-window state."""
         return {}
-
-
-#: shared empty deliveries list for replayed idle cycles (never mutated)
-_NO_DELIVERIES: list = []
 
 
 class ChannelUtilizationProbe(Probe):
@@ -191,11 +174,6 @@ class VCOccupancyProbe(Probe):
         self._sum += float(snap.mean())
         self._samples += 1
 
-    def on_idle_gap(self, net: NetworkLike, start: int, end: int) -> None:
-        # An idle network buffers nothing: every skipped sample is a zero
-        # snapshot, so only the sample count advances.
-        self._samples += end - start
-
     def flush(self, net: NetworkLike, window_cycles: int) -> dict:
         peaks = self._peaks
         fields = {
@@ -247,12 +225,6 @@ class InFlightProbe(Probe):
             self._peak = inflight
         self._last = inflight
         self._samples += 1
-
-    def on_idle_gap(self, net: NetworkLike, start: int, end: int) -> None:
-        # Fast-forward only happens with zero packets in flight, so every
-        # skipped sample is 0: sum/peak are unchanged, last becomes 0.
-        self._last = 0
-        self._samples += end - start
 
     def flush(self, net: NetworkLike, window_cycles: int) -> dict:
         fields = {
@@ -312,10 +284,6 @@ class ClassLatencyProbe(Probe):
             packets[c] += 1
             flits[c] += pkt.size
             lat_sum[c] += pkt.deliver_time - pkt.create_time
-
-    def on_idle_gap(self, net: NetworkLike, start: int, end: int) -> None:
-        # Idle cycles deliver nothing; all per-class state is unchanged.
-        pass
 
     def flush(self, net: NetworkLike, window_cycles: int) -> dict:
         packets = self._packets
@@ -403,23 +371,6 @@ class ProbeSet:
         self._cycles_in_window += 1
         if self._cycles_in_window >= self.interval:
             self._flush(net, end=now + 1)
-
-    def on_idle_gap(self, net: NetworkLike, start: int, end: int) -> None:
-        """Account fast-forwarded idle cycles ``[start, end)``.
-
-        Windows that fill inside the gap flush at exactly the cycle they
-        would have flushed in the dense loop (the network's counters are
-        frozen across the gap, so each record's fields are identical too).
-        """
-        cursor = start
-        while cursor < end:
-            take = min(self.interval - self._cycles_in_window, end - cursor)
-            for probe in self.probes:
-                probe.on_idle_gap(net, cursor, cursor + take)
-            self._cycles_in_window += take
-            cursor += take
-            if self._cycles_in_window >= self.interval:
-                self._flush(net, end=cursor)
 
     def finish(self, net: NetworkLike) -> list[dict]:
         """Flush any partial window, detach probes, return all records."""

@@ -66,9 +66,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 #: ``error_kind`` values that are transient by nature and worth retrying:
 #: the point itself is deterministic, so only failures of the *executor* —
-#: a stalled run aborted by the watchdog, a dead worker process, an expired
-#: work lease, a dropped worker connection — can succeed on a re-run.
-TRANSIENT_KINDS = frozenset({"stalled", "worker_death", "lease_expired", "disconnect"})
+#: a dead worker process, an expired work lease, a dropped worker
+#: connection — can succeed on a re-run.  A watchdog stall (``"stalled"``)
+#: is final: the watchdog counts cycles, so the same config and seed stall
+#: at the same cycle every time.
+TRANSIENT_KINDS = frozenset({"worker_death", "lease_expired", "disconnect"})
 
 
 @dataclass
@@ -109,13 +111,9 @@ class RetryPolicy:
         """A policy whose jitter stream derives from ``seed`` and ``labels``."""
         return cls(rng=random.Random(rng_mod.spawn(seed, "retry-jitter", *labels)), **kwargs)
 
-    def is_transient(self, kind: object) -> bool:
-        """True when ``kind`` names a failure worth retrying."""
-        return kind in self.transient_kinds
-
     def should_retry(self, kind: object, attempt: int) -> bool:
         """True when a failure of ``kind`` at 0-based ``attempt`` gets a retry."""
-        return self.is_transient(kind) and attempt < self.max_retries
+        return kind in self.transient_kinds and attempt < self.max_retries
 
     def delay(self, attempt: int) -> float:
         """Backoff sleep before retry ``attempt`` (1-based), jitter included."""
@@ -364,13 +362,10 @@ class FaultState:
     def has_events(self) -> bool:
         return bool(self._events)
 
+    # Kept for Network.next_internal_event_cycle, which the benchmark
+    # tracer (benchmarks/e2e/tracing.py) binds by name.
     def next_event_cycle(self) -> Optional[int]:
-        """Earliest pending activation/deactivation cycle (None when done).
-
-        Bounds the engine's idle-cycle fast-forward: a transient fault
-        window must open and close on its exact cycles even if the fabric
-        is empty when they arrive.
-        """
+        """Earliest pending activation/deactivation cycle (None when done)."""
         if not self._events:
             return None
         return min(self._events)
@@ -683,24 +678,6 @@ class Watchdog:
             raise SimulationStalled(diagnose(net, window=self.window))
         self._last_sig = sig
 
-    def on_idle_gap(self, net, start: int, end: int) -> None:
-        """Account fast-forwarded idle cycles ``[start, end)``.
-
-        Fast-forward only happens with zero packets in flight, so no check
-        inside the gap could raise; this replays their bookkeeping — the
-        signature sample and the re-armed deadline — in O(1).  In the dense
-        loop checks would fire at ``_next_check``, ``_next_check + window``,
-        … up to the last observed clock value ``end``.
-        """
-        if end < self._next_check:
-            return
-        fired = (end - self._next_check) // self.window + 1
-        self._next_check += fired * self.window
-        self._last_sig = (
-            net.total_flits_delivered,
-            net.total_flit_traversals + int(net.flit_injections.sum()),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Conservation invariants
@@ -732,20 +709,6 @@ class InvariantChecker:
         if net.now < self._next_check:
             return
         self._next_check = net.now + self.interval
-        self.check(net)
-
-    def on_idle_gap(self, net, start: int, end: int) -> None:
-        """Account fast-forwarded idle cycles ``[start, end)``.
-
-        Network state is frozen across the gap, so the audits the dense
-        loop would have run at each elapsed deadline are all the same
-        audit: run it once, then re-arm the deadline where the dense loop
-        would have left it.
-        """
-        if end < self._next_check:
-            return
-        fired = (end - self._next_check) // self.interval + 1
-        self._next_check += fired * self.interval
         self.check(net)
 
     def check(self, net) -> None:

@@ -223,11 +223,6 @@ class _TraceReplayer:
     def done(self, engine: SimulationEngine) -> bool:
         return self._next is None
 
-    def next_event_cycle(self, engine: SimulationEngine) -> Optional[int]:
-        """Timestamp of the next trace record (trace replay uses no RNG)."""
-        nxt = self._next
-        return nxt.time if nxt is not None else None
-
 
 class _ReplaySink:
     """Collects every delivered packet's latency; done once all drained."""

@@ -320,15 +320,6 @@ class CmpSystem:
             and all(not c.active for c in self.cores)
         )
 
-    def next_event_cycle(self, engine: SimulationEngine) -> Optional[int]:
-        """Execution-driven runs opt out of idle-cycle fast-forward.
-
-        Cores retire instructions inside :meth:`inject` every cycle, so a
-        cycle with an idle *network* is not a dead cycle — skipping it
-        would skip computation.  Returning ``None`` keeps the dense loop.
-        """
-        return None
-
     # -- main loop ---------------------------------------------------------------
     def run(self, max_cycles: int = 5_000_000) -> CmpResult:
         """Run the benchmark to completion (or ``max_cycles``)."""

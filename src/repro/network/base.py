@@ -93,7 +93,7 @@ class BaseNetwork:
         self.flit_injections = np.zeros(num_nodes, dtype=np.int64)
         #: cycles a source spent unable to stream a queued flit (backpressure)
         self.injection_stalls = 0
-        #: idle cycles skipped by the engine's fast-forward (diagnostics)
+        #: read by the benchmark (benchmarks/e2e/workloads.py); always 0
         self.fast_forwarded_cycles = 0
         #: per-link-traversal probe callback; None == probing disabled
         self._flit_hook = None
@@ -142,27 +142,15 @@ class BaseNetwork:
         """True when no packet is queued, buffered, or on a link."""
         return self._inflight == 0
 
-    # -- idle-cycle fast-forward -------------------------------------------------
+    # -- names the benchmark tracer binds ----------------------------------------
+    # benchmarks/e2e/tracing.py wraps these two by name; the engine calls
+    # neither, so ``fast_forwarded_cycles`` stays 0.
     def next_internal_event_cycle(self) -> Optional[int]:
-        """Earliest future cycle at which this network has scheduled work.
-
-        The engine's idle-cycle fast-forward may only jump the clock up to
-        (and including) this cycle: anything scheduled inside the fabric —
-        in-flight credits, link arrivals, fault activations — must still be
-        delivered on its exact cycle.  ``None`` means the fabric is fully
-        quiescent and the clock may jump arbitrarily far.
-        """
+        """Earliest future cycle at which this network has scheduled work."""
         return None
 
     def advance_to(self, cycle: int) -> None:
-        """Jump the clock to ``cycle`` without executing the idle cycles.
-
-        Only legal when every skipped cycle would have been a no-op: the
-        caller (the engine) guarantees ``is_idle()`` and that no internal
-        event (see :meth:`next_internal_event_cycle`) lies strictly before
-        ``cycle``.  Stepping an idle network only increments ``now``, so the
-        jump is bit-identical to stepping ``cycle - now`` times.
-        """
+        """Jump the clock of an idle network to ``cycle``."""
         if cycle < self.now:
             raise ValueError(f"cannot advance backwards: {cycle} < {self.now}")
         self.fast_forwarded_cycles += cycle - self.now

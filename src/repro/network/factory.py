@@ -8,10 +8,6 @@
 * ``"vectorized"`` — :class:`~repro.network.vectorized.VectorizedNetwork`,
   the struct-of-arrays numpy model, bit-identical on every configuration it
   accepts (see DESIGN.md "Vectorized backend").
-* ``"analytical"`` — no network at all: the zero-cycle queueing estimator
-  of :mod:`repro.analytical`.  :func:`build_network` rejects it with
-  :class:`~repro.network.base.BackendUnsupported` naming the estimator
-  API, since cycle drivers cannot simulate a closed-form model.
 
 Every driver builds its network through :func:`build_network` so the flag
 works uniformly across open-loop, closed-loop, barrier, trace-driven and
@@ -62,20 +58,6 @@ def build_network(config: NetworkConfig, **kwargs):
         from .vectorized import VectorizedNetwork
 
         return VectorizedNetwork(config)
-    if backend == "analytical":
-        # The zero-cycle estimator has no network to build: it answers in
-        # closed form.  Cycle drivers that reach this point were asked to
-        # simulate a model — point the user at the estimator API instead.
-        from .base import BackendUnsupported
-
-        raise BackendUnsupported(
-            "analytical",
-            "cycle-level simulation",
-            "the analytical backend is a zero-cycle estimator with no "
-            "network to step; query it with repro.analytical.estimate() "
-            "(CLI: 'repro estimate') or steer a sweep with it "
-            "('repro sweep --steer')",
-        )
     raise ValueError(
         f"unknown network backend {backend!r}; pick from {NETWORK_BACKENDS}"
     )

@@ -54,6 +54,7 @@ class IdealNetwork(BaseNetwork):
         self.now = now + 1
         return delivered
 
+    # Kept because the benchmark tracer (benchmarks/e2e/tracing.py) binds it.
     def next_internal_event_cycle(self) -> Optional[int]:
         """Earliest scheduled delivery (empty whenever the network is idle)."""
         return self._events.next_time()

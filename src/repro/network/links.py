@@ -44,13 +44,7 @@ class TimeBuckets:
         return bucket
 
     def next_time(self) -> Optional[int]:
-        """Earliest cycle with an undelivered event (None when empty).
-
-        Used by the idle-cycle fast-forward to bound clock jumps: the
-        simulator may never skip past a scheduled delivery.  The bucket
-        count is tiny (delays are 1-2 cycles), so ``min`` over the keys is
-        cheaper than maintaining a heap.
-        """
+        """Earliest cycle with an undelivered event (None when empty)."""
         if not self._buckets:
             return None
         return min(self._buckets)

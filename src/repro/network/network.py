@@ -212,14 +212,9 @@ class Network(BaseNetwork):
         """Flits currently buffered across all routers (diagnostics)."""
         return sum(r.buffered_flits() for r in self.routers)
 
+    # Kept because the benchmark tracer (benchmarks/e2e/tracing.py) binds it.
     def next_internal_event_cycle(self) -> Optional[int]:
-        """Earliest in-flight credit/arrival delivery or fault event.
-
-        Caps the engine's idle-cycle fast-forward: an idle fabric can still
-        owe itself a credit return (tail delivered, credit in flight) or a
-        scheduled fault activation, and skipping either would corrupt
-        buffer accounting or the fault timeline.
-        """
+        """Earliest in-flight credit/arrival delivery or fault event."""
         nxt = min(self._credits, default=None)
         t = min(self._arrivals, default=None)
         if t is not None and (nxt is None or t < nxt):

@@ -6,8 +6,8 @@ VC state, credit counters, and every in-flight flit live in preallocated
 numpy buffers, and one network-wide pipeline step (route -> VC-allocate ->
 switch-arbitrate -> traverse) is computed with vectorized masks instead of
 per-flit Python objects.  It satisfies the same :class:`NetworkLike`
-protocol, so all drivers, the engine's phase control, probes, and the
-active-set / fast-forward scheduling work unchanged.
+protocol, so all drivers, the engine's phase control and probes work
+unchanged.
 
 Equivalence contract
 --------------------
@@ -289,6 +289,7 @@ class VectorizedNetwork(BaseNetwork):
         self.now = now + 1
         return self._delivered
 
+    # Kept because the benchmark tracer (benchmarks/e2e/tracing.py) binds it.
     def next_internal_event_cycle(self) -> Optional[int]:
         t = min(self._arrq) if self._arrq else None
         if self._crq:

@@ -5,7 +5,7 @@ the process-pool sweep engine (:mod:`repro.core.parallel`) into a fleet
 service.  A :class:`Controller` shards sweep points across worker nodes
 over a line-delimited-JSON TCP protocol (:mod:`repro.service.protocol`),
 leasing each point with a deadline and re-queuing it if the worker dies,
-stalls, or disconnects.  :class:`Worker` daemons pull leases, execute them
+hangs, or disconnects.  :class:`Worker` daemons pull leases, execute them
 through the exact same runner machinery as a local sweep (per-point derived
 seeds ⇒ records bit-identical to serial), and stream results back.  The
 content-addressed result cache (:mod:`repro.core.cache`) acts as the shared

@@ -159,7 +159,7 @@ class Worker:
     tests and batch schedulers); ``stop`` (a :class:`threading.Event`)
     requests a graceful exit between points.  ``execute`` is the
     per-lease execution hook — the chaos tests override it to inject
-    stalls and crashes without touching the protocol path.
+    hangs and crashes without touching the protocol path.
     """
 
     def __init__(

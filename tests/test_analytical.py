@@ -24,7 +24,6 @@ from repro.analytical import (
 from repro.config import NetworkConfig
 from repro.core.openloop import OpenLoopSimulator
 from repro.network.base import BackendUnsupported
-from repro.network.factory import build_network
 
 
 class TestZeroLoad:
@@ -144,14 +143,11 @@ class TestPriorityClasses:
 
 
 class TestBackendWiring:
-    def test_config_accepts_analytical_backend(self):
-        cfg = NetworkConfig(k=4, n=2, backend="analytical")
-        assert cfg.backend == "analytical"
-
-    def test_build_network_rejects_analytical(self):
-        cfg = NetworkConfig(k=4, n=2, backend="analytical")
-        with pytest.raises(BackendUnsupported, match="zero-cycle estimator"):
-            build_network(cfg)
+    def test_config_rejects_analytical_backend(self):
+        # The estimator is built directly (AnalyticalModel), never selected
+        # as a network backend.
+        with pytest.raises(ValueError, match="unknown backend 'analytical'"):
+            NetworkConfig(k=4, n=2, backend="analytical")
 
     def test_faults_rejected(self):
         cfg = NetworkConfig(k=4, n=2, faults="link:0-1")

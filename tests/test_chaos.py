@@ -1,21 +1,22 @@
-"""Chaos harness: random worker kills and stalls, verified bit-for-bit.
+"""Chaos harness: random worker kills, hangs and stalls, verified bit-for-bit.
 
 The self-healing claim is not "the sweep finishes" but "the sweep finishes
-with *exactly* the records a quiet serial run would have produced" — the
+with *exactly* the records a serial run would have produced" — the
 derived-seed contract makes every re-execution deterministic, so chaos
 must be invisible in the data and visible only in the health summary.
 These tests inject failures chosen by a seeded RNG into both execution
 paths:
 
 * **process pool** (:func:`repro.core.parallel.run_sweep`): runners that
-  SIGKILL their own worker process, or raise ``SimulationStalled``, on the
-  first attempt of randomly selected victim points;
+  SIGKILL their own worker process on the first attempt of randomly
+  selected victim points (retried), or raise ``SimulationStalled`` on
+  every attempt of them, as a watchdog would (final, never retried);
 * **service** (:mod:`repro.service`): workers that drop their connection
-  mid-lease (a machine dying) or report a stalled record (a run aborted
-  by the watchdog) on victim points, while a healthy sibling keeps
-  pulling work.
+  mid-lease (a machine dying) or hold a lease past its deadline without
+  reporting (a machine hanging) on victim points, while a healthy sibling
+  keeps pulling work.
 
-Every test asserts the final records equal the serial baseline modulo
+Every test asserts the final records equal a serial run's modulo
 ``wall_seconds``, and that the health summary attributes what happened.
 """
 
@@ -27,11 +28,12 @@ import pathlib
 import random
 import signal
 import threading
+import time
 
 import pytest
 
 from repro.config import NetworkConfig
-from repro.core.parallel import SweepPoint, _failed_record, run_sweep
+from repro.core.parallel import run_sweep
 from repro.core.resilience import SimulationStalled, StallDiagnosis
 from repro.service import Controller, ControllerServer, ServiceOptions, Worker, run_remote_sweep
 
@@ -70,18 +72,15 @@ def kill_once_runner(cfg, load=0.0, *, logdir, victims):
     return payload_runner(cfg, load)
 
 
-def stall_once_runner(cfg, load=0.0, *, logdir, victims):
-    """Raise SimulationStalled on the first attempt of victim points."""
+def stall_runner(cfg, load=0.0, *, victims):
+    """Raise SimulationStalled on every attempt of victim points."""
     if cfg.router_delay in victims:
-        marker = _marker(logdir, cfg, load)
-        if not marker.exists():
-            marker.write_text("stalled")
-            raise SimulationStalled(
-                StallDiagnosis(
-                    cycle=100, window=100, in_flight=1, delivered_packets=0,
-                    buffered_flits=1, queued_packets=0,
-                )
+        raise SimulationStalled(
+            StallDiagnosis(
+                cycle=100, window=100, in_flight=1, delivered_packets=0,
+                buffered_flits=1, queued_packets=0,
             )
+        )
     return payload_runner(cfg, load)
 
 
@@ -114,17 +113,17 @@ class TestPoolChaos:
         assert records.health.retried >= len(victims) * len(EXTRA["load"])
         assert records.health.failed == 0
 
-    def test_stalled_points_bit_identical_to_serial(self, tmp_path):
+    def test_stalled_points_bit_identical_to_serial(self):
+        # A stall is final: the victims' failed records are the ones a
+        # serial run of the same runner writes, and nothing is retried.
         victims = pick_victims(2, salt=2)
-        runner = functools.partial(
-            stall_once_runner, logdir=str(tmp_path), victims=victims
-        )
-        records = run_sweep(
-            BASE, AXES, runner, extra_axes=EXTRA, n_workers=2
-        )
-        assert strip_timing(records) == strip_timing(serial_baseline())
-        assert records.health.retried == len(victims) * len(EXTRA["load"])
-        assert records.health.failed == 0
+        runner = functools.partial(stall_runner, victims=victims)
+        records = run_sweep(BASE, AXES, runner, extra_axes=EXTRA, n_workers=2)
+        serial = run_sweep(BASE, AXES, runner, extra_axes=EXTRA)
+        assert strip_timing(records) == strip_timing(serial)
+        stalls = len(victims) * len(EXTRA["load"])
+        assert records.health.stalled == records.health.failed == stalls
+        assert records.health.retried == 0
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +136,11 @@ class ChaosWorker(Worker):
 
     ``mode="kill"`` drops the connection mid-lease without reporting —
     the transport-level signature of a dead machine; the controller must
-    re-queue via its disconnect handling.  ``mode="stall"`` reports a
-    ``stalled`` failed record — the watchdog-abort signature; the
-    controller must re-queue via the transient-retry policy.  ``chaosed``
-    is shared across workers so each victim point fails exactly once
-    globally and the retry must succeed.
+    re-queue via its disconnect handling.  ``mode="hang"`` sits on the
+    lease past its deadline and only then reports — a hung machine; the
+    controller must re-queue via lease expiry and drop the late record as
+    stale.  ``chaosed`` is shared across workers so each victim point
+    fails exactly once globally and the retry must succeed.
     """
 
     def __init__(self, *args, victims=(), chaosed=None, mode="kill", **kwargs):
@@ -161,19 +160,20 @@ class ChaosWorker(Worker):
             if self.mode == "kill":
                 stream.close()
                 raise ConnectionError("chaos: worker killed mid-lease")
-            point = SweepPoint(
-                index, dict(lease["overrides"]), dict(lease["kwargs"]), lease["seed"]
-            )
-            return _failed_record(
-                point, "SimulationStalled: chaos-injected stall", kind="stalled"
-            )
+            time.sleep(HANG_LEASE_SECONDS * 1.5)
         return super()._execute_with_heartbeats(stream, lease, interval)
+
+
+#: lease deadline of the hang run; a victim holds its lease 1.5 times this
+HANG_LEASE_SECONDS = 1.0
 
 
 def run_service_chaos(mode: str, victims):
     """One chaotic 2-worker sweep; returns its records."""
     opts = ServiceOptions(
-        lease_seconds=30.0, heartbeat_timeout=10.0, fallback_after=None
+        lease_seconds=HANG_LEASE_SECONDS if mode == "hang" else 30.0,
+        heartbeat_timeout=10.0,
+        fallback_after=None,
     )
     stop = threading.Event()
     chaosed: set = set()
@@ -216,10 +216,10 @@ class TestServiceChaos:
         assert records.health.retried >= len(victims)
 
     def test_stalled_worker_bit_identical_to_serial(self):
+        # A worker that hangs on its lease: expiry re-queues the point.
         gen = random.Random(CHAOS_SEED + 4)
         victims = gen.sample(range(8), 3)
-        records = run_service_chaos("stall", victims)
+        records = run_service_chaos("hang", victims)
         assert strip_timing(records) == strip_timing(serial_baseline())
         assert records.health.failed == 0
-        assert records.health.stalled == 0  # every stall retried successfully
         assert records.health.retried >= len(victims)

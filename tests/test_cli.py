@@ -306,7 +306,7 @@ PARSER_SURFACE = {
         (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
         (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
-        (('--backend',), 'backend', 'object', ('analytical', 'object', 'vectorized'), None, None, False, '_StoreAction'),
+        (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
         (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
         (('--warmup',), 'warmup', 500, None, None, None, False, '_StoreAction'),
@@ -331,7 +331,7 @@ PARSER_SURFACE = {
         (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
         (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
-        (('--backend',), 'backend', 'object', ('analytical', 'object', 'vectorized'), None, None, False, '_StoreAction'),
+        (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
         (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
         (('--warmup',), 'warmup', 500, None, None, None, False, '_StoreAction'),
@@ -363,7 +363,7 @@ PARSER_SURFACE = {
         (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
         (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
-        (('--backend',), 'backend', 'object', ('analytical', 'object', 'vectorized'), None, None, False, '_StoreAction'),
+        (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
         (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
         (('--warmup',), 'warmup', None, None, None, None, False, '_StoreAction'),
@@ -399,7 +399,7 @@ PARSER_SURFACE = {
         (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
         (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
-        (('--backend',), 'backend', 'object', ('analytical', 'object', 'vectorized'), None, None, False, '_StoreAction'),
+        (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
         (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
         (('--rates',), 'rates', None, None, None, None, True, '_StoreAction'),
@@ -417,7 +417,7 @@ PARSER_SURFACE = {
         (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
         (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
-        (('--backend',), 'backend', 'object', ('analytical', 'object', 'vectorized'), None, None, False, '_StoreAction'),
+        (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
         (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
         (('--warmup',), 'warmup', 500, None, None, None, False, '_StoreAction'),
@@ -437,7 +437,7 @@ PARSER_SURFACE = {
         (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
         (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
-        (('--backend',), 'backend', 'object', ('analytical', 'object', 'vectorized'), None, None, False, '_StoreAction'),
+        (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
         (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
         (('-b', '--batch-size'), 'batch_size', 1000, None, None, None, False, '_StoreAction'),
@@ -494,7 +494,7 @@ PARSER_SURFACE = {
         (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
         (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
-        (('--backend',), 'backend', 'object', ('analytical', 'object', 'vectorized'), None, None, False, '_StoreAction'),
+        (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
         (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
         (('--warmup',), 'warmup', 500, None, None, None, False, '_StoreAction'),
@@ -637,8 +637,10 @@ class TestCommands:
 
     def test_sweep_steer_rejects_the_analytical_backend(self, capsys):
         argv = ["sweep", "--steer", "--backend", "analytical", "--rates", "0.1"]
-        assert main(argv) == 2
-        assert "--steer simulates its knee window" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'analytical'" in capsys.readouterr().err
 
     def test_sweep_resume_without_journal_errors(self, capsys):
         rc = main(["sweep", "--k", "4", "--rates", "0.05", "--resume"])

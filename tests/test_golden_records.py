@@ -15,6 +15,7 @@ the historical drivers; that is a behaviour change, not a tolerance issue.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -35,6 +36,11 @@ from repro.core.tracedriven import (
 def digest(arr) -> str:
     """First 16 hex chars of sha256 over the array's raw bytes."""
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
+
+
+def records_digest(records) -> str:
+    """First 16 hex chars of sha256 over probe records as sorted-key JSON."""
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @pytest.fixture

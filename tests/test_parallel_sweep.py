@@ -88,13 +88,17 @@ def attempts(logdir, router_delay):
     return len(log.read_text().splitlines()) if log.exists() else 0
 
 
-def stall_once_runner(cfg, logdir, **kwargs):
-    """Stall on the first attempt of each point, succeed afterwards."""
-    first = attempts(logdir, cfg.router_delay) == 0
+def die_once_runner(cfg, logdir, **kwargs):
+    """Kill the worker process on a point's first attempt, succeed afterwards."""
     logged_runner(cfg, logdir, **kwargs)
-    if first:
-        raise _stall()
+    if attempts(logdir, cfg.router_delay) == 1:
+        os._exit(13)
     return seeded_runner(cfg, **kwargs)
+
+
+def always_dying_runner(cfg, logdir, **kwargs):
+    logged_runner(cfg, logdir, **kwargs)
+    os._exit(13)
 
 
 def always_stalling_runner(cfg, logdir, **kwargs):
@@ -398,10 +402,12 @@ class TestTransientRetry:
         d = RetryPolicy(backoff=0.25)
         assert 0.25 <= d.delay(1) <= 0.25 * 1.25
         assert not RetryPolicy(max_retries=2).should_retry("error", 0)
-        assert RetryPolicy(max_retries=2).should_retry("stalled", 1)
-        assert not RetryPolicy(max_retries=2).should_retry("stalled", 2)
+        assert not RetryPolicy(max_retries=2).should_retry("stalled", 0)
+        assert RetryPolicy(max_retries=2).should_retry("worker_death", 1)
+        assert not RetryPolicy(max_retries=2).should_retry("worker_death", 2)
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
+    # Only a pool worker can die, so every retry case runs on two workers.
+    @pytest.mark.parametrize("n_workers", [2])
     def test_retry_timeline_is_deterministic_by_default(self, tmp_path, n_workers, monkeypatch):
         # The backoff jitter derives from the sweep's seed, never from the
         # process-global ``random``: two runs sleep exactly the same delays.
@@ -416,41 +422,55 @@ class TestTransientRetry:
         runs = []
         for name in ("a", "b"):
             (tmp_path / name).mkdir()
-            runner = functools.partial(stall_once_runner, logdir=str(tmp_path / name))
+            runner = functools.partial(die_once_runner, logdir=str(tmp_path / name))
             timelines.append([])
             runs.append(run_sweep(
-                BASE, {"router_delay": (1, 2)}, runner,
+                BASE, {"router_delay": (1,)}, runner,
                 n_workers=n_workers, max_retries=2, retry_backoff=0.01,
             ))
         assert strip_timing(runs[0]) == strip_timing(runs[1])
-        assert runs[0].health.retried == runs[1].health.retried == 2
-        assert timelines[0] == timelines[1] and len(timelines[0]) == 2
+        assert runs[0].health.retried == runs[1].health.retried == 1
+        assert timelines[0] == timelines[1] and len(timelines[0]) == 1
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_stall_retried_then_succeeds(self, tmp_path, n_workers):
-        runner = functools.partial(stall_once_runner, logdir=str(tmp_path))
+    def test_worker_death_retried_then_succeeds(self, tmp_path):
+        # One point, so no sibling is in flight to share the death's charge.
+        runner = functools.partial(die_once_runner, logdir=str(tmp_path))
         records = run_sweep(
-            BASE, {"router_delay": (1, 2)}, runner,
-            n_workers=n_workers, max_retries=2, retry_backoff=0.01,
+            BASE, {"router_delay": (1,)}, runner,
+            n_workers=2, max_retries=2, retry_backoff=0.01,
         )
-        assert all("draw" in r for r in records)
+        assert "draw" in records[0]
         h = records.health
-        assert (h.ok, h.failed, h.retried, h.stalled) == (2, 0, 2, 0)
-        assert attempts(tmp_path, 1) == 2 and attempts(tmp_path, 2) == 2
+        assert (h.ok, h.failed, h.retried, h.worker_deaths) == (1, 0, 1, 1)
+        assert attempts(tmp_path, 1) == 2
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("n_workers", [2])
     def test_retry_cap_respected(self, tmp_path, n_workers):
-        runner = functools.partial(always_stalling_runner, logdir=str(tmp_path))
+        runner = functools.partial(always_dying_runner, logdir=str(tmp_path))
         records = run_sweep(
             BASE, {"router_delay": (1,)}, runner,
             n_workers=n_workers, max_retries=2, retry_backoff=0.01,
         )
         assert attempts(tmp_path, 1) == 3  # initial + 2 retries, no more
         rec = records[0]
+        assert rec["failed"] and rec["error_kind"] == "worker_death"
+        h = records.health
+        assert (h.ok, h.failed, h.retried, h.worker_deaths) == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_stalled_point_runs_once(self, tmp_path, n_workers):
+        # The watchdog counts cycles: a stall is a function of config and
+        # seed, so a re-run would stall at the same cycle.
+        runner = functools.partial(always_stalling_runner, logdir=str(tmp_path))
+        records = run_sweep(
+            BASE, {"router_delay": (1,)}, runner, n_workers=n_workers, retry_backoff=0.01
+        )
+        assert attempts(tmp_path, 1) == 1
+        rec = records[0]
         assert rec["failed"] and rec["error_kind"] == "stalled"
         assert "SimulationStalled" in rec["error"]
         h = records.health
-        assert (h.ok, h.failed, h.retried, h.stalled) == (0, 1, 2, 1)
+        assert (h.ok, h.failed, h.retried, h.stalled) == (0, 1, 0, 1)
 
     def test_deterministic_errors_not_retried(self, tmp_path):
         runner = functools.partial(logged_faulty_runner, logdir=str(tmp_path))

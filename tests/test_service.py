@@ -556,10 +556,9 @@ class TestJobSpecOnTheWire:
         assert a1["job_id"] == b1["job_id"] == sub1["job_id"]
         assert "config" in a1 and "config" in b1 and a1["spec"] == b1["spec"]
         report(c, a, a1, execute_lease(a1))
-        # b's point stalls (transient): it is re-queued behind its backoff
-        stalled = {"failed": True, "error": "SimulationStalled: x", "error_kind": "stalled",
-                   "wall_seconds": 0.0}
-        report(c, b, b1, stalled)
+        # b's lease expires (transient): its point is re-queued behind its backoff
+        clock.advance(5.5)  # past lease_seconds
+        c.tick()
         a2 = lease_for(a)  # job 2, point 0: another spec, so its body
         assert a2["job_id"] == sub2["job_id"] and a2["spec"] != a1["spec"]
         assert a2["config"] == config_on_wire(other)
