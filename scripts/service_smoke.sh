@@ -6,8 +6,8 @@
 #   1. the run completes with a clean health summary (no failed points), and
 #   2. the remote records are bit-identical (modulo wall_seconds) to the
 #      same sweep executed through the local process-pool path, and
-#   3. a knee-steered sweep run through the service, journaled, cut short
-#      and resumed prints the table the local steered sweep prints.
+#   3. a sweep run through the service with ``--remote``, journaled, cut
+#      short mid-line and resumed prints the table the local sweep prints.
 #
 # The deterministic kill-mid-lease variants live in tests/test_chaos.py;
 # this script checks the shipped serve/worker/submit entry points wire the
@@ -84,18 +84,18 @@ assert local == remote, (
 print(f"service smoke OK: {len(local)} records bit-identical to local path")
 PY
 
-echo "== steered sweep: local vs remote, then remote resume =="
-STEER_ARGS=(--k 4 --warmup 200 --measure 600 --steer
-            --rates 0.05,0.10,0.15,0.20,0.25,0.30 --axis router-delay=1,2)
-python -m repro sweep "${STEER_ARGS[@]}" >"$TMP/steer_local.txt" 2>/dev/null
-python -m repro sweep "${STEER_ARGS[@]}" --remote "127.0.0.1:$PORT" \
-    --journal "$TMP/steer.jsonl" >"$TMP/steer_remote.txt" 2>/dev/null
-diff "$TMP/steer_local.txt" "$TMP/steer_remote.txt"
+echo "== remote sweep: local vs remote, then remote resume =="
+RESUME_ARGS=(--k 4 --warmup 200 --measure 600
+             --rates 0.05,0.10,0.15,0.20,0.25,0.30 --axis router-delay=1,2)
+python -m repro sweep "${RESUME_ARGS[@]}" >"$TMP/resume_local.txt" 2>/dev/null
+python -m repro sweep "${RESUME_ARGS[@]}" --remote "127.0.0.1:$PORT" \
+    --journal "$TMP/resume.jsonl" >"$TMP/resume_remote.txt" 2>/dev/null
+diff "$TMP/resume_local.txt" "$TMP/resume_remote.txt"
 # Keep the header and the first five entries plus half a line: a client
 # killed mid-write.  The resumed run must print the same table.
-head -n 6 "$TMP/steer.jsonl" >"$TMP/steer_cut.jsonl"
-sed -n 7p "$TMP/steer.jsonl" | head -c 40 >>"$TMP/steer_cut.jsonl"
-python -m repro sweep "${STEER_ARGS[@]}" --remote "127.0.0.1:$PORT" \
-    --journal "$TMP/steer_cut.jsonl" --resume >"$TMP/steer_resumed.txt" 2>/dev/null
-diff "$TMP/steer_local.txt" "$TMP/steer_resumed.txt"
-echo "steered smoke OK: remote and resumed tables identical to local"
+head -n 6 "$TMP/resume.jsonl" >"$TMP/resume_cut.jsonl"
+sed -n 7p "$TMP/resume.jsonl" | head -c 40 >>"$TMP/resume_cut.jsonl"
+python -m repro sweep "${RESUME_ARGS[@]}" --remote "127.0.0.1:$PORT" \
+    --journal "$TMP/resume_cut.jsonl" --resume >"$TMP/resume_resumed.txt" 2>/dev/null
+diff "$TMP/resume_local.txt" "$TMP/resume_resumed.txt"
+echo "resume smoke OK: remote and resumed tables identical to local"

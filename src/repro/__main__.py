@@ -360,7 +360,6 @@ def _cmd_sweep(args) -> int:
     cfg = _network_config(args)
     rates = tuple(float(r) for r in args.rates.split(","))
     axes = dict(args.axis or [])
-    steer = getattr(args, "steer", False)
     if args.resume and not args.journal:
         print("--resume requires --journal", file=sys.stderr)
         return 2
@@ -380,14 +379,7 @@ def _cmd_sweep(args) -> int:
         n_workers=args.workers, point_timeout=args.point_timeout, cache=_cache_dir(args)
     )
     try:
-        if steer:
-            from .core.steering import steered_sweep
-
-            records = steered_sweep(
-                cfg, axes, runner, rates=rates, sim_fraction=args.steer_fraction,
-                remote=args.remote, **shared, **local,
-            )
-        elif args.remote:
+        if args.remote:
             from .service import run_remote_sweep
 
             records = run_remote_sweep(
@@ -406,21 +398,9 @@ def _cmd_sweep(args) -> int:
         print(f"service error: {exc}", file=sys.stderr)
         return 2
     columns = list(axes) + ["rate", "latency", "throughput", "saturated"]
-    if steer:
-        columns.append("source")
     if any(r.get("failed") for r in records):
         columns.append("error")
     print(format_records(records, columns))
-    for plan in getattr(records, "plans", ()):
-        coords = " ".join(f"{k}={v}" for k, v in plan.overrides.items()) or "(base)"
-        lo, hi = plan.simulated_indices[0], plan.simulated_indices[-1]
-        print(
-            f"steer {coords}: predicted knee at rate {plan.knee_rate:g} "
-            f"(model saturation {plan.saturation_rate:.4f}), simulated rates "
-            f"[{plan.rates[lo]:g}..{plan.rates[hi]:g}] = "
-            f"{len(plan.simulated_indices)}/{len(plan.rates)} points",
-            file=sys.stderr,
-        )
     print(f"health: {records.health.summary()}", file=sys.stderr)
     return 0 if records.health.failed == 0 else 1
 
@@ -450,8 +430,6 @@ def _explore_spec(args):
         space=DesignSpace.from_mapping(space),
         seed=args.seed,
         objectives=tuple(args.objectives.split(",")),
-        surrogate=args.surrogate,
-        screen_fraction=args.screen_fraction,
         **{k: v for k, v in given.items() if v is not None},
     )
 
@@ -783,21 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     openloop_args(p)
     _add_executor_args(p)
-    p.add_argument(
-        "--steer",
-        action="store_true",
-        help="knee-steered sweep: simulate only a window of rates around "
-        "the analytical model's predicted knee, fill the rest from the "
-        "model (records tagged source=simulated|analytical)",
-    )
-    p.add_argument(
-        "--steer-fraction",
-        type=float,
-        default=0.5,
-        metavar="FRACTION",
-        help="--steer: max share of rates simulated per combination "
-        "(default 0.5)",
-    )
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
@@ -833,20 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="LO,HI",
         help="evaluation rates: latency read at LO, throughput at HI",
-    )
-    p.add_argument(
-        "--surrogate",
-        action="store_true",
-        help="screen each generation with the analytical model first; only "
-        "the surrogate-front share is simulated cycle-accurately",
-    )
-    p.add_argument(
-        "--screen-fraction",
-        type=float,
-        default=0.5,
-        metavar="FRACTION",
-        help="--surrogate: share of screened genomes that graduate to "
-        "simulation (default 0.5)",
     )
     _add_executor_args(
         p, "--workers", "--journal", "--resume", "--force-resume", "--remote",

@@ -1,12 +1,8 @@
-"""Zero-cycle analytical surrogate backend (``backend="analytical"``).
+"""Zero-cycle analytical model behind ``repro estimate``.
 
-See :mod:`repro.analytical.model` for the queueing model and
-:mod:`repro.analytical.ladder` for the correlation rung against the
-closed-loop batch driver.  Sweep steering lives in
-:mod:`repro.core.steering`.
+See :mod:`repro.analytical.model` for the queueing model.
 """
 
-from .ladder import LadderResult, LadderRung, analytical_vs_batch
 from .model import (
     DEFAULT_CAPACITY_FACTOR,
     AnalyticalEstimate,
@@ -14,7 +10,6 @@ from .model import (
     ClassEstimate,
     estimate,
     estimate_curve,
-    sweep_record,
 )
 
 __all__ = [
@@ -24,8 +19,4 @@ __all__ = [
     "DEFAULT_CAPACITY_FACTOR",
     "estimate",
     "estimate_curve",
-    "sweep_record",
-    "LadderRung",
-    "LadderResult",
-    "analytical_vs_batch",
 ]

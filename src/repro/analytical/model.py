@@ -1,11 +1,9 @@
-"""Zero-cycle analytical surrogate: M/G/1 queueing over DOR channel loads.
+"""Zero-cycle analytical model: M/G/1 queueing over DOR channel loads.
 
-The paper's ladder compares measurement methodologies by speed and accuracy
-(closed-loop batch vs execution-driven, r ≈ 0.83→0.97).  This module adds
-the missing zero-*cycle* rung in the spirit of "Analytical Performance
-Models for NoCs with Multiple Priority Traffic Classes" (PAPERS.md): a
-queueing-theoretic latency/saturation estimator that answers in
-microseconds what the cycle-accurate backends answer in seconds.
+A queueing-theoretic latency/saturation estimator in the spirit of
+"Analytical Performance Models for NoCs with Multiple Priority Traffic
+Classes" (PAPERS.md).  It answers ``repro estimate`` in microseconds; it
+never stands in for a simulated point.
 
 The model, in three steps:
 
@@ -38,15 +36,12 @@ The model, in three steps:
 
 Deliberate approximations (documented, not hidden): routes are modelled as
 minimal DOR even under VAL/MA/ROMM; every hop sees the *bottleneck*
-utilization (pessimistic mid-curve, exact at the knee, which is what sweep
-steering needs); ``capacity_factor`` (default 0.85) derates the ideal bound
-for finite-buffer flow control — the 8×8 mesh's theoretical 0.49 lands on
-the simulator's measured ≈0.42 knee.
-
-The estimator is exposed as ``backend="analytical"`` on
-:class:`~repro.config.NetworkConfig` purely for symmetry: cycle drivers
-reject it with :class:`~repro.network.base.BackendUnsupported` pointing
-here, because a closed-form model has no cycles to simulate.
+utilization (pessimistic mid-curve, tight at the knee); ``capacity_factor``
+(default 0.85) derates the ideal bound for finite-buffer flow control — the
+8×8 mesh's theoretical 0.49 lands on the simulator's measured ≈0.42 knee.
+A configuration the model cannot describe (a fault plan, a traffic pattern
+with no closed-form matrix) raises
+:class:`~repro.network.base.BackendUnsupported`.
 """
 
 from __future__ import annotations
@@ -70,7 +65,6 @@ __all__ = [
     "ClassEstimate",
     "estimate",
     "estimate_curve",
-    "sweep_record",
 ]
 
 #: Fraction of the ideal channel capacity reachable before the simulator
@@ -362,25 +356,3 @@ def estimate_curve(
     """One-shot convenience: the model's latency–load curve over ``rates``."""
     return AnalyticalModel(config, capacity_factor=capacity_factor).curve(list(rates))
 
-
-def sweep_record(model: AnalyticalModel, rate: float) -> dict:
-    """An estimate shaped like the open-loop sweep runner's record.
-
-    Field-compatible with :func:`repro.__main__._openloop_runner` output so
-    steered sweeps can interleave model-filled and simulated points in one
-    table/journal; ``worst_node`` is NaN (the model has no per-node view)
-    and ``source`` tags the record ``"analytical"``.
-    """
-    est = model.estimate(rate)
-    record: dict = {
-        "latency": est.avg_latency,
-        "worst_node": float("nan"),
-        "throughput": est.throughput,
-        "saturated": est.saturated,
-    }
-    if len(model.config.classes) > 1:
-        record["class_names"] = [c.name for c in model.config.classes]
-        record["class_latency"] = [c.avg_latency for c in est.classes]
-        record["class_throughput"] = [c.throughput for c in est.classes]
-    record["source"] = "analytical"
-    return record

@@ -35,12 +35,7 @@ genome was produced.
 Infeasible genomes — config validation errors and
 :class:`~repro.network.base.BackendUnsupported` — become *penalty points*
 (latency ``inf``, throughput 0, cost ``inf``): dominated by every feasible
-design, so selection steers away from them without crashing the run.  With
-``spec.surrogate`` the analytical model (:mod:`repro.analytical`) screens
-each generation first: only the surrogate-front share
-(``spec.screen_fraction``) pays for cycle-accurate simulation, the rest
-keep surrogate objectives for selection but are excluded from the final
-(simulated-only) front.
+design, so selection steers away from them without crashing the run.
 
 Determinism and resume
 ----------------------
@@ -519,10 +514,6 @@ class ExploreSpec:
     objectives: tuple[str, ...] = OBJECTIVES
     crossover_rate: float = 0.9
     mutation_rate: float = 0.2
-    #: Screen each generation with the analytical surrogate first.
-    surrogate: bool = False
-    #: Fraction of screened genomes that graduate to cycle-accurate runs.
-    screen_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.population < 2:
@@ -536,8 +527,6 @@ class ExploreSpec:
             raise ValueError(
                 f"objectives must be >= 2 distinct names from {OBJECTIVES}: {self.objectives}"
             )
-        if not 0.0 < self.screen_fraction <= 1.0:
-            raise ValueError("screen_fraction must be in (0, 1]")
 
     def fingerprint(self, base: NetworkConfig) -> str:
         """Resume identity: spec × base config × code salt (sha256)."""
@@ -551,8 +540,6 @@ class ExploreSpec:
             "objectives": list(self.objectives),
             "crossover_rate": self.crossover_rate,
             "mutation_rate": self.mutation_rate,
-            "surrogate": self.surrogate,
-            "screen_fraction": self.screen_fraction,
             "config": dataclasses.asdict(base),
             "salt": result_cache.cache_salt(),
         }
@@ -580,7 +567,7 @@ QUICK_SPEC = ExploreSpec(
 class ExploreResult:
     """One exploration run: front, archive, populations, health, counters."""
 
-    #: Non-dominated, feasible, *simulated* designs (canonical order).
+    #: Non-dominated feasible designs (canonical order).
     front: list[dict[str, Any]]
     #: Every evaluated genome, in evaluation order (journal mirror).
     archive: list[dict[str, Any]]
@@ -599,16 +586,12 @@ class ExploreResult:
     #: Genomes that failed for *unexpected* reasons (crashes, stalls) —
     #: unlike infeasibility these are real errors and fail the CLI.
     errors: int = 0
-    #: Genomes evaluated by the surrogate only (never simulated).
-    surrogate_only: int = 0
 
     def summary(self) -> str:
         parts = [
             f"{len(self.front)} on front",
             f"{self.evaluated} simulated",
         ]
-        if self.surrogate_only:
-            parts.append(f"{self.surrogate_only} surrogate-only")
         if self.infeasible:
             parts.append(f"{self.infeasible} infeasible")
         if self.errors:
@@ -658,26 +641,6 @@ def _classify_failure(error: str) -> str:
         if error.startswith(("ValueError:", "BackendUnsupported:"))
         else "error"
     )
-
-
-def _surrogate_metrics(
-    cfg: NetworkConfig, rates: tuple[float, float]
-) -> dict[str, float] | None:
-    """Analytical (zero-cycle) latency/throughput estimate, or None.
-
-    ``None`` means the surrogate cannot model this (feasible) design —
-    the genome must be simulated rather than screened.
-    """
-    from ..analytical import AnalyticalModel
-
-    try:
-        model = AnalyticalModel(cfg)
-        lo = model.estimate(rates[0])
-        hi = model.estimate(rates[1])
-    except Exception:
-        return None
-    latency = math.inf if lo.saturated else float(lo.avg_latency)
-    return {"latency": latency, "throughput": float(hi.throughput)}
 
 
 def explore(
@@ -736,7 +699,6 @@ def explore(
         key: str,
         pairs: tuple[tuple[str, Any], ...],
         generation: int,
-        source: str,
         feasible: bool,
         metrics: Mapping[str, float],
         error: str | None = None,
@@ -745,7 +707,7 @@ def explore(
             "key": key,
             "genome": [list(p) for p in pairs],
             "generation": generation,
-            "source": source,
+            "source": "simulated" if feasible else "penalty",
             "feasible": feasible,
             "metrics": dict(metrics),
             "objectives": list(spec.objective_vector(metrics)),
@@ -776,101 +738,54 @@ def explore(
         if not todo:
             return
 
+        genome_axis = tuple(genome_pairs(space, g) for g in todo)
+        points = enumerate_points(
+            base, {}, {"genome": genome_axis, "rate": tuple(spec.rates)}
+        )
+        records = run_ledger(
+            SweepLedger(points),
+            base,
+            _bound_runner(spec),
+            n_workers=n_workers,
+            cache=cache,
+            point_timeout=point_timeout,
+            max_retries=max_retries,
+            remote=remote,
+            label=f"explore-gen{generation}",
+        )
+        result.health.merge(records.health)
         new_entries: list[dict[str, Any]] = []
-        simulate: list[Genome] = []
-        if spec.surrogate:
-            screened: list[tuple[Genome, dict[str, float]]] = []
-            for genome in todo:
-                pairs = genome_pairs(space, genome)
-                key = genome_key(space, genome)
-                try:
-                    cfg = genome_config(base, pairs)
-                except ValueError as exc:
+        # Canonical enumeration order: genome-major, rate-minor.
+        for i, genome in enumerate(todo):
+            pairs = genome_pairs(space, genome)
+            key = genome_key(space, genome)
+            rec_lo, rec_hi = records[2 * i], records[2 * i + 1]
+            failed = [r for r in (rec_lo, rec_hi) if r.get("failed")]
+            if failed:
+                error = str(failed[0].get("error", "unknown"))
+                kind = _classify_failure(error)
+                if kind == "infeasible":
                     result.infeasible += 1
-                    new_entries.append(
-                        finish_entry(
-                            key, pairs, generation, "penalty", False,
-                            PENALTY_METRICS, error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                    continue
-                est = _surrogate_metrics(cfg, spec.rates)
-                if est is None:
-                    simulate.append(genome)  # surrogate can't model it
                 else:
-                    est["cost"] = design_cost(cfg)
-                    screened.append((genome, est))
-            if screened:
-                vectors = [spec.objective_vector(m) for _, m in screened]
-                n_pick = max(1, math.ceil(spec.screen_fraction * len(screened)))
-                picked = set(nsga2_select(vectors, n_pick))
-                for i, (genome, est) in enumerate(screened):
-                    if i in picked:
-                        simulate.append(genome)
-                    else:
-                        result.surrogate_only += 1
-                        new_entries.append(
-                            finish_entry(
-                                genome_key(space, genome),
-                                genome_pairs(space, genome),
-                                generation,
-                                "surrogate",
-                                True,
-                                est,
-                            )
-                        )
-        else:
-            simulate = todo
-
-        if simulate:
-            genome_axis = tuple(genome_pairs(space, g) for g in simulate)
-            points = enumerate_points(
-                base, {}, {"genome": genome_axis, "rate": tuple(spec.rates)}
-            )
-            records = run_ledger(
-                SweepLedger(points),
-                base,
-                _bound_runner(spec),
-                n_workers=n_workers,
-                cache=cache,
-                point_timeout=point_timeout,
-                max_retries=max_retries,
-                remote=remote,
-                label=f"explore-gen{generation}",
-            )
-            result.health.merge(records.health)
-            # Canonical enumeration order: genome-major, rate-minor.
-            for i, genome in enumerate(simulate):
-                pairs = genome_pairs(space, genome)
-                key = genome_key(space, genome)
-                rec_lo, rec_hi = records[2 * i], records[2 * i + 1]
-                failed = [r for r in (rec_lo, rec_hi) if r.get("failed")]
-                if failed:
-                    error = str(failed[0].get("error", "unknown"))
-                    kind = _classify_failure(error)
-                    if kind == "infeasible":
-                        result.infeasible += 1
-                    else:
-                        result.errors += 1
-                    new_entries.append(
-                        finish_entry(
-                            key, pairs, generation, "penalty", False,
-                            PENALTY_METRICS, error=error,
-                        )
-                    )
-                    continue
-                result.evaluated += 1
-                latency = (
-                    math.inf if rec_lo.get("saturated") else float(rec_lo["latency"])
-                )
-                metrics = {
-                    "latency": latency,
-                    "throughput": float(rec_hi["throughput"]),
-                    "cost": design_cost(genome_config(base, pairs)),
-                }
+                    result.errors += 1
                 new_entries.append(
-                    finish_entry(key, pairs, generation, "simulated", True, metrics)
+                    finish_entry(
+                        key, pairs, generation, False, PENALTY_METRICS, error=error,
+                    )
                 )
+                continue
+            result.evaluated += 1
+            latency = (
+                math.inf if rec_lo.get("saturated") else float(rec_lo["latency"])
+            )
+            metrics = {
+                "latency": latency,
+                "throughput": float(rec_hi["throughput"]),
+                "cost": design_cost(genome_config(base, pairs)),
+            }
+            new_entries.append(
+                finish_entry(key, pairs, generation, True, metrics)
+            )
         if journal_path is not None:
             append_jsonl(new_entries, journal_path)
 
@@ -901,9 +816,7 @@ def explore(
 
     # ---- the front: feasible, simulated, non-dominated, deduplicated -----
     result.archive = [archive[key] for key in order]
-    candidates = [
-        e for e in result.archive if e["feasible"] and e["source"] == "simulated"
-    ]
+    candidates = [e for e in result.archive if e["feasible"]]
     vectors = [tuple(e["objectives"]) for e in candidates]
     front_entries = [candidates[i] for i in pareto_front(vectors)]
     front_entries.sort(key=lambda e: (tuple(e["objectives"]), e["key"]))

@@ -419,7 +419,7 @@ class SweepLedger:
     One owner for what a journal line looks like, when a point counts as
     resumed / cache hit / ok / failed, when a record is written back to
     the result store, and what progress and :class:`SweepHealth` report.
-    Invariant: ``pending`` = points − resumed − known − cache hits, and
+    Invariant: ``pending`` = points − resumed − cache hits, and
     every index is emitted once, counted once, journaled once, and written
     back at most once and only on success.  Life cycle: construct (no I/O)
     → :meth:`open` → :meth:`prefill` → a transport calls :meth:`emit` for
@@ -441,12 +441,6 @@ class SweepLedger:
     resume: bool = False
     resume_force: bool = False
     progress: Callable[[SweepProgress], None] | None = None
-    #: ``{index: record}`` answers that need no execution (a steered sweep's
-    #: analytical fills), emitted up front the way cache hits are
-    known: Mapping[int, dict[str, Any]] = field(default_factory=dict)
-    #: ``tag(index, record)`` rewrites a record on its way *out* — into
-    #: results and journal — after the untagged one went to the store
-    tag: Callable[[int, dict[str, Any]], dict[str, Any]] | None = None
 
     def __post_init__(self, sweep_points: Iterable[SweepPoint]) -> None:
         if self.resume and self.journal is None:
@@ -491,7 +485,7 @@ class SweepLedger:
         return False
 
     def open(self) -> None:
-        """Start the journal (resuming it if asked), then emit ``known``.
+        """Start the journal, resuming it if asked.
 
         Resumed entries are counted exactly once, here, before any cache
         prefill: they are never ``pending``, so a resumed point can not be
@@ -515,8 +509,6 @@ class SweepLedger:
                 {"sweep": header},
                 (self._entry(i, r) for i, r in sorted(self.results.items())),
             )
-        for index, record in self.known.items():
-            self.emit(index, record)
 
     def _resumed_index(self, entry: Mapping[str, Any]) -> int:
         """A journal entry's index, refused if it is not this sweep's point."""
@@ -604,8 +596,6 @@ class SweepLedger:
             # ``_misses``, so they naturally skip the write.
             key, provenance = self._misses.pop(index)
             self._store.put(key, record, provenance)
-        if self.tag is not None:
-            record = self.tag(index, record)
         self.results[index] = record
         self.completion_order.append(index)
         if self._journal is not None:

@@ -262,26 +262,23 @@ class Network(BaseNetwork):
             st = inj_state[node]
             router = routers[node]
             if st is None:
+                # A source is active only while it holds a queued packet,
+                # and only it appends to its injection VCs, each packet's
+                # tail before the next packet's head: a selecting source
+                # always finds a packet, and every injection VC ends on a
+                # tail.
                 queues = src_queues[node]
-                pkt = None
-                cls = 0
                 for cls in self._inject_order:
                     if queues[cls]:
                         pkt = queues[cls][0]
                         break
-                if pkt is None:
-                    done.append(node)
-                    continue
-                # Choose the injection VC with most free space that is not
-                # mid-packet; whole packets stream into a single VC.
+                # Choose the injection VC with most free space; whole
+                # packets stream into a single VC.
                 base = router.local_port * num_vcs
                 best = None
                 best_free = 0
                 for ivc in router.ivcs[base : base + num_vcs]:
-                    fifo = ivc.fifo
-                    if fifo and fifo[-1][1] != fifo[-1][0].size - 1:
-                        continue  # a packet is still streaming into this VC
-                    free = buf_size - len(fifo)
+                    free = buf_size - len(ivc.fifo)
                     if free > best_free:
                         best_free = free
                         best = ivc
@@ -312,5 +309,4 @@ class Network(BaseNetwork):
             else:
                 st[1] = fidx
         for node in done:
-            if not any(src_queues[node]) and inj_state[node] is None:
-                self._active_sources.discard(node)
+            self._active_sources.discard(node)

@@ -1,9 +1,7 @@
-"""Tests for the analytical surrogate backend (repro.analytical).
+"""Tests for the analytical model behind ``repro estimate`` (repro.analytical).
 
-The model is a zero-cycle estimator, so most tests are closed-form checks
-against the simulator's own analytic formulas; the correlation-ladder tests
-at the bottom validate it against the closed-loop batch driver the way the
-paper validates each methodology against the next more faithful one.
+The model is a zero-cycle estimator, so the tests are closed-form checks
+against the simulator's own analytic formulas.
 """
 
 from __future__ import annotations
@@ -16,10 +14,8 @@ import pytest
 from repro.analytical import (
     DEFAULT_CAPACITY_FACTOR,
     AnalyticalModel,
-    analytical_vs_batch,
     estimate,
     estimate_curve,
-    sweep_record,
 )
 from repro.config import NetworkConfig
 from repro.core.openloop import OpenLoopSimulator
@@ -154,15 +150,6 @@ class TestBackendWiring:
         with pytest.raises(BackendUnsupported, match="fault"):
             AnalyticalModel(cfg)
 
-    def test_sweep_record_shape(self):
-        model = AnalyticalModel(NetworkConfig(k=4, n=2))
-        rec = sweep_record(model, 0.1)
-        assert rec["source"] == "analytical"
-        assert math.isnan(rec["worst_node"])
-        assert rec["saturated"] is False
-        assert rec["latency"] > 0
-        assert rec["throughput"] == pytest.approx(0.1)
-
     def test_module_level_conveniences(self):
         cfg = NetworkConfig(k=4, n=2)
         one = estimate(cfg, 0.1)
@@ -174,30 +161,3 @@ class TestBackendWiring:
             .saturation_rate
         )
 
-
-class TestCorrelationLadder:
-    """Acceptance: analytical vs closed-loop batch, r >= 0.8 on the
-    pre-saturation points of the seeded 8x8 mesh (single and 2-class)."""
-
-    def test_single_class_r(self):
-        res = analytical_vs_batch(NetworkConfig(k=8, n=2, seed=7))
-        assert len(res.pre_saturation) >= 3
-        assert res.r >= 0.8
-
-    def test_two_class_r(self):
-        cfg = NetworkConfig(
-            k=8, n=2, seed=7,
-            classes="user+os:priority=1", arbitration="priority",
-        )
-        res = analytical_vs_batch(cfg)
-        assert len(res.pre_saturation) >= 3
-        assert res.r >= 0.8
-
-    def test_near_saturation_rungs_excluded(self):
-        # Past the knee the batch machine's achieved load plateaus while
-        # latency climbs; those rungs are dropped from r, the paper's own
-        # m=16,32 exclusion.
-        res = analytical_vs_batch(NetworkConfig(k=8, n=2, seed=7))
-        sat = [rung for rung in res.rungs if rung.saturated]
-        assert sat, "expected the largest m rungs to be excluded"
-        assert max(r.m for r in res.pre_saturation) < min(r.m for r in sat)

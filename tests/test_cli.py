@@ -149,7 +149,6 @@ SIMULATOR_MODULES = (
     "repro.core.barrier",
     "repro.core.tracedriven",
     "repro.core.explore",
-    "repro.core.steering",
     "repro.core.probes",
 )
 
@@ -290,7 +289,7 @@ class TestLazyNamespaces:
 
 #: The CLI's option surface, pinned: per subcommand, each argument's option
 #: strings, dest, default, sorted choices, nargs, const, required and action
-#: class (help excluded) -- 195 options and 3 positionals over 12
+#: class (help excluded) -- 191 options and 3 positionals over 12
 #: subcommands.  The network and executor flags are generated from one
 #: declaration each; this says that generation adds and loses nothing.
 PARSER_SURFACE = {
@@ -348,8 +347,6 @@ PARSER_SURFACE = {
         (('--point-timeout',), 'point_timeout', None, None, None, None, False, '_StoreAction'),
         (('--max-retries',), 'max_retries', 2, None, None, None, False, '_StoreAction'),
         (('--cache',), 'cache', None, None, '?', '', False, '_StoreAction'),
-        (('--steer',), 'steer', False, None, 0, True, False, '_StoreTrueAction'),
-        (('--steer-fraction',), 'steer_fraction', 0.5, None, None, None, False, '_StoreAction'),
     ],
     'explore': [
         (('--topology',), 'topology', 'mesh', ('mesh', 'ring', 'torus'), None, None, False, '_StoreAction'),
@@ -375,8 +372,6 @@ PARSER_SURFACE = {
         (('--gene',), 'gene', None, None, None, None, False, '_AppendAction'),
         (('--objectives',), 'objectives', 'latency,throughput,cost', None, None, None, False, '_StoreAction'),
         (('--rates',), 'rates', None, None, None, None, False, '_StoreAction'),
-        (('--surrogate',), 'surrogate', False, None, 0, True, False, '_StoreTrueAction'),
-        (('--screen-fraction',), 'screen_fraction', 0.5, None, None, None, False, '_StoreAction'),
         (('--workers',), 'workers', 1, None, None, None, False, '_StoreAction'),
         (('--journal',), 'journal', None, None, None, None, False, '_StoreAction'),
         (('--resume',), 'resume', False, None, 0, True, False, '_StoreTrueAction'),
@@ -612,35 +607,6 @@ class TestCommands:
         assert main(argv + ["--resume"]) == 0
         assert capsys.readouterr().out == first
         assert len([e for e in read_jsonl(journal) if "index" in e]) == 4
-
-    def test_sweep_steer_tags_sources_and_keeps_budget(self, capsys, tmp_path):
-        journal = tmp_path / "steered.jsonl"
-        rc = main(
-            [
-                "sweep", "--steer", "--k", "4", "--n", "2",
-                "--rates", "0.1,0.2,0.3,0.4,0.5,0.6",
-                "--warmup", "200", "--measure", "400", "--drain", "4000",
-                "--journal", str(journal),
-            ]
-        )
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "source" in captured.out
-        assert "steer (base): predicted knee at rate" in captured.err
-        assert "health: 6/6 ok" in captured.err
-        header, *points = read_jsonl(journal)
-        assert header["sweep"]["steered"] is True
-        sources = [p["record"]["source"] for p in points]
-        assert set(sources) == {"simulated", "analytical"}
-        assert sources.count("simulated") <= len(sources) // 2
-        assert all("latency" in p["record"] for p in points)
-
-    def test_sweep_steer_rejects_the_analytical_backend(self, capsys):
-        argv = ["sweep", "--steer", "--backend", "analytical", "--rates", "0.1"]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "invalid choice: 'analytical'" in capsys.readouterr().err
 
     def test_sweep_resume_without_journal_errors(self, capsys):
         rc = main(["sweep", "--k", "4", "--rates", "0.05", "--resume"])

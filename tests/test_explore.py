@@ -408,24 +408,6 @@ def test_explore_resume_refuses_changed_spec(explored, tmp_path):
     )
 
 
-def test_explore_surrogate_prefilter(tmp_path):
-    spec = ExploreSpec(
-        space=TINY_SPACE, population=6, generations=2, seed=7,
-        rates=(0.1, 0.5), warmup=100, measure=200, drain_limit=2000,
-        surrogate=True, screen_fraction=0.5,
-    )
-    res = explore(BASE, spec, cache=tmp_path / "cache")
-    # The surrogate screened some genomes out of simulation entirely...
-    assert res.surrogate_only > 0
-    surrogate_keys = {
-        e["key"] for e in res.archive if e["source"] == "surrogate"
-    }
-    # ...and those never appear on the (simulated-only) front.
-    assert surrogate_keys.isdisjoint({r["key"] for r in res.front})
-    # Infeasible genomes are caught for free (no simulation spent).
-    assert res.infeasible > 0 and res.errors == 0
-
-
 def test_explore_remote_matches_local(explored):
     """Evaluation through the sweep service gives the same front.
 

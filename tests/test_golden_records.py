@@ -1,11 +1,13 @@
 """Golden-record regression tests for the unified simulation engine.
 
-Every value here was captured from the pre-engine drivers (each owning its
-own hand-rolled cycle loop) immediately before they were refactored onto
-``repro.core.engine.SimulationEngine``.  The refactor's contract is that
-seeded results are *bit-identical*, so these assert exact equality — scalar
-counters with ``==``, float statistics with ``==``, and whole arrays via a
-sha256 digest of their raw bytes.
+The first values here were captured from the pre-engine drivers (each
+owning its own hand-rolled cycle loop) immediately before they were
+refactored onto ``repro.core.engine.SimulationEngine``; later classes say
+where their values come from.  The contract is that seeded results are
+*bit-identical*, so these assert exact equality — scalar counters with
+``==``, float statistics with ``==``, and whole arrays via a sha256 digest
+of their raw bytes.  The sparse-regime classes at the bottom pin the runs
+that leave most cycles idle.
 
 If one of these fails, the engine's per-cycle order of operations (phase
 transitions -> stop check -> inject -> step -> deliver) has drifted from
@@ -25,12 +27,19 @@ from repro.core.barrier import BarrierSimulator
 from repro.core.closedloop import BatchSimulator
 from repro.core.openloop import OpenLoopSimulator
 from repro.core.osmodel import OSModel
-from repro.core.reply import FixedReply
+from repro.core.probes import ProbeSet, build_probes
+from repro.core.reply import FixedReply, ProbabilisticReply
+from repro.core.resilience import Watchdog
 from repro.core.tracedriven import (
+    Trace,
     TraceDrivenSimulator,
+    TraceRecord,
     capture_batch_trace,
     capture_openloop_trace,
 )
+from repro.network.factory import build_network
+from repro.network.network import Network
+from repro.traffic.process import MarkovOnOff
 
 
 def digest(arr) -> str:
@@ -179,6 +188,13 @@ class TestBarrierGolden:
         assert res.throughput == 0.5633802816901409
         assert res.round_times.tolist() == [72, 142]
 
+    def test_three_rounds(self, cfg):
+        res = BarrierSimulator(cfg, batch_size=25, rounds=3).run()
+        assert res.completed is True
+        assert res.runtime == 154
+        assert res.throughput == 0.487012987012987
+        assert res.round_times.tolist() == [53, 103, 154]
+
 
 class TestTraceDrivenGolden:
     def test_openloop_trace_replay(self, cfg):
@@ -241,8 +257,6 @@ class TestProbesDoNotPerturb:
     """Attaching probes must observe, never change, the simulation."""
 
     def test_openloop_identical_with_probes(self, cfg):
-        from repro.core.probes import ProbeSet, build_probes
-
         probes = ProbeSet(build_probes("all"), interval=50)
         res = OpenLoopSimulator(
             cfg, warmup=200, measure=400, drain_limit=4000, probes=probes
@@ -253,8 +267,6 @@ class TestProbesDoNotPerturb:
         assert res.probe_records  # and it actually recorded something
 
     def test_batch_identical_with_probes(self, cfg):
-        from repro.core.probes import ProbeSet, build_probes
-
         probes = ProbeSet(build_probes("channel,vc"), interval=64)
         res = BatchSimulator(
             cfg, batch_size=30, max_outstanding=2, probes=probes
@@ -262,3 +274,308 @@ class TestProbesDoNotPerturb:
         assert res.runtime == 271
         assert digest(res.node_finish) == "16e05388a4dbcb4e"
         assert res.probe_records
+
+
+class TestInjectionBackpressureGolden:
+    """Multi-flit packets under injection backpressure, on both backends.
+
+    Bimodal (1- and 4-flit) packets offered above the 4x4 mesh's saturation:
+    a source waits, flit by flit, for room in the injection VC its packet
+    streams into, and a new packet for a VC with buffer space.  Captured
+    from both backends, which agreed, before ``Network._inject_all`` lost
+    its two unreachable branches.
+    """
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_bimodal_above_saturation(self, cfg, backend):
+        nets = []
+        res = OpenLoopSimulator(
+            cfg.with_(backend=backend, packet_size="bimodal"),
+            warmup=200,
+            measure=400,
+            drain_limit=4000,
+            network_factory=lambda c: nets.append(build_network(c)) or nets[-1],
+        ).run(0.7)
+        assert res.num_measured == 1784
+        assert res.avg_latency == 80.87331838565022
+        assert res.worst_node_latency == 185.36885245901638
+        assert res.throughput == 0.60578125
+        assert res.avg_hops == 2.7001121076233185
+        assert res.saturated is False
+        assert digest(res.latencies) == "a0e66313184ebaeb"
+        assert digest(res.per_node_latency) == "a59c68c9e45addd6"
+        assert [net.injection_stalls for net in nets] == [3649]
+
+
+# --------------------------------------------------------------------------
+# Sparse regimes.  The engine steps every cycle, idle or not; near-zero load
+# on the 8x8 mesh, bursty and NAR-gated sources, delayed replies, OS timer
+# interrupts and sparse traces are where a change to the per-cycle loop shows
+# first.  Captured at the commit before idle-cycle fast-forward was removed,
+# where the fast and dense paths agreed on every value.
+# --------------------------------------------------------------------------
+
+
+def _openloop(res) -> tuple:
+    """num_measured, avg/worst latency, throughput, hops, saturated, digests."""
+    return (
+        res.num_measured,
+        res.avg_latency,
+        res.worst_node_latency,
+        res.throughput,
+        res.avg_hops,
+        res.saturated,
+        digest(res.latencies),
+        digest(res.per_node_latency),
+    )
+
+
+#: (seed, rate) -> _openloop record on the 4x4 mesh, windows 150/300/4000
+MESH_RATES = {
+    (7, 0.005): (27, 6.2592592592592595, 13.0, 0.005625, 2.6296296296296298, False,
+                 "3e507122d5e39059", "28f27276386985da"),
+    (19, 0.005): (24, 5.75, 11.0, 0.004791666666666666, 2.375, False,
+                  "7873877a3207d36f", "b09d988f5247872b"),
+    (7, 0.05): (252, 6.7103174603174605, 8.0, 0.051875, 2.8293650793650795, False,
+                "6e982775994994ba", "5e947011a19c5c9a"),
+    (19, 0.05): (246, 6.0772357723577235, 8.714285714285714, 0.051875,
+                 2.5284552845528454, False, "29365295984017cd", "e76da110b5b1602e"),
+    (7, 0.30): (1387, 6.70872386445566, 8.358024691358025, 0.2916666666666667,
+                2.6798846431146357, False, "27847a0551e148f5", "440596f8e06fd409"),
+    (19, 0.30): (1436, 6.733286908077995, 8.296703296703297, 0.2989583333333333,
+                 2.6643454038997216, False, "b299e30155a18b29", "9fd0c884ee2bb6a1"),
+}
+
+
+class TestSparseOpenLoopGolden:
+    """Open-loop runs that leave most cycles idle, plus probes, faults and
+    bursty sources at low load."""
+
+    @pytest.mark.parametrize("rate", [0.005, 0.05, 0.30])
+    @pytest.mark.parametrize("seed", [7, 19])
+    def test_mesh_rates(self, rate, seed):
+        cfg = NetworkConfig(k=4, n=2, seed=seed)
+        res = OpenLoopSimulator(cfg, warmup=150, measure=300, drain_limit=4000).run(rate)
+        assert _openloop(res) == MESH_RATES[seed, rate]
+
+    def test_bursty_traffic(self):
+        # MarkovOnOff: long idle stretches per node, correlated bursts, and
+        # a stateful arrivals draw.
+        cfg = NetworkConfig(k=4, n=2, seed=11)
+        res = OpenLoopSimulator(
+            cfg,
+            warmup=150,
+            measure=300,
+            drain_limit=4000,
+            process=lambda n, r: MarkovOnOff.for_average_rate(n, r),
+        ).run(0.02)
+        assert _openloop(res) == (
+            73, 6.876712328767123, 8.090909090909092, 0.015208333333333334,
+            2.6986301369863015, False, "f378f917212d3b58", "59012da7c13a954e",
+        )
+
+    def test_with_probes_watchdog_invariants(self):
+        cfg = NetworkConfig(k=4, n=2, seed=3)
+        res = OpenLoopSimulator(
+            cfg,
+            warmup=100,
+            measure=250,
+            drain_limit=3000,
+            probes=ProbeSet(build_probes("all"), interval=64),
+            watchdog=Watchdog(window=500),
+            check_invariants=True,
+        ).run(0.01)
+        assert _openloop(res) == (
+            50, 6.14, 10.0, 0.01275, 2.56, False, "b6ea09935c49a34b", "4576160041903b7e",
+        )
+        assert len(res.probe_records) == 6
+        assert records_digest(res.probe_records) == "089a54bc53c7a93c"
+
+    def test_with_faults(self):
+        cfg = NetworkConfig(k=4, n=2, seed=5, faults="links:2")
+        res = OpenLoopSimulator(
+            cfg, warmup=150, measure=300, drain_limit=5000, watchdog=Watchdog(window=1000)
+        ).run(0.02)
+        assert _openloop(res) == (
+            86, 6.511627906976744, 10.5, 0.018125, 2.7325581395348837, False,
+            "aa29206d5c0ce540", "75913e83bf0cf37d",
+        )
+
+    def test_8x8_near_zero_load(self):
+        # Near-zero load on the paper's mesh: ~91% of its 30k cycles idle.
+        cfg = NetworkConfig(k=8, n=2, seed=7)
+        nets = []
+        res = OpenLoopSimulator(
+            cfg,
+            warmup=10_000,
+            measure=20_000,
+            drain_limit=30_000,
+            network_factory=lambda c: nets.append(Network(c)) or nets[-1],
+        ).run(0.0001)
+        assert _openloop(res) == (
+            117, 11.871794871794872, 22.0, 9.140625e-05, 5.435897435897436, False,
+            "5db50942fe63c79f", "c92d0b4712bca7d2",
+        )
+        assert [net.now for net in nets] == [30_000]
+
+    @pytest.mark.parametrize(
+        "topology, expected",
+        [
+            ("ring", (32, 7.1875, 10.0, 0.02125, 2.0625, False,
+                      "12648af7d879bb67", "5303f9b8e01dbe47")),
+            ("torus", (229, 13.663755458515285, 22.0, 0.01859375, 4.213973799126638,
+                       False, "1949e77222b968d5", "9ea1003b8dd1628c")),
+        ],
+        ids=["ring", "torus"],
+    )
+    def test_other_topologies(self, topology, expected):
+        cfg = NetworkConfig(topology=topology, k=8, n=1 if topology == "ring" else 2, seed=2)
+        res = OpenLoopSimulator(cfg, warmup=100, measure=200, drain_limit=3000).run(0.02)
+        assert _openloop(res) == expected
+
+
+def _batch(res) -> tuple:
+    """runtime, throughput, completed, requests (all / OS), latency, digest."""
+    return (
+        res.runtime,
+        res.throughput,
+        res.completed,
+        res.total_requests,
+        res.os_requests,
+        res.avg_request_latency,
+        digest(res.node_finish),
+    )
+
+
+class TestSparseBatchGolden:
+    """Batch runs whose NAR gating, reply delays and OS timer interrupts
+    leave the fabric idle between injections."""
+
+    def test_baseline(self):
+        cfg = NetworkConfig(k=4, n=2, seed=7)
+        res = BatchSimulator(cfg, batch_size=30, max_outstanding=2).run()
+        assert _batch(res) == (
+            271, 0.22140221402214022, True, 480, 0, 6.6375, "16e05388a4dbcb4e",
+        )
+
+    def test_low_nar_gated_gaps(self):
+        # nar=0.02 leaves long gated idle gaps between injections.
+        cfg = NetworkConfig(k=4, n=2, seed=13)
+        res = BatchSimulator(cfg, batch_size=10, max_outstanding=1, nar=0.02).run()
+        assert _batch(res) == (
+            784, 0.025510204081632654, True, 160, 0, 6.3625, "313752bde704bb4f",
+        )
+
+    def test_delayed_replies(self):
+        # FixedReply(40) parks every reply in the pending-replies buckets
+        # while the network idles.
+        cfg = NetworkConfig(k=4, n=2, seed=9)
+        res = BatchSimulator(
+            cfg, batch_size=15, max_outstanding=1, reply_model=FixedReply(40)
+        ).run()
+        assert _batch(res) == (
+            904, 0.033185840707964605, True, 240, 0, 6.545833333333333, "de72aa1948d4f254",
+        )
+
+    def test_probabilistic_replies_and_nar(self):
+        cfg = NetworkConfig(k=4, n=2, seed=17)
+        res = BatchSimulator(
+            cfg,
+            batch_size=12,
+            max_outstanding=2,
+            nar=0.1,
+            reply_model=ProbabilisticReply(l2_latency=20, memory_latency=300, l2_miss_rate=0.1),
+        ).run()
+        assert _batch(res) == (
+            974, 0.024640657084188913, True, 192, 0, 6.302083333333333, "a4a960ed05addec8",
+        )
+
+    def test_os_model_timer_interrupts(self):
+        # Timer ticks add OS mini-batches mid-run.
+        cfg = NetworkConfig(k=4, n=2, seed=21)
+        os_model = OSModel(static_fraction=0.25, timer_rate=0.01, timer_batch=2, os_nar=0.5)
+        res = BatchSimulator(
+            cfg,
+            batch_size=10,
+            max_outstanding=1,
+            nar=0.05,
+            os_model=os_model,
+            reply_model=FixedReply(25),
+        ).run()
+        assert _batch(res) == (
+            4371, 0.03385952871196522, True, 1184, 1024, 6.329391891891892, "3b015897cabaa900",
+        )
+
+    def test_with_probes_and_invariants(self):
+        cfg = NetworkConfig(k=4, n=2, seed=23)
+        res = BatchSimulator(
+            cfg,
+            batch_size=20,
+            max_outstanding=2,
+            nar=0.3,
+            probes=ProbeSet(build_probes("all"), interval=50),
+            watchdog=Watchdog(window=2000),
+            check_invariants=True,
+        ).run()
+        assert _batch(res) == (
+            216, 0.18518518518518517, True, 320, 0, 6.715625, "997d8cc0e3a6219d",
+        )
+        assert len(res.probe_records) == 5
+        assert records_digest(res.probe_records) == "2f3c52262b1885ad"
+
+
+class TestSparseTraceGolden:
+    """Trace replays with gaps of thousands of cycles, and a captured trace
+    under probes."""
+
+    def test_packets_thousands_of_cycles_apart(self):
+        # Records thousands of cycles apart: the replay steps the empty
+        # fabric between them and must land every packet on its timestamp.
+        records = [
+            TraceRecord(0, 0, 15, 4),
+            TraceRecord(3000, 5, 10, 2),
+            TraceRecord(3001, 6, 9, 1),
+            TraceRecord(9000, 15, 0, 8),
+        ]
+        trace = Trace(records, num_nodes=16)
+        res = TraceDrivenSimulator(NetworkConfig(k=4, n=2, seed=7), trace).run()
+        assert res.completed is True
+        assert res.runtime == 9021
+        assert res.avg_latency == 11.75
+        assert res.packets == 4
+        assert res.throughput == 0.00010392417692051879
+
+    def test_8x8_clustered_bursts(self):
+        # 40 packets in 8 widely spaced clusters over ~175k cycles.
+        records = [
+            TraceRecord(
+                burst * 25_000 + 3 * i, (7 * burst + i) % 64, (11 * burst + 5 * i) % 64, 4
+            )
+            for burst in range(8)
+            for i in range(5)
+        ]
+        trace = Trace(records, num_nodes=64)
+        nets = []
+        res = TraceDrivenSimulator(
+            NetworkConfig(k=8, n=2, seed=7),
+            trace,
+            network_factory=lambda c: nets.append(Network(c)) or nets[-1],
+        ).run()
+        assert res.runtime == 175_029
+        assert res.avg_latency == 13.425
+        assert res.packets == 40
+        assert res.throughput == 1.4283347331013718e-05
+        assert [net.now for net in nets] == [175_029]
+
+    def test_captured_trace_with_probes(self):
+        cfg = NetworkConfig(k=4, n=2, seed=7)
+        trace = capture_openloop_trace(cfg, 0.02, cycles=800)
+        res = TraceDrivenSimulator(
+            cfg, trace, probes=ProbeSet(build_probes("inflight,channel"), interval=100)
+        ).run()
+        assert res.runtime == 806
+        assert res.avg_latency == 6.318021201413427
+        assert res.packets == 283
+        assert res.throughput == 0.021944789081885855
+        assert len(res.probe_records) == 9
+        assert records_digest(res.probe_records) == "4bdb5ae2c52fc3b5"
