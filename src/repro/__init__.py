@@ -41,10 +41,10 @@ _EXPORTS = {
     "Phase": ".core.engine",
     "ProbeSet": ".core.probes",
     "build_probes": ".core.probes",
-    "FaultPlan": ".core.resilience",
+    "FaultPlan": ".faults",
+    "UnreachableDestination": ".faults",
     "Watchdog": ".core.resilience",
     "SimulationStalled": ".core.resilience",
-    "UnreachableDestination": ".core.resilience",
     "__version__": "._version",
 }
 

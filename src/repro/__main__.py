@@ -33,11 +33,11 @@ from typing import TYPE_CHECKING, Any
 from . import __version__
 from .analysis import format_records, format_table, probe_heatmap
 from .config import FIELD_CHOICES, CmpConfig, NetworkConfig
-from .core.resilience import SimulationStalled, Watchdog
+from .core.resilience import InvariantChecker, SimulationStalled, Watchdog
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .core.engine import Observer
     from .core.parallel import SweepProgress
-    from .core.probes import ProbeSet
     from .core.reply import ReplyModel
 
 __all__ = ["main"]
@@ -61,7 +61,8 @@ class _ProbeNamesHelp(str):
         return str.__mod__(self, {**params, "probe_names": ",".join(PROBE_REGISTRY)})
 
 
-def _add_probe_args(p: argparse.ArgumentParser) -> None:
+def _add_observer_args(p: argparse.ArgumentParser) -> None:
+    """The flags :func:`_observers` reads."""
     p.add_argument(
         "--probes",
         default=None,
@@ -83,24 +84,44 @@ def _add_probe_args(p: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="stream probe records to this JSON-lines file as they flush",
     )
-
-
-def _build_probe_set(args) -> ProbeSet | None:
-    if not getattr(args, "probes", None):
-        return None
-    from .core.probes import ProbeSet, build_probes
-
-    return ProbeSet(
-        build_probes(args.probes), interval=args.probe_interval, out=args.probe_out
+    p.add_argument(
+        "--watchdog",
+        type=int,
+        default=None,
+        metavar="CYCLES",
+        help="stall watchdog window: abort with a diagnosis after this many "
+        "cycles without forward progress",
+    )
+    p.add_argument(
+        "--check-invariants",
+        action="store_true",
+        help="assert flit/credit conservation periodically (slow; debugging)",
     )
 
 
-def _report_probes(probes: ProbeSet | None, records: list) -> None:
-    if probes is None:
+def _observers(args) -> tuple[Observer, ...]:
+    """The engine observers ``--probes``, ``--watchdog`` and
+    ``--check-invariants`` ask for, in that order."""
+    observers: list[Observer] = []
+    if args.probes:
+        from .core.probes import ProbeSet, build_probes
+
+        observers.append(
+            ProbeSet(build_probes(args.probes), interval=args.probe_interval, out=args.probe_out)
+        )
+    if args.watchdog is not None:
+        observers.append(Watchdog(window=args.watchdog))
+    if args.check_invariants:
+        observers.append(InvariantChecker())
+    return tuple(observers)
+
+
+def _report_probes(args, records: list) -> None:
+    if not args.probes:
         return
     print(f"probes: {len(records)} window records", end="")
-    if probes.out is not None:
-        print(f" -> {probes.out}", end="")
+    if args.probe_out is not None:
+        print(f" -> {args.probe_out}", end="")
     print()
     if records and "per_node_ejected" in records[0]:
         print(probe_heatmap(records, field="per_node_ejected"))
@@ -164,31 +185,6 @@ def _network_config(args: argparse.Namespace) -> NetworkConfig:
     return NetworkConfig(**{name: getattr(args, name) for name in _NETWORK_FLAGS})
 
 
-def _add_health_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--watchdog",
-        type=int,
-        default=None,
-        metavar="CYCLES",
-        help="stall watchdog window: abort with a diagnosis after this many "
-        "cycles without forward progress",
-    )
-    p.add_argument(
-        "--check-invariants",
-        action="store_true",
-        help="assert flit/credit conservation periodically (slow; debugging)",
-    )
-
-
-def _health_kwargs(args) -> dict:
-    kw: dict = {}
-    if getattr(args, "watchdog", None) is not None:
-        kw["watchdog"] = Watchdog(window=args.watchdog)
-    if getattr(args, "check_invariants", False):
-        kw["check_invariants"] = True
-    return kw
-
-
 def _parse_reply(spec: str) -> ReplyModel:
     """Parse ``immediate``, ``fixed:<L>`` or ``prob:<l2>:<mem>:<missrate>``."""
     from .core.reply import FixedReply, ImmediateReply, ProbabilisticReply
@@ -207,14 +203,12 @@ def _cmd_openloop(args) -> int:
     from .core.openloop import OpenLoopSimulator
 
     cfg = _network_config(args)
-    probes = _build_probe_set(args)
     sim = OpenLoopSimulator(
         cfg,
         warmup=args.warmup,
         measure=args.measure,
         drain_limit=args.drain,
-        probes=probes,
-        **_health_kwargs(args),
+        observers=_observers(args),
     )
     res = sim.run(args.rate)
     print(
@@ -233,7 +227,7 @@ def _cmd_openloop(args) -> int:
                 f"{stats.p99:.2f}, throughput {tp:.4f}, "
                 f"{stats.count} packets"
             )
-    _report_probes(probes, res.probe_records)
+    _report_probes(args, res.probe_records)
     return 0
 
 
@@ -549,27 +543,26 @@ def _cmd_batch(args) -> int:
     from .core.closedloop import BatchSimulator
 
     cfg = _network_config(args)
-    probes = _build_probe_set(args)
+    observers = _observers(args)
     kwargs = {}
     if args.nar is not None:
         kwargs["nar"] = args.nar
     if args.reply is not None:
         kwargs["reply_model"] = args.reply
     if args.barrier:
-        res = BarrierSimulator(cfg, batch_size=args.batch_size, probes=probes).run()
+        res = BarrierSimulator(cfg, batch_size=args.batch_size, observers=observers).run()
         print(
             f"barrier model: runtime {res.runtime}, throughput "
             f"{res.throughput:.4f}, completed={res.completed}"
         )
-        _report_probes(probes, res.probe_records)
+        _report_probes(args, res.probe_records)
         return 0
     res = BatchSimulator(
         cfg,
         batch_size=args.batch_size,
         max_outstanding=args.max_outstanding,
-        probes=probes,
+        observers=observers,
         **kwargs,
-        **_health_kwargs(args),
     ).run()
     print(
         f"batch model (b={args.batch_size}, m={args.max_outstanding}): "
@@ -577,7 +570,7 @@ def _cmd_batch(args) -> int:
         f"theta={res.throughput:.4f}, avg request latency "
         f"{res.avg_request_latency:.1f}, completed={res.completed}"
     )
-    _report_probes(probes, res.probe_records)
+    _report_probes(args, res.probe_records)
     return 0
 
 
@@ -752,8 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("openloop", help="one open-loop measurement point")
     openloop_args(p)
     p.add_argument("--rate", type=float, required=True, help="flits/cycle/node")
-    _add_probe_args(p)
-    _add_health_args(p)
+    _add_observer_args(p)
     p.set_defaults(func=_cmd_openloop)
 
     p = sub.add_parser(
@@ -841,8 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="reply model: immediate | fixed:<L> | prob:<l2>:<mem>:<miss>",
     )
     p.add_argument("--barrier", action="store_true", help="use the barrier model")
-    _add_probe_args(p)
-    _add_health_args(p)
+    _add_observer_args(p)
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("cmp", help="execution-driven CMP run")

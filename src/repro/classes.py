@@ -220,3 +220,18 @@ def inject_order(classes: Iterable[TrafficClass]) -> tuple[int, ...]:
     """
     cls = list(classes)
     return tuple(sorted(range(len(cls)), key=lambda i: (-cls[i].priority, i)))
+
+
+def source_queue_order(classes: Iterable[TrafficClass], arbitration: str) -> tuple[int, ...]:
+    """A node's network source queues, in the order the node drains them.
+
+    Under class-aware arbitration (``priority``, ``weighted``) each class
+    has its own queue, served in :func:`inject_order`, so a high-priority
+    packet bypasses a lower-priority backlog at a packet boundary.  Under
+    ``round_robin`` and ``age`` a node has one FIFO, ``(0,)``: its packets
+    leave in offer order whatever their class, as in the execution-driven
+    CMP.
+    """
+    if arbitration in ("priority", "weighted"):
+        return inject_order(classes)
+    return (0,)

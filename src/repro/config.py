@@ -108,7 +108,7 @@ class NetworkConfig:
         are well-defined.
     faults:
         Optional fault-plan spec string (see
-        :meth:`repro.core.resilience.FaultPlan.parse`), e.g. ``"links:2"``
+        :meth:`repro.faults.FaultPlan.parse`), e.g. ``"links:2"``
         or ``"link:3>4@100-500;router:9"``.  ``None`` (default) simulates a
         healthy network on the exact pre-fault-layer code path.  Random
         link selection (``links:K``) derives from ``seed``, so a faulted
@@ -203,9 +203,8 @@ class NetworkConfig:
         if self.faults is not None:
             if self.topology == "ideal":
                 raise ValueError("the ideal network does not model faults")
-            # Imported lazily: config is the bottom of the package's import
-            # graph, resilience sits above it.
-            from .core.resilience import FaultPlan
+            # Imported lazily: a healthy config never loads the fault model.
+            from .faults import FaultPlan
 
             FaultPlan.parse(self.faults)  # eager syntax validation
 

@@ -15,7 +15,7 @@ applications.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from ..network.factory import build_network
 from ..traffic.patterns import TrafficPattern
 from ..traffic.registry import build_pattern, build_sizes
 from ..traffic.sizes import SizeDistribution
-from .engine import DrainSink, SimulationEngine
-from .probes import ProbeSet
+from .engine import DrainSink, Observer, SimulationEngine
 
 __all__ = ["BarrierResult", "BarrierSimulator"]
 
@@ -99,7 +98,7 @@ class BarrierSimulator:
         pattern: Optional[TrafficPattern] = None,
         sizes: Optional[SizeDistribution] = None,
         max_cycles: Optional[int] = None,
-        probes: Optional[ProbeSet] = None,
+        observers: Iterable[Observer] = (),
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -111,7 +110,7 @@ class BarrierSimulator:
         self.pattern = pattern if pattern is not None else build_pattern(config)
         self.sizes = sizes if sizes is not None else build_sizes(config)
         self.max_cycles = max_cycles if max_cycles is not None else 2000 * batch_size * rounds
-        self.probes = probes
+        self.observers = tuple(observers)
 
     def run(self, *, seed: Optional[int] = None) -> BarrierResult:
         """Run all rounds to completion (or ``max_cycles``)."""
@@ -124,7 +123,7 @@ class BarrierSimulator:
             self.batch_size, self.rounds, self.pattern, self.sizes, gen
         )
         engine = SimulationEngine(
-            net, injector, DrainSink(), max_cycles=self.max_cycles, probes=self.probes
+            net, injector, DrainSink(), max_cycles=self.max_cycles, observers=self.observers
         )
         outcome = engine.run()
         completed = outcome.completed

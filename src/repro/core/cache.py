@@ -96,6 +96,7 @@ _HOT_PATHS = (
     "_version.py",
     "classes.py",
     "config.py",
+    "faults.py",
     "rng.py",
     "analysis",
     "analytical",

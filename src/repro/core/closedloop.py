@@ -23,7 +23,7 @@ so the baseline model is recovered exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -35,9 +35,8 @@ from ..network.factory import build_network
 from ..traffic.patterns import TrafficPattern
 from ..traffic.registry import build_pattern, build_sizes
 from ..traffic.sizes import SizeDistribution
-from .engine import SimulationEngine
+from .engine import Observer, SimulationEngine
 from .osmodel import OSModel
-from .probes import ProbeSet
 from .reply import ImmediateReply, ReplyModel
 
 __all__ = ["BatchResult", "BatchSimulator", "USER_CLASS", "OS_CLASS"]
@@ -231,9 +230,7 @@ class BatchSimulator:
         reply_sizes: Optional[SizeDistribution] = None,
         max_cycles: Optional[int] = None,
         network_factory=build_network,
-        probes: Optional[ProbeSet] = None,
-        watchdog=None,
-        check_invariants: Optional[bool] = None,
+        observers: Iterable[Observer] = (),
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -265,9 +262,7 @@ class BatchSimulator:
         )
         # Injection point for instrumented networks (e.g. trace capture).
         self.network_factory = network_factory
-        self.probes = probes
-        self.watchdog = watchdog
-        self.check_invariants = check_invariants
+        self.observers = tuple(observers)
 
     def run(self, *, seed: Optional[int] = None) -> BatchResult:
         """Run to completion (or ``max_cycles``); deterministic per seed."""
@@ -281,9 +276,7 @@ class BatchSimulator:
             net,
             loop,
             max_cycles=self.max_cycles,
-            probes=self.probes,
-            watchdog=self.watchdog,
-            check_invariants=self.check_invariants,
+            observers=self.observers,
         )
         outcome = engine.run()
         completed = outcome.completed

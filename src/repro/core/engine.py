@@ -20,15 +20,14 @@ owns that loop once:
   it; the engine stops when both report ``done``.  One object may play both
   roles (the closed-loop batch state machine must: deliveries feed back
   into injection eligibility).
-* **Probes** — an optional :class:`repro.core.probes.ProbeSet` observes
-  every cycle and aggregates windowed instrumentation records; when absent
-  the loop contains a single ``is None`` test and no probe code runs.
-* **Health** — an optional :class:`repro.core.resilience.Watchdog` raises
-  :class:`~repro.core.resilience.SimulationStalled` (with a diagnosis
-  snapshot) when flits are in flight but nothing moves for a whole
-  window, and ``check_invariants`` audits flit/credit conservation every
-  few hundred cycles (:class:`~repro.core.resilience.InvariantChecker`).
-  Both follow the probe contract: disabled costs one ``is None`` test.
+* **Observers** — the ``observers=`` tuple: probes
+  (:class:`repro.core.probes.ProbeSet`), the stall watchdog and the
+  conservation auditor (:class:`~repro.core.resilience.Watchdog`,
+  :class:`~repro.core.resilience.InvariantChecker`) all implement one
+  :class:`Observer` protocol and watch every executed cycle, in tuple
+  order.  A run without observers iterates an empty tuple and runs no
+  observer code.  ``REPRO_CHECK_INVARIANTS=1`` appends an
+  :class:`~repro.core.resilience.InvariantChecker` when none is given.
 
 Per-cycle order of operations (identical to what the five pre-engine
 drivers each hand-rolled, so seeded results are bit-identical):
@@ -38,7 +37,7 @@ drivers each hand-rolled, so seeded results are bit-identical):
 3. ``injector.inject(engine)`` — offer this cycle's packets,
 4. ``network.step()`` — one cycle of the fabric,
 5. ``sink.on_delivered(pkt, engine)`` for each delivered packet,
-6. probe sampling.
+6. ``observer.on_cycle(net, now, delivered)`` for each observer.
 """
 
 from __future__ import annotations
@@ -46,29 +45,15 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
+from typing import Iterable, Optional, Protocol, runtime_checkable
 
 from ..network.base import NetworkLike
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .probes import ProbeSet
-    from .resilience import Watchdog
-
-
-def _invariants_default() -> bool:
-    """``check_invariants=None`` resolves against this environment toggle.
-
-    The CI invariants job exports ``REPRO_CHECK_INVARIANTS=1`` to force
-    conservation auditing across the whole fast suite without every test
-    opting in explicitly.
-    """
-    return os.environ.get("REPRO_CHECK_INVARIANTS", "") not in ("", "0")
-
 
 __all__ = [
     "Phase",
     "Injector",
     "Sink",
+    "Observer",
     "DrainSink",
     "EngineResult",
     "SimulationEngine",
@@ -105,6 +90,23 @@ class Sink(Protocol):
     def done(self, engine: "SimulationEngine") -> bool:
         """True when the sink's completion criterion is met."""
         ...
+
+
+@runtime_checkable
+class Observer(Protocol):
+    """Watches the loop without steering it: probes, watchdog, invariants.
+
+    ``begin`` runs once before the first cycle, ``on_cycle`` after every
+    executed cycle (``now`` is the cycle that ran, ``delivered`` its
+    deliveries), and ``finish`` once when the run ends; what ``finish``
+    returns joins :attr:`EngineResult.probe_records`.
+    """
+
+    def begin(self, net: NetworkLike) -> None: ...
+
+    def on_cycle(self, net: NetworkLike, now: int, delivered: list) -> None: ...
+
+    def finish(self, net: NetworkLike) -> list[dict]: ...
 
 
 class DrainSink:
@@ -152,9 +154,7 @@ class SimulationEngine:
         warmup: int = 0,
         measure: Optional[int] = None,
         max_cycles: int,
-        probes: Optional["ProbeSet"] = None,
-        watchdog: Optional["Watchdog"] = None,
-        check_invariants: Optional[bool] = None,
+        observers: Iterable[Observer] = (),
     ):
         if warmup < 0:
             raise ValueError("warmup must be >= 0")
@@ -174,16 +174,14 @@ class SimulationEngine:
         self.warmup = warmup
         self.measure = measure
         self.max_cycles = max_cycles
-        self.probes = probes
-        self.watchdog = watchdog
-        if check_invariants is None:
-            check_invariants = _invariants_default()
-        if check_invariants:
+        observers = tuple(observers)
+        # The CI invariants job sets this to audit the whole fast suite.
+        if os.environ.get("REPRO_CHECK_INVARIANTS", "") not in ("", "0"):
             from .resilience import InvariantChecker
 
-            self.invariants: Optional[InvariantChecker] = InvariantChecker()
-        else:
-            self.invariants = None
+            if not any(isinstance(obs, InvariantChecker) for obs in observers):
+                observers += (InvariantChecker(),)
+        self.observers = observers
         self._measure_start = warmup
         self._measure_end = None if measure is None else warmup + measure
         self.phase = Phase.WARMUP if warmup > 0 else Phase.MEASURE
@@ -207,18 +205,12 @@ class SimulationEngine:
         injector = self.injector
         sink = self.sink
         shared = sink is injector
-        probes = self.probes
         measure_start = self._measure_start
         measure_end = self._measure_end
         max_cycles = self.max_cycles
-        watchdog = self.watchdog
-        invariants = self.invariants
-        if probes is not None:
-            probes.begin(net)
-        if watchdog is not None:
-            watchdog.begin(net)
-        if invariants is not None:
-            invariants.begin(net)
+        observers = self.observers
+        for obs in observers:
+            obs.begin(net)
         completed = False
         while True:
             now = net.now
@@ -242,14 +234,10 @@ class SimulationEngine:
             if delivered:
                 for pkt in delivered:
                     sink.on_delivered(pkt, self)
-            # 6. Probes and health checks observe the cycle that executed.
-            if probes is not None:
-                probes.on_cycle(net, now, delivered)
-            if watchdog is not None:
-                watchdog.on_cycle(net)
-            if invariants is not None:
-                invariants.on_cycle(net)
-        records = probes.finish(net) if probes is not None else []
+            # 6. Observers watch the cycle that executed.
+            for obs in observers:
+                obs.on_cycle(net, now, delivered)
+        records = [rec for obs in observers for rec in obs.finish(net)]
         return EngineResult(
             cycles=net.now,
             completed=completed,

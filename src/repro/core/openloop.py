@@ -24,7 +24,7 @@ latencies depends on the throughput passes ``drain_if=`` to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -36,9 +36,8 @@ from ..traffic.patterns import TrafficPattern
 from ..traffic.process import Bernoulli
 from ..traffic.registry import build_pattern, build_sizes
 from ..traffic.sizes import SizeDistribution
-from .engine import SimulationEngine
+from .engine import Observer, SimulationEngine
 from .metrics import LatencyStats
-from .probes import ProbeSet
 
 __all__ = ["OpenLoopResult", "OpenLoopSimulator"]
 
@@ -221,9 +220,7 @@ class OpenLoopSimulator:
         warmup: int = 1000,
         measure: int = 2000,
         drain_limit: int = 30000,
-        probes: Optional[ProbeSet] = None,
-        watchdog=None,
-        check_invariants: Optional[bool] = None,
+        observers: Iterable[Observer] = (),
         network_factory=build_network,
     ):
         self.config = config
@@ -237,10 +234,8 @@ class OpenLoopSimulator:
         self.warmup = warmup
         self.measure = measure
         self.drain_limit = drain_limit
-        self.probes = probes
-        #: optional resilience.Watchdog shared by every run of this simulator
-        self.watchdog = watchdog
-        self.check_invariants = check_invariants
+        #: engine observers (probes, watchdog, invariants) shared by every run
+        self.observers = tuple(observers)
         # Injection point for instrumented networks (matches BatchSimulator).
         self.network_factory = network_factory
 
@@ -322,9 +317,7 @@ class OpenLoopSimulator:
             warmup=self.warmup,
             measure=self.measure,
             max_cycles=self.warmup + self.measure + self.drain_limit,
-            probes=self.probes,
-            watchdog=self.watchdog,
-            check_invariants=self.check_invariants,
+            observers=self.observers,
         )
         outcome = engine.run()
         saturated = sink.outstanding > 0

@@ -56,6 +56,7 @@ import hashlib
 import itertools
 import json
 import pathlib
+import random
 import time
 from collections import deque
 from dataclasses import InitVar, asdict, dataclass, field, fields
@@ -66,7 +67,7 @@ from ..analysis.io import JsonlAppender, append_jsonl, canonical_json, read_json
 from ..classes import TrafficClass
 from ..config import NetworkConfig
 from . import cache as result_cache
-from .resilience import RetryPolicy, SimulationStalled
+from .resilience import SimulationStalled
 
 if TYPE_CHECKING:  # pragma: no cover
     from concurrent.futures import Future, ProcessPoolExecutor
@@ -82,10 +83,73 @@ __all__ = [
     "run_sweep",
     "sweep_fingerprint",
     "check_journal_fingerprint",
+    "RetryPolicy",
+    "TRANSIENT_KINDS",
 ]
 
 #: Seconds between pool polls; bounds timeout-detection latency.
 _POLL_SECONDS = 0.05
+
+
+# ---------------------------------------------------------------------------
+# Retry policy
+# ---------------------------------------------------------------------------
+#: ``error_kind`` values that are transient by nature and worth retrying:
+#: the point itself is deterministic, so only failures of the *executor* —
+#: a dead worker process, an expired work lease, a dropped worker
+#: connection — can succeed on a re-run.  A watchdog stall (``"stalled"``)
+#: is final: the watchdog counts cycles, so the same config and seed stall
+#: at the same cycle every time.
+TRANSIENT_KINDS = frozenset({"worker_death", "lease_expired", "disconnect"})
+
+
+@dataclass
+class RetryPolicy:
+    """Capped exponential backoff with jitter for transient point failures.
+
+    Shared by the pool transport here and the distributed sweep service
+    (:mod:`repro.service`): both retry *transient* failures (see
+    :data:`TRANSIENT_KINDS`) up to ``max_retries`` times, sleeping
+    ``backoff * 2**(attempt-1)`` seconds (capped at ``max_backoff``) times a
+    jitter factor in ``[1, 1.25)`` between attempts.  Deterministic runner
+    exceptions are never retried — the same config and seed would fail the
+    same way.
+
+    ``rng`` selects the jitter source: ``None`` (the default) draws from the
+    process-global :mod:`random` like the historical behaviour, while a
+    :class:`random.Random` instance makes the jitter — and therefore the
+    retry timeline — a pure function of its seed.  :meth:`seeded` builds a
+    policy whose jitter stream derives from a config seed via
+    :func:`repro.rng.spawn`, which is what makes self-healing tests
+    deterministic.
+    """
+
+    max_retries: int = 2
+    backoff: float = 0.25
+    max_backoff: float = 5.0
+    transient_kinds: frozenset = TRANSIENT_KINDS
+    rng: Optional[random.Random] = None
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.backoff < 0:
+            raise ValueError("backoff must be >= 0")
+
+    @classmethod
+    def seeded(cls, seed: int, *labels: object, **kwargs) -> "RetryPolicy":
+        """A policy whose jitter stream derives from ``seed`` and ``labels``."""
+        return cls(rng=random.Random(rng.spawn(seed, "retry-jitter", *labels)), **kwargs)
+
+    def should_retry(self, kind: object, attempt: int) -> bool:
+        """True when a failure of ``kind`` at 0-based ``attempt`` gets a retry."""
+        return kind in self.transient_kinds and attempt < self.max_retries
+
+    def delay(self, attempt: int) -> float:
+        """Backoff sleep before retry ``attempt`` (1-based), jitter included."""
+        base = min(self.backoff * 2 ** (attempt - 1), self.max_backoff)
+        draw = self.rng.random() if self.rng is not None else random.random()
+        return base * (1.0 + 0.25 * draw)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ JSON-lines via :func:`repro.analysis.io.append_jsonl` and round-trip through
 :func:`repro.analysis.io.read_jsonl`; ``repro.analysis.ascii_plot.
 probe_heatmap`` renders the per-node series as a quick terminal heatmap.
 
-Probes are strictly opt-in: a run with ``probes=None`` executes the same
-cycle loop with a single ``is None`` branch — no per-cycle allocations, no
-hooks installed.  The only always-on costs in the network itself are the
-``injection_stalls`` integer (incremented on backpressure events only) and
-one ``None`` check per link traversal.
+Probes are strictly opt-in: a :class:`ProbeSet` is one engine observer
+(:class:`repro.core.engine.Observer`), and a run without it executes the
+same cycle loop with no per-cycle allocations and no hooks installed.  The
+only always-on costs in the network itself are the ``injection_stalls``
+integer (incremented on backpressure events only) and one ``None`` check
+per link traversal.
 
 Built-in probes (compose freely, or subclass :class:`Probe`):
 

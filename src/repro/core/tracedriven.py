@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -28,9 +28,8 @@ from ..config import NetworkConfig
 from ..network.factory import build_network
 from ..network.network import Network
 from .closedloop import BatchSimulator
-from .engine import SimulationEngine
+from .engine import Observer, SimulationEngine
 from .openloop import OpenLoopSimulator
-from .probes import ProbeSet
 
 __all__ = [
     "TraceRecord",
@@ -250,7 +249,7 @@ class TraceDrivenSimulator:
         config: NetworkConfig,
         trace: Trace,
         *,
-        probes: Optional[ProbeSet] = None,
+        observers: Iterable[Observer] = (),
         network_factory=build_network,
     ):
         if trace.num_nodes != config.num_nodes:
@@ -259,7 +258,7 @@ class TraceDrivenSimulator:
             )
         self.config = config
         self.trace = trace
-        self.probes = probes
+        self.observers = tuple(observers)
         # Injection point for instrumented networks (matches the other drivers).
         self.network_factory = network_factory
 
@@ -272,7 +271,7 @@ class TraceDrivenSimulator:
             _TraceReplayer(self.trace),
             sink,
             max_cycles=self.trace.duration + drain_limit,
-            probes=self.probes,
+            observers=self.observers,
         )
         outcome = engine.run()
         latencies = sink.latencies

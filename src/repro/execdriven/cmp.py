@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from .. import rng as rng_mod
 from ..config import CmpConfig
-from ..core.engine import SimulationEngine
-from ..core.probes import ProbeSet
+from ..core.engine import Observer, SimulationEngine
 from ..network.ideal import IdealNetwork
 from ..network.links import TimeBuckets
 from ..network.factory import build_network
@@ -138,7 +137,7 @@ class CmpSystem:
         seed: int = 1,
         timeline_bucket: int = 1000,
         warm_start: bool = True,
-        probes: Optional[ProbeSet] = None,
+        observers: Iterable[Observer] = (),
     ):
         self.benchmark = benchmark
         self.config = config if config is not None else CmpConfig()
@@ -206,7 +205,7 @@ class CmpSystem:
         self._requests = 0
         self._interrupts = 0
         self._next_timer = timer_interval if timer_interval else -1
-        self.probes = probes
+        self.observers = tuple(observers)
         if warm_start:
             self._warm_start()
 
@@ -328,7 +327,7 @@ class CmpSystem:
         tiles = self.tiles
         timer = self.timer_interval
         self._next_timer = timer if timer else -1
-        engine = SimulationEngine(net, self, max_cycles=max_cycles, probes=self.probes)
+        engine = SimulationEngine(net, self, max_cycles=max_cycles, observers=self.observers)
         outcome = engine.run()
         completed = all(c.done for c in cores) and net.is_idle() and not self._pending
         cycles = net.now

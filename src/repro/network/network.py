@@ -20,12 +20,14 @@ current packet into the injection-port VC with the most free space, whole
 packets at a time, and stalls on backpressure — which is exactly the
 feedback path that differentiates closed-loop from open-loop measurement.
 
-Source queues are per traffic class: ``src_queues[node][cls]`` is a FIFO,
-and each node picks its next packet by walking the classes in
-``inject_order`` (descending priority), so a high-priority packet bypasses
-a lower-priority backlog at the source.  Preemption happens only at packet
-boundaries — a packet that has started streaming finishes first.  With a
-single class this degenerates to the one-FIFO behaviour exactly.
+Under class-aware arbitration (``priority``, ``weighted``) source queues are
+per traffic class: ``src_queues[node][cls]`` is a FIFO, and each node picks
+its next packet by walking the classes in descending priority, so a
+high-priority packet bypasses a lower-priority backlog at the source.
+Preemption happens only at packet boundaries — a packet that has started
+streaming finishes first.  Under ``round_robin`` and ``age`` a node has one
+FIFO and its packets leave in offer order
+(:func:`~repro.classes.source_queue_order`).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .. import rng as rng_mod
-from ..classes import inject_order
+from ..classes import source_queue_order
 from ..config import NetworkConfig
 from ..routing.base import RoutingAlgorithm
 from ..routing.registry import build_routing
@@ -52,7 +54,7 @@ __all__ = ["Network"]
 class Network(BaseNetwork):
     """A cycle-level NoC built from a :class:`NetworkConfig`.
 
-    ``faults`` accepts a :class:`~repro.core.resilience.FaultPlan` or a spec
+    ``faults`` accepts a :class:`~repro.faults.FaultPlan` or a spec
     string (see :meth:`FaultPlan.parse`); it defaults to ``config.faults``.
     A faulted network wraps its routing algorithm in
     :class:`~repro.routing.fault.FaultAwareRouting` and maintains per-router
@@ -79,7 +81,7 @@ class Network(BaseNetwork):
         self.faults = None
         plan = faults if faults is not None else config.faults
         if plan:
-            from ..core.resilience import FaultPlan, FaultState
+            from ..faults import FaultPlan, FaultState
             from ..routing.fault import FaultAwareRouting
 
             if isinstance(plan, str):
@@ -123,10 +125,10 @@ class Network(BaseNetwork):
         self._credit_out: Optional[list] = None
         self._credit_delay = config.credit_delay
         self._router_delay = config.router_delay
-        self._num_classes = len(config.classes)
-        self._inject_order = inject_order(config.classes)
+        self._inject_order = source_queue_order(config.classes, config.arbitration)
+        self._num_queues = len(self._inject_order)
         self.src_queues: list[list[deque]] = [
-            [deque() for _ in range(self._num_classes)] for _ in range(n)
+            [deque() for _ in range(self._num_queues)] for _ in range(n)
         ]
         self._inj_state: list[Optional[list]] = [None] * n
         self._active_sources: set[int] = set()
@@ -147,8 +149,8 @@ class Network(BaseNetwork):
         if self.faults is not None:
             self.faults.admit(packet, self.now)
         c = packet.traffic_class
-        if c >= self._num_classes:
-            c = self._num_classes - 1
+        if c >= self._num_queues:
+            c = self._num_queues - 1
         self.src_queues[packet.src][c].append(packet)
         self._active_sources.add(packet.src)
         self._inflight += 1

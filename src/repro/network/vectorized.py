@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..classes import inject_order
+from ..classes import source_queue_order
 from ..config import NetworkConfig
 from ..routing.registry import build_routing
 from ..topology.mesh import KAryNCube
@@ -197,13 +197,16 @@ class VectorizedNetwork(BaseNetwork):
         self._free = list(range(cap - 1, -1, -1))
 
         # -- source queues -------------------------------------------------
-        # Per-class FIFOs per node, drained in descending-priority order
-        # (packet-boundary preemption), mirroring Network.src_queues.
-        # _qhead caches the slot the priority walk would pick next; it is
-        # refreshed on every offer/pop so _inject_all reads it vectorized.
-        self._inject_order = inject_order(classes)
+        # Per-class FIFOs per node under class-aware arbitration, one FIFO
+        # otherwise, drained as Network.src_queues are (packet-boundary
+        # preemption).  A slot's queue is its class clamped to the last
+        # queue.  _qhead caches the slot the priority walk would pick next;
+        # it is refreshed on every offer/pop so _inject_all reads it
+        # vectorized.
+        self._inject_order = source_queue_order(classes, config.arbitration)
+        self._last_queue = len(self._inject_order) - 1
         self._queues: list[list[deque]] = [
-            [deque() for _ in range(C)] for _ in range(N)
+            [deque() for _ in self._inject_order] for _ in range(N)
         ]
         self._qhead = np.full(N, -1, dtype=np.int64)  # slot of next pick
         self._inj_slot = np.full(N, -1, dtype=np.int64)  # streaming packet
@@ -260,7 +263,7 @@ class VectorizedNetwork(BaseNetwork):
         c = c if c < self._C else self._C - 1
         self._p_cls[s] = c
         self._p_obj[s] = packet
-        self._queues[packet.src][c].append(s)
+        self._queues[packet.src][min(c, self._last_queue)].append(s)
         self._refresh_qhead(packet.src)
         if packet.src not in self._active_sources:
             self._active_sources.add(packet.src)
@@ -417,7 +420,7 @@ class VectorizedNetwork(BaseNetwork):
             self._inj_fidx[s] = f + 1
             done = (f + 1) == self._p_size[slots]
             for nd, slot in zip(s[done].tolist(), slots[done].tolist()):
-                self._queues[nd][self._p_cls[slot]].popleft()
+                self._queues[nd][min(self._p_cls[slot], self._last_queue)].popleft()
                 self._refresh_qhead(nd)
                 self._inj_slot[nd] = -1
                 if self._qhead[nd] < 0:

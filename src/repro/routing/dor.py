@@ -139,17 +139,9 @@ class DOR(RoutingAlgorithm):
 
     def route(self, node: int, packet: Packet) -> list[RouteCandidate]:
         topo: KAryNCube = self.topology  # type: ignore[assignment]
-        target = packet.current_target()
+        target = packet.dst
         if node == target:
-            if packet.phase == 0 and packet.intermediate is not None:
-                # Reached the intermediate of a two-phase overlay (VAL/ROMM
-                # reuse DOR per phase) — not used by plain DOR itself.
-                packet.phase = 1
-                target = packet.dst
-                if node == target:
-                    return self._eject()
-            else:
-                return self._eject()
+            return self._eject()
         for dim in range(topo.n):
             direction = topo.direction(node, target, dim)
             if direction == 0:

@@ -1,7 +1,7 @@
 """Fault-aware routing fallback.
 
 :class:`FaultAwareRouting` wraps any base routing algorithm when the network
-carries an active :class:`~repro.core.resilience.FaultPlan`.  Per hop it:
+carries an active :class:`~repro.faults.FaultPlan`.  Per hop it:
 
 1. asks the base algorithm for its candidates and keeps those that leave
    through a healthy channel *and* land strictly closer to the target in
@@ -22,7 +22,7 @@ changes between hops and monotonicity no longer holds; a packet over the
 limit holds its VC until the next fault-set change re-routes it.
 
 At injection, an unreachable destination raises a structured
-:class:`~repro.core.resilience.UnreachableDestination` instead of letting
+:class:`~repro.faults.UnreachableDestination` instead of letting
 the packet wander (the network asks :meth:`FaultState.admit`, which knows
 the fault set but not the clock).
 
@@ -36,7 +36,7 @@ converts any resulting deadlock into a :class:`SimulationStalled` diagnosis.
 
 from __future__ import annotations
 
-from ..core.resilience import FaultState
+from ..faults import FaultState
 from ..network.packet import Packet
 from .base import RouteCandidate, RoutingAlgorithm
 

@@ -24,7 +24,7 @@ failure model (DESIGN.md §5h) is built from four mechanisms:
   (:func:`repro.core.parallel._run_local`) — a submitted sweep always
   completes, fleet or no fleet.
 
-Retries reuse :class:`repro.core.resilience.RetryPolicy` with jitter
+Retries reuse :class:`repro.core.parallel.RetryPolicy` with jitter
 seeded from the sweep's base seed, so the retry timeline of a chaos test
 is reproducible.  Each job's accounting — results, health, the shared
 result cache's submit-time prefill and success-only write-back — is a
@@ -51,8 +51,14 @@ from typing import Any, Callable, Mapping, Optional
 
 from ..config import NetworkConfig
 from ..core import cache as result_cache
-from ..core.parallel import SweepHealth, SweepLedger, SweepPoint, _failed_record, _run_local
-from ..core.resilience import RetryPolicy
+from ..core.parallel import (
+    RetryPolicy,
+    SweepHealth,
+    SweepLedger,
+    SweepPoint,
+    _failed_record,
+    _run_local,
+)
 from .protocol import MAX_LINE_BYTES, PROTOCOL_VERSION, ProtocolError, decode, encode
 from .worker import importable_name, resolve_runner
 

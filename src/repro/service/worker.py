@@ -40,8 +40,7 @@ from typing import Any, Callable, Mapping, Optional
 
 from ..config import NetworkConfig
 from ..core import cache as result_cache
-from ..core.parallel import SweepPoint, _execute_point, _failed_record
-from ..core.resilience import RetryPolicy
+from ..core.parallel import RetryPolicy, SweepPoint, _execute_point, _failed_record
 from .protocol import (
     PROTOCOL_VERSION,
     MessageStream,
@@ -189,7 +188,7 @@ class Worker:
         """Serve until stopped or budget-exhausted; returns points done.
 
         Connection losses retry with capped exponential backoff (the
-        reconnect policy reuses :class:`~repro.core.resilience.RetryPolicy`
+        reconnect policy reuses :class:`~repro.core.parallel.RetryPolicy`
         arithmetic); ``max_reconnects`` consecutive failures give up.  A
         controller of another protocol version is not retried:
         :class:`~repro.service.protocol.VersionMismatch` propagates.

@@ -214,6 +214,24 @@ class TestControlPlaneImports:
         )
         assert _fresh_python(script) == ["[]"]
 
+    def test_a_faulted_config_sweeps_without_the_simulator(self):
+        """``NetworkConfig`` validates a fault spec in the control plane:
+        the fault model it loads must not pull in numpy or the network."""
+        script = (
+            "import sys\n"
+            "from repro.config import NetworkConfig\n"
+            "from repro.core.parallel import run_sweep\n"
+            "def constant(cfg, *, rate):\n"
+            "    return {'latency': cfg.router_delay / (1.0 - rate)}\n"
+            "base = NetworkConfig(k=4, n=2, seed=3, faults='links:2')\n"
+            "recs = run_sweep(base, {'router_delay': (1, 2)}, constant,\n"
+            "                 extra_axes={'rate': (0.1, 0.2)})\n"
+            "assert len(recs) == 4 and recs.health.ok == 4, recs.health.summary()\n"
+            "assert 'repro.faults' in sys.modules\n"
+            + _REPORT_LOADED
+        )
+        assert _fresh_python(script) == ["[]"]
+
     def test_control_plane_commands_start_without_the_simulator(self):
         """``--help``/``--version`` and the help of every command that does
         not simulate: exit 0, and nothing of the simulator imported."""
@@ -726,6 +744,19 @@ class TestFaultFlags:
             ]
         )
         assert rc == 0
+
+    def test_barrier_watchdog_stops_a_deadlock(self, capsys):
+        """The barrier model takes the same observers as the batch model: a
+        deadlocked mesh exits 3 at the watchdog, not at its cycle budget."""
+        rc = main(
+            [
+                "batch", "--barrier", "--k", "4", "--n", "2", "--num-vcs", "2",
+                "-q", "1", "--routing", "ma", "--seed", "1", "--faults", "links:4",
+                "-b", "10", "--watchdog", "500",
+            ]
+        )
+        assert rc == 3
+        assert "no forward progress" in capsys.readouterr().err
 
     def test_sweep_health_summary(self, capsys):
         rc = main(

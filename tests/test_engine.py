@@ -10,6 +10,7 @@ from repro.core.engine import (
     DrainSink,
     EngineResult,
     Injector,
+    Observer,
     Phase,
     SimulationEngine,
     Sink,
@@ -228,3 +229,69 @@ class TestNetworkLikeUnification:
             res = engine.run()
             assert res.completed
             assert net.total_packets_delivered == 12
+
+
+class _CycleCounter:
+    """An observer that counts the cycles it watched and reports them."""
+
+    def __init__(self, name: str, log: list):
+        self.name = name
+        self.log = log
+
+    def begin(self, net) -> None:
+        self.cycles = 0
+
+    def on_cycle(self, net, now, delivered) -> None:
+        assert now == net.now - 1  # the cycle that just executed
+        self.log.append(self.name)
+        self.cycles += 1
+
+    def finish(self, net) -> list[dict]:
+        return [{"observer": self.name, "cycles": self.cycles, "end": net.now}]
+
+
+def _drivers():
+    from repro.config import CmpConfig
+    from repro.core.barrier import BarrierSimulator
+    from repro.core.closedloop import BatchSimulator
+    from repro.core.openloop import OpenLoopSimulator
+    from repro.core.tracedriven import TraceDrivenSimulator, capture_openloop_trace
+    from repro.execdriven import BENCHMARKS, CmpSystem
+
+    cfg = NetworkConfig(k=4, n=2, seed=3)
+    trace = capture_openloop_trace(cfg, 0.05, cycles=100)
+    cmp_cfg = CmpConfig(network=NetworkConfig(k=4, n=2, num_vcs=8, vc_buffer_size=4))
+    return {
+        "openloop": lambda obs: OpenLoopSimulator(
+            cfg, warmup=20, measure=50, drain_limit=500, observers=obs
+        ).run(0.1),
+        "batch": lambda obs: BatchSimulator(cfg, batch_size=5, observers=obs).run(),
+        "barrier": lambda obs: BarrierSimulator(cfg, batch_size=5, observers=obs).run(),
+        "trace": lambda obs: TraceDrivenSimulator(cfg, trace, observers=obs).run(),
+        "cmp": lambda obs: CmpSystem(BENCHMARKS["lu"](100), cmp_cfg, observers=obs).run(),
+    }
+
+
+class TestObservers:
+    def test_watchers_satisfy_the_protocol(self):
+        from repro.core.probes import ProbeSet
+        from repro.core.resilience import InvariantChecker, Watchdog
+
+        for obs in (ProbeSet([]), Watchdog(), InvariantChecker(), _CycleCounter("c", [])):
+            assert isinstance(obs, Observer)
+
+    @pytest.mark.parametrize("driver", ["openloop", "batch", "barrier", "trace", "cmp"])
+    def test_every_driver_hands_its_observers_to_the_engine(self, driver, monkeypatch):
+        """Each observer watches every executed cycle, in tuple order, and
+        the run's records are the observers' records in that order."""
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+        log: list = []
+        first, second = _CycleCounter("first", log), _CycleCounter("second", log)
+        res = _drivers()[driver]((first, second))
+        assert first.cycles == second.cycles > 0
+        assert log == ["first", "second"] * first.cycles
+        end = res.probe_records[0]["end"]
+        assert res.probe_records == [
+            {"observer": "first", "cycles": first.cycles, "end": end},
+            {"observer": "second", "cycles": first.cycles, "end": end},
+        ]

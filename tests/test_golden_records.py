@@ -29,7 +29,7 @@ from repro.core.openloop import OpenLoopSimulator
 from repro.core.osmodel import OSModel
 from repro.core.probes import ProbeSet, build_probes
 from repro.core.reply import FixedReply, ProbabilisticReply
-from repro.core.resilience import Watchdog
+from repro.core.resilience import InvariantChecker, Watchdog
 from repro.core.tracedriven import (
     Trace,
     TraceDrivenSimulator,
@@ -259,7 +259,7 @@ class TestProbesDoNotPerturb:
     def test_openloop_identical_with_probes(self, cfg):
         probes = ProbeSet(build_probes("all"), interval=50)
         res = OpenLoopSimulator(
-            cfg, warmup=200, measure=400, drain_limit=4000, probes=probes
+            cfg, warmup=200, measure=400, drain_limit=4000, observers=(probes,)
         ).run(0.15)
         assert res.avg_latency == 6.45681581685744
         assert res.throughput == 0.1509375
@@ -269,7 +269,7 @@ class TestProbesDoNotPerturb:
     def test_batch_identical_with_probes(self, cfg):
         probes = ProbeSet(build_probes("channel,vc"), interval=64)
         res = BatchSimulator(
-            cfg, batch_size=30, max_outstanding=2, probes=probes
+            cfg, batch_size=30, max_outstanding=2, observers=(probes,)
         ).run()
         assert res.runtime == 271
         assert digest(res.node_finish) == "16e05388a4dbcb4e"
@@ -381,9 +381,11 @@ class TestSparseOpenLoopGolden:
             warmup=100,
             measure=250,
             drain_limit=3000,
-            probes=ProbeSet(build_probes("all"), interval=64),
-            watchdog=Watchdog(window=500),
-            check_invariants=True,
+            observers=(
+                ProbeSet(build_probes("all"), interval=64),
+                Watchdog(window=500),
+                InvariantChecker(),
+            ),
         ).run(0.01)
         assert _openloop(res) == (
             50, 6.14, 10.0, 0.01275, 2.56, False, "b6ea09935c49a34b", "4576160041903b7e",
@@ -394,7 +396,7 @@ class TestSparseOpenLoopGolden:
     def test_with_faults(self):
         cfg = NetworkConfig(k=4, n=2, seed=5, faults="links:2")
         res = OpenLoopSimulator(
-            cfg, warmup=150, measure=300, drain_limit=5000, watchdog=Watchdog(window=1000)
+            cfg, warmup=150, measure=300, drain_limit=5000, observers=(Watchdog(window=1000),)
         ).run(0.02)
         assert _openloop(res) == (
             86, 6.511627906976744, 10.5, 0.018125, 2.7325581395348837, False,
@@ -490,9 +492,12 @@ class TestSparseBatchGolden:
             974, 0.024640657084188913, True, 192, 0, 6.302083333333333, "a4a960ed05addec8",
         )
 
-    def test_os_model_timer_interrupts(self):
-        # Timer ticks add OS mini-batches mid-run.
-        cfg = NetworkConfig(k=4, n=2, seed=21)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_os_model_timer_interrupts(self, backend):
+        # Timer ticks add OS mini-batches mid-run.  Under round-robin
+        # arbitration a node's source queue is one FIFO, so kernel packets
+        # queue behind a user backlog, as in the CMP.
+        cfg = NetworkConfig(k=4, n=2, seed=21, backend=backend)
         os_model = OSModel(static_fraction=0.25, timer_rate=0.01, timer_batch=2, os_nar=0.5)
         res = BatchSimulator(
             cfg,
@@ -503,7 +508,7 @@ class TestSparseBatchGolden:
             reply_model=FixedReply(25),
         ).run()
         assert _batch(res) == (
-            4371, 0.03385952871196522, True, 1184, 1024, 6.329391891891892, "3b015897cabaa900",
+            4481, 0.034367328721267576, True, 1232, 1072, 6.424512987012987, "fd228693c3829a73",
         )
 
     def test_with_probes_and_invariants(self):
@@ -513,9 +518,11 @@ class TestSparseBatchGolden:
             batch_size=20,
             max_outstanding=2,
             nar=0.3,
-            probes=ProbeSet(build_probes("all"), interval=50),
-            watchdog=Watchdog(window=2000),
-            check_invariants=True,
+            observers=(
+                ProbeSet(build_probes("all"), interval=50),
+                Watchdog(window=2000),
+                InvariantChecker(),
+            ),
         ).run()
         assert _batch(res) == (
             216, 0.18518518518518517, True, 320, 0, 6.715625, "997d8cc0e3a6219d",
@@ -571,7 +578,7 @@ class TestSparseTraceGolden:
         cfg = NetworkConfig(k=4, n=2, seed=7)
         trace = capture_openloop_trace(cfg, 0.02, cycles=800)
         res = TraceDrivenSimulator(
-            cfg, trace, probes=ProbeSet(build_probes("inflight,channel"), interval=100)
+            cfg, trace, observers=(ProbeSet(build_probes("inflight,channel"), interval=100),)
         ).run()
         assert res.runtime == 806
         assert res.avg_latency == 6.318021201413427

@@ -21,7 +21,7 @@ from repro.core.barrier import BarrierSimulator
 from repro.core.closedloop import BatchSimulator
 from repro.core.openloop import OpenLoopSimulator
 from repro.core.probes import ProbeSet, build_probes
-from repro.core.resilience import Watchdog
+from repro.core.resilience import InvariantChecker, Watchdog
 from repro.core.tracedriven import TraceDrivenSimulator, capture_openloop_trace
 from repro.execdriven import BENCHMARKS, CmpSystem
 
@@ -63,12 +63,12 @@ def _cmp(backend, *, ideal=False, timer_interval=0):
 
 def _probes(backend):
     probes = ProbeSet(build_probes("all"), interval=50)
-    return _openloop(backend, sim_kw=dict(probes=probes))
+    return _openloop(backend, sim_kw=dict(observers=(probes,)))
 
 
 def _checks(backend):
     return _openloop(
-        backend, sim_kw=dict(watchdog=Watchdog(window=500), check_invariants=True)
+        backend, sim_kw=dict(observers=(Watchdog(window=500), InvariantChecker()))
     )
 
 

@@ -18,13 +18,14 @@ from repro import rng
 from repro.analysis.io import read_jsonl
 from repro.config import NetworkConfig
 from repro.core.parallel import (
+    RetryPolicy,
     SweepHealth,
     SweepProgress,
     SweepRecords,
     enumerate_points,
     run_sweep,
 )
-from repro.core.resilience import RetryPolicy, SimulationStalled, StallDiagnosis
+from repro.core.resilience import SimulationStalled, StallDiagnosis
 from repro.core.sweep import product_configs, sweep
 
 BASE = NetworkConfig(k=4, n=2)

@@ -31,7 +31,7 @@ def cfg() -> NetworkConfig:
 
 def run_openloop(cfg, probes, rate=0.2):
     sim = OpenLoopSimulator(
-        cfg, warmup=100, measure=300, drain_limit=2000, probes=probes
+        cfg, warmup=100, measure=300, drain_limit=2000, observers=(probes,)
     )
     return sim.run(rate)
 
@@ -58,12 +58,12 @@ class _RandomSource:
         return engine.network.now >= self.cycles
 
 
-def drive_network(cfg, probes, *, rate=0.2, cycles=400, seed=123, size=1):
+def drive_network(cfg, *observers, rate=0.2, cycles=400, seed=123, size=1):
     """Run a raw Network under the engine until it fully drains."""
     net = Network(cfg)
     source = _RandomSource(np.random.default_rng(seed), rate, cycles, size)
     engine = SimulationEngine(
-        net, source, DrainSink(), max_cycles=cycles + 5000, probes=probes
+        net, source, DrainSink(), max_cycles=cycles + 5000, observers=observers
     )
     outcome = engine.run()
     assert outcome.completed
@@ -197,7 +197,7 @@ class TestJsonlRoundTrip:
         out = tmp_path / "probes.jsonl"
         probes = ProbeSet(build_probes("channel,stall"), interval=50, out=out)
         res = BatchSimulator(
-            cfg, batch_size=30, max_outstanding=2, probes=probes
+            cfg, batch_size=30, max_outstanding=2, observers=(probes,)
         ).run()
         loaded = read_jsonl(out)
         assert loaded == res.probe_records
@@ -246,12 +246,12 @@ class TestBackendEquivalence:
 
 class TestZeroCostWhenDisabled:
     def test_no_flit_hook_without_probes(self, cfg):
-        net, _ = drive_network(cfg, None, cycles=100)
+        net, _ = drive_network(cfg, cycles=100)
         assert net._flit_hook is None
 
     @pytest.mark.parametrize("backend", ["object", "vectorized"])
     def test_disabled_probes_allocate_nothing(self, cfg, backend):
-        """With probes=None no code from probes.py allocates during a run,
+        """With no observers no code from probes.py allocates during a run,
         on either network backend."""
         import repro.core.probes as probes_mod
 

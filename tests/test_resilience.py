@@ -1,4 +1,5 @@
-"""Tests for the resilience layer: fault plans, watchdog, invariants.
+"""Tests for the fault model and the run-health observers: fault plans,
+watchdog, invariants.
 
 Pool-mode runners live at module scope (picklable), like in
 test_parallel_sweep.py.
@@ -15,18 +16,20 @@ from repro.config import NetworkConfig
 from repro.core.openloop import OpenLoopSimulator
 from repro.core.parallel import run_sweep
 from repro.core.resilience import (
+    InvariantChecker,
+    InvariantViolation,
+    SimulationStalled,
+    Watchdog,
+    diagnose,
+)
+from repro.faults import (
     UNREACHABLE,
     FaultPlan,
     FaultState,
-    InvariantChecker,
-    InvariantViolation,
     LinkFault,
     RandomLinkFaults,
     RouterFault,
-    SimulationStalled,
     UnreachableDestination,
-    Watchdog,
-    diagnose,
 )
 from repro.network.network import Network
 from repro.topology import Mesh
@@ -187,9 +190,9 @@ class TestFaultState:
 # ---------------------------------------------------------------------------
 # Faulted network end-to-end
 # ---------------------------------------------------------------------------
-def _run(cfg: NetworkConfig, rate: float = 0.1, **kwargs):
+def _run(cfg: NetworkConfig, rate: float = 0.1, *observers):
     sim = OpenLoopSimulator(
-        cfg, warmup=200, measure=400, drain_limit=4000, **kwargs
+        cfg, warmup=200, measure=400, drain_limit=4000, observers=observers
     )
     return sim.run(rate)
 
@@ -220,7 +223,7 @@ class TestFaultedRuns:
 
     def test_invariants_hold_on_faulted_run(self):
         cfg = NetworkConfig(k=4, n=2, seed=3, faults="links:2;link:0>1@50-300")
-        res = _run(cfg, check_invariants=True)
+        res = _run(cfg, 0.1, InvariantChecker())
         assert res.num_measured > 0
 
     def test_faults_rejected_on_ideal_network(self):
@@ -236,25 +239,28 @@ class TestFaultedRuns:
 # Golden stability: resilience present but disabled changes nothing
 # ---------------------------------------------------------------------------
 class TestZeroCostWhenDisabled:
-    def test_watchdog_does_not_perturb_results(self):
+    def test_watchdog_does_not_perturb_results(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
         cfg = NetworkConfig(k=4, n=2, seed=3)
-        plain = _run(cfg, check_invariants=False)
-        watched = _run(cfg, watchdog=Watchdog(window=50), check_invariants=True)
+        plain = _run(cfg)
+        watched = _run(cfg, 0.1, Watchdog(window=50), InvariantChecker())
         assert plain.avg_latency == watched.avg_latency
         assert plain.throughput == watched.throughput
         assert plain.num_measured == watched.num_measured
 
-    def test_disabled_resilience_allocates_nothing(self):
-        """With faults/watchdog off, no code from resilience.py allocates."""
+    def test_disabled_resilience_allocates_nothing(self, monkeypatch):
+        """With faults and observers off, no code from resilience.py, the
+        fault model or the fault-aware routing allocates."""
         import repro.core.resilience as resilience_mod
+        import repro.faults as faults_mod
         import repro.routing.fault as fault_mod
 
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
         sim = OpenLoopSimulator(
             cfg := NetworkConfig(k=4, n=2, seed=3),
             warmup=50,
             measure=100,
             drain_limit=500,
-            check_invariants=False,
         )
         tracemalloc.start()
         try:
@@ -262,7 +268,7 @@ class TestZeroCostWhenDisabled:
             snap = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
-        for mod in (resilience_mod, fault_mod):
+        for mod in (resilience_mod, faults_mod, fault_mod):
             allocs = snap.filter_traces(
                 [tracemalloc.Filter(True, mod.__file__)]
             ).statistics("filename")
@@ -281,13 +287,13 @@ DEADLOCK_CFG = NetworkConfig(
 class TestWatchdog:
     def test_healthy_run_never_trips(self):
         cfg = NetworkConfig(k=4, n=2, seed=3)
-        res = _run(cfg, watchdog=Watchdog(window=100))
+        res = _run(cfg, 0.1, Watchdog(window=100))
         assert res.num_measured > 0
 
     def test_deadlock_detected_with_diagnosis(self):
         """Acceptance: deadlock-prone config terminates via SimulationStalled."""
         with pytest.raises(SimulationStalled) as exc:
-            _run(DEADLOCK_CFG, rate=0.35, watchdog=Watchdog(window=500))
+            _run(DEADLOCK_CFG, 0.35, Watchdog(window=500))
         diag = exc.value.diagnosis
         assert diag.in_flight > 0
         assert diag.blocked, "diagnosis must name at least one blocked VC"
@@ -300,7 +306,7 @@ class TestWatchdog:
 
     def test_deadlock_diagnosis_finds_wait_cycle(self):
         with pytest.raises(SimulationStalled) as exc:
-            _run(DEADLOCK_CFG, rate=0.35, watchdog=Watchdog(window=500))
+            _run(DEADLOCK_CFG, 0.35, Watchdog(window=500))
         cycle = exc.value.diagnosis.suspected_cycle
         assert len(cycle) >= 2
         keys = {(b.node, b.in_port, b.vc) for b in exc.value.diagnosis.blocked}
@@ -309,8 +315,8 @@ class TestWatchdog:
     def test_watchdog_reusable_across_runs(self):
         dog = Watchdog(window=100)
         cfg = NetworkConfig(k=4, n=2, seed=3)
-        assert _run(cfg, watchdog=dog).num_measured > 0
-        assert _run(cfg, watchdog=dog).num_measured > 0
+        assert _run(cfg, 0.1, dog).num_measured > 0
+        assert _run(cfg, 0.1, dog).num_measured > 0
 
     def test_window_validated(self):
         with pytest.raises(ValueError):
@@ -358,14 +364,28 @@ class TestInvariantChecker:
             InvariantChecker(interval=0)
 
     def test_env_var_enables_by_default(self, monkeypatch):
-        from repro.core.engine import _invariants_default
+        from repro.core.engine import DrainSink, SimulationEngine
+
+        class Idle:
+            def inject(self, engine):
+                pass
+
+            def done(self, engine):
+                return True
+
+        def checkers(*given):
+            net = Network(NetworkConfig(k=4, n=2))
+            engine = SimulationEngine(net, Idle(), DrainSink(), max_cycles=0, observers=given)
+            return [obs for obs in engine.observers if isinstance(obs, InvariantChecker)]
 
         monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
-        assert _invariants_default() is False
+        assert checkers() == []
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        assert _invariants_default() is True
+        assert len(checkers()) == 1
+        mine = InvariantChecker(interval=8)
+        assert checkers(Watchdog(window=10), mine) == [mine]
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "0")
-        assert _invariants_default() is False
+        assert checkers() == []
 
 
 # ---------------------------------------------------------------------------

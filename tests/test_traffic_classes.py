@@ -215,7 +215,7 @@ class TestClassLatencyProbe:
             k=4, n=2, seed=5, classes="user+os:priority=1"
         )
         res = OpenLoopSimulator(
-            cfg, warmup=100, measure=200, drain_limit=2000, probes=probes
+            cfg, warmup=100, measure=200, drain_limit=2000, observers=(probes,)
         ).run(0.15)
         records = read_jsonl(out)
         assert records == res.probe_records
@@ -234,7 +234,7 @@ class TestClassLatencyProbe:
             warmup=50,
             measure=100,
             drain_limit=1000,
-            probes=ProbeSet([probe], interval=50),
+            observers=(ProbeSet([probe], interval=50),),
         ).run(0.1)
         assert all(len(r["class_packets"]) == 1 for r in res.probe_records)
 
