@@ -63,15 +63,6 @@ def pytest_collection_modifyitems(items):
         item.add_marker(pytest.mark.slow)
 
 
-def once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark timing.
-
-    These harnesses regenerate figures; statistical re-timing of a
-    multi-second simulation adds nothing, so rounds=iterations=1.
-    """
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-
 def cmp_config(tr: int) -> CmpConfig:
     """Table II CMP configuration at router delay ``tr``."""
     return CmpConfig(

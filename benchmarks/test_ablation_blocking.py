@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from conftest import cmp_config, emit, once
+from conftest import cmp_config, emit
 
 from repro.analysis import format_table
 from repro.execdriven import CmpSystem, canneal
@@ -22,7 +22,7 @@ TRS = (1, 8)
 INSTR = 5000
 
 
-def test_ablation_blocking(benchmark):
+def test_ablation_blocking():
     def run():
         out = {}
         for frac in FRACTIONS:
@@ -32,7 +32,7 @@ def test_ablation_blocking(benchmark):
                 out[frac, tr] = res.cycles
         return out
 
-    out = once(benchmark, run)
+    out = run()
     rows = [
         [frac, out[frac, 1], out[frac, 8], out[frac, 8] / out[frac, 1]]
         for frac in FRACTIONS

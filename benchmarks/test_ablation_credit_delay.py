@@ -9,7 +9,7 @@ buffers, reproducing the paper's qualitative q sensitivity at q=4.
 
 from __future__ import annotations
 
-from conftest import emit, once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.config import NetworkConfig
@@ -20,7 +20,7 @@ CREDIT_DELAYS = (1, 4)
 OL = dict(warmup=250, measure=500, drain_limit=2500)
 
 
-def test_ablation_credit_delay(benchmark):
+def test_ablation_credit_delay():
     def run():
         out = {}
         for cd in CREDIT_DELAYS:
@@ -30,7 +30,7 @@ def test_ablation_credit_delay(benchmark):
                 out[cd, q] = sim.saturation_throughput(tolerance=0.02)
         return out
 
-    out = once(benchmark, run)
+    out = run()
     rows = [[f"cd={cd}"] + [out[cd, q] for q in QS] for cd in CREDIT_DELAYS]
     # knee = smallest q within 5% of the deep-buffer saturation
     knees = {}

@@ -10,14 +10,14 @@ roughly cancel — demonstrating the choice is topology-dependent, not free.
 
 from __future__ import annotations
 
-from conftest import OPENLOOP, emit, once
+from conftest import OPENLOOP, emit
 
 from repro.analysis import format_table
 from repro.config import NetworkConfig
 from repro.core.openloop import OpenLoopSimulator
 
 
-def test_ablation_dateline(benchmark):
+def test_ablation_dateline():
     def run():
         out = {}
         for topo in ("torus", "ring"):
@@ -30,7 +30,7 @@ def test_ablation_dateline(benchmark):
                 )
         return out
 
-    out = once(benchmark, run)
+    out = run()
     rows = [
         [topo, mode, zl, sat]
         for (topo, mode), (zl, sat) in out.items()

@@ -11,7 +11,7 @@ it just cannot see the system-level slowdown.
 
 from __future__ import annotations
 
-from conftest import emit, once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.config import NetworkConfig
@@ -22,7 +22,7 @@ TRS = (1, 2, 4, 8)
 B = 60
 
 
-def test_ablation_tracedriven(benchmark):
+def test_ablation_tracedriven():
     base = NetworkConfig()
 
     def run():
@@ -35,7 +35,7 @@ def test_ablation_tracedriven(benchmark):
             rows[tr] = (replay.runtime, replay.avg_latency, closed.runtime)
         return rows
 
-    rows = once(benchmark, run)
+    rows = run()
     base_rt, base_lat, base_closed = rows[1]
     table = format_table(
         ["tr", "replay_runtime", "replay_latency", "closedloop_runtime"],
@@ -58,5 +58,3 @@ def test_ablation_tracedriven(benchmark):
     assert replay_ratio < 1.3
     assert closed_ratio > 3.0
     assert latency_ratio > 2.0
-    benchmark.extra_info["replay_tr8_ratio"] = replay_ratio
-    benchmark.extra_info["closedloop_tr8_ratio"] = closed_ratio

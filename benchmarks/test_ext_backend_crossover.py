@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import time
 
-from conftest import emit, once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.config import NetworkConfig
@@ -40,11 +40,8 @@ def _leg(backend, shape):
     return wall, nets[-1].now, hashlib.sha256(res.latencies.tobytes()).hexdigest()
 
 
-def test_ext_backend_crossover(benchmark):
-    out = once(
-        benchmark,
-        lambda: {m: [_leg(b, s) for b in ("object", "vectorized")] for m, s in MESHES.items()},
-    )
+def test_ext_backend_crossover():
+    out = {m: [_leg(b, s) for b in ("object", "vectorized")] for m, s in MESHES.items()}
     rows = []
     for mesh, ((obj_s, *obj_record), (vec_s, *vec_record)) in out.items():
         assert obj_record == vec_record, f"{mesh}: backends diverged"

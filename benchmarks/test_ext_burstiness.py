@@ -10,7 +10,7 @@ conventional Bernoulli open-loop curve is a best case.
 
 from __future__ import annotations
 
-from conftest import OPENLOOP, emit, once
+from conftest import OPENLOOP, emit
 
 from repro.analysis import format_table
 from repro.config import NetworkConfig
@@ -33,7 +33,7 @@ def _sim(burst_length):
     )
 
 
-def test_ext_burstiness(benchmark):
+def test_ext_burstiness():
     def run():
         out = {}
         for burst in BURSTS:
@@ -43,7 +43,7 @@ def test_ext_burstiness(benchmark):
             out[burst] = (res.avg_latency, res.p99_latency, res.throughput, sat)
         return out
 
-    out = once(benchmark, run)
+    out = run()
     rows = [
         [b, lat, p99, thr, sat] for b, (lat, p99, thr, sat) in out.items()
     ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import emit, once
+from conftest import emit
 
 from repro import rng as rng_mod
 from repro.analysis import format_table
@@ -26,7 +26,7 @@ from repro.traffic import UniformRandom
 OL_SMALL = dict(warmup=200, measure=400, drain_limit=2000)
 
 
-def test_ext_256_nodes_similar_trend(benchmark):
+def test_ext_256_nodes_similar_trend():
     def run():
         out = {}
         for tr in (1, 2):
@@ -38,7 +38,7 @@ def test_ext_256_nodes_similar_trend(benchmark):
             )
         return out
 
-    out = once(benchmark, run)
+    out = run()
     ratio = out[2][0] / out[1][0]
     text = format_table(
         ["tr", "zero_load", "saturation"],
@@ -53,7 +53,7 @@ def test_ext_256_nodes_similar_trend(benchmark):
     assert abs(out[2][1] - out[1][1]) < 0.05
 
 
-def test_ext_vc_count(benchmark):
+def test_ext_vc_count():
     def run():
         out = {}
         for vcs in (2, 4):
@@ -65,7 +65,7 @@ def test_ext_vc_count(benchmark):
             )
         return out
 
-    out = once(benchmark, run)
+    out = run()
     text = format_table(
         ["VCs", "zero_load", "saturation"],
         [[v, zl, sat] for v, (zl, sat) in out.items()],
@@ -76,7 +76,7 @@ def test_ext_vc_count(benchmark):
     assert out[4][1] > out[2][1]
 
 
-def test_ext_arbitration_tail_latency(benchmark):
+def test_ext_arbitration_tail_latency():
     def run():
         tails = {}
         for arb in ("round_robin", "age"):
@@ -95,7 +95,7 @@ def test_ext_arbitration_tail_latency(benchmark):
             tails[arb] = (float(lat.mean()), float(np.percentile(lat, 99)))
         return tails
 
-    tails = once(benchmark, run)
+    tails = run()
     text = format_table(
         ["arbitration", "mean_latency", "p99_latency"],
         [[a, m, p] for a, (m, p) in tails.items()],

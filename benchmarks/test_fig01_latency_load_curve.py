@@ -7,7 +7,7 @@ zero-load latency T0 and saturation throughput θ it sketches.
 
 from __future__ import annotations
 
-from conftest import OPENLOOP, emit, once
+from conftest import OPENLOOP, emit
 
 from repro.analysis import ascii_plot, format_table
 from repro.config import NetworkConfig
@@ -16,7 +16,7 @@ from repro.core.openloop import OpenLoopSimulator
 LOADS = (0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.38, 0.41, 0.43)
 
 
-def test_fig01_latency_load_curve(benchmark):
+def test_fig01_latency_load_curve():
     sim = OpenLoopSimulator(NetworkConfig(), **OPENLOOP)
 
     def run():
@@ -24,7 +24,7 @@ def test_fig01_latency_load_curve(benchmark):
         sat = sim.saturation_throughput(tolerance=0.02)
         return results, sat
 
-    results, sat = once(benchmark, run)
+    results, sat = run()
     zero_load = results[0].avg_latency
     rows = [
         [r.injection_rate, r.avg_latency, r.throughput, r.saturated] for r in results
@@ -47,7 +47,5 @@ def test_fig01_latency_load_curve(benchmark):
         f"(paper SIII-B: ~0.43)"
     )
     emit("fig01_latency_load_curve", text)
-    benchmark.extra_info["zero_load_latency"] = zero_load
-    benchmark.extra_info["saturation_throughput"] = sat
     assert 0.38 < sat < 0.48
     assert zero_load < 20

@@ -8,7 +8,7 @@ asymptote is already flat well before that).
 
 from __future__ import annotations
 
-from conftest import emit, once
+from conftest import emit
 
 from repro.analysis import ascii_plot, format_table
 from repro.config import NetworkConfig
@@ -18,7 +18,7 @@ B_VALUES = (10, 30, 100, 300, 1000)
 M_VALUES = (1, 4, 16)
 
 
-def test_fig02_batch_size(benchmark):
+def test_fig02_batch_size():
     cfg = NetworkConfig()
 
     def run():
@@ -29,7 +29,7 @@ def test_fig02_batch_size(benchmark):
                 out[m, b] = res.normalized_runtime
         return out
 
-    norm = once(benchmark, run)
+    norm = run()
     rows = [[b] + [norm[m, b] for m in M_VALUES] for b in B_VALUES]
     table = format_table(
         ["b"] + [f"m={m}" for m in M_VALUES],
@@ -54,4 +54,3 @@ def test_fig02_batch_size(benchmark):
         series = [norm[m, b] for b in B_VALUES]
         assert series[0] >= series[-1] * 0.95, "normalized runtime must fall with b"
     assert norm[1, 1000] > norm[4, 1000] > norm[16, 1000]
-    benchmark.extra_info["max_throughput_estimate"] = 2 / asymptote

@@ -8,7 +8,7 @@ is q=2 where the paper's was q=4 (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from conftest import OPENLOOP, emit, once
+from conftest import OPENLOOP, emit
 
 from repro.analysis import ascii_plot, format_table
 from repro.config import NetworkConfig
@@ -31,12 +31,9 @@ def _curves(configs):
     return out
 
 
-def test_fig03a_router_delay(benchmark):
+def test_fig03a_router_delay():
     base = NetworkConfig()
-    res = once(
-        benchmark,
-        lambda: _curves([(f"tr={tr}", base.with_(router_delay=tr)) for tr in TRS]),
-    )
+    res = _curves([(f"tr={tr}", base.with_(router_delay=tr)) for tr in TRS])
     rows = [[label, zl, sat] for label, (_, zl, sat) in res.items()]
     table = format_table(
         ["config", "zero_load", "saturation"],
@@ -66,12 +63,9 @@ def test_fig03a_router_delay(benchmark):
     assert max(sat.values()) - min(sat.values()) < 0.05
 
 
-def test_fig03b_buffer_size(benchmark):
+def test_fig03b_buffer_size():
     base = NetworkConfig()
-    res = once(
-        benchmark,
-        lambda: _curves([(f"q={q}", base.with_(vc_buffer_size=q)) for q in QS]),
-    )
+    res = _curves([(f"q={q}", base.with_(vc_buffer_size=q)) for q in QS])
     rows = [[label, zl, sat] for label, (_, zl, sat) in res.items()]
     table = format_table(
         ["config", "zero_load", "saturation"],

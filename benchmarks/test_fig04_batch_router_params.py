@@ -9,7 +9,7 @@ a completely different metric.
 from __future__ import annotations
 
 import pytest
-from conftest import BATCH_SIZE, M_VALUES, emit, once
+from conftest import BATCH_SIZE, M_VALUES, emit
 
 from repro.analysis import format_table
 from repro.config import NetworkConfig
@@ -46,13 +46,10 @@ def _render(title, labels, out, baseline_label):
     )
 
 
-def test_fig04a_router_delay(benchmark):
+def test_fig04a_router_delay():
     base = NetworkConfig()
     labels = [f"tr={tr}" for tr in TRS]
-    out = once(
-        benchmark,
-        lambda: _batch_sweep([(f"tr={tr}", base.with_(router_delay=tr)) for tr in TRS]),
-    )
+    out = _batch_sweep([(f"tr={tr}", base.with_(router_delay=tr)) for tr in TRS])
     table = _render(
         "Figure 4(a) - batch model, router delay (T normalized to tr=1, m=1)",
         labels,
@@ -71,13 +68,10 @@ def test_fig04a_router_delay(benchmark):
     assert r_m32 < 1.4
 
 
-def test_fig04b_buffer_size(benchmark):
+def test_fig04b_buffer_size():
     base = NetworkConfig()
     labels = [f"q={q}" for q in QS]
-    out = once(
-        benchmark,
-        lambda: _batch_sweep([(f"q={q}", base.with_(vc_buffer_size=q)) for q in QS]),
-    )
+    out = _batch_sweep([(f"q={q}", base.with_(vc_buffer_size=q)) for q in QS])
     table = _render(
         "Figure 4(b) - batch model, buffer size (T normalized to q=2, m=1)",
         labels,

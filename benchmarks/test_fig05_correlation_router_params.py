@@ -9,7 +9,7 @@ the paper reports r = 0.9953 for tr and 0.9935 for q.
 
 from __future__ import annotations
 
-from conftest import BATCH_SIZE, OPENLOOP, emit, once
+from conftest import BATCH_SIZE, OPENLOOP, emit
 
 from repro.analysis import ascii_scatter, format_table
 from repro.config import NetworkConfig
@@ -18,7 +18,7 @@ from repro.core.correlation import batch_vs_openloop
 M_ALL = (1, 2, 4, 8, 16, 32)
 
 
-def _study(configs, benchmark):
+def _study(configs):
     def run():
         return batch_vs_openloop(
             configs,
@@ -27,7 +27,7 @@ def _study(configs, benchmark):
             openloop_kwargs=OPENLOOP,
         )
 
-    return once(benchmark, run)
+    return run()
 
 
 def _report(name, title, res, paper_r):
@@ -52,21 +52,20 @@ def _report(name, title, res, paper_r):
     return filtered
 
 
-def test_fig05a_router_delay_correlation(benchmark):
+def test_fig05a_router_delay_correlation():
     base = NetworkConfig()
     configs = [(f"tr={tr}", base.with_(router_delay=tr)) for tr in (1, 2, 4)]
-    res = _study(configs, benchmark)
+    res = _study(configs)
     filtered = _report(
         "fig05a_correlation_router_delay",
         "Figure 5(a) - batch vs open-loop, router delay",
         res,
         "0.9953",
     )
-    benchmark.extra_info["r"] = filtered.r
     assert filtered.r > 0.95
 
 
-def test_fig05b_buffer_correlation(benchmark):
+def test_fig05b_buffer_correlation():
     """Deviation note: in our router, buffer starvation is a throughput
     cliff with no latency precursor (3-cycle credit loop), so the paper's
     latency-at-matched-load pairing carries no q signal once the
@@ -99,7 +98,7 @@ def test_fig05b_buffer_correlation(benchmark):
             )
         return sat, theta
 
-    sat, theta = once(benchmark, run)
+    sat, theta = run()
     r = pearson(sat, theta)
     rows = [[f"q={q}", s, t] for q, s, t in zip(qs, sat, theta)]
     table = format_table(
@@ -114,5 +113,4 @@ def test_fig05b_buffer_correlation(benchmark):
         f"note in the docstring / EXPERIMENTS.md)"
     )
     emit("fig05b_correlation_buffer", text)
-    benchmark.extra_info["r"] = r
     assert r > 0.9

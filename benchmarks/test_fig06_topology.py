@@ -14,7 +14,7 @@ in EXPERIMENTS.md).
 from __future__ import annotations
 
 import pytest
-from conftest import BATCH_SIZE, OPENLOOP, emit, once
+from conftest import BATCH_SIZE, OPENLOOP, emit
 
 from repro.analysis import format_table
 from repro.config import NetworkConfig
@@ -25,7 +25,7 @@ TOPOLOGIES = ("mesh", "torus", "ring")
 M_VALUES = (1, 4, 16, 32)
 
 
-def test_fig06a_openloop(benchmark):
+def test_fig06a_openloop():
     def run():
         out = {}
         for topo in TOPOLOGIES:
@@ -36,7 +36,7 @@ def test_fig06a_openloop(benchmark):
             )
         return out
 
-    out = once(benchmark, run)
+    out = run()
     rows = [[t, out[t][0], out[t][1]] for t in TOPOLOGIES]
     text = format_table(
         ["topology", "zero_load_latency", "saturation_throughput"],
@@ -53,7 +53,7 @@ def test_fig06a_openloop(benchmark):
     assert sat["ring"] < sat["mesh"] < sat["torus"]
 
 
-def test_fig06b_batch(benchmark):
+def test_fig06b_batch():
     def run():
         out = {}
         for topo in TOPOLOGIES:
@@ -63,7 +63,7 @@ def test_fig06b_batch(benchmark):
                 out[topo, m] = (res.runtime, res.throughput)
         return out
 
-    out = once(benchmark, run)
+    out = run()
     base = out["mesh", 1][0]
     rows = [
         [m] + [out[t, m][0] / base for t in TOPOLOGIES] + [out[t, m][1] for t in TOPOLOGIES]

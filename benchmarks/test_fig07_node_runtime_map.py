@@ -8,7 +8,7 @@ worst-case (runtime) terms even with lower average latency.
 
 from __future__ import annotations
 
-from conftest import BATCH_SIZE, emit, once
+from conftest import BATCH_SIZE, emit
 
 from repro.analysis import format_matrix
 from repro.config import NetworkConfig
@@ -16,7 +16,7 @@ from repro.core.closedloop import BatchSimulator
 from repro.core.metrics import runtime_map
 
 
-def test_fig07_node_runtime_map(benchmark):
+def test_fig07_node_runtime_map():
     def run():
         maps = {}
         for topo in ("mesh", "torus"):
@@ -25,7 +25,7 @@ def test_fig07_node_runtime_map(benchmark):
             maps[topo] = runtime_map(res.node_finish, 8)
         return maps
 
-    maps = once(benchmark, run)
+    maps = run()
     mesh, torus = maps["mesh"], maps["torus"]
     text = (
         format_matrix(mesh, title="Figure 7(a) - mesh normalized runtime (dark = slow)")
@@ -42,5 +42,3 @@ def test_fig07_node_runtime_map(benchmark):
     corners = (mesh[0, 0] + mesh[0, 7] + mesh[7, 0] + mesh[7, 7]) / 4
     assert center < corners
     assert (torus.max() - torus.min()) < (mesh.max() - mesh.min())
-    benchmark.extra_info["mesh_spread"] = float(mesh.max() - mesh.min())
-    benchmark.extra_info["torus_spread"] = float(torus.max() - torus.min())

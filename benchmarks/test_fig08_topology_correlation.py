@@ -8,14 +8,14 @@ worst-case metric (decided by the slowest node).
 
 from __future__ import annotations
 
-from conftest import BATCH_SIZE, OPENLOOP, emit, once
+from conftest import BATCH_SIZE, OPENLOOP, emit
 
 from repro.analysis import ascii_scatter, format_table
 from repro.config import NetworkConfig
 from repro.core.correlation import batch_vs_openloop
 
 
-def test_fig08_topology_correlation(benchmark):
+def test_fig08_topology_correlation():
     configs = [
         (topo, NetworkConfig(topology=topo, num_vcs=4))
         for topo in ("mesh", "torus", "ring")
@@ -40,7 +40,7 @@ def test_fig08_topology_correlation(benchmark):
         )
         return worst, avg
 
-    worst, avg = once(benchmark, run)
+    worst, avg = run()
     rows = [[p.key[0], p.key[1], p.x, p.y] for p in worst.pairs]
     table = format_table(
         ["topology", "m", "worstcase_norm_latency", "batch_norm_runtime"],
@@ -59,7 +59,5 @@ def test_fig08_topology_correlation(benchmark):
         f"latency misses the mesh's slow corner nodes)"
     )
     emit("fig08_topology_correlation", text)
-    benchmark.extra_info["r_worst"] = worst.r
-    benchmark.extra_info["r_avg"] = avg.r
     assert worst.r > 0.9
     assert worst.r >= avg.r - 0.02

@@ -8,7 +8,7 @@ routes sit between.
 
 from __future__ import annotations
 
-from conftest import OPENLOOP, emit, once
+from conftest import OPENLOOP, emit
 
 from repro.analysis import format_table
 from repro.config import NetworkConfig
@@ -29,8 +29,8 @@ def _study(traffic):
     return out
 
 
-def test_fig09a_uniform_random(benchmark):
-    out = once(benchmark, lambda: _study("uniform_random"))
+def test_fig09a_uniform_random():
+    out = _study("uniform_random")
     rows = [[a, out[a][0], out[a][1]] for a in ALGS]
     text = format_table(
         ["routing", "zero_load", "saturation"],
@@ -48,8 +48,8 @@ def test_fig09a_uniform_random(benchmark):
     assert out["val"][1] < out["dor"][1]  # VAL halves UR throughput
 
 
-def test_fig09b_transpose(benchmark):
-    out = once(benchmark, lambda: _study("transpose"))
+def test_fig09b_transpose():
+    out = _study("transpose")
     rows = [[a, out[a][0], out[a][1]] for a in ALGS]
     text = format_table(
         ["routing", "zero_load", "saturation"],

@@ -9,7 +9,7 @@ transpose pairs route minimally under VAL too (Fig. 12).
 
 from __future__ import annotations
 
-from conftest import BATCH_SIZE, emit, once
+from conftest import BATCH_SIZE, emit
 
 from repro.analysis import format_table
 from repro.config import NetworkConfig
@@ -29,8 +29,8 @@ def _sweep(traffic):
     return out
 
 
-def test_fig10a_uniform_random(benchmark):
-    out = once(benchmark, lambda: _sweep("uniform_random"))
+def test_fig10a_uniform_random():
+    out = _sweep("uniform_random")
     base = out["dor", 1].runtime
     rows = [
         [m] + [out[a, m].runtime / base for a in ALGS] + [out[a, m].throughput for a in ALGS]
@@ -47,8 +47,8 @@ def test_fig10a_uniform_random(benchmark):
     assert out["val", 16].throughput < out["dor", 16].throughput
 
 
-def test_fig10b_transpose(benchmark):
-    out = once(benchmark, lambda: _sweep("transpose"))
+def test_fig10b_transpose():
+    out = _sweep("transpose")
     base = out["dor", 1].runtime
     rows = [
         [m] + [out[a, m].runtime / base for a in ALGS] + [out[a, m].throughput for a in ALGS]

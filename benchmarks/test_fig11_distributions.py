@@ -9,7 +9,7 @@ identical — the corner nodes dominate both.
 from __future__ import annotations
 
 import numpy as np
-from conftest import BATCH_SIZE, OPENLOOP, emit, once
+from conftest import BATCH_SIZE, OPENLOOP, emit
 
 from repro.analysis import format_table
 from repro.config import NetworkConfig
@@ -18,7 +18,7 @@ from repro.core.metrics import node_distribution
 from repro.core.openloop import OpenLoopSimulator
 
 
-def test_fig11_distributions(benchmark):
+def test_fig11_distributions():
     def run():
         out = {}
         for alg in ("dor", "val"):
@@ -28,7 +28,7 @@ def test_fig11_distributions(benchmark):
             out[alg] = (ol.per_node_latency, ba.node_finish)
         return out
 
-    out = once(benchmark, run)
+    out = run()
     sections = []
     for alg in ("dor", "val"):
         lat, finish = out[alg]

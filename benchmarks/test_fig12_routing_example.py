@@ -8,7 +8,7 @@ latency of DOR and VAL is identical, explaining Fig. 10(b)/11.
 
 from __future__ import annotations
 
-from conftest import emit, once
+from conftest import emit
 
 from repro.config import NetworkConfig
 from repro.network.packet import Packet
@@ -27,7 +27,7 @@ def _walk(routing, topo, pkt):
     raise AssertionError("route did not terminate")
 
 
-def test_fig12_routing_example(benchmark):
+def test_fig12_routing_example():
     topo = Mesh(8, 2)
     src, dst = 7, 56  # (7,0) -> (0,7): the transpose corner pair
 
@@ -42,7 +42,7 @@ def test_fig12_routing_example(benchmark):
             val_paths.append((pkt.intermediate, _walk(val, topo, pkt)))
         return dor_path, val_paths
 
-    dor_path, val_paths = once(benchmark, run)
+    dor_path, val_paths = run()
     min_hops = topo.min_hops(src, dst)
     val_hops = [len(p) - 1 for _, p in val_paths]
     coords = lambda path: " -> ".join(str(topo.coords(n)) for n in path)  # noqa: E731

@@ -10,7 +10,7 @@ comparison.
 from __future__ import annotations
 
 import numpy as np
-from conftest import EXEC_INSTRUCTIONS, cmp_config, emit, once
+from conftest import EXEC_INSTRUCTIONS, cmp_config, emit
 
 from repro.analysis import format_matrix
 from repro.execdriven import CmpSystem, lu
@@ -25,12 +25,12 @@ def _normalized_row_cv(matrix: np.ndarray) -> float:
     return float(norm.std() / max(norm.mean(), 1e-12))
 
 
-def test_fig13_traffic_matrix(benchmark):
+def test_fig13_traffic_matrix():
     def run():
         system = CmpSystem(lu(EXEC_INSTRUCTIONS), cmp_config(1), seed=2)
         return system.run()
 
-    res = once(benchmark, run)
+    res = run()
     logical_cv = _normalized_row_cv(res.logical_matrix)
     actual_cv = _normalized_row_cv(res.traffic_matrix)
     text = (
@@ -50,6 +50,4 @@ def test_fig13_traffic_matrix(benchmark):
         "right synthetic stand-in"
     )
     emit("fig13_traffic_matrix", text)
-    benchmark.extra_info["logical_cv"] = logical_cv
-    benchmark.extra_info["actual_cv"] = actual_cv
     assert actual_cv < 0.6 * logical_cv

@@ -8,7 +8,7 @@ the impact for every real workload.
 
 from __future__ import annotations
 
-from conftest import BATCH_SIZE, TR_VALUES, emit, once
+from conftest import BATCH_SIZE, TR_VALUES, emit
 
 from repro.analysis import format_table
 from repro.config import NetworkConfig
@@ -16,7 +16,7 @@ from repro.core.closedloop import BatchSimulator
 from repro.execdriven import BENCHMARKS
 
 
-def test_fig14_execdriven_router_delay(benchmark, exec_results_3ghz):
+def test_fig14_execdriven_router_delay(exec_results_3ghz):
     def run_ba():
         out = {}
         for tr in TR_VALUES:
@@ -26,7 +26,7 @@ def test_fig14_execdriven_router_delay(benchmark, exec_results_3ghz):
             ).run().runtime
         return out
 
-    ba = once(benchmark, run_ba)
+    ba = run_ba()
     names = list(BENCHMARKS) + ["BA"]
     rows = []
     ratios = {}
@@ -56,4 +56,3 @@ def test_fig14_execdriven_router_delay(benchmark, exec_results_3ghz):
     spread = [ratios[name][3] for name in BENCHMARKS]
     assert max(spread) - min(spread) > 0.15
     assert ratios["fft"][3] == min(spread)
-    benchmark.extra_info["ba_tr8_ratio"] = ratios["BA"][3]

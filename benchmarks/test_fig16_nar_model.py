@@ -9,7 +9,7 @@ impact even though it raises packet latency.
 from __future__ import annotations
 
 import pytest
-from conftest import emit, once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.config import NetworkConfig
@@ -21,7 +21,7 @@ MS = (1, 4, 16)
 B = 100
 
 
-def test_fig16_nar_model(benchmark):
+def test_fig16_nar_model():
     def run():
         out = {}
         for m in MS:
@@ -34,7 +34,7 @@ def test_fig16_nar_model(benchmark):
                     out[m, nar, tr] = (res.runtime, res.throughput)
         return out
 
-    out = once(benchmark, run)
+    out = run()
     sections = []
     for m in MS:
         rows = []

@@ -9,7 +9,7 @@ tail lowers the injection rate further and mutes tr even more.
 
 from __future__ import annotations
 
-from conftest import emit, once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.config import NetworkConfig
@@ -26,7 +26,7 @@ MODELS = (
 )
 
 
-def test_fig17_reply_model(benchmark):
+def test_fig17_reply_model():
     def run():
         out = {}
         for label, model in MODELS:
@@ -39,7 +39,7 @@ def test_fig17_reply_model(benchmark):
                     out[label, m, tr] = (res.runtime, res.throughput)
         return out
 
-    out = once(benchmark, run)
+    out = run()
     sections = []
     for label, _ in MODELS:
         rows = []

@@ -9,7 +9,7 @@ with each model's parameters derived from the benchmark's characterization
 
 from __future__ import annotations
 
-from conftest import BATCH_SIZE, TR_VALUES, cmp_config, emit, once
+from conftest import BATCH_SIZE, TR_VALUES, cmp_config, emit
 
 from repro.analysis import format_table
 from repro.core.closedloop import BatchSimulator
@@ -47,8 +47,8 @@ def run_batch_models(characterizations, tr_values=TR_VALUES, batch_size=BATCH_SI
     return out
 
 
-def test_fig18_enhanced_models(benchmark, exec_results_3ghz, characterizations):
-    batches = once(benchmark, lambda: run_batch_models(characterizations))
+def test_fig18_enhanced_models(exec_results_3ghz, characterizations):
+    batches = run_batch_models(characterizations)
     sections = []
     ok_closer = 0
     total = 0

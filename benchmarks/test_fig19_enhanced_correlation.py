@@ -10,7 +10,7 @@ sensitivity match; the baseline's slope is far above 1).
 from __future__ import annotations
 
 import numpy as np
-from conftest import TR_VALUES, emit, once
+from conftest import TR_VALUES, emit
 
 from repro.analysis import format_table
 from repro.core.correlation import pearson
@@ -31,8 +31,8 @@ def pairs_for(label, batches, exec_results):
     return np.array(xs), np.array(ys)
 
 
-def test_fig19_enhanced_correlation(benchmark, exec_results_3ghz, characterizations):
-    batches = once(benchmark, lambda: run_batch_models(characterizations))
+def test_fig19_enhanced_correlation(exec_results_3ghz, characterizations):
+    batches = run_batch_models(characterizations)
     rows = []
     stats = {}
     for label in LABELS:
@@ -53,9 +53,6 @@ def test_fig19_enhanced_correlation(benchmark, exec_results_3ghz, characterizati
         "strongly each model over-predicts tr sensitivity."
     )
     emit("fig19_enhanced_correlation", text)
-    for label, (r, slope, rmse) in stats.items():
-        benchmark.extra_info[f"{label}_r"] = r
-        benchmark.extra_info[f"{label}_slope"] = slope
     # every enhanced model is closer to the diagonal than the baseline
     for label in ("BA_inj", "BA_re", "BA_inj+re"):
         assert stats[label][2] < stats["BA"][2]

@@ -14,7 +14,7 @@ from repro.analysis import format_table
 from repro.execdriven import BENCHMARKS
 
 
-def test_fig20_kernel_traffic(benchmark, exec_results_3ghz, exec_results_75mhz):
+def test_fig20_kernel_traffic(exec_results_3ghz, exec_results_75mhz):
     def collect():
         rows = []
         shares = {}
@@ -28,7 +28,7 @@ def test_fig20_kernel_traffic(benchmark, exec_results_3ghz, exec_results_75mhz):
                 shares[clock, name] = results[name, 1].kernel_fraction
         return rows, shares
 
-    rows, shares = benchmark.pedantic(collect, rounds=1, iterations=1)
+    rows, shares = collect()
     text = format_table(
         ["clock", "benchmark", "tr", "inj_rate", "kernel_share", "interrupts"],
         rows,

@@ -22,11 +22,11 @@ def _series(res):
     return t, user, kern, scale
 
 
-def test_fig21_injection_timeline(benchmark, exec_results_3ghz, exec_results_75mhz):
+def test_fig21_injection_timeline(exec_results_3ghz, exec_results_75mhz):
     def collect():
         return exec_results_75mhz["blackscholes", 1], exec_results_3ghz["blackscholes", 1]
 
-    slow, fast = benchmark.pedantic(collect, rounds=1, iterations=1)
+    slow, fast = collect()
     parts = []
     for label, res in (("75 MHz", slow), ("3 GHz", fast)):
         t, user, kern, _ = _series(res)

@@ -9,7 +9,7 @@ had wrecked the enhanced batch model.
 from __future__ import annotations
 
 import numpy as np
-from conftest import BATCH_SIZE, TR_VALUES, cmp_config, emit, once
+from conftest import BATCH_SIZE, TR_VALUES, cmp_config, emit
 
 from repro.analysis import format_table
 from repro.core.closedloop import BatchSimulator
@@ -51,7 +51,7 @@ def _stats(exec_results, batches):
 
 
 def test_fig22_os_model_correlation(
-    benchmark, exec_results_3ghz, exec_results_75mhz, characterizations
+    exec_results_3ghz, exec_results_75mhz, characterizations
 ):
     def run():
         out = {}
@@ -83,7 +83,7 @@ def test_fig22_os_model_correlation(
                 out[clock, with_os] = _stats(exec_results, batches)
         return out
 
-    out = once(benchmark, run)
+    out = run()
     rows = [
         [clock, "with OS model" if with_os else "no OS model", r, rmse]
         for (clock, with_os), (r, rmse) in out.items()
@@ -97,8 +97,6 @@ def test_fig22_os_model_correlation(
         "matters most where timer traffic dominates)"
     )
     emit("fig22_os_model_correlation", text)
-    for (clock, with_os), (r, rmse) in out.items():
-        benchmark.extra_info[f"{clock}_{'os' if with_os else 'base'}_r"] = r
     # the OS model must not hurt, and must help at 75 MHz
     assert out["75MHz", True][1] <= out["75MHz", False][1] + 0.02
     assert out["3GHz", True][1] <= out["3GHz", False][1] + 0.05

@@ -6,14 +6,14 @@ sweep driver will accept any of them) and prints the table.
 
 from __future__ import annotations
 
-from conftest import emit, once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.config import TABLE_I_PARAMETER_SPACE, NetworkConfig
-from repro.core.sweep import product_configs
+from repro.core.parallel import enumerate_points
 
 
-def test_table1_parameters(benchmark):
+def test_table1_parameters():
     def build_space():
         axes = {
             "num_vcs": (2, 4),
@@ -23,13 +23,17 @@ def test_table1_parameters(benchmark):
             "packet_size": ("single", "bimodal"),
             "traffic": ("uniform_random", "bit_reversal", "bit_complement", "transpose"),
         }
-        configs = product_configs(NetworkConfig(), axes)
+        base = NetworkConfig()
+        configs = [
+            base.with_(**p.overrides)
+            for p in enumerate_points(base, axes, derive_seeds=False)
+        ]
         routed = [
             NetworkConfig(routing=alg) for alg in ("dor", "val", "ma", "romm")
         ]
         return configs, routed
 
-    configs, routed = once(benchmark, build_space)
+    configs, routed = build_space()
     rows = [[key, ", ".join(map(str, vals))] for key, vals in TABLE_I_PARAMETER_SPACE.items()]
     text = (
         format_table(["parameter", "values (bold=first)"], rows,

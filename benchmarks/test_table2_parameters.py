@@ -6,14 +6,14 @@ exactly these parameters.
 
 from __future__ import annotations
 
-from conftest import emit, once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.config import TABLE_II_PARAMETERS, CmpConfig
 
 
-def test_table2_parameters(benchmark):
-    cfg = once(benchmark, CmpConfig)
+def test_table2_parameters():
+    cfg = CmpConfig()
     rows = [[k, v] for k, v in TABLE_II_PARAMETERS.items()]
     text = format_table(
         ["component", "configuration"],

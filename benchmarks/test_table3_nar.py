@@ -8,7 +8,7 @@ prints measured-vs-paper.
 
 from __future__ import annotations
 
-from conftest import emit, once
+from conftest import emit
 
 from repro.analysis import format_table
 
@@ -22,8 +22,8 @@ PAPER = {
 }
 
 
-def test_table3_nar(benchmark, characterizations):
-    ch = once(benchmark, lambda: characterizations)
+def test_table3_nar(characterizations):
+    ch = characterizations
     rows = []
     for name, c in ch.items():
         p_nar, p_l2 = PAPER[name]

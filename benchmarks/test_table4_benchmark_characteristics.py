@@ -8,7 +8,7 @@ the 75 MHz timer active and prints measured-vs-paper.
 
 from __future__ import annotations
 
-from conftest import emit, once
+from conftest import emit
 
 from repro.analysis import format_table
 
@@ -23,9 +23,9 @@ PAPER = {
 
 
 def test_table4_benchmark_characteristics(
-    benchmark, characterizations, exec_results_75mhz
+    characterizations, exec_results_75mhz
 ):
-    ch = once(benchmark, lambda: characterizations)
+    ch = characterizations
     rows = []
     for name, c in ch.items():
         p = PAPER[name]

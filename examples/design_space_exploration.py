@@ -21,7 +21,7 @@ import tempfile
 
 from repro import BatchSimulator, NetworkConfig
 from repro.analysis import format_records, save_records
-from repro.core.sweep import sweep
+from repro.core.parallel import run_sweep
 
 BASE = NetworkConfig(num_vcs=4)  # 8x8, 64 nodes
 BATCH = 150
@@ -48,7 +48,7 @@ def main() -> None:
     # the file intact would resume instead of recomputing (resume=True).
     journal = pathlib.Path(tempfile.gettempdir()) / "noc_design_sweep.jsonl"
     # axis 1: topology (routing fixed to DOR, which all of them support)
-    topo_records = sweep(
+    topo_records = run_sweep(
         BASE,
         {"topology": ("mesh", "torus", "ring")},
         evaluate,
@@ -56,14 +56,14 @@ def main() -> None:
         journal=journal,
     )
     # axis 2: routing on the mesh, under the adversarial transpose pattern
-    routing_records = sweep(
+    routing_records = run_sweep(
         BASE.with_(traffic="transpose"),
         {"routing": ("dor", "ma", "romm", "val")},
         evaluate,
         n_workers=WORKERS,
     )
     # axis 3: how much router pipeline can we afford?
-    tr_records = sweep(BASE, {"router_delay": (1, 2, 4)}, evaluate, n_workers=WORKERS)
+    tr_records = run_sweep(BASE, {"router_delay": (1, 2, 4)}, evaluate, n_workers=WORKERS)
 
     print(format_records(topo_records, ["topology", "runtime", "theta", "spread", "wall_seconds"],
                          precision=2, title="topology (uniform random, m=4)"))

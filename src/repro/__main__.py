@@ -136,8 +136,7 @@ _FIELDS = {f.name: f for f in dataclasses.fields(NetworkConfig)}
 #: from the field and choices from FIELD_CHOICES; a field without a scalar
 #: default (classes, faults) is a spec string defaulting to None.
 _NETWORK_FLAGS: dict[str, dict[str, Any]] = {
-    # The ideal network is the NAR reference, run through `cmp --ideal`.
-    "topology": {"choices": ("mesh", "torus", "ring")},
+    "topology": {},
     "k": {},
     "n": {},
     "num_vcs": {},
@@ -274,13 +273,13 @@ _EXECUTOR_FLAGS: dict[str, dict[str, Any]] = {
         "router-delay=1,2,4; values are typed by the field",
     ),
     "--workers": dict(type=int, default=1, help="process-pool size (1 = serial)"),
-    "--journal": dict(help="JSON-lines checkpoint, one line per point (explore: genome)"),
+    "--journal": dict(help="JSON-lines checkpoint, one line per point"),
     "--resume": dict(
         action="store_true", help="skip what --journal holds instead of starting fresh"
     ),
     "--force-resume": dict(
         action="store_true", help="resume even when the journal's fingerprint "
-        "(config x axes or spec x code version) no longer matches",
+        "(config x axes x code version) no longer matches",
     ),
     "--remote": dict(
         metavar="HOST:PORT", help="run the points on the distributed service at "
@@ -454,17 +453,11 @@ def _write_explore_outputs(out_dir, result, spec) -> tuple[str, str]:
 def _cmd_explore(args) -> int:
     from .core.explore import explore
 
-    if args.resume and not args.journal:
-        print("--resume requires --journal", file=sys.stderr)
-        return 2
     try:
         cfg, spec = _explore_spec(args)
         result = explore(
             cfg,
             spec,
-            journal=args.journal,
-            resume=args.resume,
-            resume_force=args.force_resume,
             n_workers=args.workers,
             cache=_cache_dir(args),
             remote=args.remote,
@@ -790,8 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation rates: latency read at LO, throughput at HI",
     )
     _add_executor_args(
-        p, "--workers", "--journal", "--resume", "--force-resume", "--remote",
-        "--point-timeout", "--max-retries", "--cache",
+        p, "--workers", "--remote", "--point-timeout", "--max-retries", "--cache",
     )
     p.add_argument(
         "--out",

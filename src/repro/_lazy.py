@@ -31,10 +31,10 @@ class _LazyPackage(types.ModuleType):
     """A package whose exports outrank its same-named submodules.
 
     The import system binds a newly loaded submodule on its parent, so
-    loading ``repro.core.sweep`` would bind the module over the ``sweep``
-    function the package exports from it.  An eager ``__init__`` re-bound
-    the function right after; here the export is bound in the module's
-    place.
+    loading ``repro.core.explore`` would bind the module over the
+    ``explore`` function the package exports from it.  An eager
+    ``__init__`` re-bound the function right after; here the export is
+    bound in the module's place.
     """
 
     _exports: Mapping[str, str]

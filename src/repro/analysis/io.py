@@ -1,6 +1,6 @@
 """Sweep-record persistence (CSV, JSON, and JSON-lines journals).
 
-:func:`repro.core.sweep.sweep` returns flat dict records; these helpers
+:func:`repro.core.parallel.run_sweep` returns flat dict records; these helpers
 round-trip them to disk so long sweeps can be analysed offline or resumed.
 CSV is for spreadsheets (scalar fields only); JSON preserves types.  The
 JSON-lines helpers back the parallel executor's checkpoint journal

@@ -54,7 +54,7 @@ def format_records(
     precision: int = 4,
     title: str | None = None,
 ) -> str:
-    """Render a list of dict records (e.g. from :func:`repro.core.sweep`)."""
+    """Render a list of dict records (e.g. from :func:`repro.core.parallel.run_sweep`)."""
     if not records:
         return title or "(no records)"
     cols = list(columns) if columns is not None else list(records[0])

@@ -147,18 +147,6 @@ def _path_stats(topo, matrix: np.ndarray) -> tuple[np.ndarray, float, float]:
     eject = topo.local_port
     mean_hops = 0.0
     mean_delay = 0.0
-    if topo.name == "ideal":
-        # Fully connected single-cycle fabric: no network channels, only
-        # the per-node ejection port bounds throughput.
-        for src in range(n):
-            for dst in np.nonzero(matrix[src])[0]:
-                if dst == src:
-                    continue
-                w = matrix[src, dst]
-                load[int(dst) * ports + eject] += w
-                mean_hops += w / n
-                mean_delay += w * topo.latency / n
-        return load, mean_hops, mean_delay
     for src in range(n):
         for dst in np.nonzero(matrix[src])[0]:
             dst = int(dst)
@@ -230,11 +218,7 @@ class AnalyticalModel:
             load, hops, delay = matrices[name]
             combined += share * load
             self._class_hops.append(hops)
-            if self.topology.name == "ideal":
-                # IdealNetwork bypasses the router pipeline entirely.
-                self._class_t0.append(delay + serialization)
-            else:
-                self._class_t0.append(delay + hops * tr + tr + serialization)
+            self._class_t0.append(delay + hops * tr + tr + serialization)
         max_load = float(combined.max())
         #: offered flits/cycle/node at which the bottleneck channel saturates
         self.saturation_rate = (

@@ -35,7 +35,7 @@ __all__ = [
 #: ``num_vcs``, ...) are absent: their ranges are open and checked by
 #: construction.
 FIELD_CHOICES: dict[str, tuple[str, ...]] = {
-    "topology": ("mesh", "torus", "ring", "ideal"),
+    "topology": ("mesh", "torus", "ring"),
     "routing": ("dor", "val", "ma", "romm"),
     "arbitration": ("round_robin", "age", "priority", "weighted"),
     "traffic": (
@@ -60,13 +60,14 @@ class NetworkConfig:
     Parameters
     ----------
     topology:
-        ``"mesh"`` (k-ary 2-cube mesh), ``"torus"`` (folded), ``"ring"`` or
-        ``"ideal"`` (fully connected single-cycle network used to define NAR).
+        ``"mesh"`` (k-ary 2-cube mesh), ``"torus"`` (folded) or ``"ring"``.
+        The contention-free NAR reference is not a topology: it is
+        :class:`repro.network.ideal.IdealNetwork`, built directly.
     k:
         Radix per dimension; the paper uses 8 (64 nodes) and 16 (256 nodes)
         for network studies and 4 (16 nodes) for the CMP comparison.
     n:
-        Number of dimensions (2 for mesh/torus; ignored by ring/ideal).
+        Number of dimensions (2 for mesh/torus; ignored by ring).
     num_vcs:
         Virtual channels per physical channel (paper: 2 or 4).
     vc_buffer_size:
@@ -183,7 +184,7 @@ class NetworkConfig:
             raise ValueError("torus/ring DOR needs >= 2 VCs for the dateline scheme")
         if self.num_vcs < 2 and self.routing in ("val", "ma", "romm"):
             raise ValueError(f"routing {self.routing!r} needs >= 2 VCs")
-        if self.routing in ("val", "ma", "romm") and self.topology not in ("mesh", "ideal"):
+        if self.routing in ("val", "ma", "romm") and self.topology != "mesh":
             raise ValueError(
                 f"routing {self.routing!r} is implemented for the mesh only "
                 "(as evaluated in the paper)"
@@ -201,8 +202,6 @@ class NetworkConfig:
         if self.bimodal_long_size < 2:
             raise ValueError("bimodal_long_size must be >= 2")
         if self.faults is not None:
-            if self.topology == "ideal":
-                raise ValueError("the ideal network does not model faults")
             # Imported lazily: a healthy config never loads the fault model.
             from .faults import FaultPlan
 

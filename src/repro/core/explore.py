@@ -42,40 +42,33 @@ Determinism and resume
 All randomness flows from one :func:`repro.rng.make_generator` stream
 (numpy ``Generator``, stable across platforms), and consumes the same
 draws regardless of cache state — two runs with the same seed produce
-bit-identical fronts whether the cache was cold, warm, or off.  A journal
-(JSONL) carries the same fingerprint-header contract as sweep journals:
-the first line is ``{"sweep": {"fingerprint", "total", "version", ...}}``
-and :func:`repro.core.parallel.check_journal_fingerprint` guards a resume
-against a changed spec/config/code-salt.  On resume, archived genomes are
-answered from the journal and never re-submitted to the sweep layer, so
-the sweep health's "N/M cache hits" counts only genuinely fresh points —
-replayed genomes are reported separately (``resumed`` / ``dedup_hits``).
+bit-identical fronts whether the cache was cold, warm, or off.  That is
+also how a killed run resumes: run it again against the same ``cache``.
+The same seed walks the same generations; every point that completed
+before the kill is a content-addressed hit (keyed on config, seed, runner
+bindings and code salt), and every other point is simulated with the
+same derived seed.  Duplicate genomes within one run are answered from
+the in-run archive and never re-submitted (``dedup_hits``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..analysis.io import append_jsonl, canonical_json
 from ..analysis.pareto import dominates, pareto_front
 from ..config import FIELD_CHOICES, INT_FIELDS, NetworkConfig
 from ..rng import make_generator
 from ..topology import build_topology
-from . import cache as result_cache
 from .openloop import OpenLoopSimulator
 from .parallel import (
     SweepHealth,
     SweepLedger,
-    check_journal_fingerprint,
     enumerate_points,
-    rewrite_journal,
     run_ledger,
 )
 
@@ -98,8 +91,6 @@ __all__ = [
     "make_offspring",
     "init_population",
 ]
-
-JOURNAL_VERSION = 1
 
 #: The full objective menu, in canonical order.  ``ExploreSpec.objectives``
 #: is an ordered subset of these names.
@@ -133,7 +124,7 @@ class DesignSpace:
 
     ``genes`` maps :class:`NetworkConfig` field names to the candidate
     values the search may assign, sorted by field name — the sorted order
-    fixes genome tuple layout, journal serialization, and per-point seed
+    fixes genome tuple layout, archive serialization, and per-point seed
     derivation all at once.  Validation is eager: unknown fields, reserved
     fields (``seed``, ``classes``, ``faults``), empty or duplicate value
     lists, values outside :data:`repro.config.FIELD_CHOICES` and
@@ -209,7 +200,7 @@ def genome_pairs(space: DesignSpace, genome: Genome) -> tuple[tuple[str, Any], .
 
 
 def genome_key(space: DesignSpace, genome: Genome) -> str:
-    """Stable string identity of a genome (archive/journal key)."""
+    """Stable string identity of a genome (archive key)."""
     return "|".join(f"{n}={v!r}" for n, v in genome_pairs(space, genome))
 
 
@@ -238,7 +229,7 @@ def design_cost(cfg: NetworkConfig) -> float:
       node, each ``num_vcs`` VCs deep at ``vc_buffer_size`` flits;
     * ``crossbar`` = nodes × ports², weighted 0.05: small next to buffers
       at these radices, but the quadratic growth is what makes
-      high-degree routers (ideal, large k rings) expensive.
+      high-degree routers expensive.
 
     Pure function of the config — no simulation, no RNG.
     """
@@ -497,9 +488,7 @@ class ExploreSpec:
     """Everything that identifies one exploration run.
 
     The defaults are the ``repro explore`` profile; :data:`QUICK_SPEC` is
-    the ``--quick`` one.  The fingerprint (and therefore journal resume
-    compatibility) covers every field here plus the base config and the
-    code-version salt.
+    the ``--quick`` one.
     """
 
     space: DesignSpace = DEFAULT_SPACE
@@ -528,23 +517,6 @@ class ExploreSpec:
                 f"objectives must be >= 2 distinct names from {OBJECTIVES}: {self.objectives}"
             )
 
-    def fingerprint(self, base: NetworkConfig) -> str:
-        """Resume identity: spec × base config × code salt (sha256)."""
-        payload = {
-            "space": self.space.as_mapping(),
-            "population": self.population,
-            "generations": self.generations,
-            "seed": self.seed,
-            "rates": list(self.rates),
-            "windows": [self.warmup, self.measure, self.drain_limit],
-            "objectives": list(self.objectives),
-            "crossover_rate": self.crossover_rate,
-            "mutation_rate": self.mutation_rate,
-            "config": dataclasses.asdict(base),
-            "salt": result_cache.cache_salt(),
-        }
-        return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-
     def objective_vector(self, metrics: Mapping[str, float]) -> tuple[float, ...]:
         """Minimized objective vector in spec order (throughput negated)."""
         out = []
@@ -569,16 +541,16 @@ class ExploreResult:
 
     #: Non-dominated feasible designs (canonical order).
     front: list[dict[str, Any]]
-    #: Every evaluated genome, in evaluation order (journal mirror).
+    #: Every evaluated genome, in evaluation order.
     archive: list[dict[str, Any]]
     #: Genome keys per generation (index 0 = initial population).
     populations: list[list[str]]
-    #: Aggregated sweep-layer health of the fresh evaluations only.
+    #: Aggregated sweep-layer health of the submitted evaluations; its
+    #: cache hits are the points replayed instead of simulated.
     health: SweepHealth
-    #: Genomes answered by fresh simulation this run.
+    #: Feasible genomes evaluated this run, whether simulated or replayed
+    #: from the result cache.
     evaluated: int = 0
-    #: Genomes answered from the resumed journal archive.
-    resumed: int = 0
     #: Duplicate genome requests answered from the in-run archive.
     dedup_hits: int = 0
     #: Genomes that proved infeasible (penalty points).
@@ -590,41 +562,16 @@ class ExploreResult:
     def summary(self) -> str:
         parts = [
             f"{len(self.front)} on front",
-            f"{self.evaluated} simulated",
+            f"{self.evaluated} evaluated",
         ]
         if self.infeasible:
             parts.append(f"{self.infeasible} infeasible")
         if self.errors:
             parts.append(f"{self.errors} errors")
-        if self.resumed:
-            parts.append(f"{self.resumed} resumed")
         if self.dedup_hits:
             parts.append(f"{self.dedup_hits} dedup hits")
         parts.append(self.health.summary())
         return ", ".join(parts)
-
-
-# --------------------------------------------------------------------------
-# Journal
-# --------------------------------------------------------------------------
-
-
-def _journal_header(spec: ExploreSpec, base: NetworkConfig) -> dict[str, Any]:
-    # The same {"sweep": {...}} shape run_sweep writes, so
-    # check_journal_fingerprint guards explore resumes unchanged.
-    return {
-        "sweep": {
-            "fingerprint": spec.fingerprint(base),
-            "total": spec.population * (spec.generations + 1),
-            "version": JOURNAL_VERSION,
-            "explore": {
-                "population": spec.population,
-                "generations": spec.generations,
-                "seed": spec.seed,
-                "objectives": list(spec.objectives),
-            },
-        }
-    }
 
 
 # --------------------------------------------------------------------------
@@ -647,9 +594,6 @@ def explore(
     base: NetworkConfig,
     spec: ExploreSpec,
     *,
-    journal: str | Path | None = None,
-    resume: bool = False,
-    resume_force: bool = False,
     n_workers: int = 1,
     cache: Any = None,
     remote: str | None = None,
@@ -660,40 +604,19 @@ def explore(
     """Run the NSGA-II exploration; return the front, archive, and health.
 
     ``base`` supplies every config field the space does not vary (network
-    size, traffic pattern, ...).  ``journal`` checkpoints each evaluated
-    genome as a JSONL line under the fingerprint-header contract; with
-    ``resume=True`` archived genomes are replayed instead of re-evaluated
-    (``resume_force`` overrides a fingerprint mismatch).  ``remote`` is a
-    ``host:port`` sweep-service address; otherwise evaluation runs locally
-    with ``n_workers`` / ``cache`` / ``point_timeout`` passed through to
-    :func:`run_ledger`.  ``log`` receives one progress line per generation.
+    size, traffic pattern, ...).  ``remote`` is a ``host:port``
+    sweep-service address; otherwise evaluation runs locally with
+    ``n_workers`` / ``cache`` / ``point_timeout`` passed through to
+    :func:`run_ledger`.  A killed run resumes by running again against the
+    same ``cache`` (module docstring); under ``remote`` the cache is the
+    controller's, so a re-run resumes only when the controller was started
+    with one.  ``log`` receives one progress line per generation.
     """
     say = log or (lambda msg: None)
     space = spec.space
-    journal_path = Path(journal) if journal is not None else None
-    if resume and journal_path is None:
-        raise ValueError("resume=True requires a journal path")
-
     archive: dict[str, dict[str, Any]] = {}
     order: list[str] = []
     result = ExploreResult(front=[], archive=[], populations=[], health=SweepHealth())
-
-    if resume:
-        for entry in check_journal_fingerprint(
-            journal_path, spec.fingerprint(base), force=resume_force
-        ):
-            if "key" in entry and "objectives" in entry and entry["key"] not in archive:
-                archive[entry["key"]] = entry
-                order.append(entry["key"])
-        result.resumed = len(archive)
-        say(f"resumed {result.resumed} archived genomes from {journal_path}")
-
-    # (Re)write the journal: header plus whatever survived the resume load,
-    # dropping any truncated tail — the same atomic rewrite a sweep performs.
-    if journal_path is not None:
-        rewrite_journal(
-            journal_path, _journal_header(spec, base), (archive[key] for key in order)
-        )
 
     def finish_entry(
         key: str,
@@ -702,7 +625,7 @@ def explore(
         feasible: bool,
         metrics: Mapping[str, float],
         error: str | None = None,
-    ) -> dict[str, Any]:
+    ) -> None:
         entry = {
             "key": key,
             "genome": [list(p) for p in pairs],
@@ -716,14 +639,13 @@ def explore(
             entry["error"] = error
         archive[key] = entry
         order.append(key)
-        return entry
 
     def evaluate_generation(genomes: Sequence[Genome], generation: int) -> None:
-        """Ensure every genome has an archive entry; journal the fresh ones.
+        """Ensure every genome has an archive entry.
 
-        Resumed/duplicate genomes are answered from the archive and never
-        re-submitted to the sweep layer — so the sweep health's cache
-        accounting only ever sees genuinely fresh points.
+        Duplicate genomes are answered from the archive and never
+        re-submitted to the sweep layer, so the sweep health counts each
+        genome's points once.
         """
         todo: list[Genome] = []
         seen_batch: set[str] = set()
@@ -754,7 +676,6 @@ def explore(
             label=f"explore-gen{generation}",
         )
         result.health.merge(records.health)
-        new_entries: list[dict[str, Any]] = []
         # Canonical enumeration order: genome-major, rate-minor.
         for i, genome in enumerate(todo):
             pairs = genome_pairs(space, genome)
@@ -768,11 +689,7 @@ def explore(
                     result.infeasible += 1
                 else:
                     result.errors += 1
-                new_entries.append(
-                    finish_entry(
-                        key, pairs, generation, False, PENALTY_METRICS, error=error,
-                    )
-                )
+                finish_entry(key, pairs, generation, False, PENALTY_METRICS, error=error)
                 continue
             result.evaluated += 1
             latency = (
@@ -783,11 +700,7 @@ def explore(
                 "throughput": float(rec_hi["throughput"]),
                 "cost": design_cost(genome_config(base, pairs)),
             }
-            new_entries.append(
-                finish_entry(key, pairs, generation, True, metrics)
-            )
-        if journal_path is not None:
-            append_jsonl(new_entries, journal_path)
+            finish_entry(key, pairs, generation, True, metrics)
 
     # ---- the generational loop -------------------------------------------
     gen = make_generator(spec.seed, "explore")

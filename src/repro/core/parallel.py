@@ -59,7 +59,7 @@ import pathlib
 import random
 import time
 from collections import deque
-from dataclasses import InitVar, asdict, dataclass, field, fields
+from dataclasses import InitVar, asdict, dataclass, fields
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .. import rng
@@ -82,7 +82,6 @@ __all__ = [
     "run_ledger",
     "run_sweep",
     "sweep_fingerprint",
-    "check_journal_fingerprint",
     "RetryPolicy",
     "TRANSIENT_KINDS",
 ]
@@ -434,48 +433,6 @@ def sweep_fingerprint(
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def check_journal_fingerprint(journal, fingerprint: str, *, force: bool = False) -> list[dict]:
-    """The entries of a journal being resumed, unless another sweep wrote it.
-
-    The header is the ``{"sweep": {...}}`` line a journaling sweep writes
-    first.  Journals from before fingerprints existed have no header and
-    resume as they always did; a mismatched header means the config, axes,
-    or simulation code changed since the journal was written, and mixing
-    old records with new runs would corrupt the sweep silently — fail with
-    the reason instead, unless ``force`` explicitly overrides.
-    """
-    entries = read_jsonl(journal)
-    headers = (e["sweep"] for e in entries if isinstance(e.get("sweep"), Mapping))
-    recorded = next(headers, {}).get("fingerprint")
-    if recorded is not None and recorded != fingerprint and not force:
-        raise ValueError(
-            f"journal {journal} was written by a different sweep "
-            f"(fingerprint {str(recorded)[:12]}… != {fingerprint[:12]}…): "
-            "the config, axes, or simulation code changed since "
-            "it was recorded; pass resume_force=True (CLI --force-resume) "
-            "to resume anyway, or start fresh with resume=False"
-        )
-    return entries
-
-
-def rewrite_journal(
-    journal, header: Mapping[str, Any], entries: Iterable[Mapping[str, Any]]
-) -> None:
-    """Replace ``journal`` with ``header`` + ``entries``, atomically.
-
-    A resumed journal must be rewritten — a partial trailing line left by
-    a crash has no newline, and appending after it would corrupt the next
-    record — but never by truncating it first: a kill between truncate and
-    re-append would lose every checkpointed point.  The new content goes
-    to a sibling temp file that is renamed over the journal.
-    """
-    path = pathlib.Path(journal)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.unlink(missing_ok=True)
-    append_jsonl(itertools.chain((header,), entries), tmp)
-    tmp.replace(path)
-
-
 @dataclass
 class SweepLedger:
     """The accounting of one sweep: points in, records out.
@@ -500,8 +457,6 @@ class SweepLedger:
     sweep_points: InitVar[Iterable[SweepPoint]]
     journal: Any = None
     fingerprint: str = ""
-    #: extra fields for the journal's ``{"sweep": {...}}`` header line
-    header: Mapping[str, Any] = field(default_factory=dict)
     resume: bool = False
     resume_force: bool = False
     progress: Callable[[SweepProgress], None] | None = None
@@ -559,20 +514,60 @@ class SweepLedger:
             from .. import __version__
 
             if self.resume:
-                for entry in check_journal_fingerprint(
-                    self.journal, self.fingerprint, force=self.resume_force
-                ):
+                for entry in self._resumed_entries():
                     if "index" in entry and "record" in entry:
                         self.results[self._resumed_index(entry)] = entry["record"]
                 for record in self.results.values():
                     self._count(record)
-            header = {"fingerprint": self.fingerprint, "total": len(self.points)}
-            header.update(version=__version__, **self.header)
-            rewrite_journal(
-                self.journal,
+            header = {
+                "fingerprint": self.fingerprint,
+                "total": len(self.points),
+                "version": __version__,
+            }
+            self._rewrite_journal(
                 {"sweep": header},
                 (self._entry(i, r) for i, r in sorted(self.results.items())),
             )
+
+    def _resumed_entries(self) -> list[dict]:
+        """The entries of the journal being resumed, unless another sweep wrote it.
+
+        The header is the ``{"sweep": {...}}`` line :meth:`open` writes
+        first.  Journals from before fingerprints existed have no header and
+        resume as they always did; a mismatched header means the config,
+        axes, or simulation code changed since the journal was written, and
+        mixing old records with new runs would corrupt the sweep silently —
+        fail with the reason instead, unless ``resume_force`` overrides.
+        """
+        entries = read_jsonl(self.journal)
+        headers = (e["sweep"] for e in entries if isinstance(e.get("sweep"), Mapping))
+        recorded = next(headers, {}).get("fingerprint")
+        if recorded is not None and recorded != self.fingerprint and not self.resume_force:
+            raise ValueError(
+                f"journal {self.journal} was written by a different sweep "
+                f"(fingerprint {str(recorded)[:12]}… != {self.fingerprint[:12]}…): "
+                "the config, axes, or simulation code changed since "
+                "it was recorded; pass resume_force=True (CLI --force-resume) "
+                "to resume anyway, or start fresh with resume=False"
+            )
+        return entries
+
+    def _rewrite_journal(
+        self, header: Mapping[str, Any], entries: Iterable[Mapping[str, Any]]
+    ) -> None:
+        """Replace the journal with ``header`` + ``entries``, atomically.
+
+        A resumed journal must be rewritten — a partial trailing line left by
+        a crash has no newline, and appending after it would corrupt the next
+        record — but never by truncating it first: a kill between truncate and
+        re-append would lose every checkpointed point.  The new content goes
+        to a sibling temp file that is renamed over the journal.
+        """
+        path = pathlib.Path(self.journal)
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.unlink(missing_ok=True)
+        append_jsonl(itertools.chain((header,), entries), tmp)
+        tmp.replace(path)
 
     def _resumed_index(self, entry: Mapping[str, Any]) -> int:
         """A journal entry's index, refused if it is not this sweep's point."""
@@ -970,17 +965,25 @@ def run_sweep(
 ) -> SweepRecords:
     """Run ``runner`` over every sweep point; collect records in canonical order.
 
-    Parameters mirror :func:`repro.core.sweep.sweep` plus the executor
-    knobs described in the module docstring.  ``journal`` names the
-    JSON-lines checkpoint file; with ``resume=False`` an existing journal
-    is replaced (a fresh sweep), with ``resume=True`` its points are
-    skipped and only missing ones run.  ``point_timeout`` (seconds, pool
-    mode only) kills the hung worker and marks the point failed without
-    killing the sweep.  Transient failures (worker death) are retried up
-    to ``max_retries`` times with capped exponential backoff starting at
-    ``retry_backoff`` seconds (jitter seeded from
-    ``base.seed``); the returned :class:`SweepRecords` list carries the
-    sweep's :class:`SweepHealth` under ``.health``.
+    ``axes`` vary :class:`NetworkConfig` fields over their cartesian
+    product; ``extra_axes`` vary non-config parameters (e.g. the batch
+    model's ``m``), passed to ``runner`` as keyword arguments.  Each record
+    holds the point's coordinates, the runner's outputs, and the
+    wall-clock seconds the point took; a runner that raises yields a
+    record with ``failed=True`` and the exception string under ``"error"``
+    while the rest of the sweep completes.  ``derive_seeds=False`` keeps
+    the base seed on every point instead of a per-point child seed.
+
+    The executor knobs are described in the module docstring.
+    ``journal`` names the JSON-lines checkpoint file; with
+    ``resume=False`` an existing journal is replaced (a fresh sweep), with
+    ``resume=True`` its points are skipped and only missing ones run.
+    ``point_timeout`` (seconds, pool mode only) kills the hung worker and
+    marks the point failed without killing the sweep.  Transient failures
+    (worker death) are retried up to ``max_retries`` times with capped
+    exponential backoff starting at ``retry_backoff`` seconds (jitter
+    seeded from ``base.seed``); the returned :class:`SweepRecords` list
+    carries the sweep's :class:`SweepHealth` under ``.health``.
 
     ``cache`` names a content-addressed result store (a directory path or
     a :class:`repro.core.cache.ResultCache`), consulted before dispatch
@@ -991,7 +994,7 @@ def run_sweep(
     A journaling sweep writes a header line first — the sweep's
     :func:`sweep_fingerprint` over config × axes × code salt (not the
     runner) — and a resume against a journal whose header differs fails
-    with the reason (:func:`check_journal_fingerprint`);
+    with the reason (:meth:`SweepLedger.open`);
     ``resume_force=True`` overrides the check.
     """
     ledger = SweepLedger(

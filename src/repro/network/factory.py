@@ -42,8 +42,7 @@ def build_network(config: NetworkConfig, **kwargs):
     """Instantiate the network backend selected by ``config.backend``.
 
     ``kwargs`` (``topology=``, ``routing=``, ``faults=`` overrides) are
-    accepted by the object backend only; the ideal topology is rejected
-    here exactly as :class:`Network` rejects it — callers that want the
+    accepted by the object backend only.  Callers that want the
     contention-free fabric construct :class:`IdealNetwork` explicitly.
     """
     backend = getattr(config, "backend", "object")

@@ -70,8 +70,6 @@ class Network(BaseNetwork):
         routing: Optional[RoutingAlgorithm] = None,
         faults=None,
     ):
-        if config.topology == "ideal":
-            raise ValueError("use repro.network.ideal.IdealNetwork for the ideal topology")
         self.config = config
         self.topology = topology if topology is not None else build_topology(config)
         self.routing = routing if routing is not None else build_routing(config, self.topology)

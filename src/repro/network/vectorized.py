@@ -65,10 +65,6 @@ class VectorizedNetwork(BaseNetwork):
     """Numpy struct-of-arrays network, bit-identical to :class:`Network`."""
 
     def __init__(self, config: NetworkConfig):
-        if config.topology == "ideal":
-            raise ValueError(
-                "the ideal network is contention-free; use IdealNetwork"
-            )
         if config.faults is not None:
             raise BackendUnsupported(
                 "vectorized",

@@ -1,7 +1,6 @@
-"""Network topologies: mesh, folded torus, ring, and the ideal network."""
+"""Network topologies: mesh, folded torus and ring."""
 
 from .base import Channel, Topology
-from .ideal import Ideal
 from .mesh import KAryNCube, Mesh
 from .registry import build_topology
 from .ring import Ring
@@ -14,6 +13,5 @@ __all__ = [
     "Mesh",
     "Torus",
     "Ring",
-    "Ideal",
     "build_topology",
 ]

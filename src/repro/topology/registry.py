@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from ..config import NetworkConfig
 from .base import Topology
-from .ideal import Ideal
 from .mesh import Mesh
 from .ring import Ring
 from .torus import Torus
@@ -17,7 +16,7 @@ def build_topology(config: NetworkConfig) -> Topology:
 
     ``mesh``/``torus`` use (k, n); ``ring`` interprets ``k**n`` as the node
     count so that ``config.num_nodes`` is consistent across topologies (the
-    paper compares a 64-node mesh, torus and ring); ``ideal`` likewise.
+    paper compares a 64-node mesh, torus and ring).
     """
     if config.topology == "mesh":
         return Mesh(config.k, config.n, channel_delay=config.link_delay)
@@ -25,6 +24,4 @@ def build_topology(config: NetworkConfig) -> Topology:
         return Torus(config.k, config.n, base_channel_delay=config.link_delay)
     if config.topology == "ring":
         return Ring(config.k**config.n, base_channel_delay=config.link_delay)
-    if config.topology == "ideal":
-        return Ideal(config.k**config.n)
     raise ValueError(f"unknown topology {config.topology!r}")

@@ -289,25 +289,24 @@ class TestLazyNamespaces:
             package.nope
 
     def test_an_export_outranks_its_same_named_submodule(self):
-        """Loading ``repro.core.sweep`` first binds the module on the package;
+        """Loading ``repro.core.explore`` first binds the module on the package;
         the exported function keeps the name, as with eager imports."""
         script = (
             "import pickle\n"
-            "import repro.core.sweep, repro.core.explore, repro.analysis.ascii_plot\n"
+            "import repro.core.explore, repro.analysis.ascii_plot\n"
             "import repro.core, repro.analysis\n"
-            "from repro.core import sweep, explore\n"
+            "from repro.core import explore\n"
             "from repro.analysis import ascii_plot\n"
-            "print(sweep.__module__, explore.__module__, ascii_plot.__module__)\n"
-            "assert repro.core.sweep is sweep and pickle.loads(pickle.dumps(sweep)) is sweep\n"
+            "print(explore.__module__, ascii_plot.__module__)\n"
+            "assert repro.core.explore is explore\n"
+            "assert pickle.loads(pickle.dumps(explore)) is explore\n"
         )
-        assert _fresh_python(script) == [
-            "repro.core.sweep repro.core.explore repro.analysis.ascii_plot"
-        ]
+        assert _fresh_python(script) == ["repro.core.explore repro.analysis.ascii_plot"]
 
 
 #: The CLI's option surface, pinned: per subcommand, each argument's option
 #: strings, dest, default, sorted choices, nargs, const, required and action
-#: class (help excluded) -- 191 options and 3 positionals over 12
+#: class (help excluded) -- 188 options and 3 positionals over 12
 #: subcommands.  The network and executor flags are generated from one
 #: declaration each; this says that generation adds and loses nothing.
 PARSER_SURFACE = {
@@ -391,9 +390,6 @@ PARSER_SURFACE = {
         (('--objectives',), 'objectives', 'latency,throughput,cost', None, None, None, False, '_StoreAction'),
         (('--rates',), 'rates', None, None, None, None, False, '_StoreAction'),
         (('--workers',), 'workers', 1, None, None, None, False, '_StoreAction'),
-        (('--journal',), 'journal', None, None, None, None, False, '_StoreAction'),
-        (('--resume',), 'resume', False, None, 0, True, False, '_StoreTrueAction'),
-        (('--force-resume',), 'force_resume', False, None, 0, True, False, '_StoreTrueAction'),
         (('--remote',), 'remote', None, None, None, None, False, '_StoreAction'),
         (('--point-timeout',), 'point_timeout', None, None, None, None, False, '_StoreAction'),
         (('--max-retries',), 'max_retries', 2, None, None, None, False, '_StoreAction'),
@@ -773,12 +769,6 @@ class TestFaultFlags:
         assert rc == 2
         assert "bad fault clause" in capsys.readouterr().err
 
-    def test_faults_rejected_on_ideal_topology(self, capsys):
-        from repro.config import NetworkConfig
-
-        with pytest.raises(ValueError, match="ideal"):
-            NetworkConfig(topology="ideal", faults="links:1")
-
 
 class TestExploreCLI:
     """The `repro explore` subcommand (NSGA-II design-space search)."""
@@ -792,9 +782,12 @@ class TestExploreCLI:
         "--warmup", "80", "--measure", "160", "--drain", "1600",
     ]
 
-    def test_resume_requires_journal(self, capsys):
-        assert main(["explore", "--quick", "--resume"]) == 2
-        assert "--resume requires --journal" in capsys.readouterr().err
+    def test_journal_is_refused(self, capsys):
+        """A run resumes from its --cache; explore keeps no journal."""
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "--quick", "--journal", "explore.jsonl"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --journal" in capsys.readouterr().err
 
     def test_profiles_are_the_explorer_s(self):
         from repro.core.explore import QUICK_SPEC, ExploreSpec
@@ -823,23 +816,12 @@ class TestExploreCLI:
         assert "objectives" in capsys.readouterr().err
 
     def test_tiny_explore_end_to_end(self, capsys, tmp_path):
-        journal = tmp_path / "explore.jsonl"
         out = tmp_path / "out"
-        rc = main(
-            self.TINY
-            + ["--journal", str(journal), "--cache", str(tmp_path / "cache"),
-               "--out", str(out)]
-        )
+        rc = main(self.TINY + ["--cache", str(tmp_path / "cache"), "--out", str(out)])
         assert rc == 0
         captured = capsys.readouterr()
         assert "latency" in captured.out and "cost" in captured.out
         assert "explore:" in captured.err
-        # Journal carries the fingerprint header + one line per genome.
-        entries = read_jsonl(journal)
-        assert "fingerprint" in entries[0]["sweep"]
-        assert entries[0]["sweep"]["explore"]["population"] == 4
-        keys = [e["key"] for e in entries[1:]]
-        assert keys and len(keys) == len(set(keys))
         # Artifacts: one JSON record per front design, plus the figure.
         front = read_jsonl(out / "explore_front.jsonl")
         assert front and all("objectives" in r for r in front)

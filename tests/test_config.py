@@ -36,7 +36,6 @@ class TestNetworkConfigDefaults:
         assert NetworkConfig(k=8, n=2).num_nodes == 64
         assert NetworkConfig(k=16, n=2).num_nodes == 256
         assert NetworkConfig(topology="ring", k=8, n=2).num_nodes == 64
-        assert NetworkConfig(topology="ideal", k=4, n=2).num_nodes == 16
 
     def test_mean_packet_size(self):
         assert NetworkConfig().mean_packet_size == 1.0

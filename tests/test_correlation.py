@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.config import NetworkConfig
 from repro.core.correlation import (
     CorrelationResult,
     ScatterPair,
@@ -16,7 +15,7 @@ from repro.core.correlation import (
     normalize_per_group,
     pearson,
 )
-from repro.core.sweep import product_configs, sweep
+from repro.core.parallel import run_sweep
 
 
 class TestPearson:
@@ -135,14 +134,8 @@ class TestBatchVsOpenLoop:
 
 
 class TestSweep:
-    def test_product_configs(self, mesh4):
-        pts = product_configs(mesh4, {"router_delay": (1, 2), "vc_buffer_size": (4, 8)})
-        assert len(pts) == 4
-        assert {p[0]["router_delay"] for p in pts} == {1, 2}
-        assert all(isinstance(c, NetworkConfig) for _, c in pts)
-
     def test_sweep_runs_runner(self, mesh4):
-        records = sweep(
+        records = run_sweep(
             mesh4,
             {"router_delay": (1, 2)},
             lambda cfg: {"tr_seen": cfg.router_delay},
@@ -151,7 +144,7 @@ class TestSweep:
         assert all("wall_seconds" in r for r in records)
 
     def test_sweep_extra_axes(self, mesh4):
-        records = sweep(
+        records = run_sweep(
             mesh4,
             {"router_delay": (1, 2)},
             lambda cfg, m: {"product": cfg.router_delay * m},

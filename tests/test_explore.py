@@ -9,15 +9,16 @@ Three layers:
   the cost proxy, and the Pareto/hypervolume geometry;
 * integration tests driving :func:`repro.core.explore.explore` on a tiny
   space: bit-identical fronts across same-seed runs (cold vs warm cache),
-  penalty points for infeasible genomes, journal resume after a simulated
-  interrupt, and the cache-accounting invariant the explorer shares with
-  ``run_sweep`` (resumed work is never re-counted as a cache hit).
+  penalty points for infeasible genomes, resume from a result cache cut
+  by a simulated interrupt, and ``run_sweep``'s cache-accounting
+  invariant (journal-resumed work is never re-counted as a cache hit).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -264,9 +265,7 @@ def _front_text(result):
 def explored(tmp_path_factory):
     """One cold explore run, shared by the assertions below."""
     tmp = tmp_path_factory.mktemp("explore")
-    res = explore(
-        BASE, TINY_SPEC, journal=tmp / "journal.jsonl", cache=tmp / "cache"
-    )
+    res = explore(BASE, TINY_SPEC, cache=tmp / "cache")
     return tmp, res
 
 
@@ -291,9 +290,7 @@ def test_explore_front_and_penalties(explored):
 
 def test_explore_bit_identical_and_warm_cache(explored, tmp_path):
     tmp, res = explored
-    res2 = explore(
-        BASE, TINY_SPEC, journal=tmp_path / "j2.jsonl", cache=tmp / "cache"
-    )
+    res2 = explore(BASE, TINY_SPEC, cache=tmp / "cache")
     assert _front_text(res2) == _front_text(res)
     assert res2.populations == res.populations
     h = res2.health
@@ -362,50 +359,39 @@ def test_throughput_point_never_answers_for_a_latency_point(tmp_path):
     assert any(math.isfinite(e["metrics"]["latency"]) for e in shared.archive)
 
 
-def test_explore_resume_after_truncation(explored, tmp_path):
+def _archive_objectives(result):
+    return [(e["key"], e["objectives"]) for e in result.archive]
+
+
+def test_explore_resumes_from_a_truncated_cache(explored, tmp_path):
+    """A killed run resumes by running again against its cache: the points
+    that reached the store are hits, the rest re-run on the same seeds."""
     tmp, res = explored
-    lines = (tmp / "journal.jsonl").read_text().splitlines()
-    cut = len(lines) - 2
-    journal = tmp_path / "resume.jsonl"
-    # Drop one full line and leave a half-written one: a mid-write crash.
-    journal.write_text("\n".join(lines[:cut]) + "\n" + lines[cut][:15])
-    res3 = explore(BASE, TINY_SPEC, journal=journal, resume=True, cache=tmp / "cache")
+    cache = tmp_path / "cache"
+    shutil.copytree(tmp / "cache", cache)
+    store = cache / "store.jsonl"
+    lines = store.read_text().splitlines()
+    cut = len(lines) // 2
+    # Half the lines and a half-written one: a mid-append crash.
+    store.write_text("\n".join(lines[:cut]) + "\n" + lines[cut][:15])
+    res3 = explore(BASE, TINY_SPEC, cache=cache)
     assert _front_text(res3) == _front_text(res)
-    assert res3.resumed == cut - 1  # every surviving entry replayed
-    # The regression the accounting audit pinned down: resumed genomes are
-    # answered from the journal archive and never re-submitted to the
-    # sweep layer, so the cache-hit summary counts only the fresh points.
-    h = res3.health
-    fresh_entries = len(res3.archive) - res3.resumed
-    assert h.cache_hits + h.cache_misses == h.total
-    assert h.total <= 2 * fresh_entries
-    # And the rewritten journal holds each genome exactly once.
-    keys = [e["key"] for e in read_jsonl(journal) if "key" in e]
-    assert len(keys) == len(set(keys)) == len(res3.archive)
+    assert res3.populations == res.populations
+    assert _archive_objectives(res3) == _archive_objectives(res)
+    assert res3.health.cache_hits > 0
+    keys = [e["key"] for e in read_jsonl(store)]
+    assert len(keys) == len(set(keys))
 
 
-def test_explore_resume_refuses_changed_spec(explored, tmp_path):
+def test_warm_summary_does_not_claim_simulation(explored):
+    """Every feasible point of a warm run is a replay, so the summary counts
+    it as evaluated, never as simulated."""
     tmp, _ = explored
-    journal = tmp_path / "stale.jsonl"
-    journal.write_text((tmp / "journal.jsonl").read_text())
-    changed = ExploreSpec(
-        space=TINY_SPACE, population=6, generations=3, seed=7,
-        rates=(0.1, 0.5), warmup=100, measure=200, drain_limit=2000,
-    )
-    with pytest.raises(ValueError, match="fingerprint"):
-        explore(BASE, changed, journal=journal, resume=True)
-    # force_resume overrides, mirroring the sweep contract
-    explore(
-        BASE,
-        ExploreSpec(
-            space=TINY_SPACE, population=6, generations=0, seed=7,
-            rates=(0.1, 0.5), warmup=100, measure=200, drain_limit=2000,
-        ),
-        journal=journal,
-        resume=True,
-        resume_force=True,
-        cache=tmp / "cache",
-    )
+    warm = explore(BASE, TINY_SPEC, cache=tmp / "cache")
+    h = warm.health
+    assert warm.evaluated > 0 and h.cache_hits == h.ok
+    assert "simulated" not in warm.summary()
+    assert f"{warm.evaluated} evaluated" in warm.summary()
 
 
 def test_explore_remote_matches_local(explored):

@@ -230,7 +230,3 @@ class TestIdealNetwork:
     def test_rejects_bad_latency(self):
         with pytest.raises(ValueError):
             IdealNetwork(4, latency=0)
-
-    def test_config_rejects_ideal_network_class(self):
-        with pytest.raises(ValueError):
-            Network(NetworkConfig(topology="ideal"))

@@ -26,7 +26,6 @@ from repro.core.parallel import (
     run_sweep,
 )
 from repro.core.resilience import SimulationStalled, StallDiagnosis
-from repro.core.sweep import product_configs, sweep
 
 BASE = NetworkConfig(k=4, n=2)
 GRID_AXES = {"router_delay": (1, 2, 4, 8)}
@@ -142,6 +141,10 @@ class TestEnumeratePoints:
         assert len(set(seeds)) == len(seeds)
         again = enumerate_points(BASE, GRID_AXES, GRID_EXTRA)
         assert seeds == [p.seed for p in again]
+        assert BASE.seed not in seeds
+        # Without derivation every point keeps the base seed.
+        underived = enumerate_points(BASE, GRID_AXES, GRID_EXTRA, derive_seeds=False)
+        assert {p.seed for p in underived} == {BASE.seed}
 
     def test_explicit_seed_axis_wins(self):
         points = enumerate_points(BASE, {"seed": (7, 9)})
@@ -172,13 +175,6 @@ class TestSerialParallelEquivalence:
         serial = run_sweep(BASE, axes, config_axes_runner, n_workers=1)
         parallel = run_sweep(BASE, axes, config_axes_runner, n_workers=4)
         assert len(serial) == 16
-        assert strip_timing(serial) == strip_timing(parallel)
-
-    def test_sweep_wrapper_routes_through_executor(self):
-        serial = sweep(BASE, GRID_AXES, seeded_runner, extra_axes=GRID_EXTRA)
-        parallel = sweep(
-            BASE, GRID_AXES, seeded_runner, extra_axes=GRID_EXTRA, n_workers=2
-        )
         assert strip_timing(serial) == strip_timing(parallel)
 
 
@@ -340,17 +336,7 @@ class TestProgress:
         assert [e.done for e in events] == [3]
 
 
-class TestProductConfigs:
-    def test_default_keeps_base_seed(self):
-        pairs = product_configs(BASE, {"router_delay": (1, 2)})
-        assert [cfg.seed for _, cfg in pairs] == [BASE.seed, BASE.seed]
-        assert [pt for pt, _ in pairs] == [{"router_delay": 1}, {"router_delay": 2}]
-
-    def test_derive_seeds_gives_distinct_seeds(self):
-        pairs = product_configs(BASE, {"router_delay": (1, 2)}, derive_seeds=True)
-        seeds = [cfg.seed for _, cfg in pairs]
-        assert len(set(seeds)) == 2 and BASE.seed not in seeds
-
+class TestArgumentValidation:
     def test_validation(self):
         with pytest.raises(ValueError):
             run_sweep(BASE, {}, seeded_runner, n_workers=0)

@@ -226,10 +226,6 @@ class TestFaultedRuns:
         res = _run(cfg, 0.1, InvariantChecker())
         assert res.num_measured > 0
 
-    def test_faults_rejected_on_ideal_network(self):
-        with pytest.raises(ValueError, match="ideal"):
-            NetworkConfig(topology="ideal", faults="links:1")
-
     def test_bad_spec_rejected_at_config_time(self):
         with pytest.raises(ValueError, match="bad fault clause"):
             NetworkConfig(k=4, n=2, faults="nonsense")

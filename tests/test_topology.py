@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import NetworkConfig
-from repro.topology import Ideal, Mesh, Ring, Torus, build_topology
+from repro.topology import Mesh, Ring, Torus, build_topology
 
 
 class TestMesh:
@@ -133,35 +133,17 @@ class TestRing:
         Ring(16).validate()
 
 
-class TestIdeal:
-    def test_shape(self):
-        i = Ideal(64)
-        assert i.num_nodes == 64
-        assert i.min_hops(0, 5) == 1
-        assert i.min_hops(3, 3) == 0
-
-    def test_no_channels(self):
-        assert list(Ideal(8).channels()) == []
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            Ideal(0)
-        with pytest.raises(ValueError):
-            Ideal(4, latency=0)
-
-
 class TestRegistry:
     def test_builds_each_topology(self):
         assert isinstance(build_topology(NetworkConfig(topology="mesh")), Mesh)
         assert isinstance(build_topology(NetworkConfig(topology="torus")), Torus)
         assert isinstance(build_topology(NetworkConfig(topology="ring")), Ring)
-        assert isinstance(build_topology(NetworkConfig(topology="ideal")), Ideal)
 
     def test_ring_node_count_is_k_to_the_n(self):
         topo = build_topology(NetworkConfig(topology="ring", k=8, n=2))
         assert topo.num_nodes == 64
 
     def test_node_counts_consistent_with_config(self):
-        for name in ("mesh", "torus", "ring", "ideal"):
+        for name in ("mesh", "torus", "ring"):
             cfg = NetworkConfig(topology=name, k=4, n=2)
             assert build_topology(cfg).num_nodes == cfg.num_nodes
