@@ -10,32 +10,17 @@ enhanced batch variants (Figs. 18/19/22).
 
 from __future__ import annotations
 
-import dataclasses
-
-from conftest import cmp_config, emit
+from conftest import emit
 
 from repro.analysis import format_table
-from repro.execdriven import CmpSystem, canneal
-
-FRACTIONS = (0.0, 0.5, 1.0)
-TRS = (1, 8)
-INSTR = 5000
 
 
-def test_ablation_blocking():
-    def run():
-        out = {}
-        for frac in FRACTIONS:
-            spec = dataclasses.replace(canneal(INSTR), blocking_fraction=frac)
-            for tr in TRS:
-                res = CmpSystem(spec, cmp_config(tr), seed=2).run()
-                out[frac, tr] = res.cycles
-        return out
-
-    out = run()
+def test_ablation_blocking(exhibit):
+    out = {key: res["cycles"] for key, res in exhibit.items()}
+    fractions = tuple(dict.fromkeys(frac for frac, _ in out))
     rows = [
         [frac, out[frac, 1], out[frac, 8], out[frac, 8] / out[frac, 1]]
-        for frac in FRACTIONS
+        for frac in fractions
     ]
     text = format_table(
         ["blocking_fraction", "cycles tr=1", "cycles tr=8", "tr8/tr1"],
@@ -48,7 +33,7 @@ def test_ablation_blocking():
         "the enhanced batch models at m=1)"
     )
     emit("ablation_blocking", text)
-    ratios = [out[f, 8] / out[f, 1] for f in FRACTIONS]
+    ratios = [out[f, 8] / out[f, 1] for f in fractions]
     assert ratios[0] < 1.1  # fully non-blocking: tr nearly free
     assert ratios[2] > ratios[1] > ratios[0]  # monotone in blocking
     assert ratios[2] > 1.3

@@ -12,33 +12,19 @@ from __future__ import annotations
 from conftest import emit
 
 from repro.analysis import format_table
-from repro.config import NetworkConfig
-from repro.core.openloop import OpenLoopSimulator
-
-QS = (1, 2, 4, 8)
-CREDIT_DELAYS = (1, 4)
-OL = dict(warmup=250, measure=500, drain_limit=2500)
 
 
-def test_ablation_credit_delay():
-    def run():
-        out = {}
-        for cd in CREDIT_DELAYS:
-            for q in QS:
-                cfg = NetworkConfig(vc_buffer_size=q, credit_delay=cd)
-                sim = OpenLoopSimulator(cfg, **OL)
-                out[cd, q] = sim.saturation_throughput(tolerance=0.02)
-        return out
-
-    out = run()
-    rows = [[f"cd={cd}"] + [out[cd, q] for q in QS] for cd in CREDIT_DELAYS]
+def test_ablation_credit_delay(exhibit):
+    out = exhibit
+    credit_delays, qs = (tuple(dict.fromkeys(axis)) for axis in zip(*out))
+    rows = [[f"cd={cd}"] + [out[cd, q] for q in qs] for cd in credit_delays]
     # knee = smallest q within 5% of the deep-buffer saturation
     knees = {}
-    for cd in CREDIT_DELAYS:
-        deep = out[cd, QS[-1]]
-        knees[cd] = next(q for q in QS if out[cd, q] >= 0.95 * deep)
+    for cd in credit_delays:
+        deep = out[cd, qs[-1]]
+        knees[cd] = next(q for q in qs if out[cd, q] >= 0.95 * deep)
     text = format_table(
-        ["credit_delay"] + [f"q={q}" for q in QS],
+        ["credit_delay"] + [f"q={q}" for q in qs],
         rows,
         title="Ablation - saturation throughput vs buffer depth and credit delay",
     ) + (

@@ -10,27 +10,13 @@ roughly cancel — demonstrating the choice is topology-dependent, not free.
 
 from __future__ import annotations
 
-from conftest import OPENLOOP, emit
+from conftest import emit
 
 from repro.analysis import format_table
-from repro.config import NetworkConfig
-from repro.core.openloop import OpenLoopSimulator
 
 
-def test_ablation_dateline():
-    def run():
-        out = {}
-        for topo in ("torus", "ring"):
-            for mode in ("balanced", "strict"):
-                cfg = NetworkConfig(topology=topo, num_vcs=4, dateline=mode)
-                sim = OpenLoopSimulator(cfg, **OPENLOOP)
-                out[topo, mode] = (
-                    sim.zero_load_latency(),
-                    sim.saturation_throughput(tolerance=0.02),
-                )
-        return out
-
-    out = run()
+def test_ablation_dateline(exhibit):
+    out = {key: (rec["zero_load"], rec["saturation"]) for key, rec in exhibit.items()}
     rows = [
         [topo, mode, zl, sat]
         for (topo, mode), (zl, sat) in out.items()

@@ -14,28 +14,13 @@ from __future__ import annotations
 from conftest import emit
 
 from repro.analysis import format_table
-from repro.config import NetworkConfig
-from repro.core.closedloop import BatchSimulator
-from repro.core.tracedriven import TraceDrivenSimulator, capture_batch_trace
-
-TRS = (1, 2, 4, 8)
-B = 60
 
 
-def test_ablation_tracedriven():
-    base = NetworkConfig()
-
-    def run():
-        trace = capture_batch_trace(base, batch_size=B, max_outstanding=1)
-        rows = {}
-        for tr in TRS:
-            cfg = base.with_(router_delay=tr)
-            replay = TraceDrivenSimulator(cfg, trace).run()
-            closed = BatchSimulator(cfg, batch_size=B, max_outstanding=1).run()
-            rows[tr] = (replay.runtime, replay.avg_latency, closed.runtime)
-        return rows
-
-    rows = run()
+def test_ablation_tracedriven(exhibit):
+    rows = {
+        tr: (rec["replay"]["runtime"], rec["replay"]["avg_latency"], rec["closed"]["runtime"])
+        for tr, rec in exhibit.items()
+    }
     base_rt, base_lat, base_closed = rows[1]
     table = format_table(
         ["tr", "replay_runtime", "replay_latency", "closedloop_runtime"],

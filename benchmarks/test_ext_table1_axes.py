@@ -12,33 +12,18 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from conftest import emit
 
-from repro import rng as rng_mod
 from repro.analysis import format_table
-from repro.config import NetworkConfig
-from repro.core.openloop import OpenLoopSimulator
-from repro.network import Network
-from repro.traffic import UniformRandom
-
-OL_SMALL = dict(warmup=200, measure=400, drain_limit=2000)
 
 
-def test_ext_256_nodes_similar_trend():
-    def run():
-        out = {}
-        for tr in (1, 2):
-            cfg = NetworkConfig(k=16, n=2, router_delay=tr)
-            sim = OpenLoopSimulator(cfg, **OL_SMALL)
-            out[tr] = (
-                sim.zero_load_latency(),
-                sim.saturation_throughput(tolerance=0.03),
-            )
-        return out
+def _zero_load_and_saturation(exhibit):
+    return {key: (rec["zero_load"], rec["saturation"]) for key, rec in exhibit.items()}
 
-    out = run()
+
+def test_ext_256_nodes_similar_trend(exhibit):
+    out = _zero_load_and_saturation(exhibit)
     ratio = out[2][0] / out[1][0]
     text = format_table(
         ["tr", "zero_load", "saturation"],
@@ -53,19 +38,8 @@ def test_ext_256_nodes_similar_trend():
     assert abs(out[2][1] - out[1][1]) < 0.05
 
 
-def test_ext_vc_count():
-    def run():
-        out = {}
-        for vcs in (2, 4):
-            cfg = NetworkConfig(num_vcs=vcs)
-            sim = OpenLoopSimulator(cfg, **OL_SMALL)
-            out[vcs] = (
-                sim.zero_load_latency(),
-                sim.saturation_throughput(tolerance=0.02),
-            )
-        return out
-
-    out = run()
+def test_ext_vc_count(exhibit):
+    out = _zero_load_and_saturation(exhibit)
     text = format_table(
         ["VCs", "zero_load", "saturation"],
         [[v, zl, sat] for v, (zl, sat) in out.items()],
@@ -76,26 +50,8 @@ def test_ext_vc_count():
     assert out[4][1] > out[2][1]
 
 
-def test_ext_arbitration_tail_latency():
-    def run():
-        tails = {}
-        for arb in ("round_robin", "age"):
-            cfg = NetworkConfig(arbitration=arb)
-            net = Network(cfg)
-            gen = rng_mod.make_generator(4, "arb-ext")
-            pat = UniformRandom(64)
-            lat = []
-            for _ in range(2500):
-                for src in np.nonzero(gen.random(64) < 0.38)[0]:
-                    src = int(src)
-                    net.offer(net.make_packet(src, pat.dest(src, gen), 1))
-                for pkt in net.step():
-                    lat.append(pkt.latency)
-            lat = np.array(lat[len(lat) // 4 :])  # drop warmup quarter
-            tails[arb] = (float(lat.mean()), float(np.percentile(lat, 99)))
-        return tails
-
-    tails = run()
+def test_ext_arbitration_tail_latency(exhibit):
+    tails = {arb: (rec["mean"], rec["p99"]) for arb, rec in exhibit.items()}
     text = format_table(
         ["arbitration", "mean_latency", "p99_latency"],
         [[a, m, p] for a, (m, p) in tails.items()],

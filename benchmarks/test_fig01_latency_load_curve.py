@@ -7,27 +7,18 @@ zero-load latency T0 and saturation throughput θ it sketches.
 
 from __future__ import annotations
 
-from conftest import OPENLOOP, emit
+from conftest import emit
 
 from repro.analysis import ascii_plot, format_table
 from repro.config import NetworkConfig
 from repro.core.openloop import OpenLoopSimulator
 
-LOADS = (0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.38, 0.41, 0.43)
 
-
-def test_fig01_latency_load_curve():
-    sim = OpenLoopSimulator(NetworkConfig(), **OPENLOOP)
-
-    def run():
-        results = sim.latency_load_sweep(LOADS)
-        sat = sim.saturation_throughput(tolerance=0.02)
-        return results, sat
-
-    results, sat = run()
-    zero_load = results[0].avg_latency
+def test_fig01_latency_load_curve(exhibit):
+    results, sat = exhibit["curve"], exhibit["saturation"]
+    zero_load = results[0]["avg_latency"]
     rows = [
-        [r.injection_rate, r.avg_latency, r.throughput, r.saturated] for r in results
+        [r["injection_rate"], r["avg_latency"], r["throughput"], r["saturated"]] for r in results
     ]
     table = format_table(
         ["offered", "avg_latency", "throughput", "saturated"],
@@ -35,14 +26,14 @@ def test_fig01_latency_load_curve():
         title="Figure 1 - latency vs offered traffic (8x8 mesh, DOR, uniform random)",
     )
     plot = ascii_plot(
-        {"latency": [(r.injection_rate, r.avg_latency) for r in results]},
+        {"latency": [(r["injection_rate"], r["avg_latency"]) for r in results]},
         xlabel="offered load (flits/cycle/node)",
         ylabel="avg latency (cycles)",
     )
     text = (
         f"{table}\n\n{plot}\n"
         f"zero-load latency T0 = {zero_load:.1f} cycles (analytic "
-        f"{sim.analytic_zero_load_latency():.1f})\n"
+        f"{OpenLoopSimulator(NetworkConfig()).analytic_zero_load_latency():.1f})\n"
         f"saturation throughput = {sat:.3f} flits/cycle/node "
         f"(paper SIII-B: ~0.43)"
     )

@@ -11,34 +11,21 @@ from __future__ import annotations
 from conftest import emit
 
 from repro.analysis import ascii_plot, format_table
-from repro.config import NetworkConfig
-from repro.core.closedloop import BatchSimulator
-
-B_VALUES = (10, 30, 100, 300, 1000)
-M_VALUES = (1, 4, 16)
 
 
-def test_fig02_batch_size():
-    cfg = NetworkConfig()
-
-    def run():
-        out = {}
-        for m in M_VALUES:
-            for b in B_VALUES:
-                res = BatchSimulator(cfg, batch_size=b, max_outstanding=m).run()
-                out[m, b] = res.normalized_runtime
-        return out
-
-    norm = run()
-    rows = [[b] + [norm[m, b] for m in M_VALUES] for b in B_VALUES]
+def test_fig02_batch_size(exhibit):
+    norm = {key: res["runtime"] / res["batch_size"] for key, res in exhibit.items()}
+    ms = tuple(dict.fromkeys(m for m, _ in norm))
+    bs = tuple(dict.fromkeys(b for _, b in norm))
+    rows = [[b] + [norm[m, b] for m in ms] for b in bs]
     table = format_table(
-        ["b"] + [f"m={m}" for m in M_VALUES],
+        ["b"] + [f"m={m}" for m in ms],
         rows,
         precision=2,
         title="Figure 2 - runtime normalized to batch size (8x8 mesh, uniform random)",
     )
     plot = ascii_plot(
-        {f"m={m}": [(b, norm[m, b]) for b in B_VALUES] for m in M_VALUES},
+        {f"m={m}": [(b, norm[m, b]) for b in bs] for m in ms},
         xlabel="batch size b",
         ylabel="T/b",
     )
@@ -50,7 +37,7 @@ def test_fig02_batch_size():
         f"the network's max throughput, ~0.43)"
     )
     emit("fig02_batch_size", text)
-    for m in M_VALUES:
-        series = [norm[m, b] for b in B_VALUES]
+    for m in ms:
+        series = [norm[m, b] for b in bs]
         assert series[0] >= series[-1] * 0.95, "normalized runtime must fall with b"
     assert norm[1, 1000] > norm[4, 1000] > norm[16, 1000]

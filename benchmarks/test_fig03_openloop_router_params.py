@@ -8,32 +8,21 @@ is q=2 where the paper's was q=4 (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from conftest import OPENLOOP, emit
+import pytest
+from conftest import emit
 
 from repro.analysis import ascii_plot, format_table
-from repro.config import NetworkConfig
-from repro.core.openloop import OpenLoopSimulator
-
-LOADS = (0.05, 0.15, 0.25, 0.32, 0.38, 0.42)
-TRS = (1, 2, 4)
-QS = (2, 4, 16, 32)
 
 
-def _curves(configs):
-    out = {}
-    for label, cfg in configs:
-        sim = OpenLoopSimulator(cfg, **OPENLOOP)
-        out[label] = (
-            sim.latency_load_sweep(LOADS),
-            sim.zero_load_latency(),
-            sim.saturation_throughput(tolerance=0.02),
-        )
-    return out
+def _curves(exhibit):
+    return {
+        label: (rec["curve"], rec["zero_load"], rec["saturation"])
+        for label, rec in exhibit.items()
+    }
 
 
-def test_fig03a_router_delay():
-    base = NetworkConfig()
-    res = _curves([(f"tr={tr}", base.with_(router_delay=tr)) for tr in TRS])
+def test_fig03a_router_delay(exhibit):
+    res = _curves(exhibit)
     rows = [[label, zl, sat] for label, (_, zl, sat) in res.items()]
     table = format_table(
         ["config", "zero_load", "saturation"],
@@ -42,7 +31,7 @@ def test_fig03a_router_delay():
     )
     plot = ascii_plot(
         {
-            label: [(r.injection_rate, r.avg_latency) for r in sweep]
+            label: [(r["injection_rate"], r["avg_latency"]) for r in sweep]
             for label, (sweep, _, _) in res.items()
         },
         xlabel="offered load",
@@ -58,14 +47,13 @@ def test_fig03a_router_delay():
         + ", ".join(f"{label} {s:.3f}" for label, s in sat.items())
     )
     emit("fig03a_router_delay", text)
-    assert zl["tr=2"] / zl["tr=1"] == __import__("pytest").approx(1.5, abs=0.1)
-    assert zl["tr=4"] / zl["tr=1"] == __import__("pytest").approx(2.5, abs=0.15)
+    assert zl["tr=2"] / zl["tr=1"] == pytest.approx(1.5, abs=0.1)
+    assert zl["tr=4"] / zl["tr=1"] == pytest.approx(2.5, abs=0.15)
     assert max(sat.values()) - min(sat.values()) < 0.05
 
 
-def test_fig03b_buffer_size():
-    base = NetworkConfig()
-    res = _curves([(f"q={q}", base.with_(vc_buffer_size=q)) for q in QS])
+def test_fig03b_buffer_size(exhibit):
+    res = _curves(exhibit)
     rows = [[label, zl, sat] for label, (_, zl, sat) in res.items()]
     table = format_table(
         ["config", "zero_load", "saturation"],

@@ -9,23 +9,14 @@ a completely different metric.
 from __future__ import annotations
 
 import pytest
-from conftest import BATCH_SIZE, M_VALUES, emit
+from conftest import emit
+from exhibits import M_VALUES
 
 from repro.analysis import format_table
-from repro.config import NetworkConfig
-from repro.core.closedloop import BatchSimulator
-
-TRS = (1, 2, 4)
-QS = (2, 4, 16)
 
 
-def _batch_sweep(configs):
-    out = {}
-    for label, cfg in configs:
-        for m in M_VALUES:
-            res = BatchSimulator(cfg, batch_size=BATCH_SIZE, max_outstanding=m).run()
-            out[label, m] = (res.runtime, res.throughput)
-    return out
+def _batch_sweep(exhibit):
+    return {key: (res["runtime"], res["throughput"]) for key, res in exhibit.items()}
 
 
 def _render(title, labels, out, baseline_label):
@@ -46,10 +37,9 @@ def _render(title, labels, out, baseline_label):
     )
 
 
-def test_fig04a_router_delay():
-    base = NetworkConfig()
-    labels = [f"tr={tr}" for tr in TRS]
-    out = _batch_sweep([(f"tr={tr}", base.with_(router_delay=tr)) for tr in TRS])
+def test_fig04a_router_delay(exhibit):
+    out = _batch_sweep(exhibit)
+    labels = list(dict.fromkeys(label for label, _ in out))
     table = _render(
         "Figure 4(a) - batch model, router delay (T normalized to tr=1, m=1)",
         labels,
@@ -68,10 +58,9 @@ def test_fig04a_router_delay():
     assert r_m32 < 1.4
 
 
-def test_fig04b_buffer_size():
-    base = NetworkConfig()
-    labels = [f"q={q}" for q in QS]
-    out = _batch_sweep([(f"q={q}", base.with_(vc_buffer_size=q)) for q in QS])
+def test_fig04b_buffer_size(exhibit):
+    out = _batch_sweep(exhibit)
+    labels = list(dict.fromkeys(label for label, _ in out))
     table = _render(
         "Figure 4(b) - batch model, buffer size (T normalized to q=2, m=1)",
         labels,

@@ -9,25 +9,11 @@ the paper reports r = 0.9953 for tr and 0.9935 for q.
 
 from __future__ import annotations
 
-from conftest import BATCH_SIZE, OPENLOOP, emit
+from conftest import emit
+from exhibits import correlation
 
 from repro.analysis import ascii_scatter, format_table
-from repro.config import NetworkConfig
-from repro.core.correlation import batch_vs_openloop
-
-M_ALL = (1, 2, 4, 8, 16, 32)
-
-
-def _study(configs):
-    def run():
-        return batch_vs_openloop(
-            configs,
-            m_values=M_ALL,
-            batch_size=BATCH_SIZE,
-            openloop_kwargs=OPENLOOP,
-        )
-
-    return run()
+from repro.core.correlation import pearson
 
 
 def _report(name, title, res, paper_r):
@@ -52,10 +38,8 @@ def _report(name, title, res, paper_r):
     return filtered
 
 
-def test_fig05a_router_delay_correlation():
-    base = NetworkConfig()
-    configs = [(f"tr={tr}", base.with_(router_delay=tr)) for tr in (1, 2, 4)]
-    res = _study(configs)
+def test_fig05a_router_delay_correlation(exhibit):
+    res = correlation(exhibit, "tr=1")
     filtered = _report(
         "fig05a_correlation_router_delay",
         "Figure 5(a) - batch vs open-loop, router delay",
@@ -65,7 +49,7 @@ def test_fig05a_router_delay_correlation():
     assert filtered.r > 0.95
 
 
-def test_fig05b_buffer_correlation():
+def test_fig05b_buffer_correlation(exhibit):
     """Deviation note: in our router, buffer starvation is a throughput
     cliff with no latency precursor (3-cycle credit loop), so the paper's
     latency-at-matched-load pairing carries no q signal once the
@@ -75,32 +59,10 @@ def test_fig05b_buffer_correlation():
     manifests here: open-loop saturation throughput against batch-model
     achieved throughput at high m, per buffer depth.
     """
-    from conftest import BATCH_SIZE, OPENLOOP
-
-    from repro.core.closedloop import BatchSimulator
-    from repro.core.correlation import pearson
-    from repro.core.openloop import OpenLoopSimulator
-
-    base = NetworkConfig()
-    qs = (1, 2, 4, 16)
-
-    def run():
-        sat, theta = [], []
-        for q in qs:
-            cfg = base.with_(vc_buffer_size=q)
-            sat.append(
-                OpenLoopSimulator(cfg, **OPENLOOP).saturation_throughput(tolerance=0.02)
-            )
-            theta.append(
-                BatchSimulator(cfg, batch_size=BATCH_SIZE, max_outstanding=32)
-                .run()
-                .throughput
-            )
-        return sat, theta
-
-    sat, theta = run()
+    sat = [rec["saturation"] for rec in exhibit.values()]
+    theta = [rec["batch"]["throughput"] for rec in exhibit.values()]
     r = pearson(sat, theta)
-    rows = [[f"q={q}", s, t] for q, s, t in zip(qs, sat, theta)]
+    rows = [[label, s, t] for label, s, t in zip(exhibit, sat, theta)]
     table = format_table(
         ["config", "openloop_saturation", "batch_theta_m32"],
         rows,

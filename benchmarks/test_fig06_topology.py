@@ -13,30 +13,14 @@ in EXPERIMENTS.md).
 
 from __future__ import annotations
 
-import pytest
-from conftest import BATCH_SIZE, OPENLOOP, emit
+from conftest import emit
+from exhibits import TOPOLOGIES
 
 from repro.analysis import format_table
-from repro.config import NetworkConfig
-from repro.core.closedloop import BatchSimulator
-from repro.core.openloop import OpenLoopSimulator
-
-TOPOLOGIES = ("mesh", "torus", "ring")
-M_VALUES = (1, 4, 16, 32)
 
 
-def test_fig06a_openloop():
-    def run():
-        out = {}
-        for topo in TOPOLOGIES:
-            sim = OpenLoopSimulator(NetworkConfig(topology=topo, num_vcs=4), **OPENLOOP)
-            out[topo] = (
-                sim.zero_load_latency(),
-                sim.saturation_throughput(tolerance=0.02),
-            )
-        return out
-
-    out = run()
+def test_fig06a_openloop(exhibit):
+    out = {t: (rec["zero_load"], rec["saturation"]) for t, rec in exhibit.items()}
     rows = [[t, out[t][0], out[t][1]] for t in TOPOLOGIES]
     text = format_table(
         ["topology", "zero_load_latency", "saturation_throughput"],
@@ -53,21 +37,13 @@ def test_fig06a_openloop():
     assert sat["ring"] < sat["mesh"] < sat["torus"]
 
 
-def test_fig06b_batch():
-    def run():
-        out = {}
-        for topo in TOPOLOGIES:
-            cfg = NetworkConfig(topology=topo, num_vcs=4)
-            for m in M_VALUES:
-                res = BatchSimulator(cfg, batch_size=BATCH_SIZE, max_outstanding=m).run()
-                out[topo, m] = (res.runtime, res.throughput)
-        return out
-
-    out = run()
+def test_fig06b_batch(exhibit):
+    out = {key: (res["runtime"], res["throughput"]) for key, res in exhibit.items()}
+    ms = tuple(dict.fromkeys(m for _, m in out))
     base = out["mesh", 1][0]
     rows = [
         [m] + [out[t, m][0] / base for t in TOPOLOGIES] + [out[t, m][1] for t in TOPOLOGIES]
-        for m in M_VALUES
+        for m in ms
     ]
     text = format_table(
         ["m"] + [f"T {t}" for t in TOPOLOGIES] + [f"theta {t}" for t in TOPOLOGIES],
@@ -82,7 +58,7 @@ def test_fig06b_batch():
         "way the paper's does; its advantage shows in open loop (Fig 6a)."
     )
     emit("fig06b_topology_batch", text)
-    for m in M_VALUES:
+    for m in ms:
         assert out["ring", m][0] > out["mesh", m][0]
         assert out["ring", m][0] > out["torus", m][0]
     # the paper's small-m headline: mesh runtime exceeds torus runtime even

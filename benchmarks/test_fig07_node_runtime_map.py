@@ -8,24 +8,14 @@ worst-case (runtime) terms even with lower average latency.
 
 from __future__ import annotations
 
-from conftest import BATCH_SIZE, emit
+from conftest import emit
 
 from repro.analysis import format_matrix
-from repro.config import NetworkConfig
-from repro.core.closedloop import BatchSimulator
 from repro.core.metrics import runtime_map
 
 
-def test_fig07_node_runtime_map():
-    def run():
-        maps = {}
-        for topo in ("mesh", "torus"):
-            cfg = NetworkConfig(topology=topo, num_vcs=4)
-            res = BatchSimulator(cfg, batch_size=BATCH_SIZE, max_outstanding=4).run()
-            maps[topo] = runtime_map(res.node_finish, 8)
-        return maps
-
-    maps = run()
+def test_fig07_node_runtime_map(exhibit):
+    maps = {topo: runtime_map(res["node_finish"], 8) for topo, res in exhibit.items()}
     mesh, torus = maps["mesh"], maps["torus"]
     text = (
         format_matrix(mesh, title="Figure 7(a) - mesh normalized runtime (dark = slow)")

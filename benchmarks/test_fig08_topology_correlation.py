@@ -8,39 +8,15 @@ worst-case metric (decided by the slowest node).
 
 from __future__ import annotations
 
-from conftest import BATCH_SIZE, OPENLOOP, emit
+from conftest import emit
+from exhibits import correlation
 
 from repro.analysis import ascii_scatter, format_table
-from repro.config import NetworkConfig
-from repro.core.correlation import batch_vs_openloop
 
 
-def test_fig08_topology_correlation():
-    configs = [
-        (topo, NetworkConfig(topology=topo, num_vcs=4))
-        for topo in ("mesh", "torus", "ring")
-    ]
-
-    def run():
-        worst = batch_vs_openloop(
-            configs,
-            m_values=(1, 2, 4, 8),
-            batch_size=BATCH_SIZE,
-            baseline_key="mesh",
-            worst_case=True,
-            openloop_kwargs=OPENLOOP,
-        )
-        avg = batch_vs_openloop(
-            configs,
-            m_values=(1, 2, 4, 8),
-            batch_size=BATCH_SIZE,
-            baseline_key="mesh",
-            worst_case=False,
-            openloop_kwargs=OPENLOOP,
-        )
-        return worst, avg
-
-    worst, avg = run()
+def test_fig08_topology_correlation(exhibit):
+    worst = correlation(exhibit, "mesh", worst_case=True)
+    avg = correlation(exhibit, "mesh")
     rows = [[p.key[0], p.key[1], p.x, p.y] for p in worst.pairs]
     table = format_table(
         ["topology", "m", "worstcase_norm_latency", "batch_norm_runtime"],

@@ -8,29 +8,18 @@ routes sit between.
 
 from __future__ import annotations
 
-from conftest import OPENLOOP, emit
+from conftest import emit
+from exhibits import ROUTING as ALGS
 
 from repro.analysis import format_table
-from repro.config import NetworkConfig
-from repro.core.openloop import OpenLoopSimulator
-
-ALGS = ("dor", "ma", "romm", "val")
 
 
-def _study(traffic):
-    out = {}
-    for alg in ALGS:
-        cfg = NetworkConfig(routing=alg, traffic=traffic)
-        sim = OpenLoopSimulator(cfg, **OPENLOOP)
-        out[alg] = (
-            sim.zero_load_latency(),
-            sim.saturation_throughput(tolerance=0.02),
-        )
-    return out
+def _study(exhibit):
+    return {a: (rec["zero_load"], rec["saturation"]) for a, rec in exhibit.items()}
 
 
-def test_fig09a_uniform_random():
-    out = _study("uniform_random")
+def test_fig09a_uniform_random(exhibit):
+    out = _study(exhibit)
     rows = [[a, out[a][0], out[a][1]] for a in ALGS]
     text = format_table(
         ["routing", "zero_load", "saturation"],
@@ -48,8 +37,8 @@ def test_fig09a_uniform_random():
     assert out["val"][1] < out["dor"][1]  # VAL halves UR throughput
 
 
-def test_fig09b_transpose():
-    out = _study("transpose")
+def test_fig09b_transpose(exhibit):
+    out = _study(exhibit)
     rows = [[a, out[a][0], out[a][1]] for a in ALGS]
     text = format_table(
         ["routing", "zero_load", "saturation"],

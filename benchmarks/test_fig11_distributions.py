@@ -9,26 +9,17 @@ identical — the corner nodes dominate both.
 from __future__ import annotations
 
 import numpy as np
-from conftest import BATCH_SIZE, OPENLOOP, emit
+from conftest import emit
 
 from repro.analysis import format_table
-from repro.config import NetworkConfig
-from repro.core.closedloop import BatchSimulator
 from repro.core.metrics import node_distribution
-from repro.core.openloop import OpenLoopSimulator
 
 
-def test_fig11_distributions():
-    def run():
-        out = {}
-        for alg in ("dor", "val"):
-            cfg = NetworkConfig(routing=alg, traffic="transpose")
-            ol = OpenLoopSimulator(cfg, **OPENLOOP).run(0.05)
-            ba = BatchSimulator(cfg, batch_size=BATCH_SIZE, max_outstanding=1).run()
-            out[alg] = (ol.per_node_latency, ba.node_finish)
-        return out
-
-    out = run()
+def test_fig11_distributions(exhibit):
+    out = {
+        alg: (np.array(rec["openloop"]["per_node_latency"]), np.array(rec["batch"]["node_finish"]))
+        for alg, rec in exhibit.items()
+    }
     sections = []
     for alg in ("dor", "val"):
         lat, finish = out[alg]

@@ -10,37 +10,32 @@ comparison.
 from __future__ import annotations
 
 import numpy as np
-from conftest import EXEC_INSTRUCTIONS, cmp_config, emit
+from conftest import emit
 
 from repro.analysis import format_matrix
-from repro.execdriven import CmpSystem, lu
 
 
-def _normalized_row_cv(matrix: np.ndarray) -> float:
+def _normalized_row_cv(matrix) -> float:
     """Coefficient of variation of the row-normalized matrix: 0 = uniform."""
-    m = matrix.astype(float)
+    m = np.array(matrix, dtype=float)
     rows = m.sum(axis=1, keepdims=True)
     rows[rows == 0] = 1.0
     norm = m / rows
     return float(norm.std() / max(norm.mean(), 1e-12))
 
 
-def test_fig13_traffic_matrix():
-    def run():
-        system = CmpSystem(lu(EXEC_INSTRUCTIONS), cmp_config(1), seed=2)
-        return system.run()
-
-    res = run()
-    logical_cv = _normalized_row_cv(res.logical_matrix)
-    actual_cv = _normalized_row_cv(res.traffic_matrix)
+def test_fig13_traffic_matrix(exhibit):
+    res = exhibit
+    logical_cv = _normalized_row_cv(res["logical_matrix"])
+    actual_cv = _normalized_row_cv(res["traffic_matrix"])
     text = (
         format_matrix(
-            res.logical_matrix,
+            res["logical_matrix"],
             title="Figure 13(a) - lu logical communication (consumer x producer; dark = heavy)",
         )
         + "\n\n"
         + format_matrix(
-            res.traffic_matrix,
+            res["traffic_matrix"],
             title="Figure 13(b) - actual injected traffic (src x dst)",
         )
         + f"\n\nnon-uniformity (row-normalized CV): logical {logical_cv:.2f}, "

@@ -8,31 +8,21 @@ the impact for every real workload.
 
 from __future__ import annotations
 
-from conftest import BATCH_SIZE, TR_VALUES, emit
+from conftest import emit
+from exhibits import TR_VALUES
 
 from repro.analysis import format_table
-from repro.config import NetworkConfig
-from repro.core.closedloop import BatchSimulator
 from repro.execdriven import BENCHMARKS
 
 
-def test_fig14_execdriven_router_delay(exec_results_3ghz):
-    def run_ba():
-        out = {}
-        for tr in TR_VALUES:
-            cfg = NetworkConfig(k=4, n=2, num_vcs=8, vc_buffer_size=4, router_delay=tr)
-            out[tr] = BatchSimulator(
-                cfg, batch_size=BATCH_SIZE, max_outstanding=1
-            ).run().runtime
-        return out
-
-    ba = run_ba()
-    names = list(BENCHMARKS) + ["BA"]
+def test_fig14_execdriven_router_delay(exhibit):
+    runs = exhibit["exec"]
+    ba = {tr: res["runtime"] for tr, res in exhibit["BA"].items()}
     rows = []
     ratios = {}
     for name in BENCHMARKS:
-        base = exec_results_3ghz[name, 1].cycles
-        ratios[name] = [exec_results_3ghz[name, tr].cycles / base for tr in TR_VALUES]
+        base = runs[name, 1]["cycles"]
+        ratios[name] = [runs[name, tr]["cycles"] / base for tr in TR_VALUES]
         rows.append([name] + ratios[name])
     ratios["BA"] = [ba[tr] / ba[1] for tr in TR_VALUES]
     rows.append(["BA"] + ratios["BA"])

@@ -6,40 +6,16 @@ track how real workloads respond to router delay.
 
 from __future__ import annotations
 
-import numpy as np
-from conftest import BATCH_SIZE, TR_VALUES, emit
+from conftest import emit
+from exhibits import exec_batch_pairs
 
 from repro.analysis import ascii_scatter, format_table
-from repro.config import NetworkConfig
-from repro.core.closedloop import BatchSimulator
 from repro.core.correlation import pearson
-from repro.execdriven import BENCHMARKS
 
 
-def collect_pairs(exec_results, batch_runtimes):
-    """(exec_norm, batch_norm) pairs per benchmark x tr, both normalized to
-    tr=1 — exactly the paper's Fig. 15/19/22 axes."""
-    xs, ys = [], []
-    for name in BENCHMARKS:
-        base = exec_results[name, 1].cycles
-        for tr in TR_VALUES:
-            xs.append(exec_results[name, tr].cycles / base)
-            ys.append(batch_runtimes[tr] / batch_runtimes[1])
-    return np.array(xs), np.array(ys)
-
-
-def test_fig15_baseline_correlation(exec_results_3ghz):
-    def run_ba():
-        out = {}
-        for tr in TR_VALUES:
-            cfg = NetworkConfig(k=4, n=2, num_vcs=8, vc_buffer_size=4, router_delay=tr)
-            out[tr] = BatchSimulator(
-                cfg, batch_size=BATCH_SIZE, max_outstanding=1
-            ).run().runtime
-        return out
-
-    ba = run_ba()
-    xs, ys = collect_pairs(exec_results_3ghz, ba)
+def test_fig15_baseline_correlation(exhibit):
+    ba = exhibit["BA"]
+    xs, ys = exec_batch_pairs(exhibit["exec"], lambda name, tr: ba[tr]["runtime"])
     r = pearson(xs, ys)
     rows = [[f"{x:.2f}", f"{y:.2f}"] for x, y in zip(xs, ys)]
     text = (

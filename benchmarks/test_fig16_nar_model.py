@@ -12,42 +12,24 @@ import pytest
 from conftest import emit
 
 from repro.analysis import format_table
-from repro.config import NetworkConfig
-from repro.core.closedloop import BatchSimulator
-
-NARS = (0.04, 0.12, 0.2, 0.36, 1.0)
-TRS = (1, 2, 4)
-MS = (1, 4, 16)
-B = 100
 
 
-def test_fig16_nar_model():
-    def run():
-        out = {}
-        for m in MS:
-            for nar in NARS:
-                for tr in TRS:
-                    cfg = NetworkConfig(router_delay=tr)
-                    res = BatchSimulator(
-                        cfg, batch_size=B, max_outstanding=m, nar=nar
-                    ).run()
-                    out[m, nar, tr] = (res.runtime, res.throughput)
-        return out
-
-    out = run()
+def test_fig16_nar_model(exhibit):
+    out = {key: (res["runtime"], res["throughput"]) for key, res in exhibit.items()}
+    ms, nars, trs = (tuple(dict.fromkeys(axis)) for axis in zip(*out))
     sections = []
-    for m in MS:
+    for m in ms:
         rows = []
-        for nar in NARS:
+        for nar in nars:
             base = out[m, nar, 1][0]
             rows.append(
                 [nar]
-                + [out[m, nar, tr][0] / base for tr in TRS]
-                + [out[m, nar, tr][1] for tr in TRS]
+                + [out[m, nar, tr][0] / base for tr in trs]
+                + [out[m, nar, tr][1] for tr in trs]
             )
         sections.append(
             format_table(
-                ["NAR"] + [f"T tr={tr}" for tr in TRS] + [f"theta tr={tr}" for tr in TRS],
+                ["NAR"] + [f"T tr={tr}" for tr in trs] + [f"theta tr={tr}" for tr in trs],
                 rows,
                 precision=3,
                 title=f"Figure 16 (m={m}) - runtime normalized per-NAR to tr=1",
@@ -60,7 +42,7 @@ def test_fig16_nar_model():
         f"communication-limited, router delay nearly free)"
     )
     emit("fig16_nar_model", text)
-    for m in MS:
+    for m in ms:
         assert tr4(m, 0.04) < tr4(m, 1.0) + 0.05
     assert tr4(16, 0.04) == pytest.approx(1.0, abs=0.1)
     assert tr4(1, 1.0) == pytest.approx(2.5, abs=0.4)

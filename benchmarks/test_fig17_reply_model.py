@@ -12,47 +12,24 @@ from __future__ import annotations
 from conftest import emit
 
 from repro.analysis import format_table
-from repro.config import NetworkConfig
-from repro.core.closedloop import BatchSimulator
-from repro.core.reply import FixedReply, ProbabilisticReply
-
-MS = (1, 4, 16)
-TRS = (1, 2, 4)
-B = 100
-MODELS = (
-    ("fixed20", FixedReply(20)),
-    ("fixed50", FixedReply(50)),
-    ("prob 20+0.1*300", ProbabilisticReply(20, 300, 0.1)),
-)
 
 
-def test_fig17_reply_model():
-    def run():
-        out = {}
-        for label, model in MODELS:
-            for m in MS:
-                for tr in TRS:
-                    cfg = NetworkConfig(router_delay=tr)
-                    res = BatchSimulator(
-                        cfg, batch_size=B, max_outstanding=m, reply_model=model
-                    ).run()
-                    out[label, m, tr] = (res.runtime, res.throughput)
-        return out
-
-    out = run()
+def test_fig17_reply_model(exhibit):
+    out = {key: (res["runtime"], res["throughput"]) for key, res in exhibit.items()}
+    models, ms, trs = (tuple(dict.fromkeys(axis)) for axis in zip(*out))
     sections = []
-    for label, _ in MODELS:
+    for label in models:
         rows = []
-        for m in MS:
+        for m in ms:
             base = out[label, m, 1][0]
             rows.append(
                 [m]
-                + [out[label, m, tr][0] / base for tr in TRS]
-                + [out[label, m, tr][1] for tr in TRS]
+                + [out[label, m, tr][0] / base for tr in trs]
+                + [out[label, m, tr][1] for tr in trs]
             )
         sections.append(
             format_table(
-                ["m"] + [f"T tr={tr}" for tr in TRS] + [f"theta tr={tr}" for tr in TRS],
+                ["m"] + [f"T tr={tr}" for tr in trs] + [f"theta tr={tr}" for tr in trs],
                 rows,
                 precision=3,
                 title=f"Figure 17 - reply model: {label}",

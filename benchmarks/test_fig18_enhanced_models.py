@@ -9,55 +9,25 @@ with each model's parameters derived from the benchmark's characterization
 
 from __future__ import annotations
 
-from conftest import BATCH_SIZE, TR_VALUES, cmp_config, emit
+from conftest import emit
+from exhibits import BATCH_VARIANTS, TR_VALUES
 
 from repro.analysis import format_table
-from repro.core.closedloop import BatchSimulator
-from repro.execdriven import BENCHMARKS, derive_batch_params
-
-# In-order cores block on loads, so their effective memory-level
-# parallelism is ~1 even with 8 MSHRs (the paper's SII-B2 argument that
-# on-chip cores tolerate "only a handful" of outstanding requests); the
-# batch variants therefore run at m=1, where the NAR model's injection
-# gap and the round trip serialize per operation as they do in the core.
-M = 1
+from repro.execdriven import BENCHMARKS
 
 
-def batch_variants(ch):
-    """BA / BA_inj / BA_re / BA_inj+re parameter sets for one benchmark."""
-    params = derive_batch_params(ch)
-    return {
-        "BA": {},
-        "BA_inj": {"nar": params["nar"]},
-        "BA_re": {"reply_model": params["reply_model"]},
-        "BA_inj+re": {"nar": params["nar"], "reply_model": params["reply_model"]},
-    }
-
-
-def run_batch_models(characterizations, tr_values=TR_VALUES, batch_size=BATCH_SIZE):
-    out = {}
-    for name, ch in characterizations.items():
-        for label, kw in batch_variants(ch).items():
-            for tr in tr_values:
-                cfg = cmp_config(tr).network
-                res = BatchSimulator(
-                    cfg, batch_size=batch_size, max_outstanding=M, **kw
-                ).run()
-                out[name, label, tr] = res.runtime
-    return out
-
-
-def test_fig18_enhanced_models(exec_results_3ghz, characterizations):
-    batches = run_batch_models(characterizations)
+def test_fig18_enhanced_models(exhibit):
+    exec_results = exhibit["exec"]
+    batches = {key: res["runtime"] for key, res in exhibit["batch"].items()}
     sections = []
     ok_closer = 0
     total = 0
     for name in BENCHMARKS:
-        base_exec = exec_results_3ghz[name, 1].cycles
+        base_exec = exec_results[name, 1]["cycles"]
         rows = []
         for tr in TR_VALUES:
-            row = [tr, exec_results_3ghz[name, tr].cycles / base_exec]
-            for label in ("BA", "BA_inj", "BA_re", "BA_inj+re"):
+            row = [tr, exec_results[name, tr]["cycles"] / base_exec]
+            for label in BATCH_VARIANTS:
                 row.append(batches[name, label, tr] / batches[name, label, 1])
             rows.append(row)
         sections.append(
@@ -70,7 +40,7 @@ def test_fig18_enhanced_models(exec_results_3ghz, characterizations):
         )
         # at tr=8, count whether each enhanced model lands closer to the
         # exec-driven ratio than the baseline does
-        exec8 = exec_results_3ghz[name, 8].cycles / base_exec
+        exec8 = exec_results[name, 8]["cycles"] / base_exec
         ba8 = batches[name, "BA", 8] / batches[name, "BA", 1]
         for label in ("BA_inj", "BA_re", "BA_inj+re"):
             v8 = batches[name, label, 8] / batches[name, label, 1]

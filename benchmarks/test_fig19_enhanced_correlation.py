@@ -10,33 +10,21 @@ sensitivity match; the baseline's slope is far above 1).
 from __future__ import annotations
 
 import numpy as np
-from conftest import TR_VALUES, emit
+from conftest import emit
+from exhibits import BATCH_VARIANTS, exec_batch_pairs
 
 from repro.analysis import format_table
 from repro.core.correlation import pearson
-from repro.execdriven import BENCHMARKS
-from test_fig18_enhanced_models import run_batch_models
-
-LABELS = ("BA", "BA_inj", "BA_re", "BA_inj+re")
 
 
-def pairs_for(label, batches, exec_results):
-    xs, ys = [], []
-    for name in BENCHMARKS:
-        base_exec = exec_results[name, 1].cycles
-        base_batch = batches[name, label, 1]
-        for tr in TR_VALUES:
-            xs.append(exec_results[name, tr].cycles / base_exec)
-            ys.append(batches[name, label, tr] / base_batch)
-    return np.array(xs), np.array(ys)
-
-
-def test_fig19_enhanced_correlation(exec_results_3ghz, characterizations):
-    batches = run_batch_models(characterizations)
+def test_fig19_enhanced_correlation(exhibit):
+    batches = exhibit["batch"]
     rows = []
     stats = {}
-    for label in LABELS:
-        xs, ys = pairs_for(label, batches, exec_results_3ghz)
+    for label in BATCH_VARIANTS:
+        xs, ys = exec_batch_pairs(
+            exhibit["exec"], lambda name, tr: batches[name, label, tr]["runtime"]
+        )
         r = pearson(xs, ys)
         slope = float(np.polyfit(xs, ys, 1)[0])
         rmse = float(np.sqrt(np.mean((ys - xs) ** 2)))

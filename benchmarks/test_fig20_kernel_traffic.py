@@ -8,27 +8,21 @@ fixed in wall-clock time, not cycles.
 
 from __future__ import annotations
 
-from conftest import TR_VALUES, emit
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.execdriven import BENCHMARKS
 
 
-def test_fig20_kernel_traffic(exec_results_3ghz, exec_results_75mhz):
-    def collect():
-        rows = []
-        shares = {}
-        for clock, results in (("75MHz", exec_results_75mhz), ("3GHz", exec_results_3ghz)):
-            for name in BENCHMARKS:
-                for tr in TR_VALUES:
-                    res = results[name, tr]
-                    rows.append(
-                        [clock, name, tr, res.nar, res.kernel_fraction, res.interrupts]
-                    )
-                shares[clock, name] = results[name, 1].kernel_fraction
-        return rows, shares
-
-    rows, shares = collect()
+def test_fig20_kernel_traffic(exhibit):
+    rows = [
+        [clock, name, tr, res["nar"], res["kernel_fraction"], res["interrupts"]]
+        for clock, results in exhibit.items() for (name, tr), res in results.items()
+    ]
+    shares = {
+        (clock, name): results[name, 1]["kernel_fraction"]
+        for clock, results in exhibit.items() for name in BENCHMARKS
+    }
     text = format_table(
         ["clock", "benchmark", "tr", "inj_rate", "kernel_share", "interrupts"],
         rows,

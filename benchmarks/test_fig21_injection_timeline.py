@@ -15,21 +15,19 @@ from repro.execdriven import KERNEL, USER
 
 
 def _series(res):
-    scale = res.timeline_bucket * 16  # flits/cycle (16 nodes aggregated)
-    user = res.timeline[USER] / res.timeline_bucket
-    kern = res.timeline[KERNEL] / res.timeline_bucket
-    t = np.arange(user.size) * res.timeline_bucket
-    return t, user, kern, scale
+    bucket = res["timeline_bucket"]
+    timeline = np.array(res["timeline"])
+    user = timeline[USER] / bucket
+    kern = timeline[KERNEL] / bucket
+    t = np.arange(user.size) * bucket
+    return t, user, kern
 
 
-def test_fig21_injection_timeline(exec_results_3ghz, exec_results_75mhz):
-    def collect():
-        return exec_results_75mhz["blackscholes", 1], exec_results_3ghz["blackscholes", 1]
-
-    slow, fast = collect()
+def test_fig21_injection_timeline(exhibit):
+    slow, fast = exhibit["75 MHz"], exhibit["3 GHz"]
     parts = []
-    for label, res in (("75 MHz", slow), ("3 GHz", fast)):
-        t, user, kern, _ = _series(res)
+    for label, res in exhibit.items():
+        t, user, kern = _series(res)
         parts.append(
             ascii_plot(
                 {
@@ -39,27 +37,27 @@ def test_fig21_injection_timeline(exec_results_3ghz, exec_results_75mhz):
                 width=70,
                 height=12,
                 title=f"Figure 21 - blackscholes injection rate, {label} "
-                f"({res.interrupts} timer interrupts)",
+                f"({res['interrupts']} timer interrupts)",
                 xlabel="cycle",
                 ylabel="flits/cycle (all nodes)",
             )
         )
     text = "\n\n".join(parts) + (
-        f"\n\ntimer interrupts: 75MHz {slow.interrupts}, 3GHz "
-        f"{fast.interrupts} (paper: hundreds vs ~6)\n"
+        f"\n\ntimer interrupts: 75MHz {slow['interrupts']}, 3GHz "
+        f"{fast['interrupts']} (paper: hundreds vs ~6)\n"
         "kernel bursts at start and end come from the spawn/join syscall "
         "phases (thread creation / synchronization)"
     )
     emit("fig21_injection_timeline", text)
-    assert slow.interrupts > 10 * max(fast.interrupts, 1)
+    assert slow["interrupts"] > 10 * max(fast["interrupts"], 1)
     # start/end kernel bursts (spawn/join syscalls) dominate the 3 GHz
     # kernel timeline, where timer traffic is negligible; at 75 MHz the
     # periodic timer peaks fill the middle of the run instead.
-    kern = fast.timeline[KERNEL].astype(float)
+    kern = np.array(fast["timeline"][KERNEL], dtype=float)
     n = kern.size
     edges = kern[: max(1, n // 5)].sum() + kern[-max(1, n // 5):].sum()
     assert edges > 0.5 * kern.sum()
     # and at 75 MHz kernel traffic persists through the middle of the run
-    mid = slow.timeline[KERNEL].astype(float)
+    mid = np.array(slow["timeline"][KERNEL], dtype=float)
     m5 = max(1, mid.size // 5)
     assert mid[m5:-m5].sum() > 0.3 * mid.sum()

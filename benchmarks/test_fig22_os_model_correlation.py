@@ -9,81 +9,22 @@ had wrecked the enhanced batch model.
 from __future__ import annotations
 
 import numpy as np
-from conftest import BATCH_SIZE, TR_VALUES, cmp_config, emit
+from conftest import emit
+from exhibits import exec_batch_pairs
 
 from repro.analysis import format_table
-from repro.core.closedloop import BatchSimulator
 from repro.core.correlation import pearson
-from repro.execdriven import (
-    BENCHMARKS,
-    TIMER_INTERVAL_3GHZ,
-    TIMER_INTERVAL_75MHZ,
-    derive_batch_params,
-)
 
 
-def _batch_runtimes(params, with_os):
-    kw = dict(nar=params["nar"], reply_model=params["reply_model"])
-    if with_os:
-        kw["os_model"] = params["os_model"]
+def test_fig22_os_model_correlation(exhibit):
+    batches = exhibit["batch"]
     out = {}
-    for tr in TR_VALUES:
-        res = BatchSimulator(
-            cmp_config(tr).network,
-            batch_size=BATCH_SIZE,
-            max_outstanding=1,  # blocking in-order cores: effective MLP ~1
-            **kw,
-        ).run()
-        out[tr] = res.runtime
-    return out
-
-
-def _stats(exec_results, batches):
-    xs, ys = [], []
-    for name in BENCHMARKS:
-        base_e = exec_results[name, 1].cycles
-        base_b = batches[name][1]
-        for tr in TR_VALUES:
-            xs.append(exec_results[name, tr].cycles / base_e)
-            ys.append(batches[name][tr] / base_b)
-    xs, ys = np.array(xs), np.array(ys)
-    return pearson(xs, ys), float(np.sqrt(np.mean((ys - xs) ** 2)))
-
-
-def test_fig22_os_model_correlation(
-    exec_results_3ghz, exec_results_75mhz, characterizations
-):
-    def run():
-        out = {}
-        for clock, interval, exec_results in (
-            ("3GHz", TIMER_INTERVAL_3GHZ, exec_results_3ghz),
-            ("75MHz", TIMER_INTERVAL_75MHZ, exec_results_75mhz),
-        ):
-            for with_os in (False, True):
-                batches = {}
-                for name in BENCHMARKS:
-                    # timer-batch size = measured handler requests per
-                    # interrupt per node, from the timed 75 MHz exec runs
-                    ref = exec_results_75mhz[name, 1]
-                    per_node = ref.traffic_matrix.shape[0]
-                    handler_requests = max(
-                        1,
-                        round(
-                            ref.requests_by_kind["kernel_timer"]
-                            / max(1, ref.interrupts)
-                            / per_node
-                        ),
-                    )
-                    params = derive_batch_params(
-                        characterizations[name],
-                        timer_rate=1.0 / interval,
-                        timer_batch=handler_requests,
-                    )
-                    batches[name] = _batch_runtimes(params, with_os)
-                out[clock, with_os] = _stats(exec_results, batches)
-        return out
-
-    out = run()
+    for clock, exec_results in exhibit["exec"].items():
+        for with_os in (False, True):
+            xs, ys = exec_batch_pairs(
+                exec_results, lambda name, tr: batches[clock, with_os, name, tr]["runtime"]
+            )
+            out[clock, with_os] = pearson(xs, ys), float(np.sqrt(np.mean((ys - xs) ** 2)))
     rows = [
         [clock, "with OS model" if with_os else "no OS model", r, rmse]
         for (clock, with_os), (r, rmse) in out.items()

@@ -11,6 +11,7 @@ from __future__ import annotations
 from conftest import emit
 
 from repro.analysis import format_table
+from repro.execdriven.characterize import Characterization
 
 PAPER = {
     # bench: (nar, l2_miss)
@@ -22,8 +23,8 @@ PAPER = {
 }
 
 
-def test_table3_nar(characterizations):
-    ch = characterizations
+def test_table3_nar(exhibit):
+    ch = {name: Characterization(**rec) for name, rec in exhibit.items()}
     rows = []
     for name, c in ch.items():
         p_nar, p_l2 = PAPER[name]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from conftest import emit
 
 from repro.analysis import format_table
+from repro.execdriven.characterize import Characterization
 
 PAPER = {
     # bench: (user_nar, os_nar, user_l2, os_l2, static_extra)
@@ -22,10 +23,9 @@ PAPER = {
 }
 
 
-def test_table4_benchmark_characteristics(
-    characterizations, exec_results_75mhz
-):
-    ch = characterizations
+def test_table4_benchmark_characteristics(exhibit):
+    ch = {name: Characterization(**rec) for name, rec in exhibit["characterization"].items()}
+    timer_rate = {name: res["timer_rate"] for name, res in exhibit["exec75"].items()}
     rows = []
     for name, c in ch.items():
         p = PAPER[name]
@@ -41,7 +41,7 @@ def test_table4_benchmark_characteristics(
                 p[3],
                 c.static_kernel_fraction,
                 p[4],
-                exec_results_75mhz[name, 1].timer_rate,
+                timer_rate[name],
             ]
         )
     text = format_table(
@@ -61,4 +61,4 @@ def test_table4_benchmark_characteristics(
         assert abs(c.user_l2_miss - p[2]) < 0.12, name
         assert abs(c.os_l2_miss - p[3]) < 0.1, name
         assert abs(c.static_kernel_fraction - p[4]) < 0.15, name
-        assert exec_results_75mhz[name, 1].timer_rate > 0
+        assert timer_rate[name] > 0

@@ -700,13 +700,15 @@ def _cmd_cache(args) -> int:
             print("cache is empty; nothing to verify")
             return 0
         results = verify_entries(cache, sample=args.sample, seed=args.seed)
-        bad = 0
+        counts = {"ok": 0, "skipped": 0, "mismatch": 0}
         for res in results:
             print(f"  {res.key[:16]} {res.status}" + (f": {res.detail}" if res.detail else ""))
-            bad += res.status == "mismatch"
+            counts[res.status] += 1
         print(f"verified {len(results)} sampled entr{'y' if len(results) == 1 else 'ies'}: "
-              f"{bad} mismatch(es)")
-        return 1 if bad else 0
+              f"{counts['ok']} ok, {counts['skipped']} skipped, "
+              f"{counts['mismatch']} mismatch(es)")
+        # a sample that re-ran nothing checked nothing: fail it like a mismatch
+        return 1 if counts["mismatch"] or not counts["ok"] else 0
     # gc
     if args.max_bytes is None:
         print("cache gc requires --max-bytes", file=sys.stderr)
@@ -943,7 +945,8 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         choices=("stats", "verify", "gc"),
         help="stats: counters and store size; verify: re-run sampled entries "
-        "and diff bit-for-bit; gc: evict oldest entries past --max-bytes",
+        "and diff bit-for-bit (exit 1 on a mismatch, or if none could re-run); "
+        "gc: evict oldest entries past --max-bytes",
     )
     p.add_argument(
         "--dir",

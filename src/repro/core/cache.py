@@ -32,10 +32,12 @@ pure waste.  This module memoizes them on disk, BookSim-style:
 * **Kill switch.**  ``REPRO_NO_CACHE=1`` disables every lookup and
   write-back, regardless of what callers pass.
 
-Integration points: :func:`repro.core.parallel.run_sweep` (``cache=``
-argument; lookup before a point is dispatched to the pool, write-back as
-records land), the figure-benchmark fixtures in ``benchmarks/conftest.py``,
-and the ``repro cache`` CLI (``stats`` / ``verify`` / ``gc``).
+Integration points: :meth:`repro.core.parallel.SweepLedger.prefill`
+(lookup before a point is dispatched, write-back as records land), which
+``run_ledger(..., cache=)`` calls for every local sweep — ``run_sweep``,
+the explorer and the figure suite (``benchmarks/exhibits.py``) — and the
+service controller for its jobs; and the ``repro cache`` CLI (``stats`` /
+``verify`` / ``gc``).
 """
 
 from __future__ import annotations
@@ -505,9 +507,11 @@ def _import_runner(dotted: str) -> Callable[..., Any]:
 def rerun_entry(entry: Mapping[str, Any]) -> VerifyResult:
     """Re-execute one sweep-cache entry and diff its record bit-for-bit.
 
-    Only entries written by :func:`repro.core.parallel.run_sweep` carry the
-    provenance needed to reconstruct the run (resolved config, extra
-    kwargs, an importable runner); anything else is reported ``skipped``.
+    Only entries written by a :class:`repro.core.parallel.SweepLedger` carry
+    the provenance needed to reconstruct the run (resolved config, extra
+    kwargs, the runner's dotted name); an entry without it, or whose runner
+    does not import here (the figure suite's ``exhibits:run_point`` needs
+    ``benchmarks/`` on ``PYTHONPATH``), is reported ``skipped``.
     The diff covers every runner-output field; ``wall_seconds`` is excluded
     because timing is the one field determinism does not promise.
     """

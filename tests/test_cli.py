@@ -914,8 +914,8 @@ class TestCacheCLI:
 
         assert main(["cache", "verify", "--dir", cdir, "--sample", "2"]) == 0
         out = capsys.readouterr().out
-        assert out.count(" ok") == 2
-        assert "0 mismatch(es)" in out
+        assert out.count(" ok\n") == 2
+        assert "verified 2 sampled entries: 2 ok, 0 skipped, 0 mismatch(es)" in out
 
         assert main(["cache", "gc", "--dir", cdir, "--max-bytes", "0"]) == 0
         assert "dropped 2" in capsys.readouterr().out
@@ -925,6 +925,17 @@ class TestCacheCLI:
     def test_verify_empty_cache(self, capsys, tmp_path):
         assert main(["cache", "verify", "--dir", str(tmp_path / "c")]) == 0
         assert "nothing to verify" in capsys.readouterr().out
+
+    def test_verify_fails_when_nothing_reran(self, capsys, tmp_path):
+        from repro.core.cache import ResultCache
+
+        cdir = tmp_path / "cache"
+        cache = ResultCache(cdir)
+        for key in ("a", "b"):  # records without runner provenance
+            cache.put(key, {"v": 1}, {"context": "figures"})
+        cache.close()
+        assert main(["cache", "verify", "--dir", str(cdir), "--sample", "2"]) == 1
+        assert "0 ok, 2 skipped, 0 mismatch(es)" in capsys.readouterr().out
 
     def test_verify_detects_mismatch_exit_1(self, capsys, tmp_path):
         from repro.core.cache import ResultCache

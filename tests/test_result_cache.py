@@ -844,7 +844,7 @@ class TestVerify:
 
     def test_verify_skips_unverifiable_entries(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
-        cache.put("k", {"v": 1}, {"context": "benchmarks.characterizations"})
+        cache.put("k", {"v": 1}, {"context": "figures"})
         (res,) = verify_entries(cache, sample=1)
         assert res.status == "skipped"
 
