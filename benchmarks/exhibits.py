@@ -138,7 +138,7 @@ def run_point(cfg: NetworkConfig, *, kind: str, **kw: Any) -> dict[str, Any]:
             out = []
             for res in runs:
                 rec = dataclasses.asdict(res)
-                for name in ("latencies", "class_ids", "probe_records"):
+                for name in ("latencies", "class_ids"):
                     del rec[name]
                 out.append({**rec, "p99_latency": res.p99_latency})
             out = out if kind == "curve" else out[0]
@@ -198,8 +198,6 @@ def run_point(cfg: NetworkConfig, *, kind: str, **kw: Any) -> dict[str, Any]:
         out = {"mean": float(lat.mean()), "p99": float(np.percentile(lat, 99))}
     else:
         raise ValueError(f"unknown point kind {kind!r}")
-    if isinstance(out, dict):
-        out.pop("probe_records", None)
     return {"result": json.loads(json.dumps(out, default=json_default))}
 
 

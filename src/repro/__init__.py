@@ -38,7 +38,6 @@ _EXPORTS = {
     "BatchSimulator": ".core.closedloop",
     "BatchResult": ".core.closedloop",
     "SimulationEngine": ".core.engine",
-    "Phase": ".core.engine",
     "ProbeSet": ".core.probes",
     "build_probes": ".core.probes",
     "FaultPlan": ".faults",

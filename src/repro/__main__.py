@@ -116,9 +116,14 @@ def _observers(args) -> tuple[Observer, ...]:
     return tuple(observers)
 
 
-def _report_probes(args, records: list) -> None:
+def _report_probes(args, observers: tuple) -> None:
+    """Summarize the records of the :class:`ProbeSet` :func:`_observers` built."""
     if not args.probes:
         return
+    from .core.probes import ProbeSet
+
+    (probes,) = [obs for obs in observers if isinstance(obs, ProbeSet)]
+    records = probes.records
     print(f"probes: {len(records)} window records", end="")
     if args.probe_out is not None:
         print(f" -> {args.probe_out}", end="")
@@ -202,12 +207,13 @@ def _cmd_openloop(args) -> int:
     from .core.openloop import OpenLoopSimulator
 
     cfg = _network_config(args)
+    observers = _observers(args)
     sim = OpenLoopSimulator(
         cfg,
         warmup=args.warmup,
         measure=args.measure,
         drain_limit=args.drain,
-        observers=_observers(args),
+        observers=observers,
     )
     res = sim.run(args.rate)
     print(
@@ -226,7 +232,7 @@ def _cmd_openloop(args) -> int:
                 f"{stats.p99:.2f}, throughput {tp:.4f}, "
                 f"{stats.count} packets"
             )
-    _report_probes(args, res.probe_records)
+    _report_probes(args, observers)
     return 0
 
 
@@ -535,35 +541,46 @@ def _cmd_batch(args) -> int:
     from .core.barrier import BarrierSimulator
     from .core.closedloop import BatchSimulator
 
+    # flag, BatchSimulator keyword, value (None = not given)
+    given = [
+        (flag, name, value)
+        for flag, name, value in (
+            ("--nar", "nar", args.nar),
+            ("--reply", "reply_model", args.reply),
+            ("-m", "max_outstanding", args.max_outstanding),
+        )
+        if value is not None
+    ]
+    if args.barrier and given:
+        print(
+            f"batch --barrier does not take {', '.join(g[0] for g in given)}: the "
+            "barrier model has no NAR, reply model or outstanding-request limit",
+            file=sys.stderr,
+        )
+        return 2
     cfg = _network_config(args)
     observers = _observers(args)
-    kwargs = {}
-    if args.nar is not None:
-        kwargs["nar"] = args.nar
-    if args.reply is not None:
-        kwargs["reply_model"] = args.reply
     if args.barrier:
         res = BarrierSimulator(cfg, batch_size=args.batch_size, observers=observers).run()
         print(
             f"barrier model: runtime {res.runtime}, throughput "
             f"{res.throughput:.4f}, completed={res.completed}"
         )
-        _report_probes(args, res.probe_records)
+        _report_probes(args, observers)
         return 0
     res = BatchSimulator(
         cfg,
         batch_size=args.batch_size,
-        max_outstanding=args.max_outstanding,
         observers=observers,
-        **kwargs,
+        **{name: value for _, name, value in given},
     ).run()
     print(
-        f"batch model (b={args.batch_size}, m={args.max_outstanding}): "
+        f"batch model (b={args.batch_size}, m={res.max_outstanding}): "
         f"runtime T={res.runtime} (T/b={res.normalized_runtime:.2f}), "
         f"theta={res.throughput:.4f}, avg request latency "
         f"{res.avg_request_latency:.1f}, completed={res.completed}"
     )
-    _report_probes(args, res.probe_records)
+    _report_probes(args, observers)
     return 0
 
 
@@ -818,7 +835,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="closed-loop batch (or barrier) model")
     _add_network_args(p)
     p.add_argument("-b", "--batch-size", type=int, default=1000)
-    p.add_argument("-m", "--max-outstanding", type=int, default=1)
+    p.add_argument(
+        "-m",
+        "--max-outstanding",
+        type=int,
+        default=None,
+        help="outstanding requests per node (default 1)",
+    )
     p.add_argument("--nar", type=float, default=None, help="enhanced injection rate")
     p.add_argument(
         "--reply",

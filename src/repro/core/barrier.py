@@ -25,7 +25,7 @@ from ..network.factory import build_network
 from ..traffic.patterns import TrafficPattern
 from ..traffic.registry import build_pattern, build_sizes
 from ..traffic.sizes import SizeDistribution
-from .engine import DrainSink, Observer, SimulationEngine
+from .engine import Observer, SimulationEngine
 
 __all__ = ["BarrierResult", "BarrierSimulator"]
 
@@ -40,7 +40,6 @@ class BarrierResult:
     throughput: float
     completed: bool
     round_times: np.ndarray = field(repr=False)
-    probe_records: list = field(default_factory=list, repr=False)
 
     @property
     def normalized_runtime(self) -> float:
@@ -48,14 +47,15 @@ class BarrierResult:
         return self.runtime / (self.batch_size * self.rounds)
 
 
-class _BurstInjector:
+class _Barrier:
     """Offers a whole ``b``-packet burst per node whenever the fabric idles.
 
     Offering the burst up front matches the paper's "inject until b packets
     transmitted" semantics: the infinite source queue streams it subject
     only to network backpressure.  Each time the network drains with rounds
     remaining, the previous round's completion cycle is recorded and the
-    next burst is offered in the same cycle (a zero-cost barrier).
+    next burst is offered in the same cycle (a zero-cost barrier).  The run
+    is done when the last round has drained.
     """
 
     def __init__(self, batch_size: int, rounds: int, pattern, sizes, gen):
@@ -67,8 +67,7 @@ class _BurstInjector:
         self.rounds_offered = 0
         self.round_times: list[int] = []
 
-    def inject(self, engine: SimulationEngine) -> None:
-        net = engine.network
+    def inject(self, net) -> None:
         if not net.is_idle() or self.rounds_offered >= self.rounds:
             return
         if self.rounds_offered:
@@ -82,8 +81,11 @@ class _BurstInjector:
                 net.offer(net.make_packet(node, dst, sizes.draw(gen)))
         self.rounds_offered += 1
 
-    def done(self, engine: SimulationEngine) -> bool:
-        return self.rounds_offered >= self.rounds
+    def on_delivered(self, pkt, net) -> None:
+        pass
+
+    def done(self, net) -> bool:
+        return self.rounds_offered >= self.rounds and net.is_idle()
 
 
 class BarrierSimulator:
@@ -119,18 +121,14 @@ class BarrierSimulator:
         net = build_network(cfg)
         n = net.num_nodes
         gen = rng_mod.make_generator(seed, "barrier", self.batch_size)
-        injector = _BurstInjector(
-            self.batch_size, self.rounds, self.pattern, self.sizes, gen
-        )
-        engine = SimulationEngine(
-            net, injector, DrainSink(), max_cycles=self.max_cycles, observers=self.observers
-        )
-        outcome = engine.run()
-        completed = outcome.completed
+        barrier = _Barrier(self.batch_size, self.rounds, self.pattern, self.sizes, gen)
+        completed = SimulationEngine(
+            net, barrier, max_cycles=self.max_cycles, observers=self.observers
+        ).run()
         runtime = net.now if completed else self.max_cycles
         # The final (or truncated) round's completion cycle is recorded here:
-        # the engine stops before the injector can observe the drained fabric.
-        round_times = injector.round_times + [net.now]
+        # the engine stops before the workload can observe the drained fabric.
+        round_times = barrier.round_times + [net.now]
         throughput = net.total_flits_delivered / (runtime * n) if runtime else 0.0
         return BarrierResult(
             batch_size=self.batch_size,
@@ -139,5 +137,4 @@ class BarrierSimulator:
             throughput=throughput,
             completed=completed,
             round_times=np.array(round_times, dtype=np.int64),
-            probe_records=outcome.probe_records,
         )

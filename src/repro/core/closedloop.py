@@ -61,7 +61,6 @@ class BatchResult:
     avg_request_latency: float
     node_finish: np.ndarray = field(repr=False)
     os_requests: int = 0
-    probe_records: list = field(default_factory=list, repr=False)
 
     @property
     def normalized_runtime(self) -> float:
@@ -75,13 +74,13 @@ class BatchResult:
 
 
 class _BatchLoop:
-    """The batch state machine, as engine injector *and* sink in one.
+    """The batch state machine, as the engine's workload.
 
-    Injection eligibility depends on replies already received, so the same
-    object plays both roles: ``inject`` runs the timer/reply-release/inject
-    sequence before each network cycle, ``on_delivered`` turns requests into
-    replies and retires batch operations, and ``done`` signals when every
-    node has completed its batch.
+    Injection eligibility depends on replies already received: ``inject``
+    runs the timer/reply-release/inject sequence before each network cycle,
+    ``on_delivered`` turns requests into replies and retires batch
+    operations, and ``done`` signals when every node has completed its
+    batch.
     """
 
     def __init__(self, sim: "BatchSimulator", num_nodes: int, gen):
@@ -125,8 +124,7 @@ class _BatchLoop:
             return self.requests_by_class[OS_CLASS]
         return 0
 
-    def inject(self, engine: SimulationEngine) -> None:
-        net = engine.network
+    def inject(self, net) -> None:
         now = net.now
         sim = self.sim
         gen = self.gen
@@ -180,8 +178,7 @@ class _BatchLoop:
             remaining[cls][node] -= 1
             self.requests_by_class[cls] += 1
 
-    def on_delivered(self, pkt, engine: SimulationEngine) -> None:
-        net = engine.network
+    def on_delivered(self, pkt, net) -> None:
         gen = self.gen
         if pkt.meta is not None and pkt.meta[0] == "req":
             self.req_latency_sum += pkt.latency
@@ -209,7 +206,7 @@ class _BatchLoop:
                 self.finish[owner] = net.now
                 self.unfinished -= 1
 
-    def done(self, engine: SimulationEngine) -> bool:
+    def done(self, net) -> bool:
         return self.unfinished == 0
 
 
@@ -272,14 +269,9 @@ class BatchSimulator:
         n = net.num_nodes
         gen = rng_mod.make_generator(seed, "batch", self.batch_size, self.max_outstanding)
         loop = _BatchLoop(self, n, gen)
-        engine = SimulationEngine(
-            net,
-            loop,
-            max_cycles=self.max_cycles,
-            observers=self.observers,
-        )
-        outcome = engine.run()
-        completed = outcome.completed
+        completed = SimulationEngine(
+            net, loop, max_cycles=self.max_cycles, observers=self.observers
+        ).run()
         runtime = int(loop.finish.max()) if completed else self.max_cycles
         throughput = net.total_flits_delivered / (runtime * n) if runtime else 0.0
         return BatchResult(
@@ -296,5 +288,4 @@ class BatchSimulator:
             ),
             node_finish=loop.finish,
             os_requests=loop.os_requests,
-            probe_records=outcome.probe_records,
         )

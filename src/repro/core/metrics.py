@@ -1,32 +1,14 @@
-"""Measurement statistics shared by the harnesses.
+"""Per-node views of raw run data: the paper's Fig. 11 node distributions
+and Fig. 7 spatial runtime map.
 
-Implements the paper's derived views of raw packet/runtime data: the
-per-node distributions of Fig. 11 and the spatial runtime map of Fig. 7.
-The latency summary statistics (:class:`LatencyStats`, including the
-per-class variants) live canonically in :mod:`repro.analysis.stats` and are
-re-exported here for compatibility — the analysis package imports nothing
-from :mod:`repro.core`, so the dependency points one way.
+The latency summary statistics live in :mod:`repro.analysis.stats`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.stats import (  # noqa: F401  (compatibility re-exports)
-    LatencyStats,
-    class_breakdown,
-    latency_stats,
-    per_class_latency_stats,
-)
-
-__all__ = [
-    "LatencyStats",
-    "latency_stats",
-    "per_class_latency_stats",
-    "class_breakdown",
-    "node_distribution",
-    "runtime_map",
-]
+__all__ = ["node_distribution", "runtime_map"]
 
 
 def node_distribution(

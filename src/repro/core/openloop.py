@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .. import rng as rng_mod
+from ..analysis.stats import LatencyStats
 from ..classes import class_shares
 from ..config import NetworkConfig
 from ..network.factory import build_network
@@ -37,7 +38,6 @@ from ..traffic.process import Bernoulli
 from ..traffic.registry import build_pattern, build_sizes
 from ..traffic.sizes import SizeDistribution
 from .engine import Observer, SimulationEngine
-from .metrics import LatencyStats
 
 __all__ = ["OpenLoopResult", "OpenLoopSimulator"]
 
@@ -61,7 +61,6 @@ class OpenLoopResult:
     num_measured: int
     per_node_latency: np.ndarray = field(repr=False)
     latencies: np.ndarray = field(repr=False)
-    probe_records: list = field(default_factory=list, repr=False)
     #: traffic-class id of each measured packet, aligned with ``latencies``
     class_ids: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int64), repr=False
@@ -93,118 +92,99 @@ class OpenLoopResult:
         return np.array([s.mean for s in self.per_class_stats()])
 
 
-class _TrafficInjector:
-    """Open-loop packet source: an infinite queue fed by a temporal process.
+def _source(pattern, sizes, process, gen, traffic_class: int = 0) -> tuple:
+    """One class's open-loop source, as :class:`_OpenLoopWorkload` unpacks it.
 
-    Injects every cycle of the run (background traffic keeps flowing through
-    the drain phase so tagged packets see steady-state contention); packets
-    created during the measurement phase are tagged and counted on the sink.
+    Destinations of one cycle may be drawn in a single call only if nothing
+    else consumes the generator between them.
+    """
+    batch_dests = hasattr(pattern, "dests") and not getattr(sizes, "uses_rng", True)
+    return pattern, sizes, process, gen, traffic_class, batch_dests
+
+
+class _OpenLoopWorkload:
+    """The open-loop workload: per-class sources and the measurement window.
+
+    Every source injects every cycle of the run (background traffic keeps
+    flowing through the drain phase so tagged packets see steady-state
+    contention); classes inject in registry order.  Packets created in
+    ``[warmup, warmup + measure)`` are tagged, and the run is done once the
+    window has closed and every tagged packet has been delivered.
+
+    ``total_flits_delivered`` is read at the top of both window-edge cycles,
+    so the closing read happens even when the run stops at that edge.
+    ``drain_if``, when given, is asked once there with the window's accepted
+    throughput; a falsy answer ends the run in the state a
+    ``drain_limit=0`` run ends in.
     """
 
     def __init__(
-        self, pattern, sizes, process, gen, sink: "_MeasureSink", traffic_class: int = 0
+        self,
+        sources: list,
+        *,
+        warmup: int,
+        measure: int,
+        drain_if: Optional[Callable[[float], bool]] = None,
     ):
-        self.pattern = pattern
-        self.sizes = sizes
-        self.process = process
-        self.gen = gen
-        self.sink = sink
-        self.traffic_class = traffic_class
-        # Destinations of one cycle may be drawn in a single call only if
-        # nothing else consumes the generator between them.
-        self._batch_dests = hasattr(pattern, "dests") and not getattr(
-            sizes, "uses_rng", True
-        )
-
-    def inject(self, engine: SimulationEngine) -> None:
-        net = engine.network
-        gen = self.gen
-        arrivals = self.process.arrivals(gen)
-        in_window = engine.in_measure
-        pattern = self.pattern
-        sizes = self.sizes
-        cls = self.traffic_class
-        count = len(arrivals)
-        srcs = arrivals.tolist()
-        if count > 1 and self._batch_dests:
-            # One vector draw replaces ``count`` scalar ones: same values,
-            # same generator state afterwards (pinned by
-            # tests/test_traffic.py::TestBatchedDrawPremise).
-            dsts = pattern.dests(arrivals, count, gen).tolist()
-        else:
-            # Lazy, so each destination draw directly precedes its packet's
-            # size draw in the stream.
-            dsts = (pattern.dest(src, gen) for src in srcs)
-        for src, dst in zip(srcs, dsts):
-            net.offer(net.make_packet(
-                src, dst, sizes.draw(gen), measured=in_window, traffic_class=cls
-            ))
-        if in_window:
-            self.sink.outstanding += count
-
-    def done(self, engine: SimulationEngine) -> bool:
-        # The source never exhausts; the run may end once the window closed.
-        return engine.in_drain
-
-
-class _MultiClassInjector:
-    """Per-class open-loop sources behind the single-injector interface.
-
-    Each traffic class gets its own :class:`_TrafficInjector` — its own
-    spatial pattern (the class's ``pattern`` override or the config's), its
-    own Bernoulli sub-process at ``share``-scaled rate, and its own derived
-    RNG substream, so per-class streams are independent and reproducible.
-    Classes inject in registry order each cycle.
-    """
-
-    def __init__(self, subs: list):
-        self.subs = subs
-
-    def inject(self, engine: SimulationEngine) -> None:
-        for sub in self.subs:
-            sub.inject(engine)
-
-    def done(self, engine: SimulationEngine) -> bool:
-        return engine.in_drain
-
-
-class _MeasureSink:
-    """Collects tagged packets; satisfied when all of them have drained."""
-
-    def __init__(self) -> None:
+        if warmup < 0:
+            raise ValueError("warmup must be >= 0")
+        if measure < 0:
+            raise ValueError("measure must be >= 0")
+        self.sources = sources
+        self.start = warmup
+        self.end = warmup + measure
+        self.drain_if = drain_if
+        self.flits_start = 0
+        self.flits_end = 0
         self.measured: list = []
         self.outstanding = 0
 
-    def on_delivered(self, pkt, engine: SimulationEngine) -> None:
+    def throughput(self, n: int) -> float:
+        """Accepted flits/cycle/node between the two window-edge reads."""
+        measure = self.end - self.start
+        return (self.flits_end - self.flits_start) / (measure * n) if measure else 0.0
+
+    def inject(self, net) -> None:
+        now = net.now
+        tagged = self.start <= now < self.end
+        for pattern, sizes, process, gen, cls, batch_dests in self.sources:
+            arrivals = process.arrivals(gen)
+            count = len(arrivals)
+            srcs = arrivals.tolist()
+            if count > 1 and batch_dests:
+                # One vector draw replaces ``count`` scalar ones: same values,
+                # same generator state afterwards (pinned by
+                # tests/test_traffic.py::TestBatchedDrawPremise).
+                dsts = pattern.dests(arrivals, count, gen).tolist()
+            else:
+                # Lazy, so each destination draw directly precedes its
+                # packet's size draw in the stream.
+                dsts = (pattern.dest(src, gen) for src in srcs)
+            for src, dst in zip(srcs, dsts):
+                net.offer(net.make_packet(
+                    src, dst, sizes.draw(gen), measured=tagged, traffic_class=cls
+                ))
+            if tagged:
+                self.outstanding += count
+
+    def on_delivered(self, pkt, net) -> None:
         if pkt.measured:
             self.measured.append(pkt)
             self.outstanding -= 1
 
-    def done(self, engine: SimulationEngine) -> bool:
+    def done(self, net) -> bool:
+        now = net.now
+        if now == self.start:
+            self.flits_start = net.total_flits_delivered
+        if now < self.end:
+            return False
+        if now == self.end:
+            self.flits_end = net.total_flits_delivered
+            if self.drain_if is not None and not self.drain_if(
+                self.throughput(net.num_nodes)
+            ):
+                return True
         return self.outstanding == 0
-
-
-class _GatedSink(_MeasureSink):
-    """A measure sink that may decline the drain phase at the window edge.
-
-    The engine consults the sink only once the injector reports done, i.e.
-    from the cycle the measurement window closes, and by then it has taken
-    the ``flits_at_measure_end`` snapshot — so the first :meth:`done` call
-    sees the window's final accepted throughput.  ``drain_if`` is asked
-    exactly once, there; on a falsy answer the sink reports done and the
-    run ends in the state a ``drain_limit=0`` run ends in.
-    """
-
-    def __init__(self, drain_if: Callable[[float], bool], throughput) -> None:
-        super().__init__()
-        self._drain_if = drain_if
-        self._throughput = throughput  # engine -> the window's accepted throughput
-        self._drain: Optional[bool] = None  # undecided until the window closes
-
-    def done(self, engine: SimulationEngine) -> bool:
-        if self._drain is None:
-            self._drain = bool(self._drain_if(self._throughput(engine)))
-        return not self._drain or self.outstanding == 0
 
 
 class OpenLoopSimulator:
@@ -270,24 +250,16 @@ class OpenLoopSimulator:
                 f"rate {injection_rate} needs >1 packet/cycle/node "
                 f"(mean size {self.sizes.mean})"
             )
-        if drain_if is None:
-            sink = _MeasureSink()
-        else:
-            sink = _GatedSink(
-                drain_if,
-                lambda engine: self._window_throughput(
-                    engine.flits_at_measure_start, engine.flits_at_measure_end, n
-                ),
-            )
         if len(cfg.classes) == 1:
             # Single class: the exact pre-class code path — same RNG stream
             # labels, same draw order — so defaults stay bit-identical.
             gen = rng_mod.make_generator(seed, "openloop", injection_rate)
-            injector = _TrafficInjector(
-                self.pattern, self.sizes, self.process(n, p_packet), gen, sink
-            )
+            sources = [_source(self.pattern, self.sizes, self.process(n, p_packet), gen)]
         else:
-            subs = []
+            # One source per class: its own pattern (the class's override or
+            # the config's), its own Bernoulli sub-process at ``share``-scaled
+            # rate and its own derived RNG substream.
+            sources = []
             for idx, (cls, share) in enumerate(
                 zip(cfg.classes, class_shares(cfg.classes))
             ):
@@ -299,52 +271,23 @@ class OpenLoopSimulator:
                 cgen = rng_mod.make_generator(
                     seed, "openloop", injection_rate, "class", idx
                 )
-                subs.append(
-                    _TrafficInjector(
-                        pattern,
-                        self.sizes,
-                        self.process(n, p_packet * share),
-                        cgen,
-                        sink,
-                        traffic_class=idx,
-                    )
+                sources.append(
+                    _source(pattern, self.sizes, self.process(n, p_packet * share), cgen, idx)
                 )
-            injector = _MultiClassInjector(subs)
-        engine = SimulationEngine(
+        workload = _OpenLoopWorkload(
+            sources, warmup=self.warmup, measure=self.measure, drain_if=drain_if
+        )
+        SimulationEngine(
             net,
-            injector,
-            sink,
-            warmup=self.warmup,
-            measure=self.measure,
+            workload,
             max_cycles=self.warmup + self.measure + self.drain_limit,
             observers=self.observers,
-        )
-        outcome = engine.run()
-        saturated = sink.outstanding > 0
-        result = self._collect(
-            injection_rate,
-            sink.measured,
-            saturated,
-            outcome.flits_at_measure_start or 0,
-            outcome.flits_at_measure_end or 0,
-            n,
-        )
-        result.probe_records = outcome.probe_records
-        return result
+        ).run()
+        return self._collect(injection_rate, workload, n)
 
-    def _window_throughput(self, flits_start: int, flits_end: int, n: int) -> float:
-        """Accepted flits/cycle/node between the two window-edge snapshots."""
-        return (flits_end - flits_start) / (self.measure * n) if self.measure else 0.0
-
-    def _collect(
-        self,
-        rate: float,
-        measured: list,
-        saturated: bool,
-        flits_start: int,
-        flits_end: int,
-        n: int,
-    ) -> OpenLoopResult:
+    def _collect(self, rate: float, window: _OpenLoopWorkload, n: int) -> OpenLoopResult:
+        measured = window.measured
+        saturated = window.outstanding > 0
         lat = np.array([p.latency for p in measured], dtype=np.float64)
         hops = np.array([p.hops for p in measured], dtype=np.float64)
         per_node = np.full(n, np.nan)
@@ -354,7 +297,7 @@ class OpenLoopSimulator:
             counts = np.bincount(srcs, minlength=n)
             nz = counts > 0
             per_node[nz] = sums[nz] / counts[nz]
-        throughput = self._window_throughput(flits_start, flits_end, n)
+        throughput = window.throughput(n)
         if saturated or len(lat) == 0:
             avg = worst = float("inf")
         else:

@@ -337,8 +337,8 @@ class ProbeSet:
     ``interval`` — window length in cycles; each window flushes one record.
     ``out`` — optional JSONL path (or any ``append_jsonl``-compatible
     target): records stream to it as they flush, so a long run can be
-    watched live with ``tail -f``.  All records also accumulate in
-    :attr:`records`.
+    watched live with ``tail -f``.  The records of the latest run
+    accumulate in :attr:`records`, their one home (reset by :meth:`begin`).
     """
 
     def __init__(
@@ -373,13 +373,12 @@ class ProbeSet:
         if self._cycles_in_window >= self.interval:
             self._flush(net, end=now + 1)
 
-    def finish(self, net: NetworkLike) -> list[dict]:
-        """Flush any partial window, detach probes, return all records."""
+    def finish(self, net: NetworkLike) -> None:
+        """Flush any partial window and detach probes."""
         if self._cycles_in_window:
             self._flush(net, end=net.now)
         for probe in self.probes:
             probe.detach(net)
-        return self.records
 
     def _flush(self, net: NetworkLike, *, end: int) -> None:
         cycles = self._cycles_in_window

@@ -283,8 +283,8 @@ class Watchdog:
             raise SimulationStalled(diagnose(net, window=self.window))
         self._last_sig = sig
 
-    def finish(self, net) -> list[dict]:
-        return []
+    def finish(self, net) -> None:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +320,8 @@ class InvariantChecker:
         self._next_check = net.now + self.interval
         self.check(net)
 
-    def finish(self, net) -> list[dict]:
-        return []
+    def finish(self, net) -> None:
+        pass
 
     def check(self, net) -> None:
         """Run all applicable invariant checks against ``net`` right now."""

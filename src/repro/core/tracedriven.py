@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -197,11 +197,11 @@ class TraceDrivenResult:
     throughput: float
     packets: int
     completed: bool
-    probe_records: list = field(default_factory=list, repr=False)
 
 
-class _TraceReplayer:
-    """Injects each trace record at exactly its recorded timestamp.
+class _TraceReplay:
+    """Injects each trace record at exactly its recorded timestamp and
+    collects every delivered packet's latency; done once all drained.
 
     Network feedback never delays an injection — the defining (and
     limiting) property of trace-driven evaluation.
@@ -210,30 +210,20 @@ class _TraceReplayer:
     def __init__(self, trace: Trace):
         self._it = iter(trace)
         self._next = next(self._it, None)
+        self.latencies: list[int] = []
 
-    def inject(self, engine: SimulationEngine) -> None:
-        net = engine.network
+    def inject(self, net) -> None:
         nxt = self._next
         while nxt is not None and nxt.time == net.now:
             net.offer(net.make_packet(nxt.src, nxt.dst, nxt.size))
             nxt = next(self._it, None)
         self._next = nxt
 
-    def done(self, engine: SimulationEngine) -> bool:
-        return self._next is None
-
-
-class _ReplaySink:
-    """Collects every delivered packet's latency; done once all drained."""
-
-    def __init__(self) -> None:
-        self.latencies: list[int] = []
-
-    def on_delivered(self, pkt, engine: SimulationEngine) -> None:
+    def on_delivered(self, pkt, net) -> None:
         self.latencies.append(pkt.latency)
 
-    def done(self, engine: SimulationEngine) -> bool:
-        return engine.network.is_idle()
+    def done(self, net) -> bool:
+        return self._next is None and net.is_idle()
 
 
 class TraceDrivenSimulator:
@@ -265,16 +255,14 @@ class TraceDrivenSimulator:
     def run(self, *, drain_limit: int = 200_000) -> TraceDrivenResult:
         """Replay the full trace and drain; returns aggregate measurements."""
         net = self.network_factory(self.config)
-        sink = _ReplaySink()
-        engine = SimulationEngine(
+        replay = _TraceReplay(self.trace)
+        completed = SimulationEngine(
             net,
-            _TraceReplayer(self.trace),
-            sink,
+            replay,
             max_cycles=self.trace.duration + drain_limit,
             observers=self.observers,
-        )
-        outcome = engine.run()
-        latencies = sink.latencies
+        ).run()
+        latencies = replay.latencies
         runtime = net.now
         return TraceDrivenResult(
             runtime=runtime,
@@ -283,6 +271,5 @@ class TraceDrivenSimulator:
             if runtime
             else 0.0,
             packets=len(latencies),
-            completed=outcome.completed,
-            probe_records=outcome.probe_records,
+            completed=completed,
         )

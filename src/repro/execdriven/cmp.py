@@ -69,7 +69,6 @@ class CmpResult:
     timeline: np.ndarray = field(repr=False)  # [class, bucket] flits
     traffic_matrix: np.ndarray = field(repr=False)  # [src, dst] flits
     logical_matrix: np.ndarray = field(repr=False)  # [consumer, producer]
-    probe_records: list = field(default_factory=list, repr=False)
 
     @property
     def nar(self) -> float:
@@ -278,12 +277,11 @@ class CmpSystem:
         self.network.offer(pkt)
         self._count(home, core_id, REPLY_FLITS, traffic_class)
 
-    # -- engine strategy hooks ---------------------------------------------------
-    # CmpSystem is its own engine injector *and* sink: the cores create
-    # traffic (gated by MSHRs and interrupts) and delivered packets feed the
-    # memory system and core wakeups back.
-    def inject(self, engine: SimulationEngine) -> None:
-        net = self.network
+    # -- engine workload hooks ----------------------------------------------------
+    # CmpSystem is its own engine workload: the cores create traffic (gated
+    # by MSHRs and interrupts) and delivered packets feed the memory system
+    # and core wakeups back.
+    def inject(self, net) -> None:
         now = net.now
         if now == self._next_timer:
             fired = False
@@ -300,8 +298,7 @@ class CmpSystem:
         for core in self.cores:
             core.step(now)
 
-    def on_delivered(self, pkt, engine: SimulationEngine) -> None:
-        net = self.network
+    def on_delivered(self, pkt, net) -> None:
         if pkt.meta[0] == "mem":
             _, core_id, line = pkt.meta
             latency, _hit = self.tiles[pkt.dst].service(line, pkt.traffic_class)
@@ -312,10 +309,10 @@ class CmpSystem:
             _, core_id, line = pkt.meta
             self.cores[core_id].on_reply(line, net.now)
 
-    def done(self, engine: SimulationEngine) -> bool:
+    def done(self, net) -> bool:
         return (
             not self._pending
-            and self.network.is_idle()
+            and net.is_idle()
             and all(not c.active for c in self.cores)
         )
 
@@ -327,8 +324,7 @@ class CmpSystem:
         tiles = self.tiles
         timer = self.timer_interval
         self._next_timer = timer if timer else -1
-        engine = SimulationEngine(net, self, max_cycles=max_cycles, observers=self.observers)
-        outcome = engine.run()
+        SimulationEngine(net, self, max_cycles=max_cycles, observers=self.observers).run()
         completed = all(c.done for c in cores) and net.is_idle() and not self._pending
         cycles = net.now
         n = self.config.num_cores
@@ -364,5 +360,4 @@ class CmpSystem:
             timeline=timeline,
             traffic_matrix=self.traffic_matrix,
             logical_matrix=self.logical_matrix,
-            probe_records=outcome.probe_records,
         )

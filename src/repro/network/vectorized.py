@@ -6,8 +6,7 @@ VC state, credit counters, and every in-flight flit live in preallocated
 numpy buffers, and one network-wide pipeline step (route -> VC-allocate ->
 switch-arbitrate -> traverse) is computed with vectorized masks instead of
 per-flit Python objects.  It satisfies the same :class:`NetworkLike`
-protocol, so all drivers, the engine's phase control and probes work
-unchanged.
+protocol, so all drivers, the engine and probes work unchanged.
 
 Equivalence contract
 --------------------

@@ -18,7 +18,7 @@ class SizeDistribution(ABC):
 
     name: str = "abstract"
     #: False when :meth:`draw` never touches the generator, which lets an
-    #: injector batch the draws around it (destinations) into one call
+    #: open-loop source batch the draws around it (destinations) into one call
     uses_rng: bool = True
 
     @abstractmethod

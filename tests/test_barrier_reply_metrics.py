@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro import rng as rng_mod
+from repro.analysis.stats import LatencyStats, latency_stats
 from repro.config import NetworkConfig
 from repro.core.barrier import BarrierSimulator
-from repro.core.metrics import LatencyStats, latency_stats, node_distribution, runtime_map
+from repro.core.metrics import node_distribution, runtime_map
 from repro.core.reply import (
     FixedReply,
     ImmediateReply,

@@ -450,7 +450,7 @@ PARSER_SURFACE = {
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
         (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
         (('-b', '--batch-size'), 'batch_size', 1000, None, None, None, False, '_StoreAction'),
-        (('-m', '--max-outstanding'), 'max_outstanding', 1, None, None, None, False, '_StoreAction'),
+        (('-m', '--max-outstanding'), 'max_outstanding', None, None, None, None, False, '_StoreAction'),
         (('--nar',), 'nar', None, None, None, None, False, '_StoreAction'),
         (('--reply',), 'reply', None, None, None, None, False, '_StoreAction'),
         (('--barrier',), 'barrier', False, None, 0, True, False, '_StoreTrueAction'),
@@ -644,6 +644,28 @@ class TestCommands:
         rc = main(["batch", "--k", "4", "-b", "20", "--barrier"])
         assert rc == 0
         assert "barrier model" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--nar", "0.2"], "--nar"),
+            (["--reply", "fixed:30"], "--reply"),
+            (["-m", "1"], "-m"),
+            (["-m", "4", "--nar", "0.5"], "--nar, -m"),
+        ],
+    )
+    def test_barrier_refuses_batch_model_flags(self, capsys, flags, named):
+        """The barrier model has no NAR, reply model or MSHR limit: a flag
+        for one is refused by name instead of being silently dropped."""
+        rc = main(["batch", "--k", "4", "-b", "20", "--barrier", *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"does not take {named}:" in captured.err
+
+    def test_batch_m_defaults_to_one(self, capsys):
+        assert main(["batch", "--k", "4", "-b", "10"]) == 0
+        assert "(b=10, m=1)" in capsys.readouterr().out
 
     def test_cmp_ideal(self, capsys):
         rc = main(

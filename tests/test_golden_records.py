@@ -9,8 +9,8 @@ where their values come from.  The contract is that seeded results are
 of their raw bytes.  The sparse-regime classes at the bottom pin the runs
 that leave most cycles idle.
 
-If one of these fails, the engine's per-cycle order of operations (phase
-transitions -> stop check -> inject -> step -> deliver) has drifted from
+If one of these fails, the engine's per-cycle order of operations (stop
+check -> inject -> step -> deliver) or a driver's workload has drifted from
 the historical drivers; that is a behaviour change, not a tolerance issue.
 """
 
@@ -264,7 +264,7 @@ class TestProbesDoNotPerturb:
         assert res.avg_latency == 6.45681581685744
         assert res.throughput == 0.1509375
         assert digest(res.latencies) == "f37300b4a16e0db9"
-        assert res.probe_records  # and it actually recorded something
+        assert probes.records  # and it actually recorded something
 
     def test_batch_identical_with_probes(self, cfg):
         probes = ProbeSet(build_probes("channel,vc"), interval=64)
@@ -273,7 +273,7 @@ class TestProbesDoNotPerturb:
         ).run()
         assert res.runtime == 271
         assert digest(res.node_finish) == "16e05388a4dbcb4e"
-        assert res.probe_records
+        assert probes.records
 
 
 class TestInjectionBackpressureGolden:
@@ -376,22 +376,19 @@ class TestSparseOpenLoopGolden:
 
     def test_with_probes_watchdog_invariants(self):
         cfg = NetworkConfig(k=4, n=2, seed=3)
+        probes = ProbeSet(build_probes("all"), interval=64)
         res = OpenLoopSimulator(
             cfg,
             warmup=100,
             measure=250,
             drain_limit=3000,
-            observers=(
-                ProbeSet(build_probes("all"), interval=64),
-                Watchdog(window=500),
-                InvariantChecker(),
-            ),
+            observers=(probes, Watchdog(window=500), InvariantChecker()),
         ).run(0.01)
         assert _openloop(res) == (
             50, 6.14, 10.0, 0.01275, 2.56, False, "b6ea09935c49a34b", "4576160041903b7e",
         )
-        assert len(res.probe_records) == 6
-        assert records_digest(res.probe_records) == "089a54bc53c7a93c"
+        assert len(probes.records) == 6
+        assert records_digest(probes.records) == "089a54bc53c7a93c"
 
     def test_with_faults(self):
         cfg = NetworkConfig(k=4, n=2, seed=5, faults="links:2")
@@ -513,22 +510,19 @@ class TestSparseBatchGolden:
 
     def test_with_probes_and_invariants(self):
         cfg = NetworkConfig(k=4, n=2, seed=23)
+        probes = ProbeSet(build_probes("all"), interval=50)
         res = BatchSimulator(
             cfg,
             batch_size=20,
             max_outstanding=2,
             nar=0.3,
-            observers=(
-                ProbeSet(build_probes("all"), interval=50),
-                Watchdog(window=2000),
-                InvariantChecker(),
-            ),
+            observers=(probes, Watchdog(window=2000), InvariantChecker()),
         ).run()
         assert _batch(res) == (
             216, 0.18518518518518517, True, 320, 0, 6.715625, "997d8cc0e3a6219d",
         )
-        assert len(res.probe_records) == 5
-        assert records_digest(res.probe_records) == "2f3c52262b1885ad"
+        assert len(probes.records) == 5
+        assert records_digest(probes.records) == "2f3c52262b1885ad"
 
 
 class TestSparseTraceGolden:
@@ -577,12 +571,11 @@ class TestSparseTraceGolden:
     def test_captured_trace_with_probes(self):
         cfg = NetworkConfig(k=4, n=2, seed=7)
         trace = capture_openloop_trace(cfg, 0.02, cycles=800)
-        res = TraceDrivenSimulator(
-            cfg, trace, observers=(ProbeSet(build_probes("inflight,channel"), interval=100),)
-        ).run()
+        probes = ProbeSet(build_probes("inflight,channel"), interval=100)
+        res = TraceDrivenSimulator(cfg, trace, observers=(probes,)).run()
         assert res.runtime == 806
         assert res.avg_latency == 6.318021201413427
         assert res.packets == 283
         assert res.throughput == 0.021944789081885855
-        assert len(res.probe_records) == 9
-        assert records_digest(res.probe_records) == "4bdb5ae2c52fc3b5"
+        assert len(probes.records) == 9
+        assert records_digest(probes.records) == "4bdb5ae2c52fc3b5"

@@ -76,6 +76,97 @@ class TestRun:
         assert 2.0 < res.avg_hops < 3.0
 
 
+class _EdgeReads:
+    """Observer keeping ``total_flits_delivered`` as seen at the top of
+    every cycle (keyed by that cycle)."""
+
+    def begin(self, net) -> None:
+        self.reads = {net.now: net.total_flits_delivered}
+
+    def on_cycle(self, net, now, delivered) -> None:
+        self.reads[net.now] = net.total_flits_delivered
+
+    def finish(self, net) -> None:
+        pass
+
+
+class _OfferLog(Network):
+    """A network remembering (cycle, measured) for every offered packet."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.offers: list[tuple[int, bool]] = []
+
+    def offer(self, packet) -> None:
+        self.offers.append((self.now, packet.measured))
+        super().offer(packet)
+
+
+class TestMeasurementWindow:
+    """The warm-up/measure/drain window belongs to the open-loop driver."""
+
+    W, M = 20, 50
+
+    def test_workload_satisfies_the_engine_protocol(self):
+        from repro.core.engine import Workload
+        from repro.core.openloop import _OpenLoopWorkload
+
+        assert isinstance(_OpenLoopWorkload([], warmup=0, measure=1), Workload)
+
+    @pytest.mark.parametrize("warmup", [0, W])
+    def test_tagged_packets_are_those_created_in_the_window(self, mesh4, warmup):
+        nets = []
+
+        def factory(cfg):
+            nets.append(_OfferLog(cfg))
+            return nets[-1]
+
+        sim = OpenLoopSimulator(
+            mesh4, warmup=warmup, measure=self.M, drain_limit=2000, network_factory=factory
+        )
+        res = sim.run(0.2)
+        offers = nets[0].offers
+        assert not res.saturated
+        assert offers[-1][0] >= warmup + self.M  # traffic keeps flowing in the drain
+        assert all(tagged == (warmup <= t < warmup + self.M) for t, tagged in offers)
+        assert res.num_measured == sum(tagged for _, tagged in offers) > 0
+
+    @pytest.mark.parametrize("drain_limit", [0, 2000], ids=["ends-at-edge", "drained"])
+    def test_throughput_is_flits_between_edge_reads(self, mesh4, drain_limit):
+        """Throughput = flits delivered between the reads at the top of the
+        two edge cycles / (measure * n) — also when the run stops at the
+        closing edge, whose read still happens."""
+        edges = _EdgeReads()
+        sim = OpenLoopSimulator(
+            mesh4, warmup=self.W, measure=self.M, drain_limit=drain_limit,
+            observers=(edges,),
+        )
+        res = sim.run(0.2)
+        end = self.W + self.M
+        if drain_limit == 0:
+            assert max(edges.reads) == end  # the run stopped at the closing edge
+        flits = edges.reads[end] - edges.reads[self.W]
+        assert flits > 0
+        assert res.throughput == flits / (self.M * mesh4.num_nodes)
+
+    def test_declined_drain_sees_the_closing_read(self, mesh4):
+        edges, asked = _EdgeReads(), []
+        sim = OpenLoopSimulator(
+            mesh4, warmup=self.W, measure=self.M, drain_limit=2000, observers=(edges,)
+        )
+        res = sim.run(0.2, drain_if=lambda tp: asked.append(tp) or False)
+        end = self.W + self.M
+        assert max(edges.reads) == end
+        expected = (edges.reads[end] - edges.reads[self.W]) / (self.M * mesh4.num_nodes)
+        assert asked == [expected] == [res.throughput]
+
+    @pytest.mark.parametrize("window", [dict(warmup=-1), dict(measure=-1)])
+    def test_negative_window_raises(self, mesh4, window):
+        sim = OpenLoopSimulator(mesh4, **{"warmup": 10, "measure": 10, **window})
+        with pytest.raises(ValueError, match="must be >= 0"):
+            sim.run(0.1)
+
+
 class TestSweeps:
     def test_sweep_stops_after_saturation(self, mesh8):
         sim = OpenLoopSimulator(mesh8, warmup=150, measure=300, drain_limit=600)

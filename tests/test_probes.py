@@ -9,7 +9,7 @@ import pytest
 
 from repro.config import NetworkConfig
 from repro.core.closedloop import BatchSimulator
-from repro.core.engine import DrainSink, SimulationEngine
+from repro.core.engine import SimulationEngine
 from repro.core.openloop import OpenLoopSimulator
 from repro.core.probes import (
     PROBE_REGISTRY,
@@ -37,7 +37,8 @@ def run_openloop(cfg, probes, rate=0.2):
 
 
 class _RandomSource:
-    """Minimal engine injector: Bernoulli traffic for a fixed span, then stop."""
+    """Minimal engine workload: Bernoulli traffic for a fixed span, then
+    done once the network has drained."""
 
     def __init__(self, gen, rate: float, cycles: int, size: int = 1):
         self.gen = gen
@@ -45,8 +46,7 @@ class _RandomSource:
         self.cycles = cycles
         self.size = size
 
-    def inject(self, engine) -> None:
-        net = engine.network
+    def inject(self, net) -> None:
         if net.now >= self.cycles:
             return
         draws = self.gen.random(net.num_nodes)
@@ -54,20 +54,20 @@ class _RandomSource:
             dst = int(self.gen.integers(net.num_nodes))
             net.offer(net.make_packet(int(src), dst, self.size))
 
-    def done(self, engine) -> bool:
-        return engine.network.now >= self.cycles
+    def on_delivered(self, pkt, net) -> None:
+        pass
+
+    def done(self, net) -> bool:
+        return net.now >= self.cycles and net.is_idle()
 
 
 def drive_network(cfg, *observers, rate=0.2, cycles=400, seed=123, size=1):
     """Run a raw Network under the engine until it fully drains."""
     net = Network(cfg)
     source = _RandomSource(np.random.default_rng(seed), rate, cycles, size)
-    engine = SimulationEngine(
-        net, source, DrainSink(), max_cycles=cycles + 5000, observers=observers
-    )
-    outcome = engine.run()
-    assert outcome.completed
-    return net, outcome
+    engine = SimulationEngine(net, source, max_cycles=cycles + 5000, observers=observers)
+    assert engine.run()
+    return net
 
 
 class TestBuildProbes:
@@ -102,7 +102,7 @@ class TestChannelUtilizationProbe:
         """Sum of per-window ejected/delivered flits == the network's
         cumulative total_flits_delivered over the run (acceptance invariant)."""
         probes = ProbeSet(build_probes("channel"), interval=100)
-        net, _ = drive_network(cfg, probes)
+        net = drive_network(cfg, probes)
         recs = probes.records
         assert recs
         assert net.total_flits_delivered > 0
@@ -115,8 +115,8 @@ class TestChannelUtilizationProbe:
 
     def test_link_counts_consistent(self, cfg):
         probes = ProbeSet(build_probes("channel"), interval=100)
-        res = run_openloop(cfg, probes)
-        for r in res.probe_records:
+        run_openloop(cfg, probes)
+        for r in probes.records:
             assert r["link_flits"] == sum(r["per_channel"])
             assert 0.0 <= r["link_util"] <= 1.0
             assert r["max_link_util"] >= 0.0
@@ -125,7 +125,7 @@ class TestChannelUtilizationProbe:
 
     def test_hook_removed_on_detach(self, cfg):
         probes = ProbeSet(build_probes("channel"), interval=100)
-        net, _ = drive_network(cfg, probes, cycles=100)
+        net = drive_network(cfg, probes, cycles=100)
         assert net._flit_hook is None
 
 
@@ -133,24 +133,24 @@ class TestVCOccupancyProbe:
     def test_occupancy_bounded_by_buffer_depth(self, cfg):
         """No single VC FIFO can ever hold more than vc_buffer_size flits."""
         probes = ProbeSet(build_probes("vc"), interval=50)
-        res = run_openloop(cfg, probes, rate=0.35)  # push toward saturation
-        assert res.probe_records
-        for r in res.probe_records:
+        run_openloop(cfg, probes, rate=0.35)  # push toward saturation
+        assert probes.records
+        for r in probes.records:
             assert 0 <= r["vc_occ_peak"] <= cfg.vc_buffer_size
             assert 0.0 <= r["vc_occ_mean"] <= cfg.vc_buffer_size
             assert all(0 <= v <= cfg.vc_buffer_size for v in r["per_node_vc_peak"])
 
     def test_occupancy_nonzero_under_load(self, cfg):
         probes = ProbeSet(build_probes("vc"), interval=50)
-        res = run_openloop(cfg, probes, rate=0.35)
-        assert max(r["vc_occ_peak"] for r in res.probe_records) > 0
+        run_openloop(cfg, probes, rate=0.35)
+        assert max(r["vc_occ_peak"] for r in probes.records) > 0
 
 
 class TestInjectionStallProbe:
     def test_stall_windows_sum_to_network_counter(self, cfg):
         probes = ProbeSet(build_probes("stall"), interval=100)
         # saturating multi-flit load -> source backpressure must happen
-        net, _ = drive_network(cfg, probes, rate=0.6, cycles=400, size=4)
+        net = drive_network(cfg, probes, rate=0.6, cycles=400, size=4)
         total = sum(r["injection_stalls"] for r in probes.records)
         assert total == net.injection_stalls
         assert total > 0
@@ -159,7 +159,7 @@ class TestInjectionStallProbe:
 class TestInFlightProbe:
     def test_series_sane(self, cfg):
         probes = ProbeSet(build_probes("inflight"), interval=100)
-        _, _ = drive_network(cfg, probes)
+        drive_network(cfg, probes)
         for r in probes.records:
             assert 0.0 <= r["in_flight_avg"] <= r["in_flight_peak"]
             assert r["in_flight_last"] <= r["in_flight_peak"]
@@ -170,8 +170,8 @@ class TestInFlightProbe:
 class TestWindowing:
     def test_window_bounds_partition_the_run(self, cfg):
         probes = ProbeSet(build_probes("channel"), interval=128)
-        res = run_openloop(cfg, probes)
-        recs = res.probe_records
+        run_openloop(cfg, probes)
+        recs = probes.records
         assert recs[0]["window_start"] == 0
         for prev, cur in zip(recs, recs[1:]):
             assert cur["window_start"] == prev["window_end"]
@@ -187,20 +187,20 @@ class TestJsonlRoundTrip:
 
         out = tmp_path / "probes.jsonl"
         probes = ProbeSet(build_probes("all"), interval=100, out=out)
-        res = run_openloop(cfg, probes)
+        run_openloop(cfg, probes)
         loaded = read_jsonl(out)
-        assert loaded == res.probe_records
+        assert loaded == probes.records
 
     def test_closedloop_round_trip(self, cfg, tmp_path):
         from repro.analysis.io import read_jsonl
 
         out = tmp_path / "probes.jsonl"
         probes = ProbeSet(build_probes("channel,stall"), interval=50, out=out)
-        res = BatchSimulator(
+        BatchSimulator(
             cfg, batch_size=30, max_outstanding=2, observers=(probes,)
         ).run()
         loaded = read_jsonl(out)
-        assert loaded == res.probe_records
+        assert loaded == probes.records
         assert sum(r["delivered_flits"] for r in loaded) > 0
 
     def test_heatmap_renders_from_round_tripped_records(self, cfg, tmp_path):
@@ -228,10 +228,10 @@ class TestBackendEquivalence:
         for backend in ("object", "vectorized"):
             out = tmp_path / f"{backend}.jsonl"
             probes = ProbeSet(build_probes(kinds), interval=50, out=out)
-            res = run_openloop(cfg.with_(backend=backend), probes, rate=0.3)
-            assert res.probe_records
-            assert read_jsonl(out) == res.probe_records
-            records[backend] = res.probe_records
+            run_openloop(cfg.with_(backend=backend), probes, rate=0.3)
+            assert probes.records
+            assert read_jsonl(out) == probes.records
+            records[backend] = probes.records
         assert records["object"] == records["vectorized"]
 
     def test_vectorized_hook_removed_on_detach(self, cfg):
@@ -246,7 +246,7 @@ class TestBackendEquivalence:
 
 class TestZeroCostWhenDisabled:
     def test_no_flit_hook_without_probes(self, cfg):
-        net, _ = drive_network(cfg, cycles=100)
+        net = drive_network(cfg, cycles=100)
         assert net._flit_hook is None
 
     @pytest.mark.parametrize("backend", ["object", "vectorized"])
@@ -283,7 +283,8 @@ class TestIdealNetworkProbes:
                 net.offer(net.make_packet(src=t % 16, dst=(t + 5) % 16, size=2))
             net.step()
             probes.on_cycle(net, t, [])
-        recs = probes.finish(net)
+        probes.finish(net)
+        recs = probes.records
         assert recs
         assert sum(r["ejected_flits"] for r in recs) == net.total_flits_delivered
         for r in recs:
@@ -308,6 +309,6 @@ class TestCustomProbe:
                 return fields
 
         probes = ProbeSet([DeliveryCounter()], interval=100)
-        net, _ = drive_network(cfg, probes)
+        net = drive_network(cfg, probes)
         total = sum(r["packets_delivered"] for r in probes.records)
         assert total == net.total_packets_delivered

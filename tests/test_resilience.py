@@ -360,18 +360,21 @@ class TestInvariantChecker:
             InvariantChecker(interval=0)
 
     def test_env_var_enables_by_default(self, monkeypatch):
-        from repro.core.engine import DrainSink, SimulationEngine
+        from repro.core.engine import SimulationEngine
 
         class Idle:
-            def inject(self, engine):
+            def inject(self, net):
                 pass
 
-            def done(self, engine):
+            def on_delivered(self, pkt, net):
+                pass
+
+            def done(self, net):
                 return True
 
         def checkers(*given):
             net = Network(NetworkConfig(k=4, n=2))
-            engine = SimulationEngine(net, Idle(), DrainSink(), max_cycles=0, observers=given)
+            engine = SimulationEngine(net, Idle(), max_cycles=0, observers=given)
             return [obs for obs in engine.observers if isinstance(obs, InvariantChecker)]
 
         monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)

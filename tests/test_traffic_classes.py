@@ -214,11 +214,11 @@ class TestClassLatencyProbe:
         cfg = NetworkConfig(
             k=4, n=2, seed=5, classes="user+os:priority=1"
         )
-        res = OpenLoopSimulator(
+        OpenLoopSimulator(
             cfg, warmup=100, measure=200, drain_limit=2000, observers=(probes,)
         ).run(0.15)
         records = read_jsonl(out)
-        assert records == res.probe_records
+        assert records == probes.records
         assert all(len(r["class_packets"]) == 2 for r in records)
         assert all(len(r["class_avg_latency"]) == 2 for r in records)
         # empty-class windows serialize as null, not NaN
@@ -229,14 +229,11 @@ class TestClassLatencyProbe:
     def test_probe_defaults_to_single_class(self):
         probe = ClassLatencyProbe()
         cfg = NetworkConfig(k=4, n=2, seed=5)
-        res = OpenLoopSimulator(
-            cfg,
-            warmup=50,
-            measure=100,
-            drain_limit=1000,
-            observers=(ProbeSet([probe], interval=50),),
+        probes = ProbeSet([probe], interval=50)
+        OpenLoopSimulator(
+            cfg, warmup=50, measure=100, drain_limit=1000, observers=(probes,)
         ).run(0.1)
-        assert all(len(r["class_packets"]) == 1 for r in res.probe_records)
+        assert all(len(r["class_packets"]) == 1 for r in probes.records)
 
 
 # ---------------------------------------------------------------------------
