@@ -15,12 +15,10 @@ Figs. 18, 19 and 22 derive from characterizations).
 derived ones) through the result cache, each distinct point once, and
 hands every harness its plan with each point replaced by its record.
 
-The cache keys a record on the resolved config, the kwargs, the bytecode
-of :func:`run_point` and the ``repro`` source salt — nothing else — so
-whatever shapes a run must be a config field or a kwarg, and
-:func:`run_point` calls only ``repro`` code.  Its key covers its bytecode
-but not its constants or attribute names: after editing it, clear the
-cache (``benchmarks/.cache`` or ``$REPRO_CACHE_DIR``).
+The cache keys a record on the resolved config, the kwargs, the code of
+:func:`run_point` (bytecode, constants, names and defaults) and the
+``repro`` source salt — nothing else — so whatever shapes a run must be a
+config field or a kwarg, and :func:`run_point` calls only ``repro`` code.
 
 Scaling: the paper uses b = 1000 batches, 64-node open-loop runs with long
 steady-state windows, and multi-day GEMS simulations.  The sizes below

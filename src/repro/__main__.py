@@ -490,37 +490,6 @@ def _cmd_explore(args) -> int:
     return 1 if result.errors else 0
 
 
-def _cmd_estimate(args) -> int:
-    from .analytical import AnalyticalModel
-
-    cfg = _network_config(args)
-    model = AnalyticalModel(cfg, capacity_factor=args.capacity_factor)
-    rates = tuple(float(r) for r in args.rates.split(","))
-    print(
-        f"analytical model: zero-load latency "
-        f"{model.estimate(min(rates)).zero_load_latency:.2f} cycles, "
-        f"saturation rate {model.saturation_rate:.4f} flits/cycle/node"
-    )
-    for rate in rates:
-        est = model.estimate(rate)
-        lat = f"{est.avg_latency:.2f}" if not est.saturated else "inf"
-        print(
-            f"rate {rate:g}: avg latency {lat} cycles, throughput "
-            f"{est.throughput:.4f}, utilization {est.utilization:.2f}, "
-            f"saturated={est.saturated}"
-        )
-        if len(cfg.classes) > 1:
-            for cls_est in est.classes:
-                clat = (
-                    f"{cls_est.avg_latency:.2f}" if not cls_est.saturated else "inf"
-                )
-                print(
-                    f"  class {cls_est.name}: avg latency {clat}, throughput "
-                    f"{cls_est.throughput:.4f}, saturated={cls_est.saturated}"
-                )
-    return 0
-
-
 def _cmd_saturation(args) -> int:
     from .core.openloop import OpenLoopSimulator
 
@@ -811,21 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write explore_front.jsonl + explore_front.txt here",
     )
     p.set_defaults(func=_cmd_explore)
-
-    p = sub.add_parser(
-        "estimate", help="zero-cycle analytical latency/saturation estimate"
-    )
-    _add_network_args(p)
-    p.add_argument("--rates", required=True, help="comma-separated offered loads")
-    p.add_argument(
-        "--capacity-factor",
-        type=float,
-        default=0.85,
-        metavar="FRACTION",
-        help="fraction of the ideal channel capacity reachable before "
-        "saturation (default 0.85; 1.0 = the textbook bound)",
-    )
-    p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("saturation", help="bisect the saturation throughput")
     openloop_args(p)

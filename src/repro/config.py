@@ -133,10 +133,8 @@ class NetworkConfig:
     #: network implementation: "object" (per-flit Python objects, the
     #: reference cycle-level model) or "vectorized" (struct-of-arrays numpy
     #: backend, bit-identical on every supported configuration — see
-    #: DESIGN.md "Vectorized backend").  The zero-cycle estimator is not a
-    #: backend: build :class:`repro.analytical.AnalyticalModel` (CLI:
-    #: ``repro estimate``).  The backend is part of the result cache
-    #: fingerprint, so cached records never cross backends.
+    #: DESIGN.md "Vectorized backend").  The backend is part of the result
+    #: cache fingerprint, so cached records never cross backends.
     backend: str = "object"
     #: VC-class discipline for DOR on wrapped topologies: "balanced"
     #: (default; both classes carry traffic) or "strict" (textbook
@@ -220,14 +218,6 @@ class NetworkConfig:
         that node counts line up across the paper's topology comparison.
         """
         return self.k**self.n
-
-    @property
-    def mean_packet_size(self) -> float:
-        """Mean flits per packet under the configured size distribution."""
-        if self.packet_size == "single":
-            return 1.0
-        f = self.bimodal_long_fraction
-        return (1.0 - f) * 1.0 + f * float(self.bimodal_long_size)
 
     def with_(self, **changes: Any) -> "NetworkConfig":
         """Return a copy with ``changes`` applied (frozen-dataclass update)."""

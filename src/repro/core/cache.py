@@ -49,6 +49,7 @@ import importlib
 import json
 import os
 import pathlib
+import types
 import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
@@ -86,9 +87,9 @@ CACHE_SALT_ENV = "REPRO_CACHE_SALT"
 
 #: Modules/packages whose source feeds the code-version salt: everything a
 #: driver imports on its way to a record (tests/test_result_cache.py runs
-#: one open-loop, one batch and one analytical point and fails if a
-#: ``repro`` module they pulled in is missing here).  ``analysis`` is salted
-#: whole — ``analysis.stats`` computes record fields, ``analysis.io`` the
+#: one open-loop and one batch point and fails if a ``repro`` module they
+#: pulled in is missing here).  ``analysis`` is salted whole —
+#: ``analysis.stats`` computes record fields, ``analysis.io`` the
 #: JSON encoding behind every key, and a driver may reach any of it through
 #: the package's lazy names.  ``__main__`` and ``service`` are absent: CLI
 #: wiring and transport cannot change a simulation record.
@@ -101,7 +102,6 @@ _HOT_PATHS = (
     "faults.py",
     "rng.py",
     "analysis",
-    "analytical",
     "core",
     "network",
     "routing",
@@ -226,16 +226,35 @@ def fingerprint(payload: Mapping[str, Any], *, salt: Optional[str] = None) -> st
     return hashlib.sha256(_encode_key(body).encode("utf-8")).hexdigest()
 
 
+def _code_text(value: Any) -> str:
+    """What a code object (or one of its constants) computes, as text.
+
+    A code object reads as its bytecode, the names it loads and its
+    constants, recursing into nested code objects (comprehensions,
+    lambdas); a frozenset constant (``x in {...}``) reads with its members
+    sorted, so neither a memory address nor ``PYTHONHASHSEED`` moves it.
+    """
+    if isinstance(value, types.CodeType):
+        return repr((value.co_code, value.co_names, tuple(map(_code_text, value.co_consts))))
+    if isinstance(value, frozenset):
+        return f"frozenset({sorted(map(_code_text, value))!r})"
+    if isinstance(value, tuple):
+        return repr(tuple(map(_code_text, value)))
+    return repr(value)
+
+
 def runner_spec(runner: Callable[..., Any]) -> dict[str, Any]:
     """A stable, JSON-able identity for a sweep runner.
 
     Two different runners must never share cache entries, so the spec folds
     in the dotted name, any :func:`functools.partial` binding (args and
     keywords, recursively), and — for functions — a CRC of the compiled
-    bytecode, which distinguishes same-named lambdas and tracks edits to
-    runners living outside the salted ``repro`` package.  A binding that is
-    not JSON-native keys on its text, so one whose text is a memory
-    address raises ``TypeError`` (see :func:`_key_default`).
+    code (bytecode, constants and loaded names, nested code included) and
+    of the parameter defaults, which distinguishes same-named lambdas and
+    tracks edits to runners living outside the salted ``repro`` package.
+    A binding or default that is not JSON-native keys on its text, so one
+    whose text is a memory address raises ``TypeError`` (see
+    :func:`_key_default`).
     """
     if isinstance(runner, functools.partial):
         return {
@@ -249,7 +268,10 @@ def runner_spec(runner: Callable[..., Any]) -> dict[str, Any]:
     }
     code = getattr(runner, "__code__", None)
     if code is not None:
-        spec["code_crc"] = zlib.crc32(code.co_code)
+        defaults = _encode_binding(
+            [getattr(runner, "__defaults__", None), getattr(runner, "__kwdefaults__", None)]
+        )
+        spec["code_crc"] = zlib.crc32(f"{_code_text(code)}{defaults}".encode("utf-8"))
     return spec
 
 

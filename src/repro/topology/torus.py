@@ -33,17 +33,3 @@ class Torus(KAryNCube):
             channel_delay=base_channel_delay * channel_delay_multiplier,
         )
 
-    def dateline_crossing(self, node: int, out_port: int) -> bool:
-        """True if the channel out of ``node`` via ``out_port`` crosses the dateline.
-
-        The dateline of every dimension sits on the wraparound edge: a hop
-        from coordinate k-1 to 0 (positive direction) or 0 to k-1 (negative).
-        Packets that have crossed must switch to the high VC class to break
-        the channel-dependency cycle (Dally's dateline scheme).
-        """
-        dim, rem = divmod(out_port, 2)
-        positive = rem == 0
-        coord = self.coords(node)[dim]
-        if positive:
-            return coord == self.k - 1
-        return coord == 0

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -142,7 +144,6 @@ SIMULATOR_MODULES = (
     "repro.topology",
     "repro.traffic",
     "repro.execdriven",
-    "repro.analytical",
     "repro.core.engine",
     "repro.core.openloop",
     "repro.core.closedloop",
@@ -306,7 +307,7 @@ class TestLazyNamespaces:
 
 #: The CLI's option surface, pinned: per subcommand, each argument's option
 #: strings, dest, default, sorted choices, nargs, const, required and action
-#: class (help excluded) -- 188 options and 3 positionals over 12
+#: class (help excluded) -- 172 options and 3 positionals over 11
 #: subcommands.  The network and executor flags are generated from one
 #: declaration each; this says that generation adds and loses nothing.
 PARSER_SURFACE = {
@@ -395,24 +396,6 @@ PARSER_SURFACE = {
         (('--max-retries',), 'max_retries', 2, None, None, None, False, '_StoreAction'),
         (('--cache',), 'cache', None, None, '?', '', False, '_StoreAction'),
         (('--out',), 'out', None, None, None, None, False, '_StoreAction'),
-    ],
-    'estimate': [
-        (('--topology',), 'topology', 'mesh', ('mesh', 'ring', 'torus'), None, None, False, '_StoreAction'),
-        (('--k',), 'k', 8, None, None, None, False, '_StoreAction'),
-        (('--n',), 'n', 2, None, None, None, False, '_StoreAction'),
-        (('--num-vcs',), 'num_vcs', 2, None, None, None, False, '_StoreAction'),
-        (('--vc-buffer-size', '-q'), 'vc_buffer_size', 4, None, None, None, False, '_StoreAction'),
-        (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
-        (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
-        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin', 'weighted'), None, None, False, '_StoreAction'),
-        (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
-        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
-        (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
-        (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
-        (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
-        (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
-        (('--rates',), 'rates', None, None, None, None, True, '_StoreAction'),
-        (('--capacity-factor',), 'capacity_factor', 0.85, None, None, None, False, '_StoreAction'),
     ],
     'saturation': [
         (('--topology',), 'topology', 'mesh', ('mesh', 'ring', 'torus'), None, None, False, '_StoreAction'),
@@ -543,6 +526,43 @@ def _parser_surface() -> dict:
     }
 
 
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _api_command_line() -> str:
+    """docs/API.md's section "Command line", up to the next heading."""
+    text = (REPO_ROOT / "docs" / "API.md").read_text(encoding="utf-8")
+    return text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set:
+    """Every option string of ``parser`` and of its subparsers, recursively."""
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _option_strings(sub)
+    return found
+
+
+class TestDocumentedSurface:
+    """The documented CLI is the parser's: a removed verb or flag leaves no trace."""
+
+    def test_api_verb_list_is_the_parsers(self):
+        listed = re.search(r"python -m repro \{([^}]*)\}", _api_command_line())
+        assert {verb.strip() for verb in listed.group(1).split("|")} == set(_parser_surface())
+
+    def test_api_flags_exist(self):
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", _api_command_line()))
+        assert named and named <= _option_strings(build_parser())
+
+    def test_readme_commands_name_real_verbs(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        verbs = set(re.findall(r"python -m repro ([a-z][\w-]*)", readme))
+        assert verbs and verbs <= set(_parser_surface())
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -560,7 +580,7 @@ class TestParser:
             build_parser().parse_args(["openloop", "--rate", "0.1", "--topology", "fat-tree"])
 
     def test_retired_surfaces_are_argparse_errors(self):
-        for argv in (["bench"], ["explore", "--quick", "--check"]):
+        for argv in (["bench"], ["explore", "--quick", "--check"], ["estimate", "--rates", "0.1"]):
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args(argv)
             assert exc.value.code == 2

@@ -37,11 +37,6 @@ class TestNetworkConfigDefaults:
         assert NetworkConfig(k=16, n=2).num_nodes == 256
         assert NetworkConfig(topology="ring", k=8, n=2).num_nodes == 64
 
-    def test_mean_packet_size(self):
-        assert NetworkConfig().mean_packet_size == 1.0
-        bi = NetworkConfig(packet_size="bimodal", bimodal_long_fraction=0.5)
-        assert bi.mean_packet_size == pytest.approx(2.5)
-
     def test_with_returns_modified_copy(self):
         cfg = NetworkConfig()
         cfg2 = cfg.with_(router_delay=4)
@@ -120,6 +115,11 @@ class TestNetworkConfigValidation:
     def test_categorical_fields_name_their_choices(self, name):
         with pytest.raises(ValueError, match=f"unknown {name} 'nope'; pick from"):
             NetworkConfig(**{name: "nope"})
+
+    def test_rejects_analytical_backend(self):
+        # No zero-cycle estimator is selectable as a network backend.
+        with pytest.raises(ValueError, match="unknown backend 'analytical'"):
+            NetworkConfig(k=4, n=2, backend="analytical")
 
     @pytest.mark.parametrize(
         "name",

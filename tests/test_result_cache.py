@@ -4,8 +4,9 @@ Covers hit-after-warm equivalence against a cold run (sha256 record
 digests), invalidation on fingerprint change, corrupt-index tolerance (a
 truncated tail recovers, like the sweep journal), the ``REPRO_NO_CACHE=1``
 bypass, what may enter a key (numpy values key as native ones, a value
-whose text is a memory address is refused) — plus a warm rerun of a
-representative latency-load grid >= 10x faster than cold while
+whose text is a memory address is refused), a runner's key tracking its
+constants, names and defaults whatever the hash seed — plus a warm rerun
+of a representative latency-load grid >= 10x faster than cold while
 bit-identical.
 """
 
@@ -70,7 +71,6 @@ class TestFingerprints:
         # modules that compute or shape record fields outside the simulator
         assert "classes.py" in digests
         assert "analysis/stats.py" in digests
-        assert "analytical/model.py" in digests
         # CLI wiring and transport cannot change a record: deliberately unsalted
         assert "__main__.py" not in digests
         assert not any(p.startswith("service/") for p in digests)
@@ -78,14 +78,13 @@ class TestFingerprints:
     def test_salt_covers_every_module_a_driver_imports(self):
         """An edit to any module on the way to a record must change the salt.
 
-        A fresh interpreter runs one open-loop point, one batch point and
-        one analytical estimate, then reports every ``repro`` module it
-        ended up importing that ``code_fingerprint`` does not digest.
+        A fresh interpreter runs one open-loop point and one batch point,
+        then reports every ``repro`` module it ended up importing that
+        ``code_fingerprint`` does not digest.
         """
         script = textwrap.dedent(
             """
             import pathlib, sys
-            from repro.analytical import estimate
             from repro.config import NetworkConfig
             from repro.core.cache import code_fingerprint
             from repro.core.closedloop import BatchSimulator
@@ -94,7 +93,6 @@ class TestFingerprints:
             cfg = NetworkConfig(k=4, n=2, seed=1)
             OpenLoopSimulator(cfg, warmup=20, measure=40, drain_limit=400).run(0.1)
             BatchSimulator(cfg, batch_size=5, max_outstanding=2).run()
-            estimate(cfg, 0.1)
             import repro
             root = pathlib.Path(repro.__file__).resolve().parent
             salted = code_fingerprint()
@@ -140,6 +138,71 @@ class TestFingerprints:
             return {"other": 1}
 
         assert runner_spec(f) != runner_spec(g)
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            ("def run(cfg):\n    return cfg * 100\n", "def run(cfg):\n    return cfg * 200\n"),
+            ("def run(cfg):\n    return cfg.warmup\n", "def run(cfg):\n    return cfg.measure\n"),
+            (
+                "def run(cfg, warmup=100):\n    return warmup\n",
+                "def run(cfg, warmup=200):\n    return warmup\n",
+            ),
+            (
+                "def run(cfg, *, warmup=100):\n    return warmup\n",
+                "def run(cfg, *, warmup=200):\n    return warmup\n",
+            ),
+            (
+                "def run(cfg):\n    return [x * 2 for x in cfg]\n",
+                "def run(cfg):\n    return [x * 3 for x in cfg]\n",
+            ),
+        ],
+        ids=["constant", "attribute", "default", "kwdefault", "comprehension"],
+    )
+    def test_runner_spec_tracks_edits_that_keep_bytecode(self, before, after):
+        """Same name, same bytecode: an edited constant, name or default is a new runner."""
+
+        def compiled(source):
+            namespace = {"__name__": "edited"}
+            exec(source, namespace)
+            return namespace["run"]
+
+        assert compiled(before).__code__.co_code == compiled(after).__code__.co_code
+        assert runner_spec(compiled(before)) == runner_spec(compiled(before))
+        assert runner_spec(compiled(before)) != runner_spec(compiled(after))
+
+    def test_runner_spec_is_independent_of_hash_seed(self):
+        """A client and a worker compute the spec in different interpreters."""
+        script = textwrap.dedent(
+            """
+            import json
+            from repro.core.cache import runner_spec
+
+            def run(cfg):
+                return cfg.kind in {"curve", "batch", "cmp", "trace", "barrier", "sat"}
+
+            print(json.dumps(runner_spec(run)))
+            print(repr(run.__code__.co_consts))
+            """
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                check=True,
+                env={
+                    **os.environ,
+                    "PYTHONPATH": os.pathsep.join(sys.path),
+                    "PYTHONHASHSEED": seed,
+                },
+            ).stdout.splitlines()
+            for seed in ("0", "1", "2")
+        ]
+        assert len({spec for spec, _ in outputs}) == 1
+        # the set constant's own order did move, so the spec is what held still
+        assert len({consts for _, consts in outputs}) > 1
 
     def test_runner_spec_partial_and_provenance(self):
         part = functools.partial(_openloop_runner, warmup=10, measure=20, drain_limit=30)

@@ -96,13 +96,6 @@ class TestTorus:
     def test_lower_average_hops_than_mesh(self):
         assert Torus(8, 2).average_min_hops() < Mesh(8, 2).average_min_hops()
 
-    def test_dateline_crossing(self):
-        t = Torus(4, 2)
-        assert t.dateline_crossing(3, 0)  # x=3 going +x wraps
-        assert not t.dateline_crossing(2, 0)
-        assert t.dateline_crossing(0, 1)  # x=0 going -x wraps
-        assert not t.dateline_crossing(3, 1)
-
     def test_direction_tie_breaks_positive(self):
         t = Torus(8, 1)
         assert t.direction(0, 4, 0) == 1  # distance 4 both ways
