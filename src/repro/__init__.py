@@ -40,8 +40,6 @@ _EXPORTS = {
     "SimulationEngine": ".core.engine",
     "ProbeSet": ".core.probes",
     "build_probes": ".core.probes",
-    "FaultPlan": ".faults",
-    "UnreachableDestination": ".faults",
     "Watchdog": ".core.resilience",
     "SimulationStalled": ".core.resilience",
     "__version__": "._version",

@@ -139,7 +139,7 @@ _FIELDS = {f.name: f for f in dataclasses.fields(NetworkConfig)}
 #: The network flags, one per NetworkConfig field, with the add_argument
 #: keywords the field cannot supply (an alias, help).  Type and default come
 #: from the field and choices from FIELD_CHOICES; a field without a scalar
-#: default (classes, faults) is a spec string defaulting to None.
+#: default (classes) is a spec string defaulting to None.
 _NETWORK_FLAGS: dict[str, dict[str, Any]] = {
     "topology": {},
     "k": {},
@@ -161,13 +161,9 @@ _NETWORK_FLAGS: dict[str, dict[str, Any]] = {
     "backend": {
         "help": "network implementation: per-flit Python objects (reference) "
         "or the struct-of-arrays numpy backend (bit-identical, much faster "
-        "at scale; rejects faulted or credit_delay=0 configs)"
+        "at scale; rejects credit_delay=0 configs)"
     },
     "seed": {},
-    "faults": {
-        "help": "fault plan, e.g. 'links:2' (random), 'link:12>20', "
-        "'router:5@1000-2000'; clauses joined with ';'"
-    },
 }
 
 
@@ -237,7 +233,7 @@ def _cmd_openloop(args) -> int:
 
 
 def _count_or_spec(value: str) -> int | str:
-    """A spec field's value (``classes``, ``faults``): a count or a spec."""
+    """A spec field's value (``classes``): a count or a spec."""
     try:
         return int(value)
     except ValueError:

@@ -107,13 +107,6 @@ class NetworkConfig:
         :func:`repro.rng.sweep_seed`; it is normalized to a plain ``int``
         (numpy integers included) so the derivation and journal round-trips
         are well-defined.
-    faults:
-        Optional fault-plan spec string (see
-        :meth:`repro.faults.FaultPlan.parse`), e.g. ``"links:2"``
-        or ``"link:3>4@100-500;router:9"``.  ``None`` (default) simulates a
-        healthy network on the exact pre-fault-layer code path.  Random
-        link selection (``links:K``) derives from ``seed``, so a faulted
-        config is as reproducible as a healthy one.
     """
 
     topology: str = "mesh"
@@ -145,7 +138,6 @@ class NetworkConfig:
     #: sweep axes and CLI flags alike.
     classes: "tuple[TrafficClass, ...]" = DEFAULT_CLASSES
     seed: int = 1
-    faults: "str | None" = None
 
     def __post_init__(self) -> None:
         try:
@@ -199,11 +191,6 @@ class NetworkConfig:
             raise ValueError("bimodal_long_fraction must be in [0, 1]")
         if self.bimodal_long_size < 2:
             raise ValueError("bimodal_long_size must be >= 2")
-        if self.faults is not None:
-            # Imported lazily: a healthy config never loads the fault model.
-            from .faults import FaultPlan
-
-            FaultPlan.parse(self.faults)  # eager syntax validation
 
     @property
     def num_classes(self) -> int:

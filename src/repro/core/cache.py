@@ -99,7 +99,6 @@ _HOT_PATHS = (
     "_version.py",
     "classes.py",
     "config.py",
-    "faults.py",
     "rng.py",
     "analysis",
     "core",
@@ -533,7 +532,8 @@ def rerun_entry(entry: Mapping[str, Any]) -> VerifyResult:
     the provenance needed to reconstruct the run (resolved config, extra
     kwargs, the runner's dotted name); an entry without it, or whose runner
     does not import here (the figure suite's ``exhibits:run_point`` needs
-    ``benchmarks/`` on ``PYTHONPATH``), is reported ``skipped``.
+    ``benchmarks/`` on ``PYTHONPATH``), or whose config names a field
+    :class:`NetworkConfig` no longer has, is reported ``skipped``.
     The diff covers every runner-output field; ``wall_seconds`` is excluded
     because timing is the one field determinism does not promise.
     """
@@ -545,6 +545,11 @@ def rerun_entry(entry: Mapping[str, Any]) -> VerifyResult:
     config = entry.get("config")
     if not dotted or not isinstance(config, Mapping):
         return VerifyResult(key, "skipped", "entry has no importable runner provenance")
+    unknown = sorted(set(config) - {f.name for f in dataclasses.fields(NetworkConfig)})
+    if unknown:
+        return VerifyResult(
+            key, "skipped", f"config field(s) {', '.join(unknown)} unknown to NetworkConfig"
+        )
     try:
         runner = _import_runner(dotted)
     except (ImportError, AttributeError) as exc:

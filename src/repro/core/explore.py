@@ -107,10 +107,9 @@ PENALTY_METRICS = {"latency": math.inf, "throughput": 0.0, "cost": math.inf}
 QUICK_HV_REFERENCE = (200.0, 0.0, 5000.0)
 
 # Fields the explorer refuses to treat as genes: seeds belong to the
-# driver (per-point seeds are derived), traffic classes are structured
-# objects (not JSON-scalar genes), and faults are a reliability-study knob
-# orthogonal to design-space search.
-_RESERVED_FIELDS = frozenset({"seed", "classes", "faults"})
+# driver (per-point seeds are derived), and traffic classes are structured
+# objects (not JSON-scalar genes).
+_RESERVED_FIELDS = frozenset({"seed", "classes"})
 
 
 # --------------------------------------------------------------------------
@@ -126,7 +125,7 @@ class DesignSpace:
     values the search may assign, sorted by field name — the sorted order
     fixes genome tuple layout, archive serialization, and per-point seed
     derivation all at once.  Validation is eager: unknown fields, reserved
-    fields (``seed``, ``classes``, ``faults``), empty or duplicate value
+    fields (``seed``, ``classes``), empty or duplicate value
     lists, values outside :data:`repro.config.FIELD_CHOICES` and
     non-integers for a :data:`repro.config.INT_FIELDS` field fail at
     construction, before any simulation starts.

@@ -15,7 +15,7 @@ checks are engine observers (:class:`repro.core.engine.Observer`):
 
 The sweep executor and the CLI import :class:`SimulationStalled` in
 control-plane processes, so this module imports neither numpy nor the
-simulator.  The fault model is :mod:`repro.faults`.
+simulator.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class BlockedVC:
     credits: Optional[int]  #: downstream credits on the allocated VC
     head_pid: int
     head_age: int
-    faulted: bool = False  #: the allocated output port is currently faulted
     #: (node, in_port, vc) keys of the input VCs this one waits on: the
     #: downstream VC its credits come from, or — when VC allocation failed —
     #: the local input VCs holding every candidate output VC
@@ -72,10 +71,9 @@ class BlockedVC:
         where = f"router {self.node} in_port {self.in_port} vc {self.vc}"
         if self.out_port < 0:
             return f"{where}: head pkt #{self.head_pid} (age {self.head_age}) awaiting VC allocation"
-        state = "faulted port" if self.faulted else f"{self.credits} credits"
         return (
             f"{where}: head pkt #{self.head_pid} (age {self.head_age}) -> "
-            f"out_port {self.out_port} vc {self.out_vc} ({state})"
+            f"out_port {self.out_port} vc {self.out_vc} ({self.credits} credits)"
         )
 
 
@@ -142,7 +140,6 @@ def diagnose(net, *, window: int = 0) -> StallDiagnosis:
     oldest = None
     oldest_loc = None
     for router in routers:
-        fmask = router.fault_mask
         for idx in sorted(router.busy):
             ivc = router.ivcs[idx]
             if not ivc.fifo:
@@ -158,13 +155,11 @@ def diagnose(net, *, window: int = 0) -> StallDiagnosis:
                 continue  # ejection never blocks
             if op >= 0:
                 credits = router.credits[op][ivc.out_vc]
-                faulted = bool(fmask >> op & 1)
-                if credits > 0 and not faulted:
+                if credits > 0:
                     continue  # eligible: lost arbitration, not blocked
                 b = BlockedVC(
                     router.node, ivc.in_port, ivc.vc, len(ivc.fifo),
-                    op, ivc.out_vc, credits,
-                    pkt.pid, now - pkt.create_time, faulted,
+                    op, ivc.out_vc, credits, pkt.pid, now - pkt.create_time,
                 )
                 # Credits return when the downstream input VC drains.
                 ch = net.topology.channel(router.node, op)

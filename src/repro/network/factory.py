@@ -4,7 +4,7 @@
 :class:`~repro.network.base.NetworkLike` protocol:
 
 * ``"object"`` — :class:`~repro.network.network.Network`, the per-flit
-  Python-object reference model (supports every feature, incl. faults).
+  Python-object reference model (supports every feature).
 * ``"vectorized"`` — :class:`~repro.network.vectorized.VectorizedNetwork`,
   the struct-of-arrays numpy model, bit-identical on every configuration it
   accepts (see DESIGN.md "Vectorized backend").
@@ -33,7 +33,6 @@ def vectorized_supports(config: NetworkConfig) -> bool:
     envelope (mirrors :class:`VectorizedNetwork`'s constructor checks)."""
     return (
         config.topology in ("mesh", "torus", "ring")
-        and config.faults is None
         and config.credit_delay >= 1
     )
 
@@ -41,7 +40,7 @@ def vectorized_supports(config: NetworkConfig) -> bool:
 def build_network(config: NetworkConfig, **kwargs):
     """Instantiate the network backend selected by ``config.backend``.
 
-    ``kwargs`` (``topology=``, ``routing=``, ``faults=`` overrides) are
+    ``kwargs`` (``topology=``, ``routing=`` overrides) are
     accepted by the object backend only.  Callers that want the
     contention-free fabric construct :class:`IdealNetwork` explicitly.
     """

@@ -11,8 +11,6 @@ pointed at it unchanged to measure NAR or ideal cycle counts (Table III).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .base import BaseNetwork
 from .links import TimeBuckets
 from .packet import Packet
@@ -53,8 +51,3 @@ class IdealNetwork(BaseNetwork):
                 delivered.append(pkt)
         self.now = now + 1
         return delivered
-
-    # Kept because the benchmark tracer (benchmarks/e2e/tracing.py) binds it.
-    def next_internal_event_cycle(self) -> Optional[int]:
-        """Earliest scheduled delivery (empty whenever the network is idle)."""
-        return self._events.next_time()

@@ -43,11 +43,5 @@ class TimeBuckets:
             self.pending -= len(bucket)
         return bucket
 
-    def next_time(self) -> Optional[int]:
-        """Earliest cycle with an undelivered event (None when empty)."""
-        if not self._buckets:
-            return None
-        return min(self._buckets)
-
     def __bool__(self) -> bool:
         return self.pending > 0

@@ -37,7 +37,6 @@ from typing import Optional
 
 import numpy as np
 
-from .. import rng as rng_mod
 from ..classes import source_queue_order
 from ..config import NetworkConfig
 from ..routing.base import RoutingAlgorithm
@@ -52,15 +51,7 @@ __all__ = ["Network"]
 
 
 class Network(BaseNetwork):
-    """A cycle-level NoC built from a :class:`NetworkConfig`.
-
-    ``faults`` accepts a :class:`~repro.faults.FaultPlan` or a spec
-    string (see :meth:`FaultPlan.parse`); it defaults to ``config.faults``.
-    A faulted network wraps its routing algorithm in
-    :class:`~repro.routing.fault.FaultAwareRouting` and maintains per-router
-    fault masks; an unfaulted network runs the identical code path with
-    ``faults is None`` and a constant fault version of 0.
-    """
+    """A cycle-level NoC built from a :class:`NetworkConfig`."""
 
     def __init__(
         self,
@@ -68,27 +59,12 @@ class Network(BaseNetwork):
         *,
         topology: Optional[Topology] = None,
         routing: Optional[RoutingAlgorithm] = None,
-        faults=None,
     ):
         self.config = config
         self.topology = topology if topology is not None else build_topology(config)
         self.routing = routing if routing is not None else build_routing(config, self.topology)
         n = self.topology.num_nodes
         super().__init__(n)
-        self._fault_version = 0
-        self.faults = None
-        plan = faults if faults is not None else config.faults
-        if plan:
-            from ..faults import FaultPlan, FaultState
-            from ..routing.fault import FaultAwareRouting
-
-            if isinstance(plan, str):
-                plan = FaultPlan.parse(plan)
-            resolved = plan.resolve(
-                self.topology, rng_mod.spawn(config.seed, "faults")
-            )
-            self.faults = FaultState(resolved, self.topology)
-            self.routing = FaultAwareRouting(self.routing, self.faults)
         num_vcs = config.num_vcs
         self.routers = [
             Router(
@@ -136,16 +112,11 @@ class Network(BaseNetwork):
         # drains; among those, only routers whose ``wake`` cycle has come
         # are stepped (see DESIGN.md 5e).
         self._active_routers: set[int] = set()
-        if self.faults is not None:
-            # Faults starting at cycle 0 take effect before the first step.
-            self.faults.apply(0, self)
 
     # -- driver API -----------------------------------------------------------
     def offer(self, packet: Packet) -> None:
         """Queue ``packet`` at its source node (infinite source queue)."""
         self.routing.on_inject(packet)
-        if self.faults is not None:
-            self.faults.admit(packet, self.now)
         c = packet.traffic_class
         if c >= self._num_queues:
             c = self._num_queues - 1
@@ -159,10 +130,6 @@ class Network(BaseNetwork):
         delivered = self._delivered = []
         routers = self.routers
         active = self._active_routers
-        # 0. Fault activations/deactivations scheduled for this cycle.
-        fs = self.faults
-        if fs is not None and fs.has_events:
-            fs.apply(now, self)
         # 1. Credits land (usable this cycle).
         bucket = self._credits.pop(now, None)
         if bucket is not None:
@@ -211,20 +178,6 @@ class Network(BaseNetwork):
     def buffered_flits(self) -> int:
         """Flits currently buffered across all routers (diagnostics)."""
         return sum(r.buffered_flits() for r in self.routers)
-
-    # Kept because the benchmark tracer (benchmarks/e2e/tracing.py) binds it.
-    def next_internal_event_cycle(self) -> Optional[int]:
-        """Earliest in-flight credit/arrival delivery or fault event."""
-        nxt = min(self._credits, default=None)
-        t = min(self._arrivals, default=None)
-        if t is not None and (nxt is None or t < nxt):
-            nxt = t
-        fs = self.faults
-        if fs is not None:
-            t = fs.next_event_cycle()
-            if t is not None and (nxt is None or t < nxt):
-                nxt = t
-        return nxt
 
     # -- probe support ----------------------------------------------------------
     def probe_channels(self):

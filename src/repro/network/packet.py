@@ -45,7 +45,6 @@ class Packet:
         "vc_class",
         "route_dim",
         "hops",
-        "misroutes",
         "meta",
     )
 
@@ -78,7 +77,6 @@ class Packet:
         self.vc_class: int = 0
         self.route_dim: int = -1
         self.hops: int = 0
-        self.misroutes: int = 0
         self.meta = meta
 
     @property

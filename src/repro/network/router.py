@@ -76,7 +76,6 @@ class Router:
         "out_channels",
         "down",
         "arbiters",
-        "fault_mask",
         "_reqs",
         "_sparse",
         "_notify_grant",
@@ -129,9 +128,6 @@ class Router:
         # Only the weighted arbiter carries grant-advanced state; skipping
         # the granted() call otherwise keeps the default hot path unchanged.
         self._notify_grant = arbitration == "weighted"
-        #: bitmask of currently-faulted output ports (maintained by the
-        #: network's FaultState; 0 on a healthy router)
-        self.fault_mask = 0
         self._reqs: list[list] = [[] for _ in range(self.num_ports)]
         # At or below this many occupied input VCs, sorting the busy set
         # is cheaper than scanning every VC for a non-empty FIFO.
@@ -143,7 +139,6 @@ class Router:
         free VC with the most credits among the adaptive candidates, among
         the escape candidates only when no adaptive VC is free."""
         local = self.local_port
-        fm = self.fault_mask
         best_port = best_vc = best_credit = -1
         for escape in (False, True):
             for cand in ivc.candidates:
@@ -152,8 +147,8 @@ class Router:
                     ivc.out_port = local
                     ivc.candidates = None
                     return True
-                if cand.escape != escape or (fm and fm >> op & 1):
-                    continue  # the other pass's / a faulted channel: never claim its VCs
+                if cand.escape != escape:
+                    continue  # the other pass's candidate
                 owners = self.vc_owner[op]
                 creds = self.credits[op]
                 for vc in cand.vcs:
@@ -177,9 +172,7 @@ class Router:
         busy = self.busy
         reqs = self._reqs
         local = self.local_port
-        fm = self.fault_mask
         credits = self.credits
-        fv = net._fault_version
         nxt = now + 1
         wake = _IDLE
         active_ports = []
@@ -202,9 +195,8 @@ class Router:
             op = ivc.out_port
             if op < 0:
                 cands = ivc.candidates
-                if cands is None or ivc.route_version != fv:
-                    # RC: head flits compute their candidates once per hop,
-                    # again whenever the fault set changed under them.
+                if cands is None:
+                    # RC: head flits compute their candidates once per hop.
                     row = self.row
                     if row is None and self.routing.static_rows:
                         row = self.row = self.routing.static_row(self.node)
@@ -213,15 +205,14 @@ class Router:
                     else:
                         cands = self.routing.route(self.node, head[0])
                     ivc.candidates = cands
-                    ivc.route_version = fv
-                if fm or len(cands) != 1:
+                if len(cands) != 1:
                     if not self._try_alloc(ivc):
                         wake = nxt
                         continue
                     op = ivc.out_port
                 else:
-                    # VA with one candidate on a healthy router — every
-                    # deterministic hop — is _try_alloc's first pass alone.
+                    # VA with one candidate — every deterministic hop — is
+                    # _try_alloc's first pass alone.
                     cand = cands[0]
                     op = cand.out_port
                     if op != local:
@@ -239,9 +230,7 @@ class Router:
                         ivc.out_vc = best_vc
                     ivc.out_port = op
                     ivc.candidates = None
-            if op != local and (
-                credits[op][ivc.out_vc] <= 0 or (fm and fm >> op & 1)
-            ):
+            if op != local and credits[op][ivc.out_vc] <= 0:
                 wake = nxt
                 continue
             requests = reqs[op]

@@ -48,7 +48,6 @@ class InputVC:
         "out_port",
         "out_vc",
         "candidates",
-        "route_version",
         "node",
         "upstream",
     )
@@ -61,9 +60,6 @@ class InputVC:
         self.out_port: int = -1
         self.out_vc: int = -1
         self.candidates: Optional[list] = None
-        #: network fault version the candidates were computed under; a head
-        #: flit still awaiting VC allocation re-routes when this goes stale.
-        self.route_version: int = 0
         self.node = node
         self.upstream: Optional[tuple] = None
 

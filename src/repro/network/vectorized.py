@@ -34,9 +34,9 @@ order and switch-arbiter state — are reproduced exactly:
   round-robin pointer updates.
 
 Configurations the backend cannot reproduce exactly are rejected at
-construction: ``credit_delay == 0`` (couples routers within a cycle) and
-fault plans (the fault layer hooks per-object router internals), so every
-supported config is exact and there is nothing to check statistically.
+construction (``credit_delay == 0`` couples routers within a cycle), so
+every supported config is exact and there is nothing to check
+statistically.
 """
 
 from __future__ import annotations
@@ -64,13 +64,6 @@ class VectorizedNetwork(BaseNetwork):
     """Numpy struct-of-arrays network, bit-identical to :class:`Network`."""
 
     def __init__(self, config: NetworkConfig):
-        if config.faults is not None:
-            raise BackendUnsupported(
-                "vectorized",
-                "fault injection (config.faults)",
-                "the fault layer hooks per-object router internals that the "
-                "struct-of-arrays model does not expose",
-            )
         if config.credit_delay == 0:
             raise BackendUnsupported(
                 "vectorized",
@@ -286,14 +279,6 @@ class VectorizedNetwork(BaseNetwork):
             self._router_step(now)
         self.now = now + 1
         return self._delivered
-
-    # Kept because the benchmark tracer (benchmarks/e2e/tracing.py) binds it.
-    def next_internal_event_cycle(self) -> Optional[int]:
-        t = min(self._arrq) if self._arrq else None
-        if self._crq:
-            c = min(self._crq)
-            t = c if t is None or c < t else t
-        return t
 
     def buffered_flits(self) -> int:
         return self._buffered

@@ -2,7 +2,6 @@
 
 from .base import RouteCandidate, RoutingAlgorithm, vc_range
 from .dor import DOR, dor_port
-from .fault import FaultAwareRouting
 from .minimal_adaptive import MinimalAdaptive
 from .registry import build_routing
 from .romm import ROMM
@@ -14,7 +13,6 @@ __all__ = [
     "vc_range",
     "DOR",
     "dor_port",
-    "FaultAwareRouting",
     "Valiant",
     "ROMM",
     "MinimalAdaptive",

@@ -69,8 +69,7 @@ class RoutingAlgorithm(ABC):
     mesh and, with the balanced dateline (whose VC class is a function of
     node and destination alone), on a torus or ring; anything that consults
     other packet state (the strict dateline reads ``packet.src``, VAL/ROMM
-    read the phase), allocates per call (MA) or depends on the fault set
-    (:class:`~repro.routing.fault.FaultAwareRouting`) does not.
+    read the phase) or allocates per call (MA) does not.
     """
 
     name: str = "abstract"

@@ -71,7 +71,9 @@ __all__ = [
 #: Bumped on incompatible wire changes; ``hello`` and ``welcome`` carry it.
 #: 2: leases name their job spec by content id and carry its body only when
 #: the connection has not just been sent it.
-PROTOCOL_VERSION = 2
+#: 3: a job's ``config`` body has no ``faults`` key (the field is gone, and
+#: a version-2 peer would send ``"faults": null``, which this one refuses).
+PROTOCOL_VERSION = 3
 
 #: Hard cap on one frame.  A lease for a large config is a few KiB; 8 MiB
 #: leaves room for bulky poll replies while bounding a hostile or corrupt

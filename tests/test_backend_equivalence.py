@@ -248,9 +248,8 @@ class TestBackendSelection:
         from repro.network.factory import vectorized_supports
 
         assert vectorized_supports(NetworkConfig())
-        assert not vectorized_supports(NetworkConfig(faults="links:1"))
         assert not vectorized_supports(NetworkConfig(credit_delay=0))
-        for kw in (dict(), dict(faults="links:1"), dict(credit_delay=0)):
+        for kw in (dict(), dict(credit_delay=0)):
             cfg = NetworkConfig(backend="vectorized", **kw)
             if vectorized_supports(cfg):
                 build_network(cfg)  # must not raise
@@ -263,9 +262,7 @@ class TestBackendSelection:
             NetworkConfig(backend="warp-drive")
 
     def test_vectorized_rejects_unsupported(self):
-        # fault plans and zero-delay credits run on the reference backend only
-        with pytest.raises(ValueError, match="fault"):
-            build_network(NetworkConfig(backend="vectorized", faults="links:2"))
+        # zero-delay credits run on the reference backend only
         with pytest.raises(ValueError, match="credit_delay"):
             build_network(NetworkConfig(backend="vectorized", credit_delay=0))
 

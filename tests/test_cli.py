@@ -74,7 +74,6 @@ class TestParseAxis:
         assert seeds[0] == seeds[1]
         # a spec field: a count when the value is one, a spec string otherwise
         assert _parse_axis("classes=2,user+os") == ("classes", (2, "user+os"))
-        assert _parse_axis("faults=links:1") == ("faults", ("links:1",))
 
     @pytest.mark.parametrize(
         "argv",
@@ -215,24 +214,6 @@ class TestControlPlaneImports:
         )
         assert _fresh_python(script) == ["[]"]
 
-    def test_a_faulted_config_sweeps_without_the_simulator(self):
-        """``NetworkConfig`` validates a fault spec in the control plane:
-        the fault model it loads must not pull in numpy or the network."""
-        script = (
-            "import sys\n"
-            "from repro.config import NetworkConfig\n"
-            "from repro.core.parallel import run_sweep\n"
-            "def constant(cfg, *, rate):\n"
-            "    return {'latency': cfg.router_delay / (1.0 - rate)}\n"
-            "base = NetworkConfig(k=4, n=2, seed=3, faults='links:2')\n"
-            "recs = run_sweep(base, {'router_delay': (1, 2)}, constant,\n"
-            "                 extra_axes={'rate': (0.1, 0.2)})\n"
-            "assert len(recs) == 4 and recs.health.ok == 4, recs.health.summary()\n"
-            "assert 'repro.faults' in sys.modules\n"
-            + _REPORT_LOADED
-        )
-        assert _fresh_python(script) == ["[]"]
-
     def test_control_plane_commands_start_without_the_simulator(self):
         """``--help``/``--version`` and the help of every command that does
         not simulate: exit 0, and nothing of the simulator imported."""
@@ -307,7 +288,7 @@ class TestLazyNamespaces:
 
 #: The CLI's option surface, pinned: per subcommand, each argument's option
 #: strings, dest, default, sorted choices, nargs, const, required and action
-#: class (help excluded) -- 172 options and 3 positionals over 11
+#: class (help excluded) -- 166 options and 3 positionals over 11
 #: subcommands.  The network and executor flags are generated from one
 #: declaration each; this says that generation adds and loses nothing.
 PARSER_SURFACE = {
@@ -325,7 +306,6 @@ PARSER_SURFACE = {
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
-        (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
         (('--warmup',), 'warmup', 500, None, None, None, False, '_StoreAction'),
         (('--measure',), 'measure', 1000, None, None, None, False, '_StoreAction'),
         (('--drain',), 'drain', 10000, None, None, None, False, '_StoreAction'),
@@ -350,7 +330,6 @@ PARSER_SURFACE = {
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
-        (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
         (('--warmup',), 'warmup', 500, None, None, None, False, '_StoreAction'),
         (('--measure',), 'measure', 1000, None, None, None, False, '_StoreAction'),
         (('--drain',), 'drain', 10000, None, None, None, False, '_StoreAction'),
@@ -380,7 +359,6 @@ PARSER_SURFACE = {
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
-        (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
         (('--warmup',), 'warmup', None, None, None, None, False, '_StoreAction'),
         (('--measure',), 'measure', None, None, None, None, False, '_StoreAction'),
         (('--drain',), 'drain', None, None, None, None, False, '_StoreAction'),
@@ -411,7 +389,6 @@ PARSER_SURFACE = {
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
-        (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
         (('--warmup',), 'warmup', 500, None, None, None, False, '_StoreAction'),
         (('--measure',), 'measure', 1000, None, None, None, False, '_StoreAction'),
         (('--drain',), 'drain', 10000, None, None, None, False, '_StoreAction'),
@@ -431,7 +408,6 @@ PARSER_SURFACE = {
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
-        (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
         (('-b', '--batch-size'), 'batch_size', 1000, None, None, None, False, '_StoreAction'),
         (('-m', '--max-outstanding'), 'max_outstanding', None, None, None, None, False, '_StoreAction'),
         (('--nar',), 'nar', None, None, None, None, False, '_StoreAction'),
@@ -488,7 +464,6 @@ PARSER_SURFACE = {
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
-        (('--faults',), 'faults', None, None, None, None, False, '_StoreAction'),
         (('--warmup',), 'warmup', 500, None, None, None, False, '_StoreAction'),
         (('--measure',), 'measure', 1000, None, None, None, False, '_StoreAction'),
         (('--drain',), 'drain', 10000, None, None, None, False, '_StoreAction'),
@@ -580,7 +555,13 @@ class TestParser:
             build_parser().parse_args(["openloop", "--rate", "0.1", "--topology", "fat-tree"])
 
     def test_retired_surfaces_are_argparse_errors(self):
-        for argv in (["bench"], ["explore", "--quick", "--check"], ["estimate", "--rates", "0.1"]):
+        for argv in (
+            ["bench"],
+            ["explore", "--quick", "--check"],
+            ["estimate", "--rates", "0.1"],
+            ["openloop", "--rate", "0.1", "--faults", "links:1"],
+            ["sweep", "--rates", "0.1", "--axis", "faults=links:1"],
+        ):
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args(argv)
             assert exc.value.code == 2
@@ -761,35 +742,25 @@ def _repro_env():
     return env
 
 
-class TestFaultFlags:
-    def test_openloop_with_faults(self, capsys):
-        rc = main(
-            [
-                "openloop", "--k", "4", "--rate", "0.05",
-                "--warmup", "100", "--measure", "200", "--drain", "1000",
-                "--faults", "links:1", "--watchdog", "5000",
-            ]
-        )
-        assert rc == 0
-        assert "avg latency" in capsys.readouterr().out
-
+class TestRunHealthFlags:
     def test_openloop_check_invariants(self, capsys):
         rc = main(
             [
                 "openloop", "--k", "4", "--rate", "0.05",
                 "--warmup", "50", "--measure", "100", "--drain", "500",
-                "--faults", "link:0>1", "--check-invariants",
+                "--check-invariants",
             ]
         )
         assert rc == 0
 
-    def test_barrier_watchdog_stops_a_deadlock(self, capsys):
+    def test_barrier_watchdog_stops_a_deadlock(self, capsys, monkeypatch, deadlocking_network):
         """The barrier model takes the same observers as the batch model: a
-        deadlocked mesh exits 3 at the watchdog, not at its cycle budget."""
+        deadlocked ring exits 3 at the watchdog, not at its cycle budget."""
+        monkeypatch.setattr("repro.core.barrier.build_network", deadlocking_network)
         rc = main(
             [
-                "batch", "--barrier", "--k", "4", "--n", "2", "--num-vcs", "2",
-                "-q", "1", "--routing", "ma", "--seed", "1", "--faults", "links:4",
+                "batch", "--barrier", "--topology", "ring", "--k", "4", "--n", "2",
+                "--num-vcs", "2", "-q", "1", "--seed", "1",
                 "-b", "10", "--watchdog", "500",
             ]
         )
@@ -805,11 +776,6 @@ class TestFaultFlags:
         )
         assert rc == 0
         assert "health: 1/1 ok" in capsys.readouterr().err
-
-    def test_bad_fault_spec_exits_2(self, capsys):
-        rc = main(["openloop", "--k", "4", "--rate", "0.1", "--faults", "bogus"])
-        assert rc == 2
-        assert "bad fault clause" in capsys.readouterr().err
 
 
 class TestExploreCLI:
@@ -884,7 +850,7 @@ class TestErrorBoundarySubprocess:
         proc = subprocess.run(
             [
                 sys.executable, "-m", "repro", "openloop",
-                "--k", "4", "--rate", "0.1", "--faults", "link:0?1",
+                "--k", "1", "--rate", "0.1",
             ],
             capture_output=True,
             text=True,

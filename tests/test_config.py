@@ -51,7 +51,6 @@ class TestNetworkConfigDefaults:
                 "k": st.integers(2, 8),
                 "num_vcs": st.integers(2, 4),
                 "classes": st.sampled_from([None, 3, "hi:priority=1+lo:share=0.5"]),
-                "faults": st.sampled_from([None, "links:2"]),
                 "seed": st.integers(0, 2**64 - 1),
             }
         ),
@@ -120,6 +119,11 @@ class TestNetworkConfigValidation:
         # No zero-cycle estimator is selectable as a network backend.
         with pytest.raises(ValueError, match="unknown backend 'analytical'"):
             NetworkConfig(k=4, n=2, backend="analytical")
+
+    def test_has_no_faults_field(self):
+        # The simulated networks are healthy; there is no fault model.
+        with pytest.raises(TypeError):
+            NetworkConfig(faults=None)
 
     @pytest.mark.parametrize(
         "name",

@@ -83,7 +83,6 @@ PATHS = {
     "cmp_timer_firing": (lambda b: _cmp(b, timer_interval=200), False),
     "routing_val": (lambda b: _openloop(b, routing="val"), True),
     "routing_ma": (lambda b: _openloop(b, routing="ma"), True),
-    "faulted_mesh": (lambda b: _openloop(b, faults="links:2;link:0>1@40-120"), False),
     "probes": (_probes, True),
     "watchdog_invariants": (_checks, True),
 }

@@ -316,7 +316,7 @@ def test_point_key_of_pinned_inputs_is_stable():
     spec = {"partial_of": {"runner": "m:f", "code_crc": 7}, "args": [], "kwargs": {"warmup": 100}}
     assert (
         point_key(config, kwargs, spec, salt="pinned")
-        == "0635a43c322e4ff5fb7f470e513d7766ba4e2716fec935b7cef2cc5a04e6b9f4"
+        == "8ed67698f7b242f7a772640cfc087486db1e6e760e1bbcc285c956cba4a58cdd"
     )
 
 
@@ -910,6 +910,27 @@ class TestVerify:
         cache.put("k", {"v": 1}, {"context": "figures"})
         (res,) = verify_entries(cache, sample=1)
         assert res.status == "skipped"
+
+    def test_verify_skips_configs_with_retired_fields(self, tmp_path):
+        # An entry written when NetworkConfig had a field it has since lost
+        # cannot be re-run; that is not evidence of a wrong record.
+        cdir = tmp_path / "cache"
+        grid_sweep(cache=cdir)
+        cache = ResultCache(cdir)
+        stale, invalid = (dict(e) for e in cache.entries()[:2])
+        stale["config"] = {**stale["config"], "no_such_field": None}
+        invalid["config"] = {**invalid["config"], "k": 1}
+        for entry in (stale, invalid):
+            meta = {k: v for k, v in entry.items() if k not in ("key", "record")}
+            cache.put(entry["key"], entry["record"], meta)
+        results = {
+            r.key: r for r in verify_entries(ResultCache(cdir), sample=len(cache), seed=0)
+        }
+        assert results[stale["key"]].status == "skipped"
+        assert "no_such_field" in results[stale["key"]].detail
+        # a config that constructs but fails validation still reads as a mismatch
+        assert results[invalid["key"]].status == "mismatch"
+        assert "ValueError" in results[invalid["key"]].detail
 
     def test_verify_sample_validation(self, tmp_path):
         with pytest.raises(ValueError):

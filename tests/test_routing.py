@@ -319,7 +319,6 @@ class TestStaticRouteRows:
             dict(routing="val", num_vcs=4),
             dict(routing="romm", num_vcs=4),
             dict(routing="ma", num_vcs=4),
-            dict(faults="links:2"),
         ],
         ids=lambda kw: "-".join(map(str, kw.values())),
     )

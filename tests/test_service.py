@@ -723,11 +723,12 @@ class TestProtocolVersionHandshake:
         try:
             host, port = server.server_address[:2]
             worker = Worker(host, port, name="new", reconnect_backoff=0.01)
-            with pytest.raises(VersionMismatch, match="protocol 1.*speaks 2"):
+            mismatch = f"protocol {PROTOCOL_VERSION - 1}.*speaks {PROTOCOL_VERSION}"
+            with pytest.raises(VersionMismatch, match=mismatch):
                 worker.run()
             assert issubclass(VersionMismatch, ProtocolError)
             assert server.connections == 1  # refused once; no reconnect loop
-            with pytest.raises(ConnectionError, match="protocol 1.*speaks 2"):
+            with pytest.raises(ConnectionError, match=mismatch):
                 ServiceClient(host, port)
             assert server.connections == 2
         finally:

@@ -317,7 +317,7 @@ def test_config_dict_is_asdict():
     """The ledger's field walk is ``dataclasses.asdict`` on every config shape."""
     for cfg in (
         BASE,
-        NetworkConfig(topology="torus", k=4, seed=2**63 + 5, faults="links:2"),
+        NetworkConfig(topology="torus", k=4, seed=2**63 + 5),
         NetworkConfig(classes="hi:priority=1:weight=4+lo:share=0.5:pattern=transpose"),
         NetworkConfig(classes=3, arbitration="weighted", packet_size="bimodal"),
     ):
@@ -358,10 +358,10 @@ def test_journal_and_store_line_formats_are_pinned(tmp_path, monkeypatch):
         '"dateline": "balanced", "classes": ['
         '{"name": "hi", "priority": 1, "weight": 1, "share": 1.0, "pattern": null}, '
         '{"name": "lo", "priority": 0, "weight": 1, "share": 1.0, "pattern": null}], '
-        '"seed": 11003407096160671076, "faults": null}, '
+        '"seed": 11003407096160671076}, '
         '"kwargs": {"rate": 0.25, "window": [10, 20]}, '
         '"coords": ["classes", "rate", "router_delay", "window"], '
-        '"key": "914841bee40722b29db3fd23f282de39d3c4e7df92e2fd610706912c140f13fd", '
+        '"key": "1174de68d7614e21d4c4ffe688926ff2ed672ff4df198c6e9c381e7f6b80c9da", '
         '"record": %s}\n' % record
     )
-    assert store.stats.bytes_written == 965 == store.total_bytes
+    assert store.stats.bytes_written == 949 == store.total_bytes
