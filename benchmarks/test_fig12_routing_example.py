@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from conftest import emit
 
-from repro.config import NetworkConfig
 from repro.network.packet import Packet
 from repro.routing import DOR, Valiant
 from repro.topology import Mesh

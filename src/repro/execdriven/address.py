@@ -23,7 +23,11 @@ is why Fig. 13(b)'s observed traffic looks near-uniform.
 
 from __future__ import annotations
 
+from typing import Union
+
 import numpy as np
+
+from ..rng import Stream
 
 __all__ = ["AddressSpace", "MixtureStream"]
 
@@ -100,7 +104,7 @@ class MixtureStream:
         *,
         p_mid: float,
         p_cold: float,
-        rng: np.random.Generator,
+        rng: Union[Stream, np.random.Generator],
         partners: tuple[int, ...] = (),
         partner_bias: float = 0.0,
     ):
@@ -115,7 +119,6 @@ class MixtureStream:
         self.rng = rng
         self.partners = partners
         self.partner_bias = partner_bias
-        self._hot_ptr = 0
 
     def _shared_offset(self, pool_lines: int) -> int:
         """Offset into a shared pool, optionally biased toward partners."""
@@ -143,5 +146,4 @@ class MixtureStream:
             return self.space.cold_line(self._shared_offset(self.space.cold_lines))
         if r < self.p_cold + self.p_mid:
             return self.space.mid_line(self._shared_offset(self.space.mid_lines))
-        self._hot_ptr += 1
         return self.space.hot_line(self.core, int(self.rng.integers(0, self.space.hot_lines)))

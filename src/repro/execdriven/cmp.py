@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 import numpy as np
 
@@ -36,6 +36,9 @@ from .core import InOrderCore
 from .memsys import HomeTile
 from .mshr import MSHRFile
 from .cache import SetAssocCache
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..network.network import Network
 
 __all__ = ["CmpSystem", "CmpResult", "REQUEST_FLITS", "REPLY_FLITS"]
 
@@ -193,7 +196,7 @@ class CmpSystem:
                 l1=SetAssocCache(cfg.l1_lines, cfg.l1_assoc),
                 mshrs=MSHRFile(cfg.mshrs),
                 send_request=send_request,
-                rng=rng_mod.make_generator(seed, "core", i, benchmark.name),
+                rng=rng_mod.make_stream(seed, "core", i, benchmark.name),
                 l1_latency=cfg.l1_latency,
                 blocking_fraction=benchmark.blocking_fraction,
                 logical_matrix=self.logical_matrix,
@@ -296,7 +299,9 @@ class CmpSystem:
             for home, core_id, line, cls in bucket:
                 self._send_reply(home, core_id, line, cls)
         for core in self.cores:
-            core.step(now)
+            # busy, blocked on a load or finished: stepping would do nothing
+            if core.ready_at <= now:
+                core.step(now)
 
     def on_delivered(self, pkt, net) -> None:
         if pkt.meta[0] == "mem":
@@ -327,7 +332,6 @@ class CmpSystem:
         SimulationEngine(net, self, max_cycles=max_cycles, observers=self.observers).run()
         completed = all(c.done for c in cores) and net.is_idle() and not self._pending
         cycles = net.now
-        n = self.config.num_cores
         l2_acc = sum(t.l2.stats.accesses for t in tiles)
         l2_miss = sum(t.l2.stats.misses for t in tiles)
         miss_by_class = {}

@@ -10,22 +10,33 @@ model abstracts with ``m`` — and stalls when it does.
 Timer interrupts push the benchmark's handler phase onto an interrupt
 stack; the handler's instructions execute with kernel-class parameters
 before user execution resumes (§V's runtime-proportional kernel traffic).
+
+A core's ``ready_at`` is the first cycle at which :meth:`InOrderCore.step`
+can do anything: a busy core reads the cycle its instruction completes, a
+core blocked on a load or finished reads :data:`NEVER`.  The CMP steps a
+core only when ``ready_at <= now``, so a waiting core costs no call.  A
+core stalled on a full MSHR file is ready every cycle: it retries and
+counts the stall in ``step``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
+from ..rng import Stream
 from .address import AddressSpace, MixtureStream
 from .benchmarks import BenchmarkSpec, PhaseSpec
 from .cache import SetAssocCache
 from .mshr import MSHRFile
 
-__all__ = ["InOrderCore"]
+__all__ = ["InOrderCore", "NEVER"]
 
 _SHARED_BASE = 2 << 40  # mid/cold pools: lines at/above this are shared
+
+#: ``ready_at`` of a core that waits for a load reply or has finished
+NEVER = 1 << 62
 
 
 class InOrderCore:
@@ -40,7 +51,7 @@ class InOrderCore:
         l1: SetAssocCache,
         mshrs: MSHRFile,
         send_request: Callable[[int, int, int], None],
-        rng: np.random.Generator,
+        rng: Union[Stream, np.random.Generator],
         l1_latency: int = 2,
         blocking_fraction: float = 0.7,
         logical_matrix: Optional[np.ndarray] = None,
@@ -66,7 +77,10 @@ class InOrderCore:
         self._phase_left = spec.phases[0].instructions if spec.phases else 0
         self._interrupt_stack: list[list] = []  # [phase, instrs_left, stream]
         self._streams: dict[int, MixtureStream] = {}
-        self._busy_until = 0
+        # (phase, stream) now executing; None after a phase change or an
+        # interrupt push or pop, rebuilt by the next step that needs it
+        self._cur: Optional[tuple[PhaseSpec, MixtureStream]] = None
+        self.ready_at = 0
         self._pending_line: Optional[int] = None
         self._pending_class = 0
         self._pending_blocking = False
@@ -116,6 +130,7 @@ class InOrderCore:
             frame[1] -= 1
             if frame[1] <= 0:
                 self._interrupt_stack.pop()
+                self._cur = None
             return
         if self.spec.phases[self._phase_idx].traffic_class != 0:
             self.kernel_instructions += 1
@@ -125,12 +140,14 @@ class InOrderCore:
             self._skip_empty_phases()
 
     def _skip_empty_phases(self) -> None:
+        self._cur = None
         while self._phase_idx < len(self.spec.phases):
             self._phase_left = self.spec.phases[self._phase_idx].instructions
             if self._phase_left > 0:
                 return
             self._phase_idx += 1
         self.done = True
+        self.ready_at = NEVER
 
     # -- external events --------------------------------------------------------
     def interrupt(self, handler: PhaseSpec) -> bool:
@@ -143,6 +160,7 @@ class InOrderCore:
         self._interrupt_stack.append(
             [handler, handler.instructions, self._stream_for(handler)]
         )
+        self._cur = None
         return True
 
     def on_reply(self, line: int, now: int = 0) -> None:
@@ -156,7 +174,7 @@ class InOrderCore:
         if self._blocked_line == line:
             self._blocked_line = None
             self.load_stall_cycles += now - self._block_since
-            self._busy_until = now + 1
+            self.ready_at = now + 1
             self._retire()
 
     @property
@@ -171,7 +189,7 @@ class InOrderCore:
     # -- per-cycle execution -------------------------------------------------------
     def step(self, now: int) -> None:
         """Execute at most one instruction event at cycle ``now``."""
-        if self._busy_until > now or self._blocked_line is not None:
+        if self.ready_at > now:
             return
         if self._pending_line is not None:
             # Stalled on a full MSHR file: retry the blocked access.
@@ -185,16 +203,19 @@ class InOrderCore:
                 self._blocked_line = self._pending_line
                 self._block_since = now
                 self._pending_line = None
+                self.ready_at = NEVER
                 return
             self._pending_line = None
-            self._busy_until = now + self.l1_latency
+            self.ready_at = now + self.l1_latency
             self._retire()
             return
-        if self.done:
-            return
-        phase, stream = self._current()
+        # A finished core reads ready_at == NEVER and never gets here.
+        cur = self._cur
+        if cur is None:
+            cur = self._cur = self._current()
+        phase, stream = cur
         if self.rng.random() >= phase.mem_ratio:
-            self._busy_until = now + 1
+            self.ready_at = now + 1
             self._retire()
             return
         line = stream.next_line()
@@ -202,7 +223,7 @@ class InOrderCore:
             self.logical_matrix[self.core_id, self.space.producer_of(line)] += 1
         if self.l1.lookup(line):
             self.l1_hits += 1
-            self._busy_until = now + self.l1_latency
+            self.ready_at = now + self.l1_latency
             self._retire()
             return
         self.l1_misses += 1
@@ -221,6 +242,7 @@ class InOrderCore:
             # the load; retirement happens in on_reply.
             self._blocked_line = line
             self._block_since = now
+            self.ready_at = NEVER
             return
-        self._busy_until = now + self.l1_latency
+        self.ready_at = now + self.l1_latency
         self._retire()

@@ -7,7 +7,6 @@ import pytest
 
 from repro import rng as rng_mod
 from repro.analysis.stats import LatencyStats, latency_stats
-from repro.config import NetworkConfig
 from repro.core.barrier import BarrierSimulator
 from repro.core.metrics import node_distribution, runtime_map
 from repro.core.reply import (

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.config import NetworkConfig
 from repro.core.closedloop import BatchSimulator
 from repro.core.osmodel import OSModel
 from repro.core.reply import FixedReply, ProbabilisticReply

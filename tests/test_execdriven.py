@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import rng as rng_mod
-from repro.config import CmpConfig, NetworkConfig
+from repro.config import CmpConfig
 from repro.execdriven import (
     BENCHMARKS,
     KERNEL,

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro import rng as rng_mod
 from repro.execdriven import (
     KERNEL,

@@ -16,6 +16,7 @@ the historical drivers; that is a behaviour change, not a tolerance issue.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -251,6 +252,64 @@ class TestExecDrivenGolden:
         assert res.total_flits == 5840
         assert res.requests == 1168
         assert digest(res.traffic_matrix) == "83a6c0d698c3f327"
+
+
+#: (benchmark, tr, extra) -> (cycles, (user, kernel_burst, kernel_timer)
+#: requests, l2_misses, mshr_stall_cycles, kernel_instructions, interrupts,
+#: traffic, logical and timeline digests).  ``extra`` is a MSHR file of two
+#: with half the misses blocking: the one case that stalls on a full file.
+CMP_SUITE_GOLDEN = {
+    ("blackscholes", 1, ""): (5551, (40, 23, 888), 13, 0, 8976, 5, "6978a1a38148c584", "3d401799f500d822", "a6e419c3ecb62b5a"),
+    ("blackscholes", 4, ""): (6748, (33, 22, 900), 13, 0, 8976, 5, "0881b2e499b0975f", "70f1af4bcfd3e35c", "c3d04720e0f4012c"),
+    ("lu", 1, ""): (17795, (86, 33, 2133), 56, 0, 21120, 17, "96e3251f1c8b3d8d", "b2450cf31de22926", "9f2d4c99e5dbe047"),
+    ("lu", 4, ""): (26116, (77, 29, 2252), 49, 0, 21920, 22, "a4818e484574086e", "c60218066053e4a4", "32ebf541d5812107"),
+    ("canneal", 1, ""): (17795, (168, 101, 3116), 149, 0, 30448, 26, "8d64507d7be2b11d", "5a1487c53ce9728b", "ba23d9751f8b2219"),
+    ("canneal", 4, ""): (38490, (170, 99, 4251), 183, 0, 40848, 40, "760c73e6dc72a94f", "4bec9a8a22927c18", "8cf0f6b9e373c827"),
+    ("fft", 1, ""): (12342, (141, 36, 2444), 160, 0, 24000, 18, "3b4ff4de6210e5d0", "94ccc974a192268a", "fe5f2fe377499e8e"),
+    ("fft", 4, ""): (16959, (140, 45, 2628), 173, 0, 26400, 23, "c306342fcb64355d", "d9e364497dc59ae1", "6b3fc3c058b84a68"),
+    ("barnes", 1, ""): (7494, (84, 56, 1212), 16, 0, 12528, 8, "47be0ff4bae2648b", "26a35cb56495c071", "898623b09db1387b"),
+    ("barnes", 4, ""): (15099, (98, 51, 2056), 39, 0, 20928, 19, "15d5d40e5bc4a679", "88ae85231d0d3b97", "ff1bbf762ed2f9aa"),
+    ("canneal", 1, "mshrs=2"): (18222, (174, 86, 2668), 133, 8845, 26448, 23, "eb608e23a99d30a5", "251539815e90b66d", "b4245a4d56d3087d"),
+}
+
+
+class TestCmpSuiteGolden:
+    """Every surrogate benchmark at two router delays, with a timer that fires.
+
+    300 instructions per core and a 400-cycle timer: each run takes
+    interrupts, issues all three request kinds and finishes well inside
+    the per-test budget.  Captured before the CMP's cores drew from
+    ``repro.rng.Stream`` and skipped idle cores in ``CmpSystem.inject``;
+    both changes had to leave every value here as it was.
+    """
+
+    @pytest.mark.parametrize(
+        "key", list(CMP_SUITE_GOLDEN), ids=lambda k: "-".join(filter(None, (k[0], f"tr{k[1]}", k[2])))
+    )
+    def test_run(self, key):
+        from repro.config import CmpConfig
+        from repro.execdriven import BENCHMARKS, CmpSystem
+
+        name, tr, extra = key
+        spec = BENCHMARKS[name](300)
+        cfg = CmpConfig(network=CmpConfig().network.with_(router_delay=tr))
+        if extra:
+            spec = dataclasses.replace(spec, blocking_fraction=0.5)
+            cfg = dataclasses.replace(cfg, mshrs=2)
+        res = CmpSystem(spec, cfg, timer_interval=400, seed=5).run()
+        kinds = res.requests_by_kind
+        assert res.completed is True
+        assert (
+            res.cycles,
+            (kinds["user"], kinds["kernel_burst"], kinds["kernel_timer"]),
+            res.l2_misses,
+            res.mshr_stall_cycles,
+            res.kernel_instructions,
+            res.interrupts,
+            digest(res.traffic_matrix),
+            digest(res.logical_matrix),
+            digest(res.timeline),
+        ) == CMP_SUITE_GOLDEN[key]
 
 
 class TestProbesDoNotPerturb:

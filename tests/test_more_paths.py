@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import CmpConfig, NetworkConfig
+from repro.config import NetworkConfig
 from repro.core.closedloop import BatchSimulator
 from repro.core.openloop import OpenLoopSimulator
 from repro.core.osmodel import OSModel

@@ -7,7 +7,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import NetworkConfig
 from repro.core.openloop import OpenLoopSimulator
 from repro.network import Network
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import CmpConfig, NetworkConfig
 from repro.core.closedloop import BatchSimulator
-from repro.core.correlation import batch_vs_openloop, pearson
+from repro.core.correlation import batch_vs_openloop
 from repro.core.metrics import runtime_map
 from repro.core.openloop import OpenLoopSimulator
 from repro.core.reply import ProbabilisticReply

@@ -19,7 +19,6 @@ from repro.analysis.io import read_jsonl
 from repro.config import NetworkConfig
 from repro.core.parallel import (
     RetryPolicy,
-    SweepHealth,
     SweepProgress,
     SweepRecords,
     enumerate_points,

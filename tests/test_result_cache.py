@@ -31,7 +31,6 @@ from repro.__main__ import _openloop_runner
 from repro.analysis.io import read_jsonl, record_digest
 from repro.classes import TrafficClass
 from repro.config import NetworkConfig
-from repro.core import cache as cache_mod
 from repro.core.cache import (
     ResultCache,
     cache_disabled,

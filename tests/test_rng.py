@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -101,9 +102,65 @@ class TestMakeGenerator:
         g2 = rng_mod.make_generator(7, "b")
         assert not np.array_equal(g1.random(16), g2.random(16))
 
-    def test_python_randbits_range(self):
-        g = rng_mod.make_generator(1, "bits")
+
+_SPANS = (1, 2, 127, 2**31 + 1, 2**32)
+#: one draw: ``None`` is ``random()``, a pair ``(low, span)`` is
+#: ``integers(low, low + span)``
+_draws = st.lists(
+    st.one_of(
+        st.none(),
+        st.tuples(st.integers(-(2**40), 2**40), st.sampled_from(_SPANS)),
+    ),
+    max_size=200,
+)
+
+
+class TestStream:
+    """``Stream`` returns what a twin ``Generator`` returns, call for call."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=1, max_value=64),
+        st.sampled_from((None, 2, 127, 2**31 + 1)),
+        _draws,
+    )
+    def test_equals_twin_generator(self, seed, block, pre_span, draws):
+        wrapped = np.random.Generator(np.random.PCG64(seed))
+        twin = np.random.Generator(np.random.PCG64(seed))
+        if pre_span is not None:
+            # draw until the generator holds a buffered 32-bit half-word
+            # (a Lemire rejection can use up both halves of a raw output)
+            while True:
+                assert wrapped.integers(0, pre_span) == twin.integers(0, pre_span)
+                if wrapped.bit_generator.state["has_uint32"]:
+                    break
+        stream = rng_mod.Stream(wrapped.bit_generator, block)
+        for draw in draws:
+            if draw is None:
+                got, want = stream.random(), twin.random()
+                assert isinstance(got, float)
+            else:
+                low, span = draw
+                got, want = stream.integers(low, low + span), twin.integers(low, low + span)
+                assert isinstance(got, int)
+            assert got == want
+
+    def test_make_stream_matches_make_generator(self):
+        stream = rng_mod.make_stream(7, "core", 3, "lu")
+        gen = rng_mod.make_generator(7, "core", 3, "lu")
         for _ in range(100):
-            v = rng_mod.python_randbits(g, 10)
-            assert 0 <= v < 1024
-            assert isinstance(v, int)
+            assert stream.random() == gen.random()
+            assert stream.integers(0, 256) == gen.integers(0, 256)
+
+    def test_wider_spans_and_empty_ranges_raise(self):
+        stream = rng_mod.make_stream(1, "wide")
+        with pytest.raises(ValueError):
+            stream.integers(0, 2**32 + 1)
+        with pytest.raises(ValueError):
+            stream.integers(5, 5)
+
+    def test_block_is_bounded(self):
+        bitgen = np.random.PCG64(1)
+        for block in (0, 65):
+            with pytest.raises(ValueError):
+                rng_mod.Stream(bitgen, block)

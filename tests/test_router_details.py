@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.config import NetworkConfig
 from repro.network import Network
 

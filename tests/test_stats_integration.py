@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import batch_means, confidence_interval, warmup_cutoff
 from repro.core.openloop import OpenLoopSimulator
 
