@@ -136,8 +136,7 @@ def run_point(cfg: NetworkConfig, *, kind: str, **kw: Any) -> dict[str, Any]:
             out = []
             for res in runs:
                 rec = dataclasses.asdict(res)
-                for name in ("latencies", "class_ids"):
-                    del rec[name]
+                del rec["latencies"]
                 out.append({**rec, "p99_latency": res.p99_latency})
             out = out if kind == "curve" else out[0]
     elif kind == "batch":

@@ -11,14 +11,14 @@ import numpy as np
 from conftest import emit
 
 from repro.analysis import ascii_plot
-from repro.execdriven import KERNEL, USER
+from repro.execdriven import OS, USER
 
 
 def _series(res):
     bucket = res["timeline_bucket"]
     timeline = np.array(res["timeline"])
     user = timeline[USER] / bucket
-    kern = timeline[KERNEL] / bucket
+    kern = timeline[OS] / bucket
     t = np.arange(user.size) * bucket
     return t, user, kern
 
@@ -53,11 +53,11 @@ def test_fig21_injection_timeline(exhibit):
     # start/end kernel bursts (spawn/join syscalls) dominate the 3 GHz
     # kernel timeline, where timer traffic is negligible; at 75 MHz the
     # periodic timer peaks fill the middle of the run instead.
-    kern = np.array(fast["timeline"][KERNEL], dtype=float)
+    kern = np.array(fast["timeline"][OS], dtype=float)
     n = kern.size
     edges = kern[: max(1, n // 5)].sum() + kern[-max(1, n // 5):].sum()
     assert edges > 0.5 * kern.sum()
     # and at 75 MHz kernel traffic persists through the middle of the run
-    mid = np.array(slow["timeline"][KERNEL], dtype=float)
+    mid = np.array(slow["timeline"][OS], dtype=float)
     m5 = max(1, mid.size // 5)
     assert mid[m5:-m5].sum() > 0.3 * mid.sum()

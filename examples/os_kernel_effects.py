@@ -18,9 +18,8 @@ import numpy as np
 from repro import BatchSimulator
 from repro.analysis import ascii_plot, format_table
 from repro.config import CmpConfig, NetworkConfig
-from repro.core.osmodel import OSModel
 from repro.execdriven import (
-    KERNEL,
+    OS,
     TIMER_INTERVAL_3GHZ,
     TIMER_INTERVAL_75MHZ,
     USER,
@@ -45,7 +44,7 @@ def main() -> None:
             ascii_plot(
                 {
                     "user": list(zip(t, res.timeline[USER] / res.timeline_bucket)),
-                    "kernel": list(zip(t, res.timeline[KERNEL] / res.timeline_bucket)),
+                    "kernel": list(zip(t, res.timeline[OS] / res.timeline_bucket)),
                 },
                 width=70,
                 height=10,

@@ -27,8 +27,6 @@ from . import _lazy
 _EXPORTS = {
     "NetworkConfig": ".config",
     "CmpConfig": ".config",
-    "TrafficClass": ".classes",
-    "parse_classes": ".classes",
     "Network": ".network",
     "IdealNetwork": ".network",
     "NetworkLike": ".network",

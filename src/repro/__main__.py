@@ -138,8 +138,7 @@ _FIELDS = {f.name: f for f in dataclasses.fields(NetworkConfig)}
 
 #: The network flags, one per NetworkConfig field, with the add_argument
 #: keywords the field cannot supply (an alias, help).  Type and default come
-#: from the field and choices from FIELD_CHOICES; a field without a scalar
-#: default (classes) is a spec string defaulting to None.
+#: from the field and choices from FIELD_CHOICES.
 _NETWORK_FLAGS: dict[str, dict[str, Any]] = {
     "topology": {},
     "k": {},
@@ -149,13 +148,6 @@ _NETWORK_FLAGS: dict[str, dict[str, Any]] = {
     "router_delay": {"aliases": ("--tr",)},
     "routing": {},
     "arbitration": {},
-    "classes": {
-        "help": "traffic-class registry: a count (e.g. '2') or '+'-separated "
-        "entries 'name[:priority=P][:weight=W][:share=S][:pattern=T]', "
-        "e.g. 'user:share=3+os:priority=1' (default: one class); pair "
-        "with --arbitration priority|weighted; also sweepable via "
-        "--axis classes=SPEC1,SPEC2"
-    },
     "traffic": {},
     "packet_size": {},
     "backend": {
@@ -173,11 +165,8 @@ def _add_network_args(p: argparse.ArgumentParser, *names: str) -> None:
         kw = dict(_NETWORK_FLAGS[name])
         flags = ("--" + name.replace("_", "-"), *kw.pop("aliases", ()))
         default = _FIELDS[name].default
-        if isinstance(default, (int, float, str)):
-            kw = {"type": type(default), "default": default,
-                  "choices": FIELD_CHOICES.get(name), **kw}
-        else:
-            kw = {"default": None, "metavar": "SPEC", **kw}
+        kw = {"type": type(default), "default": default,
+              "choices": FIELD_CHOICES.get(name), **kw}
         p.add_argument(*flags, **kw)
 
 
@@ -218,26 +207,8 @@ def _cmd_openloop(args) -> int:
         f"throughput {res.throughput:.4f}, saturated={res.saturated}, "
         f"{res.num_measured} packets measured"
     )
-    if res.num_classes > 1:
-        for cls, stats, tp in zip(
-            cfg.classes, res.per_class_stats(), res.per_class_throughput
-        ):
-            print(
-                f"  class {cls.name} (prio {cls.priority}, weight "
-                f"{cls.weight}): avg latency {stats.mean:.2f}, p99 "
-                f"{stats.p99:.2f}, throughput {tp:.4f}, "
-                f"{stats.count} packets"
-            )
     _report_probes(args, observers)
     return 0
-
-
-def _count_or_spec(value: str) -> int | str:
-    """A spec field's value (``classes``): a count or a spec."""
-    try:
-        return int(value)
-    except ValueError:
-        return value
 
 
 def _parse_axis(spec: str) -> tuple[str, tuple]:
@@ -255,8 +226,7 @@ def _parse_axis(spec: str) -> tuple[str, tuple]:
     name = name.replace("-", "_")
     if name not in _FIELDS:
         raise argparse.ArgumentTypeError(f"unknown config field {name!r} in {spec!r}")
-    default = _FIELDS[name].default
-    parse = type(default) if isinstance(default, (int, float, str)) else _count_or_spec
+    parse = type(_FIELDS[name].default)
     try:
         return name, tuple(parse(v) for v in values.split(","))
     except ValueError:
@@ -317,20 +287,12 @@ def _openloop_runner(cfg, *, rate, warmup, measure, drain_limit):
 
     sim = OpenLoopSimulator(cfg, warmup=warmup, measure=measure, drain_limit=drain_limit)
     res = sim.run(rate)
-    record = {
+    return {
         "latency": res.avg_latency,
         "worst_node": res.worst_node_latency,
         "throughput": res.throughput,
         "saturated": res.saturated,
     }
-    if res.num_classes > 1:
-        # Per-class views, JSON-native so sweep journals round-trip.
-        record["class_names"] = [c.name for c in cfg.classes]
-        record["class_latency"] = [
-            s.mean if s.count else None for s in res.per_class_stats()
-        ]
-        record["class_throughput"] = res.per_class_throughput.tolist()
-    return record
 
 
 def _print_progress(p: SweepProgress) -> None:

@@ -11,10 +11,6 @@ _EXPORTS = {
     "ascii_scatter": ".ascii_plot",
     "ascii_heatmap": ".ascii_plot",
     "probe_heatmap": ".ascii_plot",
-    "LatencyStats": ".stats",
-    "latency_stats": ".stats",
-    "per_class_latency_stats": ".stats",
-    "class_breakdown": ".stats",
     "ConfidenceInterval": ".stats",
     "confidence_interval": ".stats",
     "batch_means": ".stats",

@@ -4,17 +4,11 @@ Steady-state simulation results are estimates, and the paper's methodology
 comparisons hinge on small relative differences — so the harness needs the
 standard output-analysis tools:
 
-* :class:`LatencyStats` / :func:`latency_stats` — summary statistics of a
-  latency (or runtime) sample; every path is empty-input safe (NaN fields,
-  never an exception — a saturated run or an idle traffic class must not
-  crash the analysis);
-* :func:`per_class_latency_stats` / :func:`class_breakdown` — the same
-  summaries split by traffic class;
 * :func:`confidence_interval` — mean ± half-width at a given confidence,
   using a normal quantile (sample sizes here are in the thousands);
   degenerate samples (empty, all-NaN, a single value) degrade to NaN
-  fields under the same never-raise contract — only parameter errors
-  raise;
+  fields, never an exception (a saturated run must not crash the
+  analysis) — only parameter errors raise;
 * :func:`batch_means` — the batch-means method for correlated series
   (packet latencies from one run are *not* i.i.d.: congestion correlates
   neighbours, so the naive CI is too tight); short/degenerate samples
@@ -33,10 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LatencyStats",
-    "latency_stats",
-    "per_class_latency_stats",
-    "class_breakdown",
     "ConfidenceInterval",
     "confidence_interval",
     "batch_means",
@@ -44,79 +34,6 @@ __all__ = [
     "index_of_dispersion",
 ]
 
-
-@dataclass(frozen=True)
-class LatencyStats:
-    """Summary statistics of a latency (or runtime) sample."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    p50: float
-    p95: float
-    p99: float
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "LatencyStats":
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            nan = float("nan")
-            return cls(0, nan, nan, nan, nan, nan, nan, nan)
-        # Sample standard deviation (ddof=1): these are finite samples of
-        # the latency population, and the population formula (ddof=0)
-        # systematically under-reports spread on small windows.  A single
-        # sample has no defined spread — report NaN, not 0.
-        std = float(values.std(ddof=1)) if values.size > 1 else float("nan")
-        return cls(
-            count=int(values.size),
-            mean=float(values.mean()),
-            std=std,
-            minimum=float(values.min()),
-            maximum=float(values.max()),
-            p50=float(np.percentile(values, 50)),
-            p95=float(np.percentile(values, 95)),
-            p99=float(np.percentile(values, 99)),
-        )
-
-
-def latency_stats(packets) -> LatencyStats:
-    """Latency statistics over delivered packets (NaN stats when empty)."""
-    return LatencyStats.from_values(
-        np.array([p.latency for p in packets], dtype=np.float64)
-    )
-
-
-def per_class_latency_stats(
-    values, class_ids, num_classes: int
-) -> list[LatencyStats]:
-    """Per-class latency statistics from parallel value/class-id arrays.
-
-    Classes that measured no packets get NaN stats (``count == 0``), never
-    an exception — a starved low-share class is a result, not an error.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    cid = np.asarray(class_ids, dtype=np.int64)
-    if v.shape != cid.shape:
-        raise ValueError(
-            f"values/class_ids length mismatch: {v.shape} vs {cid.shape}"
-        )
-    return [LatencyStats.from_values(v[cid == c]) for c in range(num_classes)]
-
-
-def class_breakdown(packets, num_classes: int) -> list[LatencyStats]:
-    """Per-class latency statistics over delivered packets.
-
-    Class ids beyond the registry are clamped to the last class — the same
-    rule both backends apply during arbitration.
-    """
-    lat = np.array([p.latency for p in packets], dtype=np.float64)
-    last = num_classes - 1
-    cid = np.array(
-        [min(p.traffic_class, last) for p in packets], dtype=np.int64
-    )
-    return per_class_latency_stats(lat, cid, num_classes)
 
 # two-sided normal quantiles for common confidence levels
 _Z = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}

@@ -15,12 +15,9 @@ import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
-from .classes import DEFAULT_CLASSES, TrafficClass, parse_classes
-
 __all__ = [
     "NetworkConfig",
     "CmpConfig",
-    "TrafficClass",
     "FIELD_CHOICES",
     "INT_FIELDS",
     "TABLE_I_PARAMETER_SPACE",
@@ -37,7 +34,7 @@ __all__ = [
 FIELD_CHOICES: dict[str, tuple[str, ...]] = {
     "topology": ("mesh", "torus", "ring"),
     "routing": ("dor", "val", "ma", "romm"),
-    "arbitration": ("round_robin", "age", "priority", "weighted"),
+    "arbitration": ("round_robin", "age", "priority"),
     "traffic": (
         "uniform_random",
         "bit_reversal",
@@ -77,19 +74,10 @@ class NetworkConfig:
     routing:
         ``"dor"``, ``"val"``, ``"ma"`` or ``"romm"``.
     arbitration:
-        ``"round_robin"`` or ``"age"`` (the paper's Table I), or the
-        class-aware family: ``"priority"`` (strict priority by the packet's
-        traffic class, age/pid/ivc tie-break) or ``"weighted"`` (integer
-        virtual-time weighted-fair over classes, priority tie-break).
-    classes:
-        Traffic-class registry — any spec accepted by
-        :func:`repro.classes.parse_classes` (``None``, an int, a spec string
-        like ``"hi:priority=1:weight=4,lo"``, or a tuple of
-        :class:`~repro.classes.TrafficClass`).  Normalized eagerly to the
-        tuple form; the default single class is bit-identical to the
-        pre-class behaviour.  Multi-class registries split the offered rate
-        by class ``share`` and may override the spatial ``pattern`` per
-        class.
+        ``"round_robin"`` or ``"age"`` (the paper's Table I), or
+        ``"priority"``: the OS model's kernel traffic outranks user traffic
+        at the source queue and the switch, age/pid/ivc tie-break
+        (:mod:`repro.network.packet`).
     link_delay:
         Channel delay in cycles (1 in Table I; the folded torus doubles it
         internally as §III-C notes).
@@ -133,10 +121,6 @@ class NetworkConfig:
     #: (default; both classes carry traffic) or "strict" (textbook
     #: dateline; kept for the ablation study).
     dateline: str = "balanced"
-    #: traffic-class registry (see class docstring); normalized to a tuple
-    #: of TrafficClass by __post_init__, so any accepted spec form works in
-    #: sweep axes and CLI flags alike.
-    classes: "tuple[TrafficClass, ...]" = DEFAULT_CLASSES
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -144,18 +128,10 @@ class NetworkConfig:
             object.__setattr__(self, "seed", int(self.seed))
         except (TypeError, ValueError):
             raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
-        object.__setattr__(self, "classes", parse_classes(self.classes))
         for name, choices in FIELD_CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ValueError(
                     f"unknown {name} {getattr(self, name)!r}; pick from {choices}"
-                )
-        patterns = FIELD_CHOICES["traffic"]
-        for cls in self.classes:
-            if cls.pattern is not None and cls.pattern not in patterns:
-                raise ValueError(
-                    f"class {cls.name!r}: unknown pattern {cls.pattern!r}; "
-                    f"pick from {patterns}"
                 )
         for name in INT_FIELDS:
             try:
@@ -191,11 +167,6 @@ class NetworkConfig:
             raise ValueError("bimodal_long_fraction must be in [0, 1]")
         if self.bimodal_long_size < 2:
             raise ValueError("bimodal_long_size must be >= 2")
-
-    @property
-    def num_classes(self) -> int:
-        """Number of traffic classes in the registry."""
-        return len(self.classes)
 
     @property
     def num_nodes(self) -> int:

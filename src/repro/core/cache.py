@@ -97,7 +97,6 @@ _HOT_PATHS = (
     "__init__.py",
     "_lazy.py",
     "_version.py",
-    "classes.py",
     "config.py",
     "rng.py",
     "analysis",
@@ -336,7 +335,7 @@ def point_key(
     :func:`combination_key` over :func:`combination_digest` — so this is
     exactly what :meth:`repro.core.parallel.SweepLedger.prefill` computes
     for the same point, and it is the same for any dict order, tuple or
-    list, numpy or native value, and ``classes`` spelling.
+    list, and numpy or native value.
     """
     digest = combination_digest(config_dict, spec, salt=salt)
     return combination_key(digest, kwargs, config_dict.get("seed"))

@@ -28,10 +28,10 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .. import rng as rng_mod
-from ..classes import OS_CLASS, USER_CLASS, USER_OS_CLASSES, inject_order
 from ..config import NetworkConfig
 from ..network.links import TimeBuckets
 from ..network.factory import build_network
+from ..network.packet import OS, USER
 from ..traffic.patterns import TrafficPattern
 from ..traffic.registry import build_pattern, build_sizes
 from ..traffic.sizes import SizeDistribution
@@ -39,7 +39,7 @@ from .engine import Observer, SimulationEngine
 from .osmodel import OSModel
 from .reply import ImmediateReply, ReplyModel
 
-__all__ = ["BatchResult", "BatchSimulator", "USER_CLASS", "OS_CLASS"]
+__all__ = ["BatchResult", "BatchSimulator"]
 
 
 @dataclass
@@ -88,26 +88,15 @@ class _BatchLoop:
         b = sim.batch_size
         self.sim = sim
         self.gen = gen
-        classes = sim.config.classes
         self.os_static = sim.os_model.static_extra(b) if sim.os_model else 0
         self.timer_interval = sim.os_model.timer_interval if sim.os_model else 0
         self.next_timer = self.timer_interval if self.timer_interval else -1
-        # Per-class bookkeeping, indexed by the config's class registry:
-        # the user batch lives in USER_CLASS, the OS extension's extras in
-        # OS_CLASS (the registry is auto-extended when an os_model is set),
-        # any further classes carry no batch work — they exist for
-        # arbitration.  Injection walks classes in priority order
-        # (inject_order), which for the user/OS pair is exactly the paper's
-        # "interrupts preempt" rule.
-        self.remaining = [[0] * n for _ in classes]
-        self.remaining[USER_CLASS] = [b] * n
-        if self.os_static:
-            self.remaining[OS_CLASS] = [self.os_static] * n
-        self.inject_order = inject_order(classes)
-        self.nar_by_class = [sim.nar] * len(classes)
-        if sim.os_model is not None and len(classes) > OS_CLASS:
-            self.nar_by_class[OS_CLASS] = sim.os_model.os_nar
-        self.requests_by_class = [0] * len(classes)
+        # Per-class bookkeeping, indexed by traffic class: the user batch
+        # lives in USER, the OS extension's extras in OS.  A node injects
+        # its OS work first, the paper's "interrupts preempt" rule.
+        self.remaining = [[b] * n, [self.os_static] * n]
+        self.nar_by_class = [sim.nar, sim.os_model.os_nar if sim.os_model else sim.nar]
+        self.requests_by_class = [0, 0]
         self.replies_needed = [b + self.os_static] * n
         self.pf = [0] * n
         self.finish = np.full(n, -1, dtype=np.int64)
@@ -116,13 +105,6 @@ class _BatchLoop:
         self.total_requests = 0
         self.req_latency_sum = 0
         self.req_latency_count = 0
-
-    @property
-    def os_requests(self) -> int:
-        """Requests injected by the OS class (0 without an OS class)."""
-        if len(self.requests_by_class) > OS_CLASS:
-            return self.requests_by_class[OS_CLASS]
-        return 0
 
     def inject(self, net) -> None:
         now = net.now
@@ -137,7 +119,7 @@ class _BatchLoop:
         # substrate.
         if self.next_timer >= 0 and now == self.next_timer:
             extra = sim.os_model.timer_batch
-            os_remaining = self.remaining[OS_CLASS]
+            os_remaining = self.remaining[OS]
             for node in range(n):
                 if self.finish[node] < 0 and os_remaining[node] == 0:
                     os_remaining[node] += extra
@@ -155,14 +137,15 @@ class _BatchLoop:
         pattern = sim.pattern
         sizes = sim.sizes
         remaining = self.remaining
-        order = self.inject_order
+        user_remaining, os_remaining = remaining
         nar = self.nar_by_class
         for node in range(n):
             if pf[node] >= m:
                 continue
-            for cls in order:
-                if remaining[cls][node] > 0:
-                    break
+            if os_remaining[node] > 0:
+                cls = OS
+            elif user_remaining[node] > 0:
+                cls = USER
             else:
                 continue
             rate = nar[cls]
@@ -235,13 +218,6 @@ class BatchSimulator:
             raise ValueError("max_outstanding (m) must be >= 1")
         if not 0.0 < nar <= 1.0:
             raise ValueError("nar must be in (0, 1]")
-        if os_model is not None and len(config.classes) < 2:
-            # The OS extension needs an OS traffic class; extend a default
-            # single-class config to the canonical user/OS registry (the OS
-            # class carries priority 1, so priority-aware arbiters favor
-            # kernel traffic — round-robin/age arbiters ignore it and the
-            # baseline behavior is unchanged).
-            config = config.with_(classes=USER_OS_CLASSES)
         self.config = config
         self.batch_size = batch_size
         self.max_outstanding = max_outstanding
@@ -287,5 +263,5 @@ class BatchSimulator:
                 else float("nan")
             ),
             node_finish=loop.finish,
-            os_requests=loop.os_requests,
+            os_requests=loop.requests_by_class[OS],
         )

@@ -107,9 +107,8 @@ PENALTY_METRICS = {"latency": math.inf, "throughput": 0.0, "cost": math.inf}
 QUICK_HV_REFERENCE = (200.0, 0.0, 5000.0)
 
 # Fields the explorer refuses to treat as genes: seeds belong to the
-# driver (per-point seeds are derived), and traffic classes are structured
-# objects (not JSON-scalar genes).
-_RESERVED_FIELDS = frozenset({"seed", "classes"})
+# driver (per-point seeds are derived).
+_RESERVED_FIELDS = frozenset({"seed"})
 
 
 # --------------------------------------------------------------------------
@@ -124,8 +123,8 @@ class DesignSpace:
     ``genes`` maps :class:`NetworkConfig` field names to the candidate
     values the search may assign, sorted by field name — the sorted order
     fixes genome tuple layout, archive serialization, and per-point seed
-    derivation all at once.  Validation is eager: unknown fields, reserved
-    fields (``seed``, ``classes``), empty or duplicate value
+    derivation all at once.  Validation is eager: unknown fields, the reserved
+    field ``seed``, empty or duplicate value
     lists, values outside :data:`repro.config.FIELD_CHOICES` and
     non-integers for a :data:`repro.config.INT_FIELDS` field fail at
     construction, before any simulation starts.

@@ -29,8 +29,6 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .. import rng as rng_mod
-from ..analysis.stats import LatencyStats
-from ..classes import class_shares
 from ..config import NetworkConfig
 from ..network.factory import build_network
 from ..traffic.patterns import TrafficPattern
@@ -61,16 +59,6 @@ class OpenLoopResult:
     num_measured: int
     per_node_latency: np.ndarray = field(repr=False)
     latencies: np.ndarray = field(repr=False)
-    #: traffic-class id of each measured packet, aligned with ``latencies``
-    class_ids: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int64), repr=False
-    )
-    num_classes: int = 1
-    #: accepted flits/cycle/node per class, measured over the window's
-    #: tagged packets (sums to ~``throughput`` away from saturation)
-    per_class_throughput: np.ndarray = field(
-        default_factory=lambda: np.zeros(1), repr=False
-    )
 
     @property
     def p99_latency(self) -> float:
@@ -79,35 +67,13 @@ class OpenLoopResult:
             return float("inf")
         return float(np.percentile(self.latencies, 99))
 
-    def per_class_stats(self) -> "list[LatencyStats]":
-        """Latency statistics per traffic class (NaN stats for empty classes)."""
-        return [
-            LatencyStats.from_values(self.latencies[self.class_ids == c])
-            for c in range(self.num_classes)
-        ]
-
-    @property
-    def per_class_avg_latency(self) -> np.ndarray:
-        """Mean latency per class; NaN where a class measured no packets."""
-        return np.array([s.mean for s in self.per_class_stats()])
-
-
-def _source(pattern, sizes, process, gen, traffic_class: int = 0) -> tuple:
-    """One class's open-loop source, as :class:`_OpenLoopWorkload` unpacks it.
-
-    Destinations of one cycle may be drawn in a single call only if nothing
-    else consumes the generator between them.
-    """
-    batch_dests = hasattr(pattern, "dests") and not getattr(sizes, "uses_rng", True)
-    return pattern, sizes, process, gen, traffic_class, batch_dests
-
 
 class _OpenLoopWorkload:
-    """The open-loop workload: per-class sources and the measurement window.
+    """The open-loop workload: one source and the measurement window.
 
-    Every source injects every cycle of the run (background traffic keeps
+    The source injects every cycle of the run (background traffic keeps
     flowing through the drain phase so tagged packets see steady-state
-    contention); classes inject in registry order.  Packets created in
+    contention).  Packets created in
     ``[warmup, warmup + measure)`` are tagged, and the run is done once the
     window has closed and every tagged packet has been delivered.
 
@@ -120,7 +86,10 @@ class _OpenLoopWorkload:
 
     def __init__(
         self,
-        sources: list,
+        pattern: TrafficPattern,
+        sizes: SizeDistribution,
+        process,
+        gen: np.random.Generator,
         *,
         warmup: int,
         measure: int,
@@ -130,7 +99,13 @@ class _OpenLoopWorkload:
             raise ValueError("warmup must be >= 0")
         if measure < 0:
             raise ValueError("measure must be >= 0")
-        self.sources = sources
+        self.pattern = pattern
+        self.sizes = sizes
+        self.process = process
+        self.gen = gen
+        # Destinations of one cycle may be drawn in a single call only if
+        # nothing else consumes the generator between them.
+        self.batch_dests = hasattr(pattern, "dests") and not getattr(sizes, "uses_rng", True)
         self.start = warmup
         self.end = warmup + measure
         self.drain_if = drain_if
@@ -147,25 +122,24 @@ class _OpenLoopWorkload:
     def inject(self, net) -> None:
         now = net.now
         tagged = self.start <= now < self.end
-        for pattern, sizes, process, gen, cls, batch_dests in self.sources:
-            arrivals = process.arrivals(gen)
-            count = len(arrivals)
-            srcs = arrivals.tolist()
-            if count > 1 and batch_dests:
-                # One vector draw replaces ``count`` scalar ones: same values,
-                # same generator state afterwards (pinned by
-                # tests/test_traffic.py::TestBatchedDrawPremise).
-                dsts = pattern.dests(arrivals, count, gen).tolist()
-            else:
-                # Lazy, so each destination draw directly precedes its
-                # packet's size draw in the stream.
-                dsts = (pattern.dest(src, gen) for src in srcs)
-            for src, dst in zip(srcs, dsts):
-                net.offer(net.make_packet(
-                    src, dst, sizes.draw(gen), measured=tagged, traffic_class=cls
-                ))
-            if tagged:
-                self.outstanding += count
+        gen = self.gen
+        sizes = self.sizes
+        arrivals = self.process.arrivals(gen)
+        count = len(arrivals)
+        srcs = arrivals.tolist()
+        if count > 1 and self.batch_dests:
+            # One vector draw replaces ``count`` scalar ones: same values,
+            # same generator state afterwards (pinned by
+            # tests/test_traffic.py::TestBatchedDrawPremise).
+            dsts = self.pattern.dests(arrivals, count, gen).tolist()
+        else:
+            # Lazy, so each destination draw directly precedes its
+            # packet's size draw in the stream.
+            dsts = (self.pattern.dest(src, gen) for src in srcs)
+        for src, dst in zip(srcs, dsts):
+            net.offer(net.make_packet(src, dst, sizes.draw(gen), measured=tagged))
+        if tagged:
+            self.outstanding += count
 
     def on_delivered(self, pkt, net) -> None:
         if pkt.measured:
@@ -250,32 +224,15 @@ class OpenLoopSimulator:
                 f"rate {injection_rate} needs >1 packet/cycle/node "
                 f"(mean size {self.sizes.mean})"
             )
-        if len(cfg.classes) == 1:
-            # Single class: the exact pre-class code path — same RNG stream
-            # labels, same draw order — so defaults stay bit-identical.
-            gen = rng_mod.make_generator(seed, "openloop", injection_rate)
-            sources = [_source(self.pattern, self.sizes, self.process(n, p_packet), gen)]
-        else:
-            # One source per class: its own pattern (the class's override or
-            # the config's), its own Bernoulli sub-process at ``share``-scaled
-            # rate and its own derived RNG substream.
-            sources = []
-            for idx, (cls, share) in enumerate(
-                zip(cfg.classes, class_shares(cfg.classes))
-            ):
-                pattern = (
-                    self.pattern
-                    if cls.pattern is None
-                    else build_pattern(cfg.with_(traffic=cls.pattern))
-                )
-                cgen = rng_mod.make_generator(
-                    seed, "openloop", injection_rate, "class", idx
-                )
-                sources.append(
-                    _source(pattern, self.sizes, self.process(n, p_packet * share), cgen, idx)
-                )
+        gen = rng_mod.make_generator(seed, "openloop", injection_rate)
         workload = _OpenLoopWorkload(
-            sources, warmup=self.warmup, measure=self.measure, drain_if=drain_if
+            self.pattern,
+            self.sizes,
+            self.process(n, p_packet),
+            gen,
+            warmup=self.warmup,
+            measure=self.measure,
+            drain_if=drain_if,
         )
         SimulationEngine(
             net,
@@ -303,15 +260,6 @@ class OpenLoopSimulator:
         else:
             avg = float(lat.mean())
             worst = float(np.nanmax(per_node))
-        num_classes = len(self.config.classes)
-        class_ids = np.array([p.traffic_class for p in measured], dtype=np.int64)
-        if len(measured) and self.measure:
-            sizes = np.array([p.size for p in measured], dtype=np.float64)
-            per_class_tp = np.bincount(
-                class_ids, weights=sizes, minlength=num_classes
-            ) / (self.measure * n)
-        else:
-            per_class_tp = np.zeros(num_classes)
         return OpenLoopResult(
             injection_rate=rate,
             avg_latency=avg,
@@ -322,9 +270,6 @@ class OpenLoopSimulator:
             num_measured=len(measured),
             per_node_latency=per_node,
             latencies=lat,
-            class_ids=class_ids,
-            num_classes=num_classes,
-            per_class_throughput=per_class_tp,
         )
 
     # -- derived measurements ----------------------------------------------------

@@ -18,11 +18,10 @@ OS-class requests share the node's MSHR budget (``m``) with user requests,
 are injected preferentially (interrupts preempt), and use their own NAR and
 reply-model class (Table IV's OS columns).
 
-The OS class is class 1 of the config's traffic-class registry
-(``repro.classes.OS_CLASS``); :class:`~repro.core.closedloop.BatchSimulator`
-auto-extends a single-class config to the canonical user/OS pair when an
-``os_model`` is attached, so priority-aware arbiters see the OS class's
-elevated priority without further configuration.
+OS-class requests carry traffic class :data:`repro.network.packet.OS`, so
+under ``arbitration="priority"`` they also outrank user requests at the
+source queue and at every switch; round-robin and age arbitration ignore
+the class.
 """
 
 from __future__ import annotations

@@ -64,7 +64,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Se
 
 from .. import rng
 from ..analysis.io import JsonlAppender, append_jsonl, canonical_json, read_jsonl
-from ..classes import TrafficClass
 from ..config import NetworkConfig
 from . import cache as result_cache
 from .resilience import SimulationStalled
@@ -273,21 +272,16 @@ def _jsonable(mapping: Mapping[str, Any]) -> dict[str, Any]:
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(NetworkConfig))
-_CLASS_FIELDS = tuple(f.name for f in fields(TrafficClass))
 
 
 def _config_dict(cfg: NetworkConfig) -> dict[str, Any]:
-    """``dataclasses.asdict(cfg)`` by a field walk (a third of the cost).
+    """``dataclasses.asdict(cfg)`` by a field walk.
 
-    Every field is an immutable scalar except ``classes``, a tuple of flat
-    :class:`TrafficClass` records, so the recursive deep copy has nothing
-    to protect; tests/test_sweep_ledger.py holds this equal to ``asdict``.
+    Every field is an immutable scalar, so ``asdict``'s recursive deep copy
+    has nothing to protect; tests/test_sweep_ledger.py holds this equal to
+    ``asdict``.
     """
-    flat = {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
-    flat["classes"] = tuple(
-        {name: getattr(cls, name) for name in _CLASS_FIELDS} for cls in cfg.classes
-    )
-    return flat
+    return {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
 
 
 def enumerate_points(

@@ -25,8 +25,6 @@ Built-in probes (compose freely, or subclass :class:`Probe`):
   sampled each cycle; bounded by ``vc_buffer_size`` by construction.
 * :class:`InjectionStallProbe` — source backpressure events per window.
 * :class:`InFlightProbe` — packets-in-flight time series (avg/peak/last).
-* :class:`ClassLatencyProbe` — per-traffic-class delivered packets, flits,
-  and average latency per window (registry name ``classes``).
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ __all__ = [
     "VCOccupancyProbe",
     "InjectionStallProbe",
     "InFlightProbe",
-    "ClassLatencyProbe",
     "ProbeSet",
     "PROBE_REGISTRY",
     "build_probes",
@@ -239,76 +236,12 @@ class InFlightProbe(Probe):
         return fields
 
 
-class ClassLatencyProbe(Probe):
-    """Per-traffic-class delivery counts and latency, per window.
-
-    Fields: ``class_packets`` / ``class_flits`` (deliveries per class this
-    window) and ``class_avg_latency`` (mean creation-to-delivery latency per
-    class, ``None`` for classes that delivered nothing — JSON ``null``, so
-    records stay JSONL round-trippable).  The class registry is read off
-    ``net.config.classes`` at attach; unregistered networks report a single
-    class, and out-of-range packet class ids clamp to the last class — the
-    same rule the arbiters apply.
-    """
-
-    name = "classes"
-
-    def __init__(self, num_classes: Optional[int] = None) -> None:
-        self._configured = num_classes
-        self._n = 1
-        self._packets: Optional[np.ndarray] = None
-        self._flits: Optional[np.ndarray] = None
-        self._lat_sum: Optional[np.ndarray] = None
-
-    def attach(self, net: NetworkLike) -> None:
-        n = self._configured
-        if n is None:
-            config = getattr(net, "config", None)
-            classes = getattr(config, "classes", None)
-            n = len(classes) if classes else 1
-        self._n = n
-        self._packets = np.zeros(n, dtype=np.int64)
-        self._flits = np.zeros(n, dtype=np.int64)
-        self._lat_sum = np.zeros(n, dtype=np.float64)
-
-    def on_cycle(self, net: NetworkLike, now: int, delivered: list) -> None:
-        if not delivered:
-            return
-        last = self._n - 1
-        packets = self._packets
-        flits = self._flits
-        lat_sum = self._lat_sum
-        for pkt in delivered:
-            c = pkt.traffic_class
-            if c > last:
-                c = last
-            packets[c] += 1
-            flits[c] += pkt.size
-            lat_sum[c] += pkt.deliver_time - pkt.create_time
-
-    def flush(self, net: NetworkLike, window_cycles: int) -> dict:
-        packets = self._packets
-        fields = {
-            "class_packets": packets.tolist(),
-            "class_flits": self._flits.tolist(),
-            "class_avg_latency": [
-                float(self._lat_sum[c] / packets[c]) if packets[c] else None
-                for c in range(self._n)
-            ],
-        }
-        packets[:] = 0
-        self._flits[:] = 0
-        self._lat_sum[:] = 0.0
-        return fields
-
-
 #: name -> factory, the CLI's ``--probes`` vocabulary
 PROBE_REGISTRY: dict[str, Callable[[], Probe]] = {
     "channel": ChannelUtilizationProbe,
     "vc": VCOccupancyProbe,
     "stall": InjectionStallProbe,
     "inflight": InFlightProbe,
-    "classes": ClassLatencyProbe,
 }
 
 

@@ -121,9 +121,8 @@ class ProbabilisticReply(ReplyModel):
 class PerClassReply(ReplyModel):
     """Dispatch to a different model per traffic class.
 
-    Keys are class *indices* into the config's class registry
-    (``repro.classes``: user=0, OS=1 in the canonical user/OS pair);
-    :meth:`from_registry` builds the index map from class *names* instead.
+    Keys are traffic classes (:data:`repro.network.packet.USER` and
+    :data:`~repro.network.packet.OS`).
     """
 
     name = "per_class"
@@ -131,33 +130,6 @@ class PerClassReply(ReplyModel):
     def __init__(self, models: dict[int, ReplyModel], default: ReplyModel):
         self.models = dict(models)
         self.default = default
-
-    @classmethod
-    def from_registry(
-        cls,
-        classes,
-        models: dict[str, ReplyModel],
-        default: ReplyModel,
-    ) -> "PerClassReply":
-        """Build from class *names* resolved against a class registry.
-
-        ``classes`` is a registry as held by ``NetworkConfig.classes`` (any
-        ``repro.classes.parse_classes`` input works); unknown names raise.
-        """
-        from ..classes import parse_classes
-
-        registry = parse_classes(classes)
-        index = {c.name: i for i, c in enumerate(registry)}
-        by_index: dict[int, ReplyModel] = {}
-        for name, model in models.items():
-            try:
-                by_index[index[name]] = model
-            except KeyError:
-                raise ValueError(
-                    f"unknown traffic class {name!r}"
-                    f" (registry: {', '.join(index)})"
-                ) from None
-        return cls(by_index, default)
 
     def delay(self, rng: np.random.Generator, traffic_class: int = 0) -> int:
         return self.models.get(traffic_class, self.default).delay(rng, traffic_class)

@@ -1,10 +1,9 @@
 """Execution-driven CMP substrate (the Simics/GEMS+Garnet stand-in)."""
 
+from ..network.packet import OS, USER
 from .address import AddressSpace, MixtureStream
 from .benchmarks import (
     BENCHMARKS,
-    KERNEL,
-    USER,
     BenchmarkSpec,
     PhaseSpec,
     barnes,
@@ -33,7 +32,7 @@ __all__ = [
     "PhaseSpec",
     "BENCHMARKS",
     "USER",
-    "KERNEL",
+    "OS",
     "blackscholes",
     "lu",
     "canneal",

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..network.packet import OS, USER
+
 __all__ = [
     "PhaseSpec",
     "BenchmarkSpec",
@@ -29,12 +31,7 @@ __all__ = [
     "fft",
     "barnes",
     "BENCHMARKS",
-    "USER",
-    "KERNEL",
 ]
-
-USER = 0
-KERNEL = 1
 
 
 @dataclass(frozen=True)
@@ -142,10 +139,10 @@ def _kernel_bursts(
     p_cold = p_miss * os_l2_miss
     p_mid = p_miss - p_cold
     spawn = PhaseSpec(
-        "spawn", max(1, round(burst_instr * split)), mem_ratio, p_mid, p_cold, KERNEL
+        "spawn", max(1, round(burst_instr * split)), mem_ratio, p_mid, p_cold, OS
     )
     join = PhaseSpec(
-        "join", max(1, round(burst_instr * (1 - split))), mem_ratio, p_mid, p_cold, KERNEL
+        "join", max(1, round(burst_instr * (1 - split))), mem_ratio, p_mid, p_cold, OS
     )
     return spawn, join
 
@@ -154,7 +151,7 @@ def _timer_handler(instructions: int = 400, *, os_l2_miss: float = 0.02) -> Phas
     """Timer-interrupt handler: a short kernel burst re-run every interval."""
     p_miss = 0.30
     p_cold = p_miss * os_l2_miss
-    return PhaseSpec("timer", instructions, 0.35, p_miss - p_cold, p_cold, KERNEL)
+    return PhaseSpec("timer", instructions, 0.35, p_miss - p_cold, p_cold, OS)
 
 
 # ---------------------------------------------------------------------------

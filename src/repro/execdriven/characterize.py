@@ -20,7 +20,8 @@ from typing import Optional
 from ..config import CmpConfig
 from ..core.osmodel import OSModel
 from ..core.reply import PerClassReply, ProbabilisticReply
-from .benchmarks import KERNEL, USER, BenchmarkSpec
+from ..network.packet import OS, USER
+from .benchmarks import BenchmarkSpec
 from .cmp import CmpResult, CmpSystem
 
 __all__ = ["Characterization", "characterize", "derive_batch_params"]
@@ -55,9 +56,9 @@ class Characterization:
             nar=result.nar,
             l2_miss_rate=result.l2_miss_rate,
             user_nar=result.nar_of_class(USER),
-            os_nar=result.nar_of_class(KERNEL),
+            os_nar=result.nar_of_class(OS),
             user_l2_miss=result.l2_miss_by_class.get(USER, 0.0),
-            os_l2_miss=result.l2_miss_by_class.get(KERNEL, 0.0),
+            os_l2_miss=result.l2_miss_by_class.get(OS, 0.0),
             static_kernel_fraction=result.static_kernel_fraction,
             timer_rate=result.timer_rate,
             interrupts=result.interrupts,
@@ -115,8 +116,8 @@ def derive_batch_params(
     os_rate = min(1.0, max(ch.os_request_rate_active / kernel_cpi, 1e-4))
     reply = PerClassReply(
         {
-            0: ProbabilisticReply(cfg.l2_latency, cfg.memory_latency, ch.user_l2_miss),
-            1: ProbabilisticReply(cfg.l2_latency, cfg.memory_latency, ch.os_l2_miss),
+            USER: ProbabilisticReply(cfg.l2_latency, cfg.memory_latency, ch.user_l2_miss),
+            OS: ProbabilisticReply(cfg.l2_latency, cfg.memory_latency, ch.os_l2_miss),
         },
         default=ProbabilisticReply(cfg.l2_latency, cfg.memory_latency, ch.l2_miss_rate),
     )

@@ -30,8 +30,9 @@ from ..core.engine import Observer, SimulationEngine
 from ..network.ideal import IdealNetwork
 from ..network.links import TimeBuckets
 from ..network.factory import build_network
+from ..network.packet import OS, USER
 from .address import AddressSpace
-from .benchmarks import KERNEL, USER, BenchmarkSpec
+from .benchmarks import BenchmarkSpec
 from .core import InOrderCore
 from .memsys import HomeTile
 from .mshr import MSHRFile
@@ -92,7 +93,7 @@ class CmpResult:
     @property
     def kernel_fraction(self) -> float:
         """Kernel share of total network traffic (Fig. 20's split)."""
-        kernel = self.flits_by_class.get(KERNEL, 0)
+        kernel = self.flits_by_class.get(OS, 0)
         return kernel / self.total_flits if self.total_flits else 0.0
 
     @property
@@ -173,11 +174,11 @@ class CmpSystem:
         ]
         self.logical_matrix = np.zeros((n, n), dtype=np.int64)
         self.traffic_matrix = np.zeros((n, n), dtype=np.int64)
-        self._flits_by_class = {USER: 0, KERNEL: 0}
+        self._flits_by_class = {USER: 0, OS: 0}
         self._requests_by_kind = dict.fromkeys(_KINDS, 0)
         self._timeline: dict[int, np.ndarray] = {
             USER: np.zeros(256, dtype=np.int64),
-            KERNEL: np.zeros(256, dtype=np.int64),
+            OS: np.zeros(256, dtype=np.int64),
         }
         # A core's request callback holds the system weakly: a bound method
         # would close the cycle system -> cores -> core -> system, which only
@@ -254,7 +255,7 @@ class CmpSystem:
         kind = (
             "kernel_timer"
             if in_interrupt
-            else ("kernel_burst" if traffic_class == KERNEL else "user")
+            else ("kernel_burst" if traffic_class == OS else "user")
         )
         self._requests += 1
         self._requests_by_kind[kind] += 1
@@ -335,13 +336,13 @@ class CmpSystem:
         l2_acc = sum(t.l2.stats.accesses for t in tiles)
         l2_miss = sum(t.l2.stats.misses for t in tiles)
         miss_by_class = {}
-        for cls in (USER, KERNEL):
+        for cls in (USER, OS):
             hits = sum(t.class_hits.get(cls, 0) for t in tiles)
             misses = sum(t.class_misses.get(cls, 0) for t in tiles)
             miss_by_class[cls] = misses / (hits + misses) if hits + misses else 0.0
         buckets = cycles // self.timeline_bucket + 1
         timeline = np.zeros((2, buckets), dtype=np.int64)
-        for cls in (USER, KERNEL):
+        for cls in (USER, OS):
             src = self._timeline[cls][:buckets]
             timeline[cls, : src.size] = src
         return CmpResult(

@@ -25,6 +25,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from ..network.packet import USER
 from ..rng import Stream
 from .address import AddressSpace, MixtureStream
 from .benchmarks import BenchmarkSpec, PhaseSpec
@@ -132,7 +133,7 @@ class InOrderCore:
                 self._interrupt_stack.pop()
                 self._cur = None
             return
-        if self.spec.phases[self._phase_idx].traffic_class != 0:
+        if self.spec.phases[self._phase_idx].traffic_class != USER:
             self.kernel_instructions += 1
         self._phase_left -= 1
         if self._phase_left <= 0:

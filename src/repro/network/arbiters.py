@@ -1,36 +1,26 @@
-"""Switch arbitration policies (paper Table I plus the class-aware family).
+"""Switch arbitration policies (paper Table I plus strict priority).
 
 One arbiter instance serves one output port.  ``pick`` receives the input
 VCs requesting that port this cycle (as ``(ivc_index, packet)`` pairs,
 sorted by ivc_index for determinism) and returns the winning pair.
 
-Two families:
-
-* class-blind (Table I): ``round_robin`` (rotating pointer) and ``age``
-  (oldest packet first);
-* class-aware (Mandal et al.'s priority-class dimension): ``priority``
-  (strict priority by the packet's traffic class, age tie-break) and
-  ``weighted`` (integer virtual-time weighted-fair queueing over classes).
-
-The class-aware arbiters keep ``pick`` pure — their state (the weighted
-virtual clocks) advances only through :meth:`Arbiter.granted`, which the
-router calls when a winner actually traverses the switch.  Because each
-output port grants at most one flit per cycle, the per-port state is frozen
-for the whole arbitration pass, which is what lets the vectorized backend
-replay the same decisions from a single precomputed sort order.
+``round_robin`` (rotating pointer) and ``age`` (oldest packet first) are
+the paper's Table I policies; ``priority`` lets the OS model's kernel
+traffic outrank user traffic (:mod:`repro.network.packet`), with age as the
+tie-break.  Only round-robin carries state; the other two are pure
+functions of the requests, which is what lets the vectorized backend replay
+their decisions from one sort per cycle.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from math import lcm
 
 __all__ = [
     "Arbiter",
     "RoundRobinArbiter",
     "AgeArbiter",
     "StrictPriorityArbiter",
-    "WeightedArbiter",
     "build_arbiter",
 ]
 
@@ -45,13 +35,6 @@ class Arbiter(ABC):
         """Return the winning ``(ivc_index, packet)`` pair.
 
         ``requests`` is non-empty and sorted by ivc_index.
-        """
-
-    def granted(self, packet) -> None:
-        """Notify that ``packet`` won this port and traversed the switch.
-
-        Called once per actual grant (including the single-request shortcut
-        that bypasses :meth:`pick`).  Default: no state.
         """
 
 
@@ -99,90 +82,32 @@ def _age_key(req: tuple) -> tuple:
 
 
 class StrictPriorityArbiter(Arbiter):
-    """Higher-priority traffic class always wins; age breaks ties.
+    """The higher traffic class always wins (OS over user); age breaks ties.
 
-    Stateless: the key is a pure function of the request, so the vectorized
-    backend reproduces it with one lexsort.  A packet whose class index
-    falls outside the registry is treated as the last registered class
-    (both backends apply the same clamp).
+    Stateless: the key ``(-traffic_class, create_time, pid, ivc)`` is a pure
+    function of the request, so the vectorized backend reproduces it with
+    one lexsort.
     """
 
     name = "priority"
 
-    __slots__ = ("_prio",)
-
-    def __init__(self, priorities: tuple):
-        self._prio = tuple(priorities)
+    __slots__ = ()
 
     def pick(self, requests: list) -> tuple:
-        return min(requests, key=self._key)
-
-    def _key(self, req: tuple) -> tuple:
-        pkt = req[1]
-        prio = self._prio
-        c = pkt.traffic_class
-        if c >= len(prio):
-            c = len(prio) - 1
-        return (-prio[c], pkt.create_time, pkt.pid, req[0])
+        return min(requests, key=_priority_key)
 
 
-class WeightedArbiter(Arbiter):
-    """Weighted-fair arbiter over traffic classes (integer virtual time).
-
-    Each class ``c`` has a virtual clock ``vt[c]`` that advances by
-    ``LCM(weights) // weight[c]`` per grant, so over a busy period the
-    grant counts converge to the configured weight ratio exactly (all
-    arithmetic is integer — bit-identical across backends).  The request
-    with the smallest class clock wins; ties break by class priority
-    (descending), then age.  Clocks advance only in :meth:`granted`, never
-    inside :meth:`pick`.
-    """
-
-    name = "weighted"
-
-    __slots__ = ("_prio", "_step", "vt")
-
-    def __init__(self, weights: tuple, priorities: tuple):
-        base = lcm(*weights)
-        self._step = tuple(base // w for w in weights)
-        self._prio = tuple(priorities)
-        self.vt = [0] * len(self._step)
-
-    def _cls(self, pkt) -> int:
-        c = pkt.traffic_class
-        return c if c < len(self._step) else len(self._step) - 1
-
-    def pick(self, requests: list) -> tuple:
-        return min(requests, key=self._key)
-
-    def _key(self, req: tuple) -> tuple:
-        pkt = req[1]
-        c = self._cls(pkt)
-        return (self.vt[c], -self._prio[c], pkt.create_time, pkt.pid, req[0])
-
-    def granted(self, packet) -> None:
-        c = self._cls(packet)
-        self.vt[c] += self._step[c]
+def _priority_key(req: tuple) -> tuple:
+    pkt = req[1]
+    return (-pkt.traffic_class, pkt.create_time, pkt.pid, req[0])
 
 
-def build_arbiter(name: str, size: int, classes: "tuple | None" = None) -> Arbiter:
-    """Construct the arbiter named in the config (one per output port).
-
-    The class-aware arbiters need the traffic-class registry
-    (``config.classes``) for per-class priorities and weights.
-    """
+def build_arbiter(name: str, size: int) -> Arbiter:
+    """Construct the arbiter named in the config (one per output port)."""
     if name == "round_robin":
         return RoundRobinArbiter(size)
     if name == "age":
         return AgeArbiter()
-    if name in ("priority", "weighted"):
-        if not classes:
-            raise ValueError(
-                f"arbitration {name!r} needs the traffic-class registry "
-                "(pass classes=config.classes)"
-            )
-        priorities = tuple(c.priority for c in classes)
-        if name == "priority":
-            return StrictPriorityArbiter(priorities)
-        return WeightedArbiter(tuple(c.weight for c in classes), priorities)
+    if name == "priority":
+        return StrictPriorityArbiter()
     raise ValueError(f"unknown arbitration {name!r}")

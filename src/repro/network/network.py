@@ -20,14 +20,13 @@ current packet into the injection-port VC with the most free space, whole
 packets at a time, and stalls on backpressure — which is exactly the
 feedback path that differentiates closed-loop from open-loop measurement.
 
-Under class-aware arbitration (``priority``, ``weighted``) source queues are
-per traffic class: ``src_queues[node][cls]`` is a FIFO, and each node picks
-its next packet by walking the classes in descending priority, so a
-high-priority packet bypasses a lower-priority backlog at the source.
-Preemption happens only at packet boundaries — a packet that has started
-streaming finishes first.  Under ``round_robin`` and ``age`` a node has one
-FIFO and its packets leave in offer order
-(:func:`~repro.classes.source_queue_order`).
+Under ``priority`` arbitration source queues are per traffic class:
+``src_queues[node][cls]`` is a FIFO, and each node takes its next packet
+from the OS queue before the user queue, so a kernel packet bypasses a user
+backlog at the source.  Preemption happens only at packet boundaries — a
+packet that has started streaming finishes first.  Under ``round_robin``
+and ``age`` a node has one FIFO and its packets leave in offer order
+(:func:`~repro.network.packet.source_queue_order`).
 """
 
 from __future__ import annotations
@@ -37,14 +36,13 @@ from typing import Optional
 
 import numpy as np
 
-from ..classes import source_queue_order
 from ..config import NetworkConfig
 from ..routing.base import RoutingAlgorithm
 from ..routing.registry import build_routing
 from ..topology.base import Topology
 from ..topology.registry import build_topology
 from .base import BaseNetwork
-from .packet import Packet
+from .packet import Packet, source_queue_order
 from .router import Router
 
 __all__ = ["Network"]
@@ -74,7 +72,6 @@ class Network(BaseNetwork):
                 num_vcs=num_vcs,
                 buf_size=config.vc_buffer_size,
                 arbitration=config.arbitration,
-                classes=config.classes,
             )
             for node in range(n)
         ]
@@ -99,10 +96,10 @@ class Network(BaseNetwork):
         self._credit_out: Optional[list] = None
         self._credit_delay = config.credit_delay
         self._router_delay = config.router_delay
-        self._inject_order = source_queue_order(config.classes, config.arbitration)
-        self._num_queues = len(self._inject_order)
+        self._inject_order = source_queue_order(config.arbitration)
+        self._last_queue = len(self._inject_order) - 1
         self.src_queues: list[list[deque]] = [
-            [deque() for _ in range(self._num_queues)] for _ in range(n)
+            [deque() for _ in self._inject_order] for _ in range(n)
         ]
         self._inj_state: list[Optional[list]] = [None] * n
         self._active_sources: set[int] = set()
@@ -118,8 +115,8 @@ class Network(BaseNetwork):
         """Queue ``packet`` at its source node (infinite source queue)."""
         self.routing.on_inject(packet)
         c = packet.traffic_class
-        if c >= self._num_queues:
-            c = self._num_queues - 1
+        if c > self._last_queue:
+            c = self._last_queue
         self.src_queues[packet.src][c].append(packet)
         self._active_sources.add(packet.src)
         self._inflight += 1

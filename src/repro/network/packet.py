@@ -11,13 +11,36 @@ route once per hop for the head flit only:
 * ``phase`` / ``intermediate`` — two-phase algorithms (VAL, ROMM),
 * ``vc_class`` — dateline discipline on rings/tori,
 * ``route_dim`` — the dimension DOR is currently traversing (dateline reset).
+
+A packet's ``traffic_class`` is one of the paper's two classes: user
+requests (:data:`USER`) or the §V OS model's kernel traffic (:data:`OS`).
+Under ``arbitration="priority"`` kernel packets outrank user packets at the
+source queue and at every switch; round-robin and age arbitration ignore
+the class.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
 
-__all__ = ["Packet"]
+__all__ = ["Packet", "USER", "OS", "source_queue_order"]
+
+#: Traffic class of user (application) requests.
+USER = 0
+#: Traffic class of the OS model's kernel requests (paper §V).
+OS = 1
+
+
+def source_queue_order(arbitration: str) -> tuple[int, ...]:
+    """A node's source queues, by index, in the order the node drains them.
+
+    Under ``priority`` a node keeps one FIFO per class and serves the OS
+    FIFO first, so a kernel packet bypasses a user backlog at a packet
+    boundary.  Under ``round_robin`` and ``age`` it keeps one FIFO and its
+    packets leave in offer order whatever their class, as in the
+    execution-driven CMP.  A class beyond the last queue shares it.
+    """
+    return (OS, USER) if arbitration == "priority" else (USER,)
 
 
 class Packet:
@@ -57,7 +80,7 @@ class Packet:
         create_time: int,
         *,
         is_reply: bool = False,
-        traffic_class: int = 0,
+        traffic_class: int = USER,
         measured: bool = True,
         meta: Any = None,
     ):

@@ -20,8 +20,8 @@ Per cycle, for each input VC whose head flit has cleared the pipeline:
    drains, as in Garnet.
 3. **SA** — input VCs with an allocated VC and downstream credit (ejection
    needs neither) request the switch; one arbiter per output port
-   (round-robin, age-based, or the class-aware priority/weighted family —
-   the packet's ``traffic_class`` rides through the VC buffers to here)
+   (round-robin, age-based, or strict priority — the packet's
+   ``traffic_class`` rides through the VC buffers to here)
    picks winners, under one-flit-per-input-port and
    one-flit-per-output-port crossbar constraints.
 4. **ST** — winners traverse, inside the grant loop: credits decrement, the
@@ -78,7 +78,6 @@ class Router:
         "arbiters",
         "_reqs",
         "_sparse",
-        "_notify_grant",
     )
 
     def __init__(
@@ -90,7 +89,6 @@ class Router:
         num_vcs: int,
         buf_size: int,
         arbitration: str,
-        classes: "tuple | None" = None,
     ):
         self.node = node
         self.routing = routing
@@ -122,12 +120,7 @@ class Router:
             for p in range(self.num_ports)
         ]
         self.down: list = [None] * self.num_ports
-        self.arbiters = [
-            build_arbiter(arbitration, nivcs, classes) for _ in range(self.num_ports)
-        ]
-        # Only the weighted arbiter carries grant-advanced state; skipping
-        # the granted() call otherwise keeps the default hot path unchanged.
-        self._notify_grant = arbitration == "weighted"
+        self.arbiters = [build_arbiter(arbitration, nivcs) for _ in range(self.num_ports)]
         self._reqs: list[list] = [[] for _ in range(self.num_ports)]
         # At or below this many occupied input VCs, sorting the busy set
         # is cheaper than scanning every VC for a non-empty FIFO.
@@ -245,7 +238,6 @@ class Router:
         used_inputs = 0  # bitmask over input ports
         sent = 0
         arbiters = self.arbiters
-        notify = self._notify_grant
         arrivals = net._arrivals
         credit_out = net._credit_out
         hook = net._flit_hook
@@ -304,8 +296,6 @@ class Router:
                     if is_tail:
                         self.vc_owner[op][ovc] = None
                         ivc.out_port = ivc.out_vc = -1
-                if notify:
-                    arbiters[op].granted(pkt)
                 break
             requests.clear()
         if sent:

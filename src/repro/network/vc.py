@@ -4,9 +4,8 @@ Each router input port owns ``num_vcs`` of these.  The FIFO holds buffered
 flits as ``(packet, flit_index, ready_time)`` tuples; ``ready_time`` is the
 cycle at which the flit has cleared the router pipeline (arrival + tr) and
 may traverse the switch.  The packet reference carries its
-``traffic_class`` through the buffer, so VC allocation and the class-aware
-switch arbiters (priority/weighted) read the class straight off the
-buffered head flit — flits need no separate class field.
+``traffic_class`` through the buffer, so the strict-priority switch
+arbiter reads the class straight off the buffered head flit — flits need no separate class field.
 
 The VC's routing state machine is encoded compactly:
 

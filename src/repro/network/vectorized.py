@@ -46,13 +46,12 @@ from typing import Optional
 
 import numpy as np
 
-from ..classes import source_queue_order
 from ..config import NetworkConfig
 from ..routing.registry import build_routing
 from ..topology.mesh import KAryNCube
 from ..topology.registry import build_topology
 from .base import BackendUnsupported, BaseNetwork
-from .packet import Packet
+from .packet import Packet, source_queue_order
 
 __all__ = ["VectorizedNetwork"]
 
@@ -120,27 +119,7 @@ class VectorizedNetwork(BaseNetwork):
         self._age = config.arbitration == "age"
         self._used = np.zeros((N, P), dtype=bool)  # SA input-port scoreboard
 
-        # -- traffic classes / class-aware arbitration ---------------------
-        # Class-aware arbiters read per-class priority (and weight) from the
-        # registry; class indices beyond it clamp to the last class, the
-        # same rule the object arbiters apply.
-        classes = config.classes
-        C = self._C = len(classes)
-        self._cls_prio = np.array([c.priority for c in classes], dtype=np.int64)
         self._prio_arb = config.arbitration == "priority"
-        self._wfq = config.arbitration == "weighted"
-        if self._wfq:
-            from math import lcm
-
-            base = lcm(*(c.weight for c in classes))
-            self._wstep = np.array(
-                [base // c.weight for c in classes], dtype=np.int64
-            )
-            # Virtual clocks per (router, output port, class) — the exact
-            # integer state of one WeightedArbiter per output port.  Clocks
-            # advance only after grants are fixed (mirroring granted()), so
-            # the cycle's single sort order replays every per-port pick.
-            self._wvt = np.zeros((N, P, C), dtype=np.int64)
 
         # Ring-buffer flit FIFOs, one row per input VC.
         self._f_pkt = np.zeros((NIVC, D), dtype=np.int64)
@@ -180,18 +159,18 @@ class VectorizedNetwork(BaseNetwork):
         self._p_phase = np.zeros(cap, dtype=np.int64)
         self._p_inter = np.zeros(cap, dtype=np.int64)
         self._p_hops = np.zeros(cap, dtype=np.int64)
-        self._p_cls = np.zeros(cap, dtype=np.int64)  # clamped arbitration class
+        self._p_cls = np.zeros(cap, dtype=np.int64)  # traffic class
         self._p_obj: list[Optional[Packet]] = [None] * cap
         self._free = list(range(cap - 1, -1, -1))
 
         # -- source queues -------------------------------------------------
-        # Per-class FIFOs per node under class-aware arbitration, one FIFO
+        # Per-class FIFOs per node under priority arbitration, one FIFO
         # otherwise, drained as Network.src_queues are (packet-boundary
         # preemption).  A slot's queue is its class clamped to the last
         # queue.  _qhead caches the slot the priority walk would pick next;
         # it is refreshed on every offer/pop so _inject_all reads it
         # vectorized.
-        self._inject_order = source_queue_order(classes, config.arbitration)
+        self._inject_order = source_queue_order(config.arbitration)
         self._last_queue = len(self._inject_order) - 1
         self._queues: list[list[deque]] = [
             [deque() for _ in self._inject_order] for _ in range(N)
@@ -248,7 +227,6 @@ class VectorizedNetwork(BaseNetwork):
         self._p_inter[s] = -1 if packet.intermediate is None else packet.intermediate
         self._p_hops[s] = 0
         c = packet.traffic_class
-        c = c if c < self._C else self._C - 1
         self._p_cls[s] = c
         self._p_obj[s] = packet
         self._queues[packet.src][min(c, self._last_queue)].append(s)
@@ -631,8 +609,8 @@ class VectorizedNetwork(BaseNetwork):
         The object router's per-port retry loop (pick a winner, drop it if
         its input port is already used, repick) has a closed form: picks
         happen in arbitration order — round-robin cyclic order from the
-        cycle-start pointer, or the pure key order of the age / priority /
-        weighted arbiters — and the grant goes to the first request in that
+        cycle-start pointer, or the pure key order of the age and priority
+        arbiters — and the grant goes to the first request in that
         order whose input port is free, the round-robin pointer advancing
         on every consulted pick exactly as ``Arbiter.pick`` does.
         Output ports are visited in first-requester order per router, so
@@ -664,12 +642,10 @@ class VectorizedNetwork(BaseNetwork):
         key = rnode * P + rop
         # Round-robin is the only arbiter whose state mutates *during*
         # arbitration (the pointer advances per consulted pick); the other
-        # three are pure functions of cycle-start state, so one lexsort per
-        # cycle reproduces every per-port pick sequence exactly: age by
-        # (create, pid, ivc), priority by (-prio, create, pid, ivc),
-        # weighted by (vt, -prio, create, pid, ivc) with the clocks frozen
-        # until grants are fixed (see WeightedArbiter.granted).
-        rr = not (self._age or self._prio_arb or self._wfq)
+        # two are pure functions of the requests, so one lexsort per cycle
+        # reproduces every per-port pick sequence exactly: age by
+        # (create, pid, ivc), priority by (-class, create, pid, ivc).
+        rr = not (self._age or self._prio_arb)
         if rr:
             kr = (li - self._ptr[rnode, rop]) % PV
             order = np.argsort(key * PV + kr)  # (key, kr) pairs are unique
@@ -680,12 +656,7 @@ class VectorizedNetwork(BaseNetwork):
             if self._age:
                 order = np.lexsort((li, pid, create, key))
             else:
-                negp = -self._cls_prio[self._p_cls[hs]]
-                if self._prio_arb:
-                    order = np.lexsort((li, pid, create, negp, key))
-                else:
-                    vt = self._wvt[rnode, rop, self._p_cls[hs]]
-                    order = np.lexsort((li, pid, create, negp, vt, key))
+                order = np.lexsort((li, pid, create, -self._p_cls[hs], key))
         g_s = req_g[order]
         sk = key[order]
         li_s = li[order]
@@ -748,17 +719,6 @@ class VectorizedNetwork(BaseNetwork):
         grants = np.concatenate(parts) if parts else _EMPTY_I64
         if grants.size:
             grants.sort()
-            if self._wfq:
-                # Advance the granted classes' virtual clocks exactly as
-                # Router.step calls granted() once per traversal (ejection
-                # grants included).  Read heads before _st pops them.
-                gh = self._f_pkt[grants, self._f_head[grants]]
-                gc = self._p_cls[gh]
-                np.add.at(
-                    self._wvt,
-                    (grants // PV, self._ivc_port[grants], gc),
-                    self._wstep[gc],
-                )
             self._st(grants, now)
 
     def _st(self, g: np.ndarray, now: int) -> None:

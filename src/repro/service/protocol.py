@@ -73,7 +73,9 @@ __all__ = [
 #: the connection has not just been sent it.
 #: 3: a job's ``config`` body has no ``faults`` key (the field is gone, and
 #: a version-2 peer would send ``"faults": null``, which this one refuses).
-PROTOCOL_VERSION = 3
+#: 4: a job's ``config`` body has no ``classes`` key (the class registry is
+#: gone; a version-3 peer would send one, which this one refuses).
+PROTOCOL_VERSION = 4
 
 #: Hard cap on one frame.  A lease for a large config is a few KiB; 8 MiB
 #: leaves room for bulky poll replies while bounding a hostile or corrupt

@@ -5,10 +5,9 @@ every configuration it accepts produces records *bit-identical* to the
 object backend's — not statistically close, identical.  This suite enforces
 the contract property-style: randomized configurations drawn with stdlib
 ``random`` from the full supported space (topology x routing x arbitration
-— the class-aware priority/weighted family included — x traffic classes
 x VC count x buffer depth x traffic x load x seed), both backends run on
-each, and the full record — every per-packet latency and class id included
-— compared for equality.  The generator is seeded, so a failure is reproducible; on
+each, and the full record — every per-packet latency included — compared
+for equality.  The generator is seeded, so a failure is reproducible; on
 mismatch the harness greedily shrinks the config toward the simplest one
 that still fails and reports it, which is what you paste into a repro.
 """
@@ -23,6 +22,7 @@ import pytest
 from repro.config import NetworkConfig
 from repro.core.closedloop import BatchSimulator
 from repro.core.openloop import OpenLoopSimulator
+from repro.core.osmodel import OSModel
 from repro.network.factory import NETWORK_BACKENDS, build_network
 
 # ---------------------------------------------------------------------------
@@ -43,8 +43,6 @@ def openloop_record(cfg: NetworkConfig, rate: float) -> dict:
         "saturated": res.saturated,
         "num_measured": res.num_measured,
         "latencies": res.latencies.tolist(),
-        "class_ids": res.class_ids.tolist(),
-        "per_class_throughput": res.per_class_throughput.tolist(),
         "per_node": [
             None if math.isnan(x) else x for x in res.per_node_latency.tolist()
         ],
@@ -82,19 +80,10 @@ def draw_config(rng: random.Random) -> tuple[dict, float]:
         vc_buffer_size=rng.choice((1, 2, 4)),
         router_delay=rng.choice((1, 1, 2)),
         routing=routing,
-        arbitration=rng.choice(("round_robin", "age", "priority", "weighted")),
+        arbitration=rng.choice(("round_robin", "age", "priority")),
         link_delay=rng.choice((1, 1, 2)),
         packet_size=rng.choice(("single", "bimodal")),
         traffic=traffic,
-        classes=rng.choice(
-            (
-                None,  # default single class
-                None,
-                "user+os:priority=1",
-                "user:share=3:weight=3+os:priority=1",
-                "a:weight=1+b:weight=2:priority=1+c:weight=4:priority=2",
-            )
-        ),
         dateline=(
             rng.choice(("balanced", "strict"))
             if topology in ("torus", "ring")
@@ -111,7 +100,6 @@ _SHRINK = {
     "routing": "dor",
     "traffic": "uniform_random",
     "packet_size": "single",
-    "classes": None,
     "arbitration": "round_robin",
     "dateline": "balanced",
     "router_delay": 1,
@@ -178,22 +166,20 @@ class TestRandomizedEquivalence:
         run_differential(master_seed=987654321, count=200)
 
     def test_batch_driver_equivalence(self):
-        """Closed-loop driver: same runtime and per-node finish times."""
-        for kw in (
-            dict(k=4, n=2, seed=7),
-            dict(topology="torus", k=4, n=2, num_vcs=4, seed=3),
-            dict(
-                k=4,
-                n=2,
-                arbitration="priority",
-                classes="user+os:priority=1",
-                seed=5,
-            ),
+        """Closed-loop driver: same runtime and per-node finish times.  The
+        priority case carries OS traffic, so kernel packets overtake user
+        packets at the source queue and the switch on both backends."""
+        for kw, os_model in (
+            (dict(k=4, n=2, seed=7), None),
+            (dict(topology="torus", k=4, n=2, num_vcs=4, seed=3), None),
+            (dict(k=4, n=2, arbitration="priority", seed=5), OSModel(timer_rate=0.01)),
         ):
             results = {}
             for backend in NETWORK_BACKENDS:
                 cfg = NetworkConfig(backend=backend, **kw)
-                res = BatchSimulator(cfg, batch_size=30, max_outstanding=2).run()
+                res = BatchSimulator(
+                    cfg, batch_size=30, max_outstanding=2, os_model=os_model
+                ).run()
                 results[backend] = (
                     res.runtime,
                     res.throughput,

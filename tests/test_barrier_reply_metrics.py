@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import rng as rng_mod
-from repro.analysis.stats import LatencyStats, latency_stats
 from repro.core.barrier import BarrierSimulator
 from repro.core.metrics import node_distribution, runtime_map
 from repro.core.reply import (
@@ -15,7 +14,6 @@ from repro.core.reply import (
     PerClassReply,
     ProbabilisticReply,
 )
-from repro.network.packet import Packet
 
 
 class TestBarrier:
@@ -97,39 +95,6 @@ class TestReplyModels:
 
 
 class TestMetrics:
-    def _packets(self, latencies):
-        out = []
-        for i, lat in enumerate(latencies):
-            p = Packet(i, 0, 1, 1, 0)
-            p.deliver_time = lat
-            out.append(p)
-        return out
-
-    def test_latency_stats(self):
-        stats = latency_stats(self._packets([10, 20, 30, 40]))
-        assert stats.count == 4
-        assert stats.mean == 25
-        assert stats.minimum == 10 and stats.maximum == 40
-        assert stats.p50 == 25
-
-    def test_latency_stats_sample_std(self):
-        # Regression: std must be the sample estimator (ddof=1), matching
-        # confidence_interval/batch_means — not the population formula.
-        stats = latency_stats(self._packets([10, 20, 30, 40]))
-        assert stats.std == pytest.approx(np.std([10, 20, 30, 40], ddof=1))
-
-    def test_latency_stats_single_value_has_nan_std(self):
-        # One sample has no defined spread: NaN, not 0.
-        stats = LatencyStats.from_values(np.array([42.0]))
-        assert stats.count == 1
-        assert stats.mean == 42.0
-        assert np.isnan(stats.std)
-
-    def test_latency_stats_empty(self):
-        stats = LatencyStats.from_values(np.array([]))
-        assert stats.count == 0
-        assert np.isnan(stats.mean)
-
     def test_node_distribution_fractions_sum_to_one(self):
         edges, fracs = node_distribution(np.arange(64, dtype=float), bins=8)
         assert len(edges) == 9

@@ -72,8 +72,6 @@ class TestParseAxis:
             for spec in ("bimodal-long-fraction=1", "bimodal-long-fraction=1.0")
         ]
         assert seeds[0] == seeds[1]
-        # a spec field: a count when the value is one, a spec string otherwise
-        assert _parse_axis("classes=2,user+os") == ("classes", (2, "user+os"))
 
     @pytest.mark.parametrize(
         "argv",
@@ -288,7 +286,7 @@ class TestLazyNamespaces:
 
 #: The CLI's option surface, pinned: per subcommand, each argument's option
 #: strings, dest, default, sorted choices, nargs, const, required and action
-#: class (help excluded) -- 166 options and 3 positionals over 11
+#: class (help excluded) -- 160 options and 3 positionals over 11
 #: subcommands.  The network and executor flags are generated from one
 #: declaration each; this says that generation adds and loses nothing.
 PARSER_SURFACE = {
@@ -300,8 +298,7 @@ PARSER_SURFACE = {
         (('--vc-buffer-size', '-q'), 'vc_buffer_size', 4, None, None, None, False, '_StoreAction'),
         (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
         (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
-        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin', 'weighted'), None, None, False, '_StoreAction'),
-        (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
+        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin'), None, None, False, '_StoreAction'),
         (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
@@ -324,8 +321,7 @@ PARSER_SURFACE = {
         (('--vc-buffer-size', '-q'), 'vc_buffer_size', 4, None, None, None, False, '_StoreAction'),
         (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
         (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
-        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin', 'weighted'), None, None, False, '_StoreAction'),
-        (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
+        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin'), None, None, False, '_StoreAction'),
         (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
@@ -353,8 +349,7 @@ PARSER_SURFACE = {
         (('--vc-buffer-size', '-q'), 'vc_buffer_size', 4, None, None, None, False, '_StoreAction'),
         (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
         (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
-        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin', 'weighted'), None, None, False, '_StoreAction'),
-        (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
+        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin'), None, None, False, '_StoreAction'),
         (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
@@ -383,8 +378,7 @@ PARSER_SURFACE = {
         (('--vc-buffer-size', '-q'), 'vc_buffer_size', 4, None, None, None, False, '_StoreAction'),
         (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
         (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
-        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin', 'weighted'), None, None, False, '_StoreAction'),
-        (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
+        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin'), None, None, False, '_StoreAction'),
         (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
@@ -402,8 +396,7 @@ PARSER_SURFACE = {
         (('--vc-buffer-size', '-q'), 'vc_buffer_size', 4, None, None, None, False, '_StoreAction'),
         (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
         (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
-        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin', 'weighted'), None, None, False, '_StoreAction'),
-        (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
+        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin'), None, None, False, '_StoreAction'),
         (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
@@ -458,8 +451,7 @@ PARSER_SURFACE = {
         (('--vc-buffer-size', '-q'), 'vc_buffer_size', 4, None, None, None, False, '_StoreAction'),
         (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
         (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
-        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin', 'weighted'), None, None, False, '_StoreAction'),
-        (('--classes',), 'classes', None, None, None, None, False, '_StoreAction'),
+        (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin'), None, None, False, '_StoreAction'),
         (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
@@ -561,6 +553,9 @@ class TestParser:
             ["estimate", "--rates", "0.1"],
             ["openloop", "--rate", "0.1", "--faults", "links:1"],
             ["sweep", "--rates", "0.1", "--axis", "faults=links:1"],
+            ["openloop", "--rate", "0.1", "--classes", "2"],
+            ["openloop", "--rate", "0.1", "--arbitration", "weighted"],
+            ["sweep", "--rates", "0.1", "--axis", "classes=2"],
         ):
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args(argv)
@@ -571,11 +566,12 @@ class TestParser:
 
     def test_network_flags_build_the_config_they_name(self):
         args = build_parser().parse_args(
-            ["openloop", "--rate", "0.1", "-q", "2", "--tr", "3", "--classes", "2",
-             "--backend", "vectorized", "--seed", "9"]
+            ["openloop", "--rate", "0.1", "-q", "2", "--tr", "3", "--arbitration",
+             "priority", "--backend", "vectorized", "--seed", "9"]
         )
         assert _network_config(args) == NetworkConfig(
-            vc_buffer_size=2, router_delay=3, classes="2", backend="vectorized", seed=9
+            vc_buffer_size=2, router_delay=3, arbitration="priority", backend="vectorized",
+            seed=9,
         )
 
 

@@ -50,7 +50,7 @@ class TestNetworkConfigDefaults:
                 "topology": st.sampled_from(["mesh", "torus"]),
                 "k": st.integers(2, 8),
                 "num_vcs": st.integers(2, 4),
-                "classes": st.sampled_from([None, 3, "hi:priority=1+lo:share=0.5"]),
+                "arbitration": st.sampled_from(["round_robin", "priority"]),
                 "seed": st.integers(0, 2**64 - 1),
             }
         ),
@@ -124,6 +124,14 @@ class TestNetworkConfigValidation:
         # The simulated networks are healthy; there is no fault model.
         with pytest.raises(TypeError):
             NetworkConfig(faults=None)
+
+    def test_has_no_classes_field(self):
+        # Traffic classes are the fixed user/OS pair of repro.network.packet,
+        # not a configured registry.
+        with pytest.raises(TypeError):
+            NetworkConfig(classes=None)
+        assert "weighted" not in FIELD_CHOICES["arbitration"]
+        assert len(dataclasses.fields(NetworkConfig)) == 17
 
     @pytest.mark.parametrize(
         "name",

@@ -9,7 +9,7 @@ from repro import rng as rng_mod
 from repro.config import CmpConfig
 from repro.execdriven import (
     BENCHMARKS,
-    KERNEL,
+    OS,
     USER,
     AddressSpace,
     CmpSystem,
@@ -116,9 +116,9 @@ class TestHomeTile:
         tile = HomeTile(0, l2_lines=64, l2_assoc=8, l2_latency=10, memory_latency=300)
         tile.service(1, traffic_class=USER)   # miss
         tile.service(1, traffic_class=USER)   # hit
-        tile.service(2, traffic_class=KERNEL)  # miss
+        tile.service(2, traffic_class=OS)  # miss
         assert tile.miss_rate(USER) == pytest.approx(0.5)
-        assert tile.miss_rate(KERNEL) == 1.0
+        assert tile.miss_rate(OS) == 1.0
         assert tile.miss_rate() == pytest.approx(2 / 3)
 
     def test_interleave_indexing_spreads_sets(self):
@@ -139,12 +139,12 @@ class TestBenchmarkSpecs:
             spec = factory(5000)
             assert spec.name == name
             assert spec.total_instructions() > 5000  # bursts add to main
-            assert spec.timer_handler.traffic_class == KERNEL
+            assert spec.timer_handler.traffic_class == OS
 
     def test_phase_structure_kernel_user_kernel(self):
         spec = lu(5000)
         classes = [p.traffic_class for p in spec.phases]
-        assert classes == [KERNEL, USER, KERNEL]
+        assert classes == [OS, USER, OS]
 
     def test_scaled_preserves_rates(self):
         spec = fft(10000)
@@ -215,7 +215,7 @@ class TestCmpSystem:
     def test_kernel_and_user_traffic_present(self):
         res = self._small(lu(1500)).run()
         assert res.flits_by_class[USER] > 0
-        assert res.flits_by_class[KERNEL] > 0
+        assert res.flits_by_class[OS] > 0
         assert 0 < res.kernel_fraction < 1
 
     def test_timer_interrupts_fire_and_add_traffic(self):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro import rng as rng_mod
 from repro.execdriven import (
-    KERNEL,
+    OS,
     USER,
     AddressSpace,
     BenchmarkSpec,
@@ -28,7 +28,7 @@ def make_core(
         name="t",
         phases=tuple(phases),
         timer_handler=timer
-        or PhaseSpec("timer", 10, 0.5, 0.3, 0.0, traffic_class=KERNEL),
+        or PhaseSpec("timer", 10, 0.5, 0.3, 0.0, traffic_class=OS),
         blocking_fraction=blocking,
     )
     # hot pool sized to fit the 16-line test L1, so "hot" accesses hit
@@ -129,14 +129,14 @@ class TestInterrupts:
     def test_interrupt_preempts_and_resumes(self):
         core, sent = make_core(
             [PhaseSpec("u", 100, 0.0001, 0.0, 0.0)],
-            timer=PhaseSpec("k", 20, 1.0, 1.0, 0.0, traffic_class=KERNEL),
+            timer=PhaseSpec("k", 20, 1.0, 1.0, 0.0, traffic_class=OS),
             mshrs=100,
         )
         assert core.interrupt(core.spec.timer_handler)
         run_core(core, 1000)
         assert core.done
         assert core.instructions_retired == 120
-        assert any(cls == KERNEL for _, _, cls in sent)
+        assert any(cls == OS for _, _, cls in sent)
 
     def test_no_nested_interrupts(self):
         core, _ = make_core([PhaseSpec("u", 1000, 0.0001, 0.0, 0.0)])
@@ -155,9 +155,9 @@ class TestPhaseTransitions:
         requests = []
         core, _ = make_core(
             [
-                PhaseSpec("k1", 20, 1.0, 1.0, 0.0, traffic_class=KERNEL),
+                PhaseSpec("k1", 20, 1.0, 1.0, 0.0, traffic_class=OS),
                 PhaseSpec("u", 20, 1.0, 1.0, 0.0, traffic_class=USER),
-                PhaseSpec("k2", 20, 1.0, 1.0, 0.0, traffic_class=KERNEL),
+                PhaseSpec("k2", 20, 1.0, 1.0, 0.0, traffic_class=OS),
             ],
             mshrs=100,
             requests=requests,
@@ -168,8 +168,8 @@ class TestPhaseTransitions:
         # kernel first, then user, then kernel again
         first_user = classes.index(USER)
         last_user = len(classes) - 1 - classes[::-1].index(USER)
-        assert all(c == KERNEL for c in classes[:first_user])
-        assert all(c == KERNEL for c in classes[last_user + 1 :])
+        assert all(c == OS for c in classes[:first_user])
+        assert all(c == OS for c in classes[last_user + 1 :])
 
     def test_empty_phase_skipped(self):
         core, _ = make_core(

@@ -17,6 +17,7 @@ import pytest
 from repro.config import NetworkConfig
 from repro.core.openloop import OpenLoopSimulator
 from repro.network.network import Network
+from repro.network.packet import OS, USER
 from repro.traffic.process import Bernoulli, InjectionProcess
 
 
@@ -98,7 +99,6 @@ def _drive(cfg: NetworkConfig, *, force_awake: bool) -> dict:
     net = Network(cfg)
     gen = np.random.default_rng(cfg.seed)
     n = net.num_nodes
-    num_classes = len(cfg.classes)
     packets = []
     for cycle in range(1500):
         if cycle < 120:
@@ -108,7 +108,7 @@ def _drive(cfg: NetworkConfig, *, force_awake: bool) -> dict:
                     src,
                     dst,
                     int(gen.integers(1, 5)),
-                    traffic_class=int(gen.integers(0, num_classes)),
+                    traffic_class=int(gen.integers(USER, OS + 1)),
                 )
                 packets.append(pkt)
                 net.offer(pkt)
@@ -139,13 +139,11 @@ def _drive(cfg: NetworkConfig, *, force_awake: bool) -> dict:
 class TestReadyCycleGating:
     """Skipping routers with ``wake > now`` must not change a single event."""
 
-    @pytest.mark.parametrize("arbitration", ["round_robin", "age", "priority", "weighted"])
+    @pytest.mark.parametrize("arbitration", ["round_robin", "age", "priority"])
     def test_forced_awake_runs_are_identical(self, arbitration):
-        classes = "user+os:priority=1:weight=3" if arbitration in ("priority", "weighted") else None
         for router_delay in (1, 2, 4):
             for credit_delay in (0, 1, 2):
                 for num_vcs in (2, 8):
-                    kw = dict(classes=classes) if classes else {}
                     cfg = NetworkConfig(
                         k=4,
                         n=2,
@@ -155,7 +153,6 @@ class TestReadyCycleGating:
                         num_vcs=num_vcs,
                         vc_buffer_size=2,
                         arbitration=arbitration,
-                        **kw,
                     )
                     gated = _drive(cfg, force_awake=False)
                     forced = _drive(cfg, force_awake=True)

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.network.arbiters import AgeArbiter, RoundRobinArbiter, build_arbiter
+from repro.network.arbiters import (
+    AgeArbiter,
+    RoundRobinArbiter,
+    StrictPriorityArbiter,
+    build_arbiter,
+)
 from repro.network.links import TimeBuckets
 from repro.network.packet import Packet
 from repro.network.vc import InputVC
@@ -88,8 +93,9 @@ class TestBuildArbiter:
     def test_names(self):
         assert isinstance(build_arbiter("round_robin", 4), RoundRobinArbiter)
         assert isinstance(build_arbiter("age", 4), AgeArbiter)
+        assert isinstance(build_arbiter("priority", 4), StrictPriorityArbiter)
         with pytest.raises(ValueError):
-            build_arbiter("priority", 4)
+            build_arbiter("weighted", 4)
 
 
 class TestTimeBuckets:

@@ -110,7 +110,9 @@ class TestMeasurementWindow:
         from repro.core.engine import Workload
         from repro.core.openloop import _OpenLoopWorkload
 
-        assert isinstance(_OpenLoopWorkload([], warmup=0, measure=1), Workload)
+        assert isinstance(
+            _OpenLoopWorkload(None, None, None, None, warmup=0, measure=1), Workload
+        )
 
     @pytest.mark.parametrize("warmup", [0, W])
     def test_tagged_packets_are_those_created_in_the_window(self, mesh4, warmup):
@@ -243,9 +245,9 @@ class TestWindowEdgeDecision:
         [
             (dict(), 0.9),  # saturated: tagged packets left in flight
             (dict(), 0.05),  # light: most of the window already delivered
-            (dict(topology="torus", classes="a:share=0.7+b:share=0.3"), 0.8),
+            (dict(topology="torus"), 0.8),
         ],
-        ids=["mesh-0.9", "mesh-0.05", "torus-2class-0.8"],
+        ids=["mesh-0.9", "mesh-0.05", "torus-0.8"],
     )
     def test_cut_run_equals_drain_limit_zero_run(self, mesh4, kw, rate):
         cfg = mesh4.with_(seed=5, **kw)

@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro.__main__ import _openloop_runner
 from repro.analysis.io import read_jsonl, record_digest
-from repro.classes import TrafficClass
 from repro.config import NetworkConfig
 from repro.core.cache import (
     ResultCache,
@@ -68,7 +67,6 @@ class TestFingerprints:
         assert "core/engine.py" in digests
         assert "network/router.py" in digests
         # modules that compute or shape record fields outside the simulator
-        assert "classes.py" in digests
         assert "analysis/stats.py" in digests
         # CLI wiring and transport cannot change a record: deliberately unsalted
         assert "__main__.py" not in digests
@@ -225,14 +223,6 @@ class TestFingerprints:
         assert base != point_key({"k": 4}, {"rate": 0.1}, {"runner": "m:g"}, salt="s")
 
 
-#: One class registry, spelled four ways (``parse_classes`` normalises them).
-CLASS_SPELLINGS = (
-    "hi:priority=1,lo:share=0.5",
-    "hi:priority=1+lo:share=0.5",
-    (TrafficClass("hi", priority=1), TrafficClass("lo", share=0.5)),
-    [{"name": "hi", "priority": 1}, {"name": "lo", "share": 0.5}],
-)
-
 _SCALARS = st.one_of(
     st.integers(0, 2**64 - 1), st.floats(0, 1), st.text("abc", max_size=3), st.none()
 )
@@ -276,22 +266,20 @@ class TestPointKeyProperty:
                 "seed": st.integers(0, 2**64 - 1),
             }
         ),
-        spellings=st.tuples(st.sampled_from(CLASS_SPELLINGS), st.sampled_from(CLASS_SPELLINGS)),
         kwargs=_KWARGS,
         bindings=st.dictionaries(st.sampled_from(["warmup", "measure"]), st.integers(0, 500)),
         data=st.data(),
     )
     @settings(max_examples=150, deadline=None)
     def test_key_ignores_spelling_and_separates_points(
-        self, fields, spellings, kwargs, bindings, data
+        self, fields, kwargs, bindings, data
     ):
-        config = asdict(NetworkConfig(**fields, classes=spellings[0]))
+        config = asdict(NetworkConfig(**fields))
         spec = runner_spec(functools.partial(_openloop_runner, **bindings))
         key = point_key(config, kwargs, spec, salt="s")
         assert len(key) == 64
         # Same point, spelled differently: same key.
-        respelled = asdict(NetworkConfig(**fields, classes=spellings[1]))
-        assert key == point_key(_respell(respelled), _respell(kwargs), _respell(spec), salt="s")
+        assert key == point_key(_respell(config), _respell(kwargs), _respell(spec), salt="s")
         # ... and the key of the entry as it reads back from a store line.
         on_disk = json.loads(json.dumps({"config": config, "kwargs": kwargs}))
         assert key == point_key(on_disk["config"], on_disk["kwargs"], spec, salt="s")
@@ -309,13 +297,13 @@ class TestPointKeyProperty:
 def test_point_key_of_pinned_inputs_is_stable():
     """A key's bytes are part of the on-disk format: the same inputs under
     the same salt key to this literal in every version that keeps the
-    format (numpy and native values, tuples, ``classes`` spelling)."""
-    config = asdict(NetworkConfig(k=4, n=2, seed=2**63 + 5, classes="user:share=3+os:priority=1"))
+    format (numpy and native values, tuples)."""
+    config = asdict(NetworkConfig(k=4, n=2, seed=2**63 + 5, arbitration="priority"))
     kwargs = {"rate": np.float64(0.25), "window": (10, np.int32(20)), "mode": "fast"}
     spec = {"partial_of": {"runner": "m:f", "code_crc": 7}, "args": [], "kwargs": {"warmup": 100}}
     assert (
         point_key(config, kwargs, spec, salt="pinned")
-        == "8ed67698f7b242f7a772640cfc087486db1e6e760e1bbcc285c956cba4a58cdd"
+        == "070756dbfc1f53d48902a827f041cae9654a3d4022f2509eb13f6f5db34d0315"
     )
 
 
@@ -916,10 +904,14 @@ class TestVerify:
         cdir = tmp_path / "cache"
         grid_sweep(cache=cdir)
         cache = ResultCache(cdir)
-        stale, invalid = (dict(e) for e in cache.entries()[:2])
+        stale, retired, invalid = (dict(e) for e in cache.entries()[:3])
         stale["config"] = {**stale["config"], "no_such_field": None}
+        # what a store written while NetworkConfig had a class registry holds
+        retired["config"] = {**retired["config"], "classes": [
+            {"name": "default", "priority": 0, "weight": 1, "share": 1.0, "pattern": None}
+        ]}
         invalid["config"] = {**invalid["config"], "k": 1}
-        for entry in (stale, invalid):
+        for entry in (stale, retired, invalid):
             meta = {k: v for k, v in entry.items() if k not in ("key", "record")}
             cache.put(entry["key"], entry["record"], meta)
         results = {
@@ -927,6 +919,8 @@ class TestVerify:
         }
         assert results[stale["key"]].status == "skipped"
         assert "no_such_field" in results[stale["key"]].detail
+        assert results[retired["key"]].status == "skipped"
+        assert "classes" in results[retired["key"]].detail
         # a config that constructs but fails validation still reads as a mismatch
         assert results[invalid["key"]].status == "mismatch"
         assert "ValueError" in results[invalid["key"]].detail

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from repro.config import NetworkConfig
-from repro.network import Network
+from repro.network import Network, build_arbiter
+from repro.network.packet import OS, USER
 
 
 def drain(net, limit=20000):
@@ -110,6 +111,29 @@ class TestAgeArbitrationEffect:
             tails[arb] = float(np.percentile(lat, 99))
         # age-based arbitration should not have a *worse* tail
         assert tails["age"] <= tails["round_robin"] * 1.1
+
+
+class _Pkt:
+    def __init__(self, pid, traffic_class, create_time):
+        self.pid = pid
+        self.traffic_class = traffic_class
+        self.create_time = create_time
+
+
+class TestStrictPriority:
+    """``arbitration="priority"``: the OS class outranks the user class."""
+
+    def test_os_beats_user(self):
+        arb = build_arbiter("priority", 8)
+        reqs = [(0, _Pkt(1, USER, create_time=0)), (3, _Pkt(2, OS, create_time=9))]
+        # the younger packet wins because its class outranks
+        assert arb.pick(reqs) == reqs[1]
+
+    def test_equal_class_breaks_ties_by_age(self):
+        arb = build_arbiter("priority", 8)
+        for cls in (USER, OS):
+            reqs = [(0, _Pkt(2, cls, create_time=5)), (3, _Pkt(1, cls, create_time=2))]
+            assert arb.pick(reqs) == reqs[1]
 
 
 class TestBimodalTraffic:

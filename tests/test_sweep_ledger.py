@@ -318,12 +318,11 @@ def test_config_dict_is_asdict():
     for cfg in (
         BASE,
         NetworkConfig(topology="torus", k=4, seed=2**63 + 5),
-        NetworkConfig(classes="hi:priority=1:weight=4+lo:share=0.5:pattern=transpose"),
-        NetworkConfig(classes=3, arbitration="weighted", packet_size="bimodal"),
+        NetworkConfig(arbitration="priority", packet_size="bimodal"),
     ):
         flat = parallel._config_dict(cfg)
         assert flat == asdict(cfg) and list(flat) == list(asdict(cfg))
-        assert type(flat["classes"]) is tuple and NetworkConfig(**flat) == cfg
+        assert NetworkConfig(**flat) == cfg
 
 
 def test_journal_and_store_line_formats_are_pinned(tmp_path, monkeypatch):
@@ -334,7 +333,7 @@ def test_journal_and_store_line_formats_are_pinned(tmp_path, monkeypatch):
     base = NetworkConfig(k=4, n=2, seed=11)
     points = parallel.enumerate_points(
         base,
-        {"router_delay": (2,), "classes": ("hi:priority=1+lo",)},
+        {"router_delay": (2,), "arbitration": ("priority",)},
         {"rate": (0.25,), "window": ((10, 20),)},
     )
     ledger = parallel.SweepLedger(points, journal=tmp_path / "j.jsonl")
@@ -342,7 +341,7 @@ def test_journal_and_store_line_formats_are_pinned(tmp_path, monkeypatch):
     store = ResultCache(tmp_path / "c")
     spec = {"partial_of": {"runner": "m:f", "code_crc": 7}, "args": [], "kwargs": {"warmup": 5}}
     ledger.prefill(store, base, spec, "sweep")
-    coords = '"router_delay": 2, "classes": "hi:priority=1+lo", "rate": 0.25, "window": [10, 20]'
+    coords = '"router_delay": 2, "arbitration": "priority", "rate": 0.25, "window": [10, 20]'
     record = '{%s, "latency": 12.5, "hist": [1, 2], "wall_seconds": 0.001}' % coords
     ledger.emit(0, {**points[0].coords, "latency": 12.5, "hist": (1, 2), "wall_seconds": 0.001})
     ledger.records()
@@ -352,16 +351,13 @@ def test_journal_and_store_line_formats_are_pinned(tmp_path, monkeypatch):
     assert store.store_path.read_text() == (
         '{"context": "sweep", "runner_spec": {"runner": "m:f"}, "runner_kwargs": {"warmup": 5}, '
         '"config": {"topology": "mesh", "k": 4, "n": 2, "num_vcs": 2, "vc_buffer_size": 4, '
-        '"router_delay": 2, "routing": "dor", "arbitration": "round_robin", "link_delay": 1, '
+        '"router_delay": 2, "routing": "dor", "arbitration": "priority", "link_delay": 1, '
         '"packet_size": "single", "bimodal_long_fraction": 0.5, "bimodal_long_size": 4, '
         '"traffic": "uniform_random", "credit_delay": 1, "backend": "object", '
-        '"dateline": "balanced", "classes": ['
-        '{"name": "hi", "priority": 1, "weight": 1, "share": 1.0, "pattern": null}, '
-        '{"name": "lo", "priority": 0, "weight": 1, "share": 1.0, "pattern": null}], '
-        '"seed": 11003407096160671076}, '
+        '"dateline": "balanced", "seed": 842802817181419054}, '
         '"kwargs": {"rate": 0.25, "window": [10, 20]}, '
-        '"coords": ["classes", "rate", "router_delay", "window"], '
-        '"key": "1174de68d7614e21d4c4ffe688926ff2ed672ff4df198c6e9c381e7f6b80c9da", '
+        '"coords": ["arbitration", "rate", "router_delay", "window"], '
+        '"key": "8d7f5edadaea14b3a4deba77c40377503d53852e95931a2fa78ec01fcfa13e64", '
         '"record": %s}\n' % record
     )
-    assert store.stats.bytes_written == 949 == store.total_bytes
+    assert store.stats.bytes_written == 781 == store.total_bytes
