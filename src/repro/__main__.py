@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any
 from . import __version__
 from .analysis import format_records, format_table, probe_heatmap
 from .config import FIELD_CHOICES, CmpConfig, NetworkConfig
-from .core.resilience import InvariantChecker, SimulationStalled, Watchdog
+from .core.resilience import SimulationStalled, Watchdog
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core.engine import Observer
@@ -92,16 +92,12 @@ def _add_observer_args(p: argparse.ArgumentParser) -> None:
         help="stall watchdog window: abort with a diagnosis after this many "
         "cycles without forward progress",
     )
-    p.add_argument(
-        "--check-invariants",
-        action="store_true",
-        help="assert flit/credit conservation periodically (slow; debugging)",
-    )
 
 
 def _observers(args) -> tuple[Observer, ...]:
-    """The engine observers ``--probes``, ``--watchdog`` and
-    ``--check-invariants`` ask for, in that order."""
+    """The engine observers ``--probes`` and ``--watchdog`` ask for, in
+    that order.  ``REPRO_CHECK_INVARIANTS=1`` adds the invariant checker
+    in the engine, for the CLI as for every other caller."""
     observers: list[Observer] = []
     if args.probes:
         from .core.probes import ProbeSet, build_probes
@@ -111,8 +107,6 @@ def _observers(args) -> tuple[Observer, ...]:
         )
     if args.watchdog is not None:
         observers.append(Watchdog(window=args.watchdog))
-    if args.check_invariants:
-        observers.append(InvariantChecker())
     return tuple(observers)
 
 
@@ -216,7 +210,8 @@ def _parse_axis(spec: str) -> tuple[str, tuple]:
 
     Each value is typed by the NetworkConfig field it sets, so ``1`` and
     ``1.0`` are one coordinate of a float field, and ``2.5`` for an
-    integer field is a parse error rather than a truncated config.
+    integer field is a parse error rather than a truncated config.  A
+    categorical field's values must be among its ``FIELD_CHOICES``.
     """
     name, sep, values = spec.partition("=")
     if not sep or not name or not values:
@@ -228,11 +223,18 @@ def _parse_axis(spec: str) -> tuple[str, tuple]:
         raise argparse.ArgumentTypeError(f"unknown config field {name!r} in {spec!r}")
     parse = type(_FIELDS[name].default)
     try:
-        return name, tuple(parse(v) for v in values.split(","))
+        parsed = tuple(parse(v) for v in values.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{name} takes {parse.__name__} values, got {values!r}"
         ) from None
+    choices = FIELD_CHOICES.get(name)
+    unknown = [value for value in parsed if choices is not None and value not in choices]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown {name} {unknown[0]!r} in {spec!r}; pick from {', '.join(choices)}"
+        )
+    return name, parsed
 
 
 #: The flags of the commands that run sweep points (sweep, explore,

@@ -1,4 +1,4 @@
-"""Reporting helpers: text tables, ASCII plots, statistics, persistence."""
+"""Reporting helpers: text tables, ASCII plots, Pareto fronts, persistence."""
 
 from .. import _lazy
 
@@ -11,15 +11,8 @@ _EXPORTS = {
     "ascii_scatter": ".ascii_plot",
     "ascii_heatmap": ".ascii_plot",
     "probe_heatmap": ".ascii_plot",
-    "ConfidenceInterval": ".stats",
-    "confidence_interval": ".stats",
-    "batch_means": ".stats",
-    "warmup_cutoff": ".stats",
-    "index_of_dispersion": ".stats",
     "records_to_csv": ".io",
-    "records_from_csv": ".io",
     "save_records": ".io",
-    "load_records": ".io",
     "append_jsonl": ".io",
     "read_jsonl": ".io",
     "dominates": ".pareto",

@@ -1,7 +1,7 @@
 """Sweep-record persistence (CSV, JSON, and JSON-lines journals).
 
 :func:`repro.core.parallel.run_sweep` returns flat dict records; these helpers
-round-trip them to disk so long sweeps can be analysed offline or resumed.
+write them to disk so long sweeps can be analysed offline or resumed.
 CSV is for spreadsheets (scalar fields only); JSON preserves types.  The
 JSON-lines helpers back the parallel executor's checkpoint journal
 (:mod:`repro.core.parallel`): one record per line, appended as each sweep
@@ -22,41 +22,13 @@ from typing import Any, Iterable, Mapping, Sequence
 __all__ = [
     "json_default",
     "records_to_csv",
-    "records_from_csv",
     "save_records",
-    "load_records",
     "append_jsonl",
     "JsonlAppender",
     "read_jsonl",
     "canonical_json",
     "record_digest",
 ]
-
-
-def _coerce(value: str) -> Any:
-    """Best-effort CSV cell typing: bool, int, float (inf/nan included), str.
-
-    The bool check runs *before* the numeric attempts so no numeric parser
-    can ever shadow ``"True"``/``"False"``; ``float`` runs last and accepts
-    the ``"nan"``/``"inf"``/``"-inf"`` spellings the CSV writer emits for
-    non-finite floats, so those cells round-trip as floats rather than
-    strings.
-    """
-    if value == "":
-        return ""
-    if value == "True":
-        return True
-    if value == "False":
-        return False
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        pass
-    return value
 
 
 def json_default(obj: Any) -> Any:
@@ -113,12 +85,6 @@ def records_to_csv(records: Sequence[Mapping[str, Any]]) -> str:
     return buf.getvalue()
 
 
-def records_from_csv(text: str) -> list[dict[str, Any]]:
-    """Parse CSV text back into typed records."""
-    reader = csv.DictReader(io.StringIO(text))
-    return [{k: _coerce(v) for k, v in row.items()} for row in reader]
-
-
 def save_records(records: Sequence[Mapping[str, Any]], path) -> None:
     """Write records to ``path``; format chosen by suffix (.csv or .json)."""
     path = pathlib.Path(path)
@@ -128,16 +94,6 @@ def save_records(records: Sequence[Mapping[str, Any]], path) -> None:
         path.write_text(json.dumps(list(records), indent=2, default=str))
     else:
         raise ValueError(f"unsupported suffix {path.suffix!r} (use .csv or .json)")
-
-
-def load_records(path) -> list[dict[str, Any]]:
-    """Read records written by :func:`save_records`."""
-    path = pathlib.Path(path)
-    if path.suffix == ".csv":
-        return records_from_csv(path.read_text())
-    if path.suffix == ".json":
-        return json.loads(path.read_text())
-    raise ValueError(f"unsupported suffix {path.suffix!r} (use .csv or .json)")
 
 
 def append_jsonl(record: Mapping[str, Any] | Iterable[Mapping[str, Any]], path) -> None:

@@ -35,15 +35,7 @@ FIELD_CHOICES: dict[str, tuple[str, ...]] = {
     "topology": ("mesh", "torus", "ring"),
     "routing": ("dor", "val", "ma", "romm"),
     "arbitration": ("round_robin", "age", "priority"),
-    "traffic": (
-        "uniform_random",
-        "bit_reversal",
-        "bit_complement",
-        "transpose",
-        "neighbor",
-        "tornado",
-        "hotspot",
-    ),
+    "traffic": ("uniform_random", "bit_reversal", "bit_complement", "transpose"),
     "packet_size": ("single", "bimodal"),
     "backend": ("object", "vectorized"),
     "dateline": ("balanced", "strict"),

@@ -89,10 +89,10 @@ CACHE_SALT_ENV = "REPRO_CACHE_SALT"
 #: driver imports on its way to a record (tests/test_result_cache.py runs
 #: one open-loop and one batch point and fails if a ``repro`` module they
 #: pulled in is missing here).  ``analysis`` is salted whole —
-#: ``analysis.stats`` computes record fields, ``analysis.io`` the
-#: JSON encoding behind every key, and a driver may reach any of it through
-#: the package's lazy names.  ``__main__`` and ``service`` are absent: CLI
-#: wiring and transport cannot change a simulation record.
+#: ``analysis.io`` holds the JSON encoding behind every key, and a driver
+#: may reach any of it through the package's lazy names.  ``__main__`` and
+#: ``service`` are absent: CLI wiring and transport cannot change a
+#: simulation record.
 _HOT_PATHS = (
     "__init__.py",
     "_lazy.py",
@@ -532,7 +532,8 @@ def rerun_entry(entry: Mapping[str, Any]) -> VerifyResult:
     kwargs, the runner's dotted name); an entry without it, or whose runner
     does not import here (the figure suite's ``exhibits:run_point`` needs
     ``benchmarks/`` on ``PYTHONPATH``), or whose config names a field
-    :class:`NetworkConfig` no longer has, is reported ``skipped``.
+    :class:`NetworkConfig` no longer has or a value it no longer accepts,
+    is reported ``skipped``.
     The diff covers every runner-output field; ``wall_seconds`` is excluded
     because timing is the one field determinism does not promise.
     """
@@ -550,13 +551,16 @@ def rerun_entry(entry: Mapping[str, Any]) -> VerifyResult:
             key, "skipped", f"config field(s) {', '.join(unknown)} unknown to NetworkConfig"
         )
     try:
+        cfg = NetworkConfig(**config)
+    except ValueError as exc:
+        return VerifyResult(key, "skipped", f"config refused by NetworkConfig: {exc}")
+    try:
         runner = _import_runner(dotted)
     except (ImportError, AttributeError) as exc:
         return VerifyResult(key, "skipped", f"runner {dotted!r} not importable: {exc}")
     kwargs = dict(entry.get("kwargs") or {})
     runner_kwargs = dict(entry.get("runner_kwargs") or {})
     try:
-        cfg = NetworkConfig(**config)
         fresh = runner(cfg, **runner_kwargs, **kwargs)
     except Exception as exc:
         return VerifyResult(key, "mismatch", f"re-run raised {type(exc).__name__}: {exc}")

@@ -1,7 +1,5 @@
 """Per-node views of raw run data: the paper's Fig. 11 node distributions
 and Fig. 7 spatial runtime map.
-
-The latency summary statistics live in :mod:`repro.analysis.stats`.
 """
 
 from __future__ import annotations

@@ -17,8 +17,6 @@ any other driver can record by passing an instrumented network factory
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -93,28 +91,6 @@ class Trace:
         if not self.records or self.duration == 0:
             return 0.0
         return self.total_flits / (self.duration * self.num_nodes)
-
-    # -- persistence -----------------------------------------------------------
-    def to_csv(self) -> str:
-        """Serialize as CSV text (time,src,dst,size)."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["time", "src", "dst", "size"])
-        for r in self.records:
-            writer.writerow([r.time, r.src, r.dst, r.size])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, *, num_nodes: int) -> "Trace":
-        """Parse a trace serialized by :meth:`to_csv`."""
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header != ["time", "src", "dst", "size"]:
-            raise ValueError("not a trace CSV (bad header)")
-        records = [
-            TraceRecord(int(t), int(s), int(d), int(z)) for t, s, d, z in reader
-        ]
-        return cls(records, num_nodes=num_nodes)
 
 
 class _RecordingNetwork(Network):

@@ -109,19 +109,6 @@ class Packet:
             raise ValueError(f"packet {self.pid} not delivered yet")
         return self.deliver_time - self.create_time
 
-    @property
-    def network_latency(self) -> int:
-        """Injection-to-delivery latency (excludes source-queue time)."""
-        if self.deliver_time < 0 or self.inject_time < 0:
-            raise ValueError(f"packet {self.pid} not delivered yet")
-        return self.deliver_time - self.inject_time
-
-    def current_target(self) -> int:
-        """Routing target for the current phase (intermediate, then dst)."""
-        if self.phase == 0 and self.intermediate is not None:
-            return self.intermediate
-        return self.dst
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Packet(#{self.pid} {self.src}->{self.dst} size={self.size}"

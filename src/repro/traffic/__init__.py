@@ -3,10 +3,7 @@
 from .patterns import (
     BitComplement,
     BitReversal,
-    HotSpot,
-    Neighbor,
     PermutationPattern,
-    Tornado,
     TrafficPattern,
     Transpose,
     UniformRandom,
@@ -22,9 +19,6 @@ __all__ = [
     "Transpose",
     "BitComplement",
     "BitReversal",
-    "Neighbor",
-    "Tornado",
-    "HotSpot",
     "InjectionProcess",
     "Bernoulli",
     "MarkovOnOff",

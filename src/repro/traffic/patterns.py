@@ -24,9 +24,6 @@ __all__ = [
     "Transpose",
     "BitComplement",
     "BitReversal",
-    "Neighbor",
-    "Tornado",
-    "HotSpot",
     "PermutationPattern",
 ]
 
@@ -44,10 +41,6 @@ class TrafficPattern(ABC):
     @abstractmethod
     def dest(self, src: int, rng: np.random.Generator) -> int:
         """Destination of the next packet from ``src``."""
-
-    def is_permutation(self) -> bool:
-        """True if the pattern is a fixed function of the source."""
-        return False
 
 
 class UniformRandom(TrafficPattern):
@@ -84,9 +77,6 @@ class PermutationPattern(TrafficPattern):
 
     def dest(self, src: int, rng: np.random.Generator) -> int:
         return int(self.table[src])
-
-    def is_permutation(self) -> bool:
-        return True
 
 
 def _require_power_of_two(num_nodes: int, name: str) -> int:
@@ -142,52 +132,3 @@ class BitReversal(PermutationPattern):
                 out |= 1 << (self.bits - 1 - b)
         return out
 
-
-class Neighbor(PermutationPattern):
-    """Destination is (src + 1) mod N: maximal locality reference pattern."""
-
-    name = "neighbor"
-
-    def _map(self, src: int) -> int:
-        return (src + 1) % self.num_nodes
-
-
-class Tornado(PermutationPattern):
-    """Destination is (src + ceil(N/2) - 1) mod N: adversarial for rings/tori."""
-
-    name = "tornado"
-
-    def _map(self, src: int) -> int:
-        return (src + (self.num_nodes + 1) // 2 - 1) % self.num_nodes
-
-
-class HotSpot(TrafficPattern):
-    """Uniform random with a fraction of traffic aimed at hotspot nodes.
-
-    Models shared-structure contention (locks, directories, memory
-    controllers): with probability ``fraction`` a packet targets one of the
-    ``hotspots``; otherwise it draws uniformly among the other nodes.  Not
-    part of the paper's Table I, but a standard extension for stressing
-    ejection bandwidth and tree saturation.
-    """
-
-    name = "hotspot"
-
-    def __init__(self, num_nodes: int, hotspots=(0,), fraction: float = 0.2):
-        super().__init__(num_nodes)
-        hotspots = tuple(int(h) for h in hotspots)
-        if not hotspots:
-            raise ValueError("need at least one hotspot")
-        for h in hotspots:
-            if not 0 <= h < num_nodes:
-                raise ValueError(f"hotspot {h} out of range")
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        self.hotspots = hotspots
-        self.fraction = fraction
-        self._uniform = UniformRandom(num_nodes)
-
-    def dest(self, src: int, rng: np.random.Generator) -> int:
-        if rng.random() < self.fraction:
-            return self.hotspots[int(rng.integers(0, len(self.hotspots)))]
-        return self._uniform.dest(src, rng)

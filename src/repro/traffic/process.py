@@ -187,8 +187,3 @@ class MarkovOnOff(InjectionProcess):
         on ^= turning_on | turning_off
         emit = rng.random(self.num_nodes) < self.on_rate
         return np.nonzero(on & emit)[0]
-
-    @property
-    def p_on(self) -> float:
-        """Stationary probability of the ON state."""
-        return self.alpha / (self.alpha + self.beta)

@@ -6,9 +6,6 @@ from ..config import NetworkConfig
 from .patterns import (
     BitComplement,
     BitReversal,
-    HotSpot,
-    Neighbor,
-    Tornado,
     TrafficPattern,
     Transpose,
     UniformRandom,
@@ -22,9 +19,6 @@ _PATTERNS = {
     "transpose": Transpose,
     "bit_complement": BitComplement,
     "bit_reversal": BitReversal,
-    "neighbor": Neighbor,
-    "tornado": Tornado,
-    "hotspot": HotSpot,
 }
 
 

@@ -67,9 +67,7 @@ def draw_config(rng: random.Random) -> tuple[dict, float]:
     k = rng.choice((3, 4))
     # bit patterns need a power-of-two node count, transpose a square one:
     # k=4, n=2 (16 nodes) satisfies both.
-    traffic = rng.choice(
-        ("uniform_random", "uniform_random", "neighbor", "tornado") + _BIT_PATTERNS
-    )
+    traffic = rng.choice(("uniform_random", "uniform_random") + _BIT_PATTERNS)
     if traffic in _BIT_PATTERNS and k != 4:
         traffic = "uniform_random"
     kw = dict(

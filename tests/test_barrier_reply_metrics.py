@@ -21,24 +21,12 @@ class TestBarrier:
         res = BarrierSimulator(mesh4, batch_size=30).run()
         assert res.completed
         assert res.runtime > 0
-        assert res.round_times.shape == (1,)
 
     def test_throughput_near_saturation(self, mesh4):
         """§II-B2: the barrier model 'essentially measures the throughput
         of the network'."""
         res = BarrierSimulator(mesh4, batch_size=200).run()
         assert 0.3 < res.throughput < 0.7  # ~ open-loop saturation band
-
-    def test_multiple_rounds_monotonic(self, mesh4):
-        res = BarrierSimulator(mesh4, batch_size=25, rounds=3).run()
-        assert res.completed
-        assert list(res.round_times) == sorted(res.round_times)
-        assert res.normalized_runtime == res.runtime / 75
-
-    def test_rounds_scale_runtime(self, mesh4):
-        one = BarrierSimulator(mesh4, batch_size=40, rounds=1).run()
-        three = BarrierSimulator(mesh4, batch_size=40, rounds=3).run()
-        assert three.runtime == pytest.approx(3 * one.runtime, rel=0.2)
 
     def test_incomplete_flagged(self, mesh4):
         res = BarrierSimulator(mesh4, batch_size=100, max_cycles=50).run()
@@ -47,8 +35,6 @@ class TestBarrier:
     def test_validation(self, mesh4):
         with pytest.raises(ValueError):
             BarrierSimulator(mesh4, batch_size=0)
-        with pytest.raises(ValueError):
-            BarrierSimulator(mesh4, rounds=0)
 
 
 class TestReplyModels:

@@ -80,6 +80,7 @@ class TestParseAxis:
             ["sweep", "--rates", "0.1", "--axis", "k=8.0"],  # failed every point
             ["sweep", "--rates", "0.1", "--axis", "vc-buffer-size=2,2.5"],
             ["sweep", "--rates", "0.1", "--axis", "bogus=1"],
+            ["sweep", "--rates", "0.1", "--axis", "traffic=bogus"],  # failed every point
             ["submit", "localhost:1", "--rates", "0.1", "--axis", "k=8.0"],
             ["explore", "--quick", "--gene", "num-vcs=2,4.0"],
         ],
@@ -286,7 +287,7 @@ class TestLazyNamespaces:
 
 #: The CLI's option surface, pinned: per subcommand, each argument's option
 #: strings, dest, default, sorted choices, nargs, const, required and action
-#: class (help excluded) -- 160 options and 3 positionals over 11
+#: class (help excluded) -- 158 options and 3 positionals over 11
 #: subcommands.  The network and executor flags are generated from one
 #: declaration each; this says that generation adds and loses nothing.
 PARSER_SURFACE = {
@@ -299,7 +300,7 @@ PARSER_SURFACE = {
         (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
         (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
         (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin'), None, None, False, '_StoreAction'),
-        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
+        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
@@ -311,7 +312,6 @@ PARSER_SURFACE = {
         (('--probe-interval',), 'probe_interval', 100, None, None, None, False, '_StoreAction'),
         (('--probe-out',), 'probe_out', None, None, None, None, False, '_StoreAction'),
         (('--watchdog',), 'watchdog', None, None, None, None, False, '_StoreAction'),
-        (('--check-invariants',), 'check_invariants', False, None, 0, True, False, '_StoreTrueAction'),
     ],
     'sweep': [
         (('--topology',), 'topology', 'mesh', ('mesh', 'ring', 'torus'), None, None, False, '_StoreAction'),
@@ -322,7 +322,7 @@ PARSER_SURFACE = {
         (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
         (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
         (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin'), None, None, False, '_StoreAction'),
-        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
+        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
@@ -350,7 +350,7 @@ PARSER_SURFACE = {
         (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
         (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
         (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin'), None, None, False, '_StoreAction'),
-        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
+        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
@@ -379,7 +379,7 @@ PARSER_SURFACE = {
         (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
         (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
         (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin'), None, None, False, '_StoreAction'),
-        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
+        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
@@ -397,7 +397,7 @@ PARSER_SURFACE = {
         (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
         (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
         (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin'), None, None, False, '_StoreAction'),
-        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
+        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
@@ -410,7 +410,6 @@ PARSER_SURFACE = {
         (('--probe-interval',), 'probe_interval', 100, None, None, None, False, '_StoreAction'),
         (('--probe-out',), 'probe_out', None, None, None, None, False, '_StoreAction'),
         (('--watchdog',), 'watchdog', None, None, None, None, False, '_StoreAction'),
-        (('--check-invariants',), 'check_invariants', False, None, 0, True, False, '_StoreTrueAction'),
     ],
     'cmp': [
         (('--benchmark',), 'benchmark', 'blackscholes', ('barnes', 'blackscholes', 'canneal', 'fft', 'lu'), None, None, False, '_StoreAction'),
@@ -452,7 +451,7 @@ PARSER_SURFACE = {
         (('--router-delay', '--tr'), 'router_delay', 1, None, None, None, False, '_StoreAction'),
         (('--routing',), 'routing', 'dor', ('dor', 'ma', 'romm', 'val'), None, None, False, '_StoreAction'),
         (('--arbitration',), 'arbitration', 'round_robin', ('age', 'priority', 'round_robin'), None, None, False, '_StoreAction'),
-        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'hotspot', 'neighbor', 'tornado', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
+        (('--traffic',), 'traffic', 'uniform_random', ('bit_complement', 'bit_reversal', 'transpose', 'uniform_random'), None, None, False, '_StoreAction'),
         (('--packet-size',), 'packet_size', 'single', ('bimodal', 'single'), None, None, False, '_StoreAction'),
         (('--backend',), 'backend', 'object', ('object', 'vectorized'), None, None, False, '_StoreAction'),
         (('--seed',), 'seed', 1, None, None, None, False, '_StoreAction'),
@@ -529,6 +528,26 @@ class TestDocumentedSurface:
         verbs = set(re.findall(r"python -m repro ([a-z][\w-]*)", readme))
         assert verbs and verbs <= set(_parser_surface())
 
+    def test_census_names_every_public_name(self):
+        """DESIGN.md's census names each user-visible name with its first
+        consumer; a name with no row fails here when it is added."""
+        import importlib
+
+        from repro.config import FIELD_CHOICES
+        from repro.core.probes import PROBE_REGISTRY
+
+        design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
+        census = design.split("\n## 3. What the repo keeps\n", 1)[1].split("\n## ", 1)[0]
+        names = set(_parser_surface()) | set(PROBE_REGISTRY)
+        names |= {o for o in _option_strings(build_parser()) if o.startswith("--")} - {"--help"}
+        names |= {value for values in FIELD_CHOICES.values() for value in values}
+        for package in ("repro", "repro.core", "repro.analysis", "repro.traffic",
+                        "repro.network", "repro.routing", "repro.topology",
+                        "repro.execdriven", "repro.service"):
+            names |= set(importlib.import_module(package).__all__)
+        assert sorted(n for n in names if f"`{n}`" not in census) == []
+        assert "tests only" not in census.lower()
+
 
 class TestParser:
     def test_requires_command(self):
@@ -556,6 +575,10 @@ class TestParser:
             ["openloop", "--rate", "0.1", "--classes", "2"],
             ["openloop", "--rate", "0.1", "--arbitration", "weighted"],
             ["sweep", "--rates", "0.1", "--axis", "classes=2"],
+            ["sweep", "--rates", "0.1", "--axis", "traffic=tornado"],
+            ["sweep", "--rates", "0.1", "--axis", "arbitration=weighted"],
+            ["openloop", "--rate", "0.1", "--traffic", "hotspot"],
+            ["openloop", "--rate", "0.1", "--check-invariants"],
         ):
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args(argv)
@@ -739,15 +762,25 @@ def _repro_env():
 
 
 class TestRunHealthFlags:
-    def test_openloop_check_invariants(self, capsys):
+    def test_openloop_check_invariants(self, capsys, monkeypatch):
+        """``REPRO_CHECK_INVARIANTS=1`` is the one switch, for the CLI too."""
+        import repro.core.resilience as resilience
+
+        checks = []
+        real = resilience.InvariantChecker.check
+        monkeypatch.setattr(
+            resilience.InvariantChecker, "check",
+            lambda self, net: checks.append(net.now) or real(self, net),
+        )
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         rc = main(
             [
                 "openloop", "--k", "4", "--rate", "0.05",
-                "--warmup", "50", "--measure", "100", "--drain", "500",
-                "--check-invariants",
+                "--warmup", "50", "--measure", "300", "--drain", "500",
             ]
         )
         assert rc == 0
+        assert checks
 
     def test_barrier_watchdog_stops_a_deadlock(self, capsys, monkeypatch, deadlocking_network):
         """The barrier model takes the same observers as the batch model: a
@@ -810,9 +843,10 @@ class TestExploreCLI:
         assert "population must be >= 2" in capsys.readouterr().err
 
     def test_bad_gene_exits_2(self, capsys):
-        rc = main(["explore", "--quick", "--gene", "topology=hypercube"])
-        assert rc == 2
-        assert "explore error" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "--quick", "--gene", "topology=hypercube"])
+        assert exc.value.code == 2
+        assert "unknown topology 'hypercube'" in capsys.readouterr().err
 
     def test_bad_objectives_exit_2(self, capsys):
         rc = main(["explore", "--quick", "--objectives", "latency,power"])

@@ -1,4 +1,4 @@
-"""Tests for the extension features: hotspot traffic, strict dateline."""
+"""Tests for the strict-dateline extension."""
 
 from __future__ import annotations
 
@@ -10,56 +10,7 @@ from repro.config import NetworkConfig
 from repro.network import Network
 from repro.routing import DOR
 from repro.topology import Torus
-from repro.traffic import HotSpot, UniformRandom, build_pattern
-
-
-class TestHotSpot:
-    def test_fraction_of_traffic_hits_hotspot(self):
-        p = HotSpot(16, hotspots=(3,), fraction=0.3)
-        gen = rng_mod.make_generator(1, "h")
-        d = np.array([p.dest(0, gen) for _ in range(4000)])
-        share = (d == 3).mean()
-        assert share == pytest.approx(0.3 + 0.7 / 15, abs=0.04)
-
-    def test_multiple_hotspots(self):
-        p = HotSpot(16, hotspots=(1, 2), fraction=1.0)
-        gen = rng_mod.make_generator(1, "h")
-        d = {p.dest(0, gen) for _ in range(200)}
-        assert d == {1, 2}
-
-    def test_zero_fraction_is_uniform(self):
-        p = HotSpot(16, fraction=0.0)
-        u = UniformRandom(16)
-        gen1 = rng_mod.make_generator(1, "h")
-        # distribution check: all destinations except src appear
-        seen = {p.dest(5, gen1) for _ in range(600)}
-        assert 5 not in seen
-        assert len(seen) == 15
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HotSpot(16, hotspots=())
-        with pytest.raises(ValueError):
-            HotSpot(16, hotspots=(99,))
-        with pytest.raises(ValueError):
-            HotSpot(16, fraction=1.5)
-
-    def test_registry(self):
-        p = build_pattern(NetworkConfig(traffic="hotspot", k=4, n=2))
-        assert isinstance(p, HotSpot)
-
-    def test_hotspot_saturates_below_uniform(self):
-        """Hotspot traffic is ejection-limited at the hot node: capacity is
-        far below uniform random."""
-        from repro.core.openloop import OpenLoopSimulator
-
-        cfg = NetworkConfig(k=4, n=2, traffic="hotspot")
-        sim = OpenLoopSimulator(cfg, warmup=200, measure=400, drain_limit=2000)
-        sat_hot = sim.saturation_throughput(tolerance=0.03)
-        uni = OpenLoopSimulator(
-            NetworkConfig(k=4, n=2), warmup=200, measure=400, drain_limit=2000
-        ).saturation_throughput(tolerance=0.03)
-        assert sat_hot < 0.75 * uni
+from repro.traffic import UniformRandom
 
 
 class TestStrictDateline:

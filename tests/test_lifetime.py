@@ -43,7 +43,7 @@ def _batch(backend):
 
 
 def _barrier(backend):
-    return BarrierSimulator(_config(backend), batch_size=5, rounds=2).run()
+    return BarrierSimulator(_config(backend), batch_size=5).run()
 
 
 def _trace(backend):

@@ -43,7 +43,13 @@ class TestOpenLoopMisc:
         assert res.avg_latency <= res.p99_latency < float("inf")
 
     def test_custom_pattern_injection(self, mesh4):
-        from repro.traffic import Neighbor
+        from repro.traffic import PermutationPattern
+
+        class Neighbor(PermutationPattern):
+            name = "neighbor"
+
+            def _map(self, src: int) -> int:
+                return (src + 1) % self.num_nodes
 
         sim = OpenLoopSimulator(
             mesh4,

@@ -23,21 +23,6 @@ class TestPacket:
         p.deliver_time = 25
         assert p.latency == 15
 
-    def test_network_latency_excludes_queueing(self):
-        p = Packet(0, 1, 2, 1, 10)
-        p.inject_time = 14
-        p.deliver_time = 25
-        assert p.network_latency == 11
-        assert p.latency == 15
-
-    def test_current_target_phases(self):
-        p = Packet(0, 1, 9, 1, 0)
-        assert p.current_target() == 9
-        p.intermediate = 4
-        assert p.current_target() == 4
-        p.phase = 1
-        assert p.current_target() == 9
-
     def test_slots_reject_new_attributes(self):
         p = Packet(0, 1, 2, 1, 0)
         with pytest.raises(AttributeError):

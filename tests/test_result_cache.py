@@ -66,8 +66,8 @@ class TestFingerprints:
         assert "rng.py" in digests
         assert "core/engine.py" in digests
         assert "network/router.py" in digests
-        # modules that compute or shape record fields outside the simulator
-        assert "analysis/stats.py" in digests
+        # the JSON encoding behind every key, outside the simulator
+        assert "analysis/io.py" in digests
         # CLI wiring and transport cannot change a record: deliberately unsalted
         assert "__main__.py" not in digests
         assert not any(p.startswith("service/") for p in digests)
@@ -904,14 +904,21 @@ class TestVerify:
         cdir = tmp_path / "cache"
         grid_sweep(cache=cdir)
         cache = ResultCache(cdir)
-        stale, retired, invalid = (dict(e) for e in cache.entries()[:3])
+        stale, retired, weighted, tornado, refused, invalid = (
+            dict(e) for e in cache.entries()[:6]
+        )
         stale["config"] = {**stale["config"], "no_such_field": None}
         # what a store written while NetworkConfig had a class registry holds
         retired["config"] = {**retired["config"], "classes": [
             {"name": "default", "priority": 0, "weight": 1, "share": 1.0, "pattern": None}
         ]}
-        invalid["config"] = {**invalid["config"], "k": 1}
-        for entry in (stale, retired, invalid):
+        # retired values of fields NetworkConfig still has
+        weighted["config"] = {**weighted["config"], "arbitration": "weighted"}
+        tornado["config"] = {**tornado["config"], "traffic": "tornado"}
+        refused["config"] = {**refused["config"], "k": 1}
+        # constructs, but the runner's pattern refuses 9 nodes
+        invalid["config"] = {**invalid["config"], "k": 3, "traffic": "bit_complement"}
+        for entry in (stale, retired, weighted, tornado, refused, invalid):
             meta = {k: v for k, v in entry.items() if k not in ("key", "record")}
             cache.put(entry["key"], entry["record"], meta)
         results = {
@@ -921,7 +928,10 @@ class TestVerify:
         assert "no_such_field" in results[stale["key"]].detail
         assert results[retired["key"]].status == "skipped"
         assert "classes" in results[retired["key"]].detail
-        # a config that constructs but fails validation still reads as a mismatch
+        for entry, named in ((weighted, "'weighted'"), (tornado, "'tornado'"), (refused, "k")):
+            assert results[entry["key"]].status == "skipped"
+            assert named in results[entry["key"]].detail
+        # an exception the runner raises still reads as a mismatch
         assert results[invalid["key"]].status == "mismatch"
         assert "ValueError" in results[invalid["key"]].detail
 

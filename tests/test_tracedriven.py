@@ -42,15 +42,6 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace([TraceRecord(0, 0, 99, 1)], num_nodes=16)
 
-    def test_csv_roundtrip(self):
-        tr = Trace(self._records(), num_nodes=16)
-        again = Trace.from_csv(tr.to_csv(), num_nodes=16)
-        assert again.records == tr.records
-
-    def test_csv_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            Trace.from_csv("a,b\n1,2\n", num_nodes=4)
-
     def test_empty_trace(self):
         tr = Trace([], num_nodes=4)
         assert tr.duration == 0

@@ -14,9 +14,7 @@ from repro.traffic import (
     BitComplement,
     BitReversal,
     FixedSize,
-    Neighbor,
     SingleFlit,
-    Tornado,
     Transpose,
     UniformRandom,
     build_pattern,
@@ -62,7 +60,10 @@ class TestUniformRandom:
         assert a.tolist() == [p.dest(int(src), gen) for src in srcs]
 
     def test_not_permutation(self):
-        assert not UniformRandom(8).is_permutation()
+        """One source's destination varies from packet to packet."""
+        p = UniformRandom(8)
+        gen = rng_mod.make_generator(1, "t")
+        assert len({p.dest(0, gen) for _ in range(50)}) > 1
 
 
 class TestBatchedDrawPremise:
@@ -132,21 +133,10 @@ class TestBitPatterns:
 
 
 class TestOtherPermutations:
-    def test_neighbor(self):
-        p = Neighbor(8)
-        gen = rng_mod.make_generator(1, "t")
-        assert p.dest(0, gen) == 1
-        assert p.dest(7, gen) == 0
-
-    def test_tornado_half_way(self):
-        p = Tornado(64)
-        gen = rng_mod.make_generator(1, "t")
-        assert p.dest(0, gen) == 31
-
     @given(st.sampled_from([4, 16, 64]))
     @settings(max_examples=10, deadline=None)
     def test_all_permutations_are_bijections(self, n):
-        for cls in (Transpose, BitComplement, BitReversal, Neighbor, Tornado):
+        for cls in (Transpose, BitComplement, BitReversal):
             table = cls(n).table
             assert sorted(table.tolist()) == list(range(n))
 
@@ -193,8 +183,6 @@ class TestRegistry:
             ("transpose", Transpose),
             ("bit_complement", BitComplement),
             ("bit_reversal", BitReversal),
-            ("neighbor", Neighbor),
-            ("tornado", Tornado),
         ):
             cfg = NetworkConfig(traffic=name)
             assert isinstance(build_pattern(cfg), cls)
