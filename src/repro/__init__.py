@@ -36,8 +36,6 @@ _EXPORTS = {
     "BatchSimulator": ".core.closedloop",
     "BatchResult": ".core.closedloop",
     "SimulationEngine": ".core.engine",
-    "ProbeSet": ".core.probes",
-    "build_probes": ".core.probes",
     "Watchdog": ".core.resilience",
     "SimulationStalled": ".core.resilience",
     "__version__": "._version",

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from . import __version__
-from .analysis import format_records, format_table, probe_heatmap
+from .analysis import format_records, format_table
 from .config import FIELD_CHOICES, CmpConfig, NetworkConfig
 from .core.resilience import SimulationStalled, Watchdog
 
@@ -48,42 +48,8 @@ __all__ = ["main"]
 # ``worker`` start without them.
 
 
-class _ProbeNamesHelp(str):
-    """Help text naming :data:`~repro.core.probes.PROBE_REGISTRY`'s probes.
-
-    argparse expands a help string as ``help % params`` when it prints it;
-    the registry is read then, so building the parser imports no probe code.
-    """
-
-    def __mod__(self, params: Any) -> str:
-        from .core.probes import PROBE_REGISTRY
-
-        return str.__mod__(self, {**params, "probe_names": ",".join(PROBE_REGISTRY)})
-
-
 def _add_observer_args(p: argparse.ArgumentParser) -> None:
     """The flags :func:`_observers` reads."""
-    p.add_argument(
-        "--probes",
-        default=None,
-        metavar="NAMES",
-        help=_ProbeNamesHelp(
-            "enable instrumentation probes: comma-separated from "
-            "{%(probe_names)s} or 'all'"
-        ),
-    )
-    p.add_argument(
-        "--probe-interval",
-        type=int,
-        default=100,
-        help="probe aggregation window in cycles (default 100)",
-    )
-    p.add_argument(
-        "--probe-out",
-        default=None,
-        metavar="PATH",
-        help="stream probe records to this JSON-lines file as they flush",
-    )
     p.add_argument(
         "--watchdog",
         type=int,
@@ -95,35 +61,12 @@ def _add_observer_args(p: argparse.ArgumentParser) -> None:
 
 
 def _observers(args) -> tuple[Observer, ...]:
-    """The engine observers ``--probes`` and ``--watchdog`` ask for, in
-    that order.  ``REPRO_CHECK_INVARIANTS=1`` adds the invariant checker
-    in the engine, for the CLI as for every other caller."""
-    observers: list[Observer] = []
-    if args.probes:
-        from .core.probes import ProbeSet, build_probes
-
-        observers.append(
-            ProbeSet(build_probes(args.probes), interval=args.probe_interval, out=args.probe_out)
-        )
-    if args.watchdog is not None:
-        observers.append(Watchdog(window=args.watchdog))
-    return tuple(observers)
-
-
-def _report_probes(args, observers: tuple) -> None:
-    """Summarize the records of the :class:`ProbeSet` :func:`_observers` built."""
-    if not args.probes:
-        return
-    from .core.probes import ProbeSet
-
-    (probes,) = [obs for obs in observers if isinstance(obs, ProbeSet)]
-    records = probes.records
-    print(f"probes: {len(records)} window records", end="")
-    if args.probe_out is not None:
-        print(f" -> {args.probe_out}", end="")
-    print()
-    if records and "per_node_ejected" in records[0]:
-        print(probe_heatmap(records, field="per_node_ejected"))
+    """The engine observers ``--watchdog`` asks for.
+    ``REPRO_CHECK_INVARIANTS=1`` adds the invariant checker in the engine,
+    for the CLI as for every other caller."""
+    if args.watchdog is None:
+        return ()
+    return (Watchdog(window=args.watchdog),)
 
 
 #: NetworkConfig's fields by name: a flag's and an axis value's type and
@@ -201,7 +144,6 @@ def _cmd_openloop(args) -> int:
         f"throughput {res.throughput:.4f}, saturated={res.saturated}, "
         f"{res.num_measured} packets measured"
     )
-    _report_probes(args, observers)
     return 0
 
 
@@ -495,7 +437,6 @@ def _cmd_batch(args) -> int:
             f"barrier model: runtime {res.runtime}, throughput "
             f"{res.throughput:.4f}, completed={res.completed}"
         )
-        _report_probes(args, observers)
         return 0
     res = BatchSimulator(
         cfg,
@@ -509,7 +450,6 @@ def _cmd_batch(args) -> int:
         f"theta={res.throughput:.4f}, avg request latency "
         f"{res.avg_request_latency:.1f}, completed={res.completed}"
     )
-    _report_probes(args, observers)
     return 0
 
 

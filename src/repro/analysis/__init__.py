@@ -9,8 +9,6 @@ _EXPORTS = {
     "format_matrix": ".tables",
     "ascii_plot": ".ascii_plot",
     "ascii_scatter": ".ascii_plot",
-    "ascii_heatmap": ".ascii_plot",
-    "probe_heatmap": ".ascii_plot",
     "records_to_csv": ".io",
     "save_records": ".io",
     "append_jsonl": ".io",

@@ -1,21 +1,17 @@
-"""Terminal line/scatter plots and heatmaps.
+"""Terminal line and scatter plots.
 
-Enough plotting to eyeball a latency–load curve, a correlation scatter, or
-a probe-record utilization heatmap in captured benchmark output, with
-multiple labelled series per axes.
+Enough plotting to eyeball a latency–load curve or a correlation scatter
+in captured benchmark output, with multiple labelled series per axes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
-__all__ = ["ascii_plot", "ascii_scatter", "ascii_heatmap", "probe_heatmap"]
+__all__ = ["ascii_plot", "ascii_scatter"]
 
 _MARKERS = "ox+*#@%&"
-
-#: intensity ramp for heatmaps, dark -> bright
-_SHADES = " .:-=+*#%@"
 
 
 def _grid(width: int, height: int) -> list[list[str]]:
@@ -117,65 +113,3 @@ def ascii_scatter(
     lines.append(f"{xlabel}  [{lo:.4g} .. {hi:.4g}]")
     return "\n".join(lines)
 
-
-def ascii_heatmap(
-    rows: Sequence[Sequence[float]],
-    *,
-    title: str | None = None,
-    xlabel: str = "x",
-    ylabel: str = "y",
-    vmax: float | None = None,
-) -> str:
-    """Render a matrix as a character-shaded heatmap (one cell per value).
-
-    Rows render top to bottom; intensity is linear from 0 (space) to
-    ``vmax`` (defaults to the matrix maximum).  Non-finite cells render as
-    ``?``.  Suited to small matrices: probe windows × nodes, traffic
-    matrices, node runtime maps.
-    """
-    data = [[float(v) for v in row] for row in rows]
-    if not data or not any(len(r) for r in data):
-        return (title or "") + "\n(no data)"
-    finite = [v for row in data for v in row if math.isfinite(v)]
-    top = vmax if vmax is not None else (max(finite) if finite else 0.0)
-    lines = []
-    if title:
-        lines.append(title)
-    span = len(_SHADES) - 1
-    for row in data:
-        cells = []
-        for v in row:
-            if not math.isfinite(v):
-                cells.append("?")
-            elif top <= 0:
-                cells.append(_SHADES[0])
-            else:
-                frac = min(max(v / top, 0.0), 1.0)
-                cells.append(_SHADES[round(frac * span)])
-        lines.append("|" + "".join(cells) + "|")
-    width = max(len(r) for r in data)
-    lines.append("+" + "-" * width + "+")
-    lines.append(f"{ylabel} (rows) vs {xlabel} (cols), max={top:.4g}")
-    return "\n".join(lines)
-
-
-def probe_heatmap(
-    records: Sequence[Mapping],
-    *,
-    field: str = "per_node_ejected",
-    title: str | None = None,
-    vmax: float | None = None,
-) -> str:
-    """Heatmap of a per-node probe field over time: windows × nodes.
-
-    ``records`` are :class:`repro.core.probes.ProbeSet` windowed records
-    (live, or round-tripped through ``analysis.io.read_jsonl``); ``field``
-    names any list-valued record entry (``per_node_ejected``,
-    ``per_node_vc_peak``, ``per_channel``, ...).  Each row is one window,
-    so time runs top to bottom.
-    """
-    rows = [rec[field] for rec in records if field in rec]
-    if not rows:
-        return (title or "") + f"\n(no {field!r} in records)"
-    label = title if title is not None else f"{field} per window"
-    return ascii_heatmap(rows, title=label, xlabel="node", ylabel="window", vmax=vmax)

@@ -11,10 +11,9 @@ owns that loop once and nothing else:
   window, a batch's runtime, a replay's latencies) lives in its workload.
 * **Budget cutoff** — ``max_cycles`` bounds every run; :meth:`run` returns
   ``False`` when the budget, not the workload, ended it.
-* **Observers** — the ``observers=`` tuple: probes
-  (:class:`repro.core.probes.ProbeSet`), the stall watchdog and the
+* **Observers** — the ``observers=`` tuple: the stall watchdog and the
   conservation auditor (:class:`~repro.core.resilience.Watchdog`,
-  :class:`~repro.core.resilience.InvariantChecker`) all implement one
+  :class:`~repro.core.resilience.InvariantChecker`) both implement one
   :class:`Observer` protocol and watch every executed cycle, in tuple
   order; each keeps its own output.  ``REPRO_CHECK_INVARIANTS=1`` appends
   an :class:`~repro.core.resilience.InvariantChecker` when none is given.
@@ -53,7 +52,7 @@ class Workload(Protocol):
 
 @runtime_checkable
 class Observer(Protocol):
-    """Watches the loop without steering it: probes, watchdog, invariants.
+    """Watches the loop without steering it: the watchdog, invariants.
 
     ``begin`` runs once before the first cycle, ``on_cycle`` after every
     executed cycle (``now`` is the cycle that ran, ``delivered`` its

@@ -188,7 +188,7 @@ class OpenLoopSimulator:
         self.warmup = warmup
         self.measure = measure
         self.drain_limit = drain_limit
-        #: engine observers (probes, watchdog, invariants) shared by every run
+        #: engine observers (watchdog, invariants) shared by every run
         self.observers = tuple(observers)
         # Injection point for instrumented networks (matches BatchSimulator).
         self.network_factory = network_factory

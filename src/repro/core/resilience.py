@@ -286,7 +286,9 @@ class Watchdog:
 # Conservation invariants
 # ---------------------------------------------------------------------------
 class InvariantChecker:
-    """Asserts flit and credit conservation every ``interval`` cycles.
+    """Asserts flit and credit conservation every ``interval`` cycles and
+    once more when the run ends, so a short run and a long run's last
+    partial interval are audited too.
 
     * **Flit conservation** — every flit injected into the fabric is either
       ejected, buffered in a router, or in flight on a link.
@@ -316,7 +318,7 @@ class InvariantChecker:
         self.check(net)
 
     def finish(self, net) -> None:
-        pass
+        self.check(net)
 
     def check(self, net) -> None:
         """Run all applicable invariant checks against ``net`` right now."""

@@ -148,16 +148,6 @@ class SetAssocCache:
             s = self._open(line % self.num_sets)
         return line in s
 
-    def invalidate(self, line: int) -> bool:
-        """Drop ``line`` if present; True if it was."""
-        s = self._sets[line % self.num_sets]
-        if s is None:
-            s = self._open(line % self.num_sets)
-        if line in s:
-            del s[line]
-            return True
-        return False
-
     @property
     def capacity(self) -> int:
         """Total line capacity."""

@@ -13,12 +13,6 @@ so the contract lives here once:
   in-flight accounting, delivered/ejected flit counters, and the ``run`` /
   ``is_idle`` conveniences that :class:`repro.network.network.Network` and
   :class:`repro.network.ideal.IdealNetwork` previously each hand-rolled.
-
-Probing hooks: ``_flit_hook`` (called per link traversal when a
-:class:`~repro.core.probes.ChannelUtilizationProbe` is attached) and the
-always-on ``injection_stalls`` counter are part of the base state so the
-probe layer works against any backend; both are inert — a single ``None``
-check / integer increment — when no probe is attached.
 """
 
 from __future__ import annotations
@@ -75,7 +69,7 @@ class BaseNetwork:
     """Shared state and conveniences for cycle-steppable networks.
 
     Subclasses implement :meth:`offer` and :meth:`step`; everything a driver
-    or probe reads — cycle clock, in-flight count, per-node flit counters —
+    or observer reads — cycle clock, in-flight count, per-node flit counters —
     is initialised and maintained here.
     """
 
@@ -95,8 +89,6 @@ class BaseNetwork:
         self.injection_stalls = 0
         #: read by the benchmark (benchmarks/e2e/workloads.py); always 0
         self.fast_forwarded_cycles = 0
-        #: per-link-traversal probe callback; None == probing disabled
-        self._flit_hook = None
 
     # -- driver API -----------------------------------------------------------
     def make_packet(
@@ -164,15 +156,3 @@ class BaseNetwork:
     def buffered_flits(self) -> int:
         """Flits currently buffered inside the fabric (0 for bufferless)."""
         return 0
-
-    # -- probe support ----------------------------------------------------------
-    def probe_channels(self):
-        """Directed channels for per-link probes (empty for ideal fabrics)."""
-        return ()
-
-    def probe_vc_occupancy(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Per-node buffered-flit occupancy snapshot (zeros for bufferless)."""
-        if out is None:
-            return np.zeros(self.num_nodes, dtype=np.int64)
-        out[:] = 0
-        return out

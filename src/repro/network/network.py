@@ -34,8 +34,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-import numpy as np
-
 from ..config import NetworkConfig
 from ..routing.base import RoutingAlgorithm
 from ..routing.registry import build_routing
@@ -175,28 +173,6 @@ class Network(BaseNetwork):
     def buffered_flits(self) -> int:
         """Flits currently buffered across all routers (diagnostics)."""
         return sum(r.buffered_flits() for r in self.routers)
-
-    # -- probe support ----------------------------------------------------------
-    def probe_channels(self):
-        """The topology's directed channels (per-link probe domain)."""
-        return self.topology.channels()
-
-    def probe_vc_occupancy(self, out=None) -> np.ndarray:
-        """Per-node maximum single-VC buffer occupancy (flits).
-
-        A sampled snapshot for the VC-occupancy probe; by construction no
-        entry can exceed ``config.vc_buffer_size``.
-        """
-        if out is None:
-            out = np.zeros(self.num_nodes, dtype=np.int64)
-        for node, router in enumerate(self.routers):
-            worst = 0
-            for ivc in router.ivcs:
-                depth = len(ivc.fifo)
-                if depth > worst:
-                    worst = depth
-            out[node] = worst
-        return out
 
     # -- internals --------------------------------------------------------------
     def _inject_all(self, now: int) -> None:

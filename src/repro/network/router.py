@@ -240,7 +240,6 @@ class Router:
         arbiters = self.arbiters
         arrivals = net._arrivals
         credit_out = net._credit_out
-        hook = net._flit_hook
         for op in active_ports:
             requests = reqs[op]
             if len(requests) > 1:
@@ -291,8 +290,6 @@ class Router:
                     else:
                         bucket.append((self.down[op][ovc], pkt, fidx))
                     sent += 1
-                    if hook is not None:
-                        hook(ch, ovc, pkt, fidx, now)
                     if is_tail:
                         self.vc_owner[op][ovc] = None
                         ivc.out_port = ivc.out_vc = -1

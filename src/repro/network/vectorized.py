@@ -6,7 +6,7 @@ VC state, credit counters, and every in-flight flit live in preallocated
 numpy buffers, and one network-wide pipeline step (route -> VC-allocate ->
 switch-arbitrate -> traverse) is computed with vectorized masks instead of
 per-flit Python objects.  It satisfies the same :class:`NetworkLike`
-protocol, so all drivers, the engine and probes work unchanged.
+protocol, so all drivers and the engine work unchanged.
 
 Equivalence contract
 --------------------
@@ -104,11 +104,9 @@ class VectorizedNetwork(BaseNetwork):
         # (upstream_node*PV + upstream_port*V) for returned credits.
         self._arr_base = np.full((N, P), -1, dtype=np.int64)
         self._up_base = np.full((N, P), -1, dtype=np.int64)
-        self._chan = [[None] * P for _ in range(N)]
         for ch in topo.channels():
             self._arr_base[ch.src, ch.out_port] = ch.dst * PV + ch.in_port * V
             self._up_base[ch.dst, ch.in_port] = ch.src * PV + ch.out_port * V
-            self._chan[ch.src][ch.out_port] = ch
 
         # -- router state (flat ivc index g = node*P*V + port*V + vc) -----
         self._credits = np.zeros(NIVC, dtype=np.int64)
@@ -260,17 +258,6 @@ class VectorizedNetwork(BaseNetwork):
 
     def buffered_flits(self) -> int:
         return self._buffered
-
-    # -- probe support --------------------------------------------------
-    def probe_channels(self):
-        return self.topology.channels()
-
-    def probe_vc_occupancy(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        occ = self._f_len.reshape(self.num_nodes, self._PV).max(axis=1)
-        if out is None:
-            return occ
-        out[:] = occ
-        return out
 
     # ------------------------------------------------------------------
     # packet slots
@@ -769,17 +756,6 @@ class VectorizedNetwork(BaseNetwork):
                 now + self._dly, self._arr_base[nf, pf] + vf, sf, ff
             )
             self.total_flit_traversals += int(gf.size)
-            hook = self._flit_hook
-            if hook is not None:
-                chan, pobj = self._chan, self._p_obj
-                for i in range(gf.size):
-                    hook(
-                        chan[int(nf[i])][int(pf[i])],
-                        int(vf[i]),
-                        pobj[int(sf[i])],
-                        int(ff[i]),
-                        now,
-                    )
             tl = tail[fwd]
             if tl.any():
                 self._owner[cf[tl]] = -1

@@ -54,13 +54,6 @@ class TestSetAssocCache:
             c.fill(line)
         assert c.occupancy() <= 4
 
-    def test_invalidate(self):
-        c = SetAssocCache(8, 2)
-        c.fill(5)
-        assert c.invalidate(5)
-        assert not c.probe(5)
-        assert not c.invalidate(5)
-
     def test_miss_rate(self):
         c = SetAssocCache(8, 2)
         c.access(0)
@@ -104,7 +97,7 @@ class TestSetAssocCache:
             st.one_of(
                 st.tuples(st.just("run"), st.integers(0, 60), st.integers(0, 90)),
                 st.tuples(
-                    st.sampled_from(["fill", "access", "lookup", "probe", "invalidate"]),
+                    st.sampled_from(["fill", "access", "lookup", "probe"]),
                     st.integers(0, 150),
                 ),
             ),

@@ -6,6 +6,7 @@ import argparse
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -148,7 +149,6 @@ SIMULATOR_MODULES = (
     "repro.core.barrier",
     "repro.core.tracedriven",
     "repro.core.explore",
-    "repro.core.probes",
 )
 
 #: Prints the loaded members of SIMULATOR_MODULES (and their submodules).
@@ -235,24 +235,19 @@ class TestControlPlaneImports:
         )
         assert _fresh_python(script) == ["[]"]
 
-    def test_probe_names_in_help_come_from_the_registry(self, capsys):
-        from repro.core.probes import PROBE_REGISTRY
-
-        for command in ("openloop", "batch"):
-            with pytest.raises(SystemExit) as exc:
-                main([command, "--help"])
-            assert exc.value.code == 0
-            text = " ".join(capsys.readouterr().out.split())
-            assert "from {" + ",".join(PROBE_REGISTRY) + "} or 'all'" in text
-
 
 class TestLazyNamespaces:
     """``repro``, ``repro.core`` and ``repro.analysis`` import a public name's
     submodule on first use; what they export is what eager imports gave."""
 
-    PACKAGES = ("repro", "repro.core", "repro.analysis")
+    #: package -> names it does not export: a typo, and retired names
+    RETIRED = {
+        "repro": ("nope", "ProbeSet", "build_probes"),
+        "repro.core": ("nope", "ProbeSet", "PROBE_REGISTRY"),
+        "repro.analysis": ("nope", "probe_heatmap", "ascii_heatmap"),
+    }
 
-    @pytest.mark.parametrize("name", PACKAGES)
+    @pytest.mark.parametrize("name", RETIRED)
     def test_exports_resolve_to_their_submodules(self, name):
         import importlib
 
@@ -266,8 +261,9 @@ class TestLazyNamespaces:
         namespace: dict = {}
         exec(f"from {name} import *", namespace)
         assert {k for k in namespace if k != "__builtins__"} == set(package.__all__)
-        with pytest.raises(AttributeError, match="no attribute 'nope'"):
-            package.nope
+        for retired in self.RETIRED[name]:
+            with pytest.raises(AttributeError, match=f"no attribute '{retired}'"):
+                getattr(package, retired)
 
     def test_an_export_outranks_its_same_named_submodule(self):
         """Loading ``repro.core.explore`` first binds the module on the package;
@@ -287,7 +283,7 @@ class TestLazyNamespaces:
 
 #: The CLI's option surface, pinned: per subcommand, each argument's option
 #: strings, dest, default, sorted choices, nargs, const, required and action
-#: class (help excluded) -- 158 options and 3 positionals over 11
+#: class (help excluded) -- 152 options and 3 positionals over 11
 #: subcommands.  The network and executor flags are generated from one
 #: declaration each; this says that generation adds and loses nothing.
 PARSER_SURFACE = {
@@ -308,9 +304,6 @@ PARSER_SURFACE = {
         (('--measure',), 'measure', 1000, None, None, None, False, '_StoreAction'),
         (('--drain',), 'drain', 10000, None, None, None, False, '_StoreAction'),
         (('--rate',), 'rate', None, None, None, None, True, '_StoreAction'),
-        (('--probes',), 'probes', None, None, None, None, False, '_StoreAction'),
-        (('--probe-interval',), 'probe_interval', 100, None, None, None, False, '_StoreAction'),
-        (('--probe-out',), 'probe_out', None, None, None, None, False, '_StoreAction'),
         (('--watchdog',), 'watchdog', None, None, None, None, False, '_StoreAction'),
     ],
     'sweep': [
@@ -406,9 +399,6 @@ PARSER_SURFACE = {
         (('--nar',), 'nar', None, None, None, None, False, '_StoreAction'),
         (('--reply',), 'reply', None, None, None, None, False, '_StoreAction'),
         (('--barrier',), 'barrier', False, None, 0, True, False, '_StoreTrueAction'),
-        (('--probes',), 'probes', None, None, None, None, False, '_StoreAction'),
-        (('--probe-interval',), 'probe_interval', 100, None, None, None, False, '_StoreAction'),
-        (('--probe-out',), 'probe_out', None, None, None, None, False, '_StoreAction'),
         (('--watchdog',), 'watchdog', None, None, None, None, False, '_StoreAction'),
     ],
     'cmp': [
@@ -512,6 +502,12 @@ def _option_strings(parser: argparse.ArgumentParser) -> set:
     return found
 
 
+def _census() -> str:
+    """DESIGN.md §3, the census of what the repo keeps."""
+    design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    return design.split("\n## 3. What the repo keeps\n", 1)[1].split("\n## ", 1)[0]
+
+
 class TestDocumentedSurface:
     """The documented CLI is the parser's: a removed verb or flag leaves no trace."""
 
@@ -534,11 +530,9 @@ class TestDocumentedSurface:
         import importlib
 
         from repro.config import FIELD_CHOICES
-        from repro.core.probes import PROBE_REGISTRY
 
-        design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
-        census = design.split("\n## 3. What the repo keeps\n", 1)[1].split("\n## ", 1)[0]
-        names = set(_parser_surface()) | set(PROBE_REGISTRY)
+        census = _census()
+        names = set(_parser_surface())
         names |= {o for o in _option_strings(build_parser()) if o.startswith("--")} - {"--help"}
         names |= {value for values in FIELD_CHOICES.values() for value in values}
         for package in ("repro", "repro.core", "repro.analysis", "repro.traffic",
@@ -547,6 +541,22 @@ class TestDocumentedSurface:
             names |= set(importlib.import_module(package).__all__)
         assert sorted(n for n in names if f"`{n}`" not in census) == []
         assert "tests only" not in census.lower()
+
+    def test_census_greps_find_their_consumers(self):
+        """Each census row ends with the grep that shows its consumer, run
+        from the repo root: it must still print a line."""
+        rows = [
+            line for line in _census().splitlines()
+            if line.startswith("| ") and not line.startswith("| Names |")
+        ]
+        found = [re.fullmatch(r"\|.* \| `(grep [^`]+)` \|", row) for row in rows]
+        assert rows and [row for row, grep in zip(rows, found) if grep is None] == []
+        silent = []
+        for grep in (match.group(1) for match in found):
+            run = subprocess.run(shlex.split(grep), cwd=REPO_ROOT, capture_output=True, text=True)
+            if not run.stdout.strip():
+                silent.append(grep)
+        assert silent == []
 
 
 class TestParser:
@@ -579,6 +589,8 @@ class TestParser:
             ["sweep", "--rates", "0.1", "--axis", "arbitration=weighted"],
             ["openloop", "--rate", "0.1", "--traffic", "hotspot"],
             ["openloop", "--rate", "0.1", "--check-invariants"],
+            ["openloop", "--rate", "0.1", "--probes", "all"],
+            ["batch", "--probe-out", "x"],
         ):
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args(argv)
@@ -695,54 +707,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fft on ideal" in out
         assert "completed=True" in out
-
-    def test_openloop_probes_jsonl(self, capsys, tmp_path):
-        """Acceptance: --probes emits valid JSONL readable by analysis.io."""
-        out = tmp_path / "probes.jsonl"
-        rc = main(
-            [
-                "openloop", "--k", "4", "--rate", "0.1",
-                "--warmup", "100", "--measure", "200", "--drain", "1000",
-                "--probes", "all", "--probe-interval", "50",
-                "--probe-out", str(out),
-            ]
-        )
-        assert rc == 0
-        stdout = capsys.readouterr().out
-        assert "window records" in stdout
-        assert "per_node_ejected" in stdout  # the heatmap rendered
-        records = read_jsonl(out)
-        assert records
-        for rec in records:
-            assert rec["window_end"] > rec["window_start"]
-            assert "link_util" in rec and "vc_occ_peak" in rec
-
-    def test_batch_probes_jsonl(self, capsys, tmp_path):
-        out = tmp_path / "probes.jsonl"
-        rc = main(
-            [
-                "batch", "--k", "4", "-b", "20", "-m", "2",
-                "--probes", "channel,stall", "--probe-out", str(out),
-            ]
-        )
-        assert rc == 0
-        assert "window records" in capsys.readouterr().out
-        records = read_jsonl(out)
-        assert records
-        assert all("injection_stalls" in rec for rec in records)
-
-    def test_barrier_probes(self, capsys):
-        rc = main(
-            ["batch", "--k", "4", "-b", "20", "--barrier", "--probes", "inflight"]
-        )
-        assert rc == 0
-        assert "window records" in capsys.readouterr().out
-
-    def test_bad_probe_name_errors(self, capsys):
-        rc = main(["openloop", "--k", "4", "--rate", "0.1", "--probes", "nope"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "unknown probe" in err
 
     def test_characterize_single(self, capsys):
         rc = main(

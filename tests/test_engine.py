@@ -167,10 +167,9 @@ def _drivers():
 
 class TestObservers:
     def test_watchers_satisfy_the_protocol(self):
-        from repro.core.probes import ProbeSet
         from repro.core.resilience import InvariantChecker, Watchdog
 
-        for obs in (ProbeSet([]), Watchdog(), InvariantChecker(), _CycleCounter("c", [])):
+        for obs in (Watchdog(), InvariantChecker(), _CycleCounter("c", [])):
             assert isinstance(obs, Observer)
 
     @pytest.mark.parametrize("driver", ["openloop", "batch", "barrier", "trace", "cmp"])

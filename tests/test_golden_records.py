@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from repro.core.barrier import BarrierSimulator
 from repro.core.closedloop import BatchSimulator
 from repro.core.openloop import OpenLoopSimulator
 from repro.core.osmodel import OSModel
-from repro.core.probes import ProbeSet, build_probes
 from repro.core.reply import FixedReply, ProbabilisticReply
 from repro.core.resilience import InvariantChecker, Watchdog
 from repro.core.tracedriven import (
@@ -46,11 +44,6 @@ from repro.traffic.process import MarkovOnOff
 def digest(arr) -> str:
     """First 16 hex chars of sha256 over the array's raw bytes."""
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
-
-
-def records_digest(records) -> str:
-    """First 16 hex chars of sha256 over probe records as sorted-key JSON."""
-    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @pytest.fixture
@@ -300,27 +293,30 @@ class TestCmpSuiteGolden:
         ) == CMP_SUITE_GOLDEN[key]
 
 
-class TestProbesDoNotPerturb:
-    """Attaching probes must observe, never change, the simulation."""
+class TestObserversDoNotPerturb:
+    """Attaching observers must watch, never change, the simulation."""
 
-    def test_openloop_identical_with_probes(self, cfg):
-        probes = ProbeSet(build_probes("all"), interval=50)
+    def test_openloop_identical_with_observers(self, cfg):
         res = OpenLoopSimulator(
-            cfg, warmup=200, measure=400, drain_limit=4000, observers=(probes,)
+            cfg,
+            warmup=200,
+            measure=400,
+            drain_limit=4000,
+            observers=(Watchdog(window=500), InvariantChecker(interval=50)),
         ).run(0.15)
         assert res.avg_latency == 6.45681581685744
         assert res.throughput == 0.1509375
         assert digest(res.latencies) == "f37300b4a16e0db9"
-        assert probes.records  # and it actually recorded something
 
-    def test_batch_identical_with_probes(self, cfg):
-        probes = ProbeSet(build_probes("channel,vc"), interval=64)
+    def test_batch_identical_with_observers(self, cfg):
         res = BatchSimulator(
-            cfg, batch_size=30, max_outstanding=2, observers=(probes,)
+            cfg,
+            batch_size=30,
+            max_outstanding=2,
+            observers=(Watchdog(window=500), InvariantChecker(interval=64)),
         ).run()
         assert res.runtime == 271
         assert digest(res.node_finish) == "16e05388a4dbcb4e"
-        assert probes.records
 
 
 class TestInjectionBackpressureGolden:
@@ -395,7 +391,7 @@ MESH_RATES = {
 
 
 class TestSparseOpenLoopGolden:
-    """Open-loop runs that leave most cycles idle, plus probes and bursty
+    """Open-loop runs that leave most cycles idle, plus observers and bursty
     sources at low load."""
 
     @pytest.mark.parametrize("rate", [0.005, 0.05, 0.30])
@@ -421,21 +417,18 @@ class TestSparseOpenLoopGolden:
             2.6986301369863015, False, "f378f917212d3b58", "59012da7c13a954e",
         )
 
-    def test_with_probes_watchdog_invariants(self):
+    def test_with_watchdog_invariants(self):
         cfg = NetworkConfig(k=4, n=2, seed=3)
-        probes = ProbeSet(build_probes("all"), interval=64)
         res = OpenLoopSimulator(
             cfg,
             warmup=100,
             measure=250,
             drain_limit=3000,
-            observers=(probes, Watchdog(window=500), InvariantChecker()),
+            observers=(Watchdog(window=500), InvariantChecker()),
         ).run(0.01)
         assert _openloop(res) == (
             50, 6.14, 10.0, 0.01275, 2.56, False, "b6ea09935c49a34b", "4576160041903b7e",
         )
-        assert len(probes.records) == 6
-        assert records_digest(probes.records) == "a5367815ba0e6103"
 
     def test_8x8_near_zero_load(self):
         # Near-zero load on the paper's mesh: ~91% of its 30k cycles idle.
@@ -545,26 +538,22 @@ class TestSparseBatchGolden:
             4481, 0.034367328721267576, True, 1232, 1072, 6.424512987012987, "fd228693c3829a73",
         )
 
-    def test_with_probes_and_invariants(self):
+    def test_with_watchdog_and_invariants(self):
         cfg = NetworkConfig(k=4, n=2, seed=23)
-        probes = ProbeSet(build_probes("all"), interval=50)
         res = BatchSimulator(
             cfg,
             batch_size=20,
             max_outstanding=2,
             nar=0.3,
-            observers=(probes, Watchdog(window=2000), InvariantChecker()),
+            observers=(Watchdog(window=2000), InvariantChecker()),
         ).run()
         assert _batch(res) == (
             216, 0.18518518518518517, True, 320, 0, 6.715625, "997d8cc0e3a6219d",
         )
-        assert len(probes.records) == 5
-        assert records_digest(probes.records) == "99f3810860aaa484"
 
 
 class TestSparseTraceGolden:
-    """Trace replays with gaps of thousands of cycles, and a captured trace
-    under probes."""
+    """Trace replays with gaps of thousands of cycles, and a captured trace."""
 
     def test_packets_thousands_of_cycles_apart(self):
         # Records thousands of cycles apart: the replay steps the empty
@@ -605,14 +594,11 @@ class TestSparseTraceGolden:
         assert res.throughput == 1.4283347331013718e-05
         assert [net.now for net in nets] == [175_029]
 
-    def test_captured_trace_with_probes(self):
+    def test_captured_trace_replay(self):
         cfg = NetworkConfig(k=4, n=2, seed=7)
         trace = capture_openloop_trace(cfg, 0.02, cycles=800)
-        probes = ProbeSet(build_probes("inflight,channel"), interval=100)
-        res = TraceDrivenSimulator(cfg, trace, observers=(probes,)).run()
+        res = TraceDrivenSimulator(cfg, trace).run()
         assert res.runtime == 806
         assert res.avg_latency == 6.318021201413427
         assert res.packets == 283
         assert res.throughput == 0.021944789081885855
-        assert len(probes.records) == 9
-        assert records_digest(probes.records) == "4bdb5ae2c52fc3b5"

@@ -20,7 +20,6 @@ from repro.config import CmpConfig, NetworkConfig
 from repro.core.barrier import BarrierSimulator
 from repro.core.closedloop import BatchSimulator
 from repro.core.openloop import OpenLoopSimulator
-from repro.core.probes import ProbeSet, build_probes
 from repro.core.resilience import InvariantChecker, Watchdog
 from repro.core.tracedriven import TraceDrivenSimulator, capture_openloop_trace
 from repro.execdriven import BENCHMARKS, CmpSystem
@@ -61,11 +60,6 @@ def _cmp(backend, *, ideal=False, timer_interval=0):
     return system.run()
 
 
-def _probes(backend):
-    probes = ProbeSet(build_probes("all"), interval=50)
-    return _openloop(backend, sim_kw=dict(observers=(probes,)))
-
-
 def _checks(backend):
     return _openloop(
         backend, sim_kw=dict(observers=(Watchdog(window=500), InvariantChecker()))
@@ -83,7 +77,6 @@ PATHS = {
     "cmp_timer_firing": (lambda b: _cmp(b, timer_interval=200), False),
     "routing_val": (lambda b: _openloop(b, routing="val"), True),
     "routing_ma": (lambda b: _openloop(b, routing="ma"), True),
-    "probes": (_probes, True),
     "watchdog_invariants": (_checks, True),
 }
 

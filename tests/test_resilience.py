@@ -151,6 +151,36 @@ class TestInvariantChecker:
         with pytest.raises(InvariantViolation, match="credit conservation"):
             InvariantChecker().check(net)
 
+    @pytest.mark.parametrize("how", ["explicit", "env"])
+    def test_run_shorter_than_an_interval_is_audited_at_its_end(self, how, monkeypatch):
+        """A 50-cycle run never reaches the 256-cycle interval: the audit
+        that catches a credit taken before the run ends is ``finish``'s."""
+        from repro.core.engine import SimulationEngine
+
+        class FiftyCycles:
+            def inject(self, net):
+                if net.now < 30:
+                    net.offer(net.make_packet(net.now % 16, (net.now + 5) % 16, 4))
+                if net.now == 45:
+                    net.routers[5].credits[0][0] -= 1
+
+            def on_delivered(self, pkt, net):
+                pass
+
+            def done(self, net):
+                return net.now >= 50
+
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+        observers = (InvariantChecker(),)
+        if how == "env":
+            monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+            observers = ()
+        net = Network(NetworkConfig(k=4, n=2))
+        engine = SimulationEngine(net, FiftyCycles(), max_cycles=1000, observers=observers)
+        with pytest.raises(InvariantViolation, match="credit conservation"):
+            engine.run()
+        assert net.now == 50
+
     def test_interval_validated(self):
         with pytest.raises(ValueError):
             InvariantChecker(interval=0)
